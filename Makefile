@@ -12,19 +12,20 @@ test:
 # verify is the pre-submit gate: static checks, the race detector on the
 # concurrency-bearing packages (the parallel training engine, the
 # pool-fanned eval kernels, the kernel-conformance harness, the metrics
-# registry, the singleflight + snapshot HTTP layer, the response cache
-# and the experiment fan-out), the kerneltest differential harness (exact
-# kernels bitwise vs naive oracles, fast-math kernels ULP-bounded plus
-# the AUC rank-equivalence property), the allocation-regression gates on
-# the AUC kernel and the serve ranking/plan fast paths (run without
-# -race, which inflates allocation counts), the chaos suite, and a short
-# fuzz pass over the CSV parsers and the AUC kernel differential.
+# registry, the singleflight + snapshot HTTP layer with its raw-body
+# request memo, the response cache and the experiment fan-out), the
+# kerneltest differential harness (Dot, MatVec and the AUC kernel
+# bitwise vs naive oracles), the allocation-regression gates on the AUC
+# kernel, the serve ranking/plan/bulk cached paths and the request-body
+# memo hit (run without -race, which inflates allocation counts), the
+# chaos suite, and a short fuzz pass over the CSV parsers and the AUC
+# kernel differential.
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/respcache/... ./internal/experiments/... ./internal/wal/...
 	$(GO) test ./internal/kerneltest -count=1
 	$(GO) test ./internal/eval -run='^TestAUCKernelZeroAlloc$$' -count=1
-	$(GO) test ./internal/serve -run='^(TestRankingCacheHitZeroAlloc|TestPlanCacheHitZeroAlloc|TestParsePlanFastZeroAlloc|TestBulkRankCacheHitZeroAlloc)$$' -count=1
+	$(GO) test ./internal/serve -run='^(TestRankingCacheHitZeroAlloc|TestPlanCacheHitZeroAlloc|TestBodyMemoHitZeroAlloc|TestBulkRankCacheHitZeroAlloc)$$' -count=1
 	$(GO) test ./internal/colfmt -run='^(TestReadAllocsRowIndependent|TestIngestAllocsRowIndependent)$$' -count=1
 	$(MAKE) chaos
 	$(MAKE) fuzz-smoke
@@ -73,9 +74,10 @@ bench-json:
 
 # bench-check is the pre-release perf gate (NOT part of verify —
 # wall-clock numbers are too machine-sensitive for a merge gate): rerun
-# the core hot-path benchmarks and fail if any is >30% slower than the
-# checked-in BENCH_core.json, if its allocs/op grew at all, or if a
-# recorded benchmark disappeared. Refresh the baseline with bench-json.
+# the core, data, ingest and serve hot-path benchmarks and fail if any is
+# more than BENCH_TOL slower than its checked-in BENCH_*.json, if its
+# allocs/op grew at all, or if a recorded benchmark disappeared. Refresh
+# the core and serve baselines with bench-json.
 # bench-data records the columnar data-plane benchmarks (streaming decode,
 # encode, CSV->columnar conversion, feature ingest) at 10k/100k/1M rows
 # into BENCH_data.json. BENCH_FULL=1 unlocks the 1M-pipe fixture, which
@@ -109,3 +111,6 @@ bench-check:
 	{ $(GO) test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALReplay' ./internal/wal/; \
 	  $(GO) test -run='^$$' -bench='BenchmarkEventsIngest' -benchtime=2000x ./internal/serve/; } \
 	| $(GO) run ./cmd/benchjson -check BENCH_ingest.json -tol $(BENCH_TOL)
+	{ $(GO) test -run='^$$' -bench='BenchmarkRankingHandler|BenchmarkPlanHandler|BenchmarkBulkRank|BenchmarkShardRebuild' ./internal/serve/; \
+	  $(GO) test -run='^$$' -bench='BenchmarkRespCache' ./internal/respcache/; } \
+	| $(GO) run ./cmd/benchjson -check BENCH_serve.json -tol $(BENCH_TOL)

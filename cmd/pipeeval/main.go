@@ -25,7 +25,6 @@ import (
 	"repro"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
-	"repro/internal/linalg"
 	"repro/internal/obs"
 )
 
@@ -42,11 +41,7 @@ func main() {
 	esGens := flag.Int("esgens", 0, "override DirectAUC ES generations (0 = default)")
 	svgOut := flag.String("riskmap", "riskmap.svg", "output path for the F4 SVG")
 	metrics := flag.Bool("metrics", false, "print a JSON metrics snapshot (fit durations, ES progress, pool task counts) after the run")
-	fastMath := flag.Bool("fast-math", false,
-		"use reassociated multi-accumulator float kernels; faster, but tables are no longer bit-comparable to the checked-in goldens")
 	flag.Parse()
-	linalg.SetFastMath(*fastMath)
-
 	opts := experiments.Options{
 		Seed:          *seed,
 		Scale:         *scale,

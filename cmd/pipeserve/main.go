@@ -55,10 +55,11 @@
 // across shards) with strong ETags; clients sending If-None-Match get
 // 304 Not-Modified.
 //
-// -rebuild-interval starts the background rebuild scheduler: shards
-// with no trained default model, or snapshots older than the interval,
-// retrain in the background (at most -rebuild-workers at once) and
-// publish atomically without blocking reads.
+// -rebuild-interval starts the background rebuild scheduler: each
+// interval, shards with no trained default model and snapshots that
+// ingested events have made stale retrain in the background (at most
+// -rebuild-workers at once) and publish atomically without blocking
+// reads.
 //
 // Resilience: SIGINT/SIGTERM triggers a graceful shutdown — readiness
 // flips to 503, in-flight training and scheduled rebuilds are

@@ -20,7 +20,6 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/linalg"
 )
 
 func main() {
@@ -34,16 +33,12 @@ func main() {
 	esGens := flag.Int("esgens", 0, "override DirectAUC ES generations (0 = default)")
 	top := flag.Int("top", 20, "print the top-N ranked pipes")
 	save := flag.String("save", "", "persist a fitted linear model (DirectAUC-ES/RankSVM) as JSON")
-	fastMath := flag.Bool("fast-math", false,
-		"use reassociated multi-accumulator float kernels; faster, but fitted weights are no longer bit-comparable to exact-mode runs")
 	flag.Parse()
 
 	if *data == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	linalg.SetFastMath(*fastMath)
-
 	// OpenData sniffs the on-disk format; columnar datasets feed the
 	// feature builder straight from their column arrays, never
 	// materializing a row-oriented registry.

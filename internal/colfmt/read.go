@@ -473,7 +473,7 @@ func (r *reader) strCol(p *payload, h secHdr, rows int) ([]string, error) {
 	}
 	out := make([]string, rows)
 	for i := 0; i < rows; i++ {
-		if offs[i] > offs[i+1] {
+		if offs[i] > offs[i+1] || uint64(offs[i+1]) > blobLen {
 			return nil, fmt.Errorf("string offsets not monotone at row %d", i)
 		}
 		out[i] = s[offs[i]:offs[i+1]]

@@ -4,21 +4,23 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
 // cancelAfterErrCalls is a context whose Err starts reporting Canceled
 // after a fixed number of polls. Training loops poll Err exactly once per
 // generation/round/epoch boundary, so this cancels a fit at a chosen,
-// fully deterministic point — no timers, no goroutines.
+// fully deterministic point — no timers, no goroutines. The count is
+// atomic because parallel.Pool.RunCtx polls Err from its workers.
 type cancelAfterErrCalls struct {
 	context.Context
-	calls, after int
+	calls atomic.Int64
+	after int64
 }
 
 func (c *cancelAfterErrCalls) Err() error {
-	c.calls++
-	if c.calls > c.after {
+	if c.calls.Add(1) > c.after {
 		return context.Canceled
 	}
 	return nil

@@ -140,15 +140,17 @@ func (c *conn) Write(p []byte) (int, error) {
 
 // cut closes the connection abruptly; for TCP, SO_LINGER 0 turns the
 // close into an RST so the peer sees a reset rather than a tidy FIN.
+// The cut is counted before the close, so a peer that has seen the
+// reset also sees it in Stats.
 func (c *conn) cut() {
 	if !c.cutDone.CompareAndSwap(false, true) {
 		return
+	}
+	if c.onCut != nil {
+		c.onCut()
 	}
 	if tc, ok := c.Conn.(*net.TCPConn); ok {
 		tc.SetLinger(0)
 	}
 	c.Conn.Close()
-	if c.onCut != nil {
-		c.onCut()
-	}
 }

@@ -1,20 +1,11 @@
 // Package kerneltest is the differential conformance harness for the
 // numeric hot kernels in internal/linalg and internal/eval. Every
-// optimized kernel in the tree — blocked, multi-accumulator, counting-
-// rank, reassociated fast-math — is checked here against a deliberately
-// naive oracle over generated shape/tie/sign-pattern corpora, so future
-// kernel rewrites inherit the gates instead of re-deriving them.
-//
-// The harness distinguishes two strengths of agreement:
-//
-//   - Bit identity. The exact kernels (linalg.DotExact, linalg.MatVecExact,
-//     the default eval.AUCKernel path) promise the same float operation
-//     sequence as the oracle, so results must match bitwise — no epsilon.
-//   - ULP-bounded. The fast-math kernels (linalg.DotFast, linalg.MatVecFast)
-//     reassociate the summation; their error against the oracle is bounded
-//     by SumBound, a small multiple of one ULP of Σ|aᵢ·bᵢ|. The magnitude
-//     sum is the right anchor: under cancellation the result can be tiny
-//     while the rounding error is proportional to the operand magnitudes.
+// optimized kernel in the tree — unrolled, row-blocked, counting-rank —
+// is checked here against a deliberately naive oracle over generated
+// shape/tie/sign-pattern corpora, so future kernel rewrites inherit the
+// gates instead of re-deriving them. The kernels (linalg.Dot,
+// linalg.MatVec, eval.AUCKernel) promise the same float operation
+// sequence as the oracle, so results must match bitwise — no epsilon.
 //
 // The AUC oracles additionally pin the counting kernel's rank-statistic
 // output against both the legacy stable-sort formulation (bitwise — the
@@ -126,18 +117,17 @@ func AUCOraclePairwise(scores []float64, labels []bool) float64 {
 // summation orders actually materialize.
 var Lengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 31, 32, 33, 100, 1000}
 
-// RowCounts is the matrix-height corpus for MatVec variants: it crosses
-// every remainder class of both the 4-row exact blocking and the 2-row
-// fast blocking.
+// RowCounts is the matrix-height corpus for MatVec: it crosses every
+// remainder class of the 4-row blocking.
 var RowCounts = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 
 // Pattern generates an input vector of a given length from a named value
-// distribution. Patterns are chosen to stress distinct failure modes of
-// reassociated summation: uniform (baseline), alternating signs and
-// cancellation (error anchored to magnitudes, not the tiny result), wide
-// dynamic range (absorption), constant (heavy ties downstream), and
-// small integers (products exactly representable, so every summation
-// order is exact and fast kernels must match bitwise).
+// distribution. Patterns are chosen so that a kernel that changed the
+// summation order would change bits: uniform (baseline), alternating
+// signs and cancellation (tiny results from large terms), wide dynamic
+// range (absorption), constant (heavy ties downstream), and small
+// integers (products exactly representable, pinning lane indexing
+// rather than rounding).
 type Pattern struct {
 	Name string
 	Gen  func(rng *stats.RNG, n int) []float64
@@ -200,51 +190,4 @@ var Patterns = []Pattern{
 		}
 		return v
 	}},
-}
-
-// ULP returns the distance from |x| to the next float64 toward +Inf —
-// the unit in the last place at x's magnitude. ULP(0) is 0 by
-// convention here: a zero anchor means every addend is zero and all
-// summation orders are exact.
-func ULP(x float64) float64 {
-	x = math.Abs(x)
-	if x == 0 || math.IsInf(x, 0) {
-		return 0
-	}
-	return math.Nextafter(x, math.Inf(1)) - x
-}
-
-// MagSum returns Σ|aᵢ·bᵢ|, the magnitude anchor for summation error
-// bounds.
-func MagSum(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += math.Abs(a[i] * b[i])
-	}
-	return s
-}
-
-// SumBound returns the maximum allowed |fast − exact| for an n-term
-// product sum whose magnitude anchor is magSum. Any two summation orders
-// of n terms differ by at most ~2(n−1)·u·Σ|terms| with u = 2⁻⁵³;
-// 2n·ULP(Σ|terms|) over-covers that (ULP(m) ∈ [u·m, 2u·m]) while staying
-// tight enough to catch a genuinely wrong kernel, whose error is
-// proportional to a term value rather than to u.
-func SumBound(n int, magSum float64) float64 {
-	if magSum == 0 || n == 0 {
-		return 0
-	}
-	return 2 * float64(n) * ULP(magSum)
-}
-
-// IsInteger reports whether every element of v is an exactly
-// representable integer (the precondition for fast kernels being
-// bit-identical on the integer pattern).
-func IsInteger(v []float64) bool {
-	for _, x := range v {
-		if x != math.Trunc(x) {
-			return false
-		}
-	}
-	return true
 }

@@ -123,20 +123,16 @@ func TestAUCKernelParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDotExactBitIdentical pins the default inner product (and its
-// explicit DotExact spelling) to the naive sequential oracle over every
-// remainder-lane length and value pattern.
+// TestDotExactBitIdentical pins the inner product to the naive
+// sequential oracle over every remainder-lane length and value pattern.
 func TestDotExactBitIdentical(t *testing.T) {
 	rng := stats.NewRNG(11)
 	for _, p := range Patterns {
 		for _, n := range Lengths {
 			a, b := p.Gen(rng, n), p.Gen(rng, n)
 			want := DotOracle(a, b)
-			if got := linalg.DotExact(a, b); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("DotExact %s n=%d: %v != oracle %v", p.Name, n, got, want)
-			}
 			if got := linalg.Dot(a, b); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("Dot(default) %s n=%d: %v != oracle %v", p.Name, n, got, want)
+				t.Fatalf("Dot %s n=%d: %v != oracle %v", p.Name, n, got, want)
 			}
 		}
 	}
@@ -155,233 +151,14 @@ func TestMatVecExactBitIdentical(t *testing.T) {
 				want := make([]float64, rows)
 				MatVecOracle(want, flat, stride, x)
 				got := make([]float64, rows)
-				linalg.MatVecExact(got, flat, stride, x)
-				for r := range want {
-					if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
-						t.Fatalf("MatVecExact %s %dx%d row %d: %v != oracle %v",
-							p.Name, rows, stride, r, got[r], want[r])
-					}
-				}
 				linalg.MatVec(got, flat, stride, x)
 				for r := range want {
 					if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
-						t.Fatalf("MatVec(default) %s %dx%d row %d: %v != oracle %v",
+						t.Fatalf("MatVec %s %dx%d row %d: %v != oracle %v",
 							p.Name, rows, stride, r, got[r], want[r])
 					}
 				}
 			}
 		}
 	}
-}
-
-// TestDotFastULPBounded holds the reassociated inner product within
-// SumBound of the oracle on every pattern, and bitwise equal on the
-// integer pattern, where all partial sums are exactly representable and
-// reassociation is lossless.
-func TestDotFastULPBounded(t *testing.T) {
-	rng := stats.NewRNG(17)
-	for _, p := range Patterns {
-		for _, n := range Lengths {
-			a, b := p.Gen(rng, n), p.Gen(rng, n)
-			want := DotOracle(a, b)
-			got := linalg.DotFast(a, b)
-			bound := SumBound(n, MagSum(a, b))
-			if diff := math.Abs(got - want); diff > bound {
-				t.Fatalf("DotFast %s n=%d: |%v - %v| = %v > bound %v", p.Name, n, got, want, diff, bound)
-			}
-			if IsInteger(a) && IsInteger(b) && math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("DotFast %s n=%d: integer inputs must be exact: %v != %v", p.Name, n, got, want)
-			}
-		}
-	}
-}
-
-// TestMatVecFastULPBounded is the per-row version for the 2-row blocked
-// fast kernel, including the DotFast remainder rows.
-func TestMatVecFastULPBounded(t *testing.T) {
-	rng := stats.NewRNG(19)
-	strides := []int{0, 1, 2, 3, 4, 5, 7, 8, 13, 32, 33}
-	for _, p := range Patterns {
-		for _, rows := range RowCounts {
-			for _, stride := range strides {
-				flat := p.Gen(rng, rows*stride)
-				x := p.Gen(rng, stride)
-				want := make([]float64, rows)
-				MatVecOracle(want, flat, stride, x)
-				got := make([]float64, rows)
-				linalg.MatVecFast(got, flat, stride, x)
-				intCase := IsInteger(flat) && IsInteger(x)
-				for r := range want {
-					row := flat[r*stride : (r+1)*stride]
-					bound := SumBound(stride, MagSum(row, x))
-					if diff := math.Abs(got[r] - want[r]); diff > bound {
-						t.Fatalf("MatVecFast %s %dx%d row %d: |%v - %v| = %v > bound %v",
-							p.Name, rows, stride, r, got[r], want[r], diff, bound)
-					}
-					if intCase && math.Float64bits(got[r]) != math.Float64bits(want[r]) {
-						t.Fatalf("MatVecFast %s %dx%d row %d: integer inputs must be exact: %v != %v",
-							p.Name, rows, stride, r, got[r], want[r])
-					}
-				}
-			}
-		}
-	}
-}
-
-// divergentDotCase searches the cancellation pattern for an input where
-// the reassociated and sequential sums differ bitwise — both to make the
-// dispatch test non-vacuous and to document that the fast path really
-// does change bits (if it never did, the whole opt-in would be dead
-// code).
-func divergentDotCase(t *testing.T) (a, b []float64) {
-	t.Helper()
-	for seed := int64(0); seed < 100; seed++ {
-		rng := stats.NewRNG(1000 + seed)
-		a = Patterns[2].Gen(rng, 1000) // cancellation
-		b = Patterns[2].Gen(rng, 1000)
-		if math.Float64bits(linalg.DotFast(a, b)) != math.Float64bits(linalg.DotExact(a, b)) {
-			return a, b
-		}
-	}
-	t.Fatal("no input found where DotFast differs from DotExact — fast path appears inert")
-	return nil, nil
-}
-
-// TestFastMathDispatch checks the process-wide switch actually routes
-// Dot/MatVec between the exact and fast kernels, using an input where
-// the two differ bitwise so the routing is observable.
-func TestFastMathDispatch(t *testing.T) {
-	if linalg.FastMath() {
-		t.Fatal("fast math must be off by default")
-	}
-	a, b := divergentDotCase(t)
-	defer linalg.SetFastMath(false)
-	linalg.SetFastMath(true)
-	if !linalg.FastMath() {
-		t.Fatal("SetFastMath(true) not observable")
-	}
-	if got, want := linalg.Dot(a, b), linalg.DotFast(a, b); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("fast-math Dot %v != DotFast %v", got, want)
-	}
-	dst, dstFast := make([]float64, 1), make([]float64, 1)
-	linalg.MatVec(dst, a, len(a), b)
-	linalg.MatVecFast(dstFast, a, len(a), b)
-	if math.Float64bits(dst[0]) != math.Float64bits(dstFast[0]) {
-		t.Fatalf("fast-math MatVec %v != MatVecFast %v", dst[0], dstFast[0])
-	}
-	linalg.SetFastMath(false)
-	if got, want := linalg.Dot(a, b), linalg.DotExact(a, b); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("exact-mode Dot %v != DotExact %v", got, want)
-	}
-}
-
-// TestFastMathRankEquivalence is the AUC rank-equivalence property test:
-// when the gaps between distinct exact scores exceed the fast-math error
-// bound, fast-math scoring may change score bits but cannot change any
-// ranking decision — tie structure and order are preserved, so the AUC
-// (a pure function of the score permutation) is bit-identical.
-//
-// The corpus is built to make both halves of the property non-vacuous:
-// duplicated feature rows force exact ties (identical bytes produce
-// identical sums in either mode), distinct rows are checked to be
-// separated by more than twice the per-row bound, and the chosen seed
-// must produce at least one row whose fast score differs bitwise from
-// its exact score.
-func TestFastMathRankEquivalence(t *testing.T) {
-	const (
-		dim   = 24
-		base  = 40
-		nRows = 400
-	)
-	for seed := int64(0); seed < 100; seed++ {
-		rng := stats.NewRNG(5000 + seed)
-		w := make([]float64, dim)
-		for i := range w {
-			w[i] = rng.Uniform(-1, 1)
-		}
-		baseRows := make([][]float64, base)
-		for i := range baseRows {
-			baseRows[i] = make([]float64, dim)
-			for j := range baseRows[i] {
-				baseRows[i][j] = rng.Uniform(-1, 1)
-			}
-		}
-
-		// Separation check: distinct base rows must score further apart
-		// than the summation error can move them.
-		exactBase := make([]float64, base)
-		maxBound := 0.0
-		for i, row := range baseRows {
-			exactBase[i] = DotOracle(row, w)
-			if b := SumBound(dim, MagSum(row, w)); b > maxBound {
-				maxBound = b
-			}
-		}
-		minGap := math.Inf(1)
-		for i := 0; i < base; i++ {
-			for j := i + 1; j < base; j++ {
-				if g := math.Abs(exactBase[i] - exactBase[j]); g > 0 && g < minGap {
-					minGap = g
-				}
-			}
-		}
-		if minGap <= 2*maxBound {
-			continue // pathological seed: rows too close to separate, try another
-		}
-
-		// Assemble the dataset with duplicates (ties) and labels.
-		flat := make([]float64, nRows*dim)
-		origin := make([]int, nRows)
-		labels := make([]bool, nRows)
-		for r := 0; r < nRows; r++ {
-			origin[r] = rng.Intn(base)
-			copy(flat[r*dim:(r+1)*dim], baseRows[origin[r]])
-			labels[r] = rng.Bernoulli(0.3)
-		}
-		exact := make([]float64, nRows)
-		fast := make([]float64, nRows)
-		linalg.MatVecExact(exact, flat, dim, w)
-		linalg.MatVecFast(fast, flat, dim, w)
-
-		diverged := 0
-		for r := 0; r < nRows; r++ {
-			row := flat[r*dim : (r+1)*dim]
-			if diff := math.Abs(fast[r] - exact[r]); diff > SumBound(dim, MagSum(row, w)) {
-				t.Fatalf("seed %d row %d: fast %v drifted %v from exact %v, over bound", seed, r, fast[r], diff, exact[r])
-			}
-			if math.Float64bits(fast[r]) != math.Float64bits(exact[r]) {
-				diverged++
-			}
-		}
-		if diverged == 0 {
-			continue // fast == exact everywhere: rank equivalence would be vacuous, try another seed
-		}
-
-		// Ties preserved: rows sharing a base row must tie in both modes.
-		for r := 0; r < nRows; r++ {
-			for s := r + 1; s < nRows; s++ {
-				if origin[r] == origin[s] {
-					if math.Float64bits(fast[r]) != math.Float64bits(fast[s]) {
-						t.Fatalf("seed %d: duplicated rows %d,%d scored differently under fast math", seed, r, s)
-					}
-				} else if (exact[r] < exact[s]) != (fast[r] < fast[s]) {
-					t.Fatalf("seed %d: rows %d,%d flipped order under fast math", seed, r, s)
-				}
-			}
-		}
-
-		// Same permutation and tie structure ⇒ bit-identical AUC, even
-		// though some score bits differ.
-		var k eval.AUCKernel
-		aExact := k.Compute(exact, labels)
-		aFast := k.Compute(fast, labels)
-		if math.Float64bits(aExact) != math.Float64bits(aFast) {
-			t.Fatalf("seed %d: AUC diverged under fast math: exact %v fast %v (%d scores differ)",
-				seed, aExact, aFast, diverged)
-		}
-		t.Logf("seed %d: %d/%d scores differ bitwise, AUC bit-identical (%v), min gap %v, max bound %v",
-			seed, diverged, nRows, aExact, minGap, maxBound)
-		return
-	}
-	t.Fatal("no seed produced a separated corpus with bitwise-divergent fast scores")
 }

@@ -75,9 +75,6 @@ func TestDotEdgeLengths(t *testing.T) {
 	if got := Dot([]float64{-2.5}, []float64{4}); got != -10 {
 		t.Fatalf("single-element Dot = %v, want -10", got)
 	}
-	if got := DotExact([]float64{-2.5}, []float64{4}); got != -10 {
-		t.Fatalf("single-element DotExact = %v, want -10", got)
-	}
 }
 
 // TestMatVecRemainderLanes sweeps every row-count remainder of the 4-row
@@ -102,14 +99,6 @@ func TestMatVecRemainderLanes(t *testing.T) {
 				if want := dotNaive(flat[r*stride:(r+1)*stride], x); dst[r] != want {
 					t.Fatalf("rows=%d stride=%d row %d: MatVec %v != sequential %v",
 						rows, stride, r, dst[r], want)
-				}
-			}
-			exact := make([]float64, rows)
-			MatVecExact(exact, flat, stride, x)
-			for r := range dst {
-				if exact[r] != dst[r] {
-					t.Fatalf("rows=%d stride=%d row %d: MatVecExact %v != MatVec %v",
-						rows, stride, r, exact[r], dst[r])
 				}
 			}
 		}

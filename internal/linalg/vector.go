@@ -12,28 +12,15 @@ import (
 	"math"
 )
 
-// Dot returns the inner product of a and b. It panics on length mismatch,
-// which always indicates a schema bug rather than a data condition.
-//
-// With fast math off (the default) it is DotExact — sequential summation
-// order, bit-identical to a naive loop. With SetFastMath(true) it routes
-// to DotFast, the reassociated 4-lane variant (see fastmath.go for the
-// contract).
-func Dot(a, b []float64) float64 {
-	if fastMath.Load() {
-		return DotFast(a, b)
-	}
-	return DotExact(a, b)
-}
-
-// DotExact is the reference inner product: the loop is 4-way unrolled
+// Dot returns the inner product of a and b. The loop is 4-way unrolled
 // into a *single* accumulator, so the summation order is exactly the
 // sequential left-to-right order and results are bit-identical to a
-// naive loop (and to MatVecExact, which preserves the same per-row
-// order). The unroll buys hoisted bounds checks, not a reassociated sum —
+// naive loop (and to MatVec, which preserves the same per-row order).
+// The unroll buys hoisted bounds checks, not a reassociated sum —
 // keeping every Dot-based score reproducible regardless of which kernel
-// ran it. It panics on length mismatch.
-func DotExact(a, b []float64) float64 {
+// ran it. It panics on length mismatch, which always indicates a schema
+// bug rather than a data condition.
+func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("linalg: Dot length mismatch %d vs %d", len(a), len(b)))
 	}
@@ -55,26 +42,14 @@ func DotExact(a, b []float64) float64 {
 // MatVec computes the matrix-vector product of a row-major flat matrix
 // against x: dst[i] = dot(flat[i*stride:(i+1)*stride], x). It is the
 // scoring kernel of the train/serve hot path — one contiguous streaming
-// pass over the backing array with no per-row slice-header loads. With
-// fast math off (the default) it is MatVecExact: each row's sum uses the
-// same sequential order as DotExact, so flat-path and row-path scores
-// agree bit-for-bit. With SetFastMath(true) it routes to MatVecFast. It
-// panics when len(x) != stride or len(flat) != len(dst)*stride.
+// pass over the backing array with no per-row slice-header loads. Rows
+// are processed in blocks of four that share one streaming pass over x,
+// but each row still owns a single accumulator fed in sequential element
+// order — the blocking reuses x loads across rows without reassociating
+// any row's sum, so every dst[i] is bit-identical to Dot of that row (the
+// kerneltest harness pins this against the naive oracle). It panics when
+// len(x) != stride or len(flat) != len(dst)*stride.
 func MatVec(dst, flat []float64, stride int, x []float64) {
-	if fastMath.Load() {
-		MatVecFast(dst, flat, stride, x)
-		return
-	}
-	MatVecExact(dst, flat, stride, x)
-}
-
-// MatVecExact is the reference matrix-vector kernel. Rows are processed
-// in blocks of four that share one streaming pass over x, but each row
-// still owns a single accumulator fed in sequential element order — the
-// blocking reuses x loads across rows without reassociating any row's
-// sum, so every dst[i] is bit-identical to DotExact of that row (the
-// kerneltest harness pins this against the naive oracle).
-func MatVecExact(dst, flat []float64, stride int, x []float64) {
 	checkMatVec(dst, flat, stride, x)
 	r := 0
 	for ; r+4 <= len(dst); r += 4 {
@@ -93,12 +68,11 @@ func MatVecExact(dst, flat []float64, stride int, x []float64) {
 		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
 	}
 	for ; r < len(dst); r++ {
-		dst[r] = DotExact(flat[r*stride:(r+1)*stride], x)
+		dst[r] = Dot(flat[r*stride:(r+1)*stride], x)
 	}
 }
 
-// checkMatVec validates the shared MatVec shape contract; every variant
-// panics identically so callers cannot depend on which kernel ran.
+// checkMatVec validates the MatVec shape contract.
 func checkMatVec(dst, flat []float64, stride int, x []float64) {
 	if len(x) != stride {
 		panic(fmt.Sprintf("linalg: MatVec stride %d vs vector length %d", stride, len(x)))

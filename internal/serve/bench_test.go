@@ -17,7 +17,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/parallel"
@@ -178,7 +177,6 @@ func BenchmarkShardRebuildConcurrent(b *testing.B) {
 			}
 		}
 	}
-	s.schedInterval = time.Hour // only force finds targets
 	s.schedPool = parallel.New(0)
 	b.ReportAllocs()
 	b.ResetTimer()

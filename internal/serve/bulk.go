@@ -38,13 +38,41 @@ import (
 // ndjsonCT is the streamed bulk Content-Type, preallocated like jsonCT.
 var ndjsonCT = []string{"application/x-ndjson"}
 
+// bulkRequest is the decoded POST /api/bulk/{rank,plan} body: the plan
+// request's model and pricing fields plus a "top" count and the region
+// and pipe-ID lists. Top is a pointer so "explicitly 0" (a client bug)
+// and "absent" (use the default) stay distinguishable. Values come out
+// of s.bulkBodies and are shared, so handlers never mutate one.
+type bulkRequest struct {
+	Model           string   `json:"model"`
+	Top             *int     `json:"top"`
+	Regions         []string `json:"regions"`
+	PipeIDs         []string `json:"pipe_ids"`
+	BudgetKM        float64  `json:"budget_km"`
+	MaxPipes        int      `json:"max_pipes"`
+	InspectionPerKM *float64 `json:"inspection_per_km"`
+	FailureCost     *float64 `json:"failure_cost"`
+	MaxSpend        *float64 `json:"max_spend"`
+}
+
+func (r *bulkRequest) memoBytes() int {
+	n := len(r.Model) + 16*(len(r.Regions)+len(r.PipeIDs))
+	for _, id := range r.Regions {
+		n += len(id)
+	}
+	for _, id := range r.PipeIDs {
+		n += len(id)
+	}
+	return n
+}
+
 // bulkSeg is one output line in flight: a region segment (pipeID empty)
 // or a per-pipe segment. ready is nil when phase 1 resolved the segment
 // inline; otherwise the fill fan-out closes it once tm/entry/errMsg are
 // final.
 type bulkSeg struct {
 	sh     *shard
-	pipeID []byte // aliases the request body; empty for region segments
+	pipeID string // points into the memoized request; empty for region segments
 	tm     *modelSnapshot
 	entry  respcache.Entry
 	errMsg string
@@ -52,17 +80,15 @@ type bulkSeg struct {
 }
 
 // bulkScratch bundles the per-request scratch state so the steady state
-// recycles one pool object instead of three slices.
+// recycles one pool object instead of two slices.
 type bulkScratch struct {
-	bf   bulkFields
 	segs []bulkSeg
 	line []byte
 }
 
-// release drops references into the request body and snapshots while
-// keeping slice capacity for the next request.
+// release drops references into the request and snapshots while keeping
+// slice capacity for the next request.
 func (sc *bulkScratch) release() {
-	sc.bf.reset()
 	for i := range sc.segs {
 		sc.segs[i] = bulkSeg{}
 	}
@@ -85,7 +111,7 @@ func (s *Server) serveBulk(w http.ResponseWriter, r *http.Request, isPlan bool) 
 	sc := scratchPool.Get().(*bulkScratch)
 	s.streamBulk(w, r, buf, sc, isPlan)
 	// streamBulk has waited out every fill before returning, so nothing
-	// concurrent still aliases the body buffer or the segments.
+	// concurrent still references the segments.
 	sc.release()
 	scratchPool.Put(sc)
 	if buf.Cap() <= bufPoolMax {
@@ -94,50 +120,45 @@ func (s *Server) serveBulk(w http.ResponseWriter, r *http.Request, isPlan bool) 
 }
 
 func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, sc *bulkScratch, isPlan bool) {
-	if _, err := buf.ReadFrom(r.Body); err != nil {
+	if !s.readBody(w, r, buf) {
+		return
+	}
+	req, err := s.bulkBodies.decode(buf.Bytes())
+	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	data := buf.Bytes()
-	bf := &sc.bf
-	if !parseBulkFast(data, bf) {
-		bf.reset()
-		if err := decodeBulkSlow(data, bf); err != nil {
-			s.writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
-	}
 
 	top := 50
-	if bf.hasTop {
-		if bf.top < 1 {
-			s.writeErr(w, http.StatusBadRequest, "bad top %d", bf.top)
+	if req.Top != nil {
+		if *req.Top < 1 {
+			s.writeErr(w, http.StatusBadRequest, "bad top %d", *req.Top)
 			return
 		}
-		top = bf.top
+		top = *req.Top
 	}
 	var (
 		cm plan.CostModel
 		b  plan.Budget
 	)
 	if isPlan {
-		if len(bf.pipeIDs) > 0 {
+		if len(req.PipeIDs) > 0 {
 			s.writeErr(w, http.StatusBadRequest, "pipe_ids are not supported on /api/bulk/plan")
 			return
 		}
 		var perr error
-		if cm, b, perr = planParams(&bf.plan); perr != nil {
+		if cm, b, perr = planParams(req.BudgetKM, req.MaxPipes, req.InspectionPerKM, req.FailureCost, req.MaxSpend); perr != nil {
 			s.writeErr(w, http.StatusBadRequest, "%v", perr)
 			return
 		}
 	}
-	model := bf.plan.model
-	if len(model) == 0 {
+	model := req.Model
+	if model == "" {
 		model = s.defaultModel
 	}
 	// Published-on-def is the allocation-free common case; knownModel
 	// (which walks the registry) only runs for models nobody trained yet.
-	if _, ok := (*s.def.models.Load())[string(model)]; !ok && !knownModel(string(model)) {
+	if _, ok := (*s.def.models.Load())[model]; !ok && !knownModel(model) {
 		s.writeErr(w, http.StatusBadRequest, "unknown model %q", model)
 		return
 	}
@@ -146,21 +167,21 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 	// pipe IDs (request order); with neither, every shard in fan-out
 	// order. Naming errors are still plain HTTP errors here — nothing
 	// has streamed yet.
-	if len(bf.regions) == 0 && len(bf.pipeIDs) == 0 {
+	if len(req.Regions) == 0 && len(req.PipeIDs) == 0 {
 		for _, sh := range s.shards {
 			sc.segs = append(sc.segs, bulkSeg{sh: sh})
 		}
 	} else {
-		for _, reg := range bf.regions {
-			sh, ok := s.byRegion[string(reg)]
+		for _, reg := range req.Regions {
+			sh, ok := s.byRegion[reg]
 			if !ok {
 				s.writeErr(w, http.StatusBadRequest, "unknown region %q", reg)
 				return
 			}
 			sc.segs = append(sc.segs, bulkSeg{sh: sh})
 		}
-		for _, id := range bf.pipeIDs {
-			sh, _, ok := s.findPipe(nil, string(id))
+		for _, id := range req.PipeIDs {
+			sh, _, ok := s.findPipe(nil, id)
 			if !ok {
 				s.writeErr(w, http.StatusNotFound, "unknown pipe %q", id)
 				return
@@ -175,7 +196,7 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 	key := (*kp)[:0]
 	for i := range sc.segs {
 		seg := &sc.segs[i]
-		tm, ok := (*seg.sh.models.Load())[string(model)]
+		tm, ok := (*seg.sh.models.Load())[model]
 		if !ok {
 			seg.ready = make(chan struct{})
 			miss = append(miss, i)
@@ -183,7 +204,7 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 		}
 		s.metrics.sfCached.Inc()
 		seg.tm = tm
-		if len(seg.pipeID) > 0 {
+		if seg.pipeID != "" {
 			continue // pipe lines render straight off the snapshot
 		}
 		if isPlan {
@@ -218,10 +239,9 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 	// has observed every channel, nothing still references the scratch.
 	if len(miss) > 0 {
 		ctx := r.Context()
-		modelName := string(model)
 		go s.pool.ForEachDynamic(len(miss), func(i int) {
 			seg := &sc.segs[miss[i]]
-			s.fillBulkSeg(ctx, seg, modelName, top, isPlan, cm, b)
+			s.fillBulkSeg(ctx, seg, model, top, isPlan, cm, b)
 			close(seg.ready)
 		})
 	}
@@ -272,7 +292,7 @@ func (s *Server) fillBulkSeg(ctx context.Context, seg *bulkSeg, model string, to
 		}
 		seg.tm = tm
 	}
-	if len(seg.pipeID) > 0 {
+	if seg.pipeID != "" {
 		return // pipe lines render straight off the snapshot
 	}
 	kp := keyPool.Get().(*[]byte)
@@ -321,8 +341,8 @@ func (s *Server) fillBulkSeg(ctx context.Context, seg *bulkSeg, model string, to
 // appendBulkLine renders one NDJSON line. Region lines splice the
 // cached single-call body verbatim (minus its trailing newline), so the
 // payload is byte-identical to the standalone endpoint's response.
-func (s *Server) appendBulkLine(line []byte, seg *bulkSeg, model []byte, isPlan bool) []byte {
-	if len(seg.pipeID) > 0 {
+func (s *Server) appendBulkLine(line []byte, seg *bulkSeg, model string, isPlan bool) []byte {
+	if seg.pipeID != "" {
 		return s.appendPipeLine(line, seg, model)
 	}
 	line = append(line, `{"region":`...)
@@ -349,7 +369,7 @@ func (s *Server) appendBulkLine(line []byte, seg *bulkSeg, model []byte, isPlan 
 
 // appendPipeLine renders one per-pipe line off the snapshot's rank
 // index: two array reads, no scan, no encoder.
-func (s *Server) appendPipeLine(line []byte, seg *bulkSeg, model []byte) []byte {
+func (s *Server) appendPipeLine(line []byte, seg *bulkSeg, model string) []byte {
 	line = append(line, `{"pipe_id":`...)
 	line = writeJSONString(line, seg.pipeID)
 	line = append(line, `,"region":`...)
@@ -358,7 +378,7 @@ func (s *Server) appendPipeLine(line []byte, seg *bulkSeg, model []byte) []byte 
 	line = writeJSONString(line, model)
 	errMsg := seg.errMsg
 	if errMsg == "" {
-		if row, ok := seg.tm.rankIdx[string(seg.pipeID)]; ok {
+		if row, ok := seg.tm.rankIdx[seg.pipeID]; ok {
 			e := &seg.tm.entries[seg.tm.rankOf[row]-1]
 			line = append(line, `,"rank":`...)
 			line = strconv.AppendInt(line, int64(e.Rank), 10)
@@ -397,7 +417,7 @@ const hexDigits = "0123456789abcdef"
 // region names, model names, pipe IDs and error texts — all ASCII, so
 // the stdlib's invalid-UTF-8 and U+2028/U+2029 handling is not
 // replicated.
-func writeJSONString[T ~string | ~[]byte](dst []byte, s T) []byte {
+func writeJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); i++ {

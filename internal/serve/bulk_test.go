@@ -5,8 +5,8 @@ package serve
 // response body (modulo NDJSON framing), whether the segment resolved
 // cold (bulk filled the cache) or cached (bulk replayed the single
 // call's entry). Beyond that: request-order output, incremental
-// flushing, per-segment error lines, the fast-parser subset property
-// and the zero-allocation all-cached path.
+// flushing, per-segment error lines and the zero-allocation all-cached
+// path.
 
 import (
 	"bufio"
@@ -352,69 +352,6 @@ func TestBulkTrainFailureBecomesErrorLine(t *testing.T) {
 	if got := s.metrics.bulkSegErrs.Value() - errsBefore; got < 1 {
 		t.Fatalf("bulk segment error counter delta %d, want >= 1", got)
 	}
-}
-
-// TestParseBulkFastSubsetOfStdlib mirrors the plan-request property:
-// anything the fast parser accepts, encoding/json must accept with
-// identical decoded fields.
-func TestParseBulkFastSubsetOfStdlib(t *testing.T) {
-	corpus := append([]string{}, planReqCorpus...)
-	corpus = append(corpus,
-		`{"top":5}`,
-		`{"top":0}`,
-		`{"top":-3}`,
-		`{"top":5.5}`,
-		`{"top":"5"}`,
-		`{"regions":[]}`,
-		`{"regions":["A","B"]}`,
-		`{"regions":[ "A" , "B" ]}`,
-		`{"regions":["A"`,
-		`{"regions":[1]}`,
-		`{"regions":"A"}`,
-		`{"regions":["a\"b"]}`,
-		`{"pipe_ids":["P-1","P-2"],"top":9}`,
-		`{"pipe_ids":[null]}`,
-		`{"model":"Logistic","regions":["B","A"],"budget_km":3,"max_pipes":7}`,
-		`{"unknown":["x"]}`,
-		`{"unknown":true}`,
-		`{"regions":["A"],"regions":["B"]}`,
-	)
-	for _, body := range corpus {
-		var fast bulkFields
-		ok := parseBulkFast([]byte(body), &fast)
-		var slow bulkFields
-		err := decodeBulkSlow([]byte(body), &slow)
-		if !ok {
-			continue // declined: the fallback owns the body either way
-		}
-		if err != nil {
-			t.Errorf("body %q: fast path accepted what encoding/json rejects: %v", body, err)
-			continue
-		}
-		if !bulkFieldsEqual(fast, slow) {
-			t.Errorf("body %q: decoded fields diverge\nfast: %+v\nslow: %+v", body, fast, slow)
-		}
-	}
-}
-
-func bulkFieldsEqual(a, b bulkFields) bool {
-	if !planFieldsEqual(a.plan, b.plan) || a.top != b.top || a.hasTop != b.hasTop {
-		return false
-	}
-	if len(a.regions) != len(b.regions) || len(a.pipeIDs) != len(b.pipeIDs) {
-		return false
-	}
-	for i := range a.regions {
-		if string(a.regions[i]) != string(b.regions[i]) {
-			return false
-		}
-	}
-	for i := range a.pipeIDs {
-		if string(a.pipeIDs[i]) != string(b.pipeIDs[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestBulkRankCacheHitZeroAlloc gates the all-cached bulk path: phase 1

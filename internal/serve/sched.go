@@ -1,10 +1,11 @@
 package serve
 
 // Background rebuild scheduler: a single loop under the server
-// lifecycle that periodically sweeps every shard, (re)training the
-// default model where no snapshot exists yet and refreshing published
-// snapshots older than the rebuild interval. Rebuilds run through the
-// exact same per-shard singleflight, cancellation and atomic-publish
+// lifecycle that periodically sweeps every shard, training the default
+// model where no snapshot exists yet and retraining published snapshots
+// that live events have made stale. Nothing else feeds training, so a
+// shard that ingested nothing is never retrained. Rebuilds run through
+// the exact same per-shard singleflight, cancellation and atomic-publish
 // machinery as request-triggered training, so:
 //
 //   - readers never block: the published copy-on-write map keeps
@@ -26,11 +27,12 @@ import (
 )
 
 // StartRebuildScheduler launches the background rebuild loop: every
-// interval it rebuilds each shard's unbuilt default model and any
-// published snapshot older than interval, fanning work across at most
-// workers concurrent rebuilds (workers <= 0 means GOMAXPROCS). An
-// interval <= 0 disables the scheduler; starting twice is a no-op. The
-// loop exits when BeginShutdown cancels the server lifecycle.
+// interval it builds each shard's unbuilt default model and rebuilds
+// any published snapshot trained before the shard's latest live event,
+// fanning work across at most workers concurrent rebuilds (workers <= 0
+// means GOMAXPROCS). An interval <= 0 disables the scheduler; starting
+// twice is a no-op. The loop exits when BeginShutdown cancels the server
+// lifecycle.
 func (s *Server) StartRebuildScheduler(interval time.Duration, workers int) {
 	if interval <= 0 {
 		return
@@ -72,21 +74,19 @@ type rebuildTarget struct {
 // regardless of map iteration order.
 func (s *Server) schedulerPass(force bool) {
 	s.metrics.schedPasses.Inc()
-	now := time.Now()
-	def := string(s.defaultModel)
+	def := s.defaultModel
 	var targets []rebuildTarget
 	for _, sh := range s.shards {
 		models := *sh.models.Load()
 		if _, ok := models[def]; !ok {
 			targets = append(targets, rebuildTarget{sh, def})
 		}
-		// A snapshot is stale when it is old — or when live events have
-		// been ingested past the seq it trained at, so the streaming
-		// ingest path retrains on the next pass instead of a full age
-		// interval later.
+		// A snapshot is stale when live events have been ingested past
+		// the seq it trained at; training is deterministic in the data,
+		// so retraining anything else would reproduce the same snapshot.
 		seqNow := sh.eventSeqNow()
 		for name, tm := range models {
-			if force || now.Sub(tm.builtAt) >= s.schedInterval || tm.eventSeq < seqNow {
+			if force || tm.eventSeq < seqNow {
 				targets = append(targets, rebuildTarget{sh, name})
 			}
 		}

@@ -7,8 +7,11 @@ package serve
 
 import (
 	"context"
+	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/wal"
 )
 
 func TestSchedulerTrainsUnbuiltShards(t *testing.T) {
@@ -51,7 +54,7 @@ func TestSchedulerRebuildAtomicIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.schedInterval = time.Hour // nothing is stale; only force finds targets
+	// Nothing is stale (no events); only force finds targets.
 	s.schedulerPass(true)
 
 	after, ok := (*s.def.models.Load())["Heuristic-Age"]
@@ -71,9 +74,6 @@ func TestSchedulerRebuildAtomicIdentical(t *testing.T) {
 		if after.entries[i] != before.entries[i] {
 			t.Fatalf("entry %d diverged across rebuild: %+v -> %+v", i, before.entries[i], after.entries[i])
 		}
-	}
-	if !after.builtAt.After(before.builtAt) {
-		t.Fatalf("rebuilt snapshot builtAt %v not after original %v", after.builtAt, before.builtAt)
 	}
 }
 
@@ -113,4 +113,42 @@ func TestSchedulerDisabledAndIdempotent(t *testing.T) {
 		t.Fatalf("second start changed the interval to %s", s.schedInterval)
 	}
 	s.BeginShutdown()
+}
+
+// TestSchedulerRebuildsOnlyOnEvents: rebuilds are change-driven. Once
+// the published snapshots exist, passes with no new events start no
+// rebuilds however much time goes by; one applied event makes every
+// published model on the shard stale, and the next pass rebuilds each
+// exactly once.
+func TestSchedulerRebuildsOnlyOnEvents(t *testing.T) {
+	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
+	def := string(s.defaultModel)
+	s.schedulerPass(false) // first build of the default model
+	if _, err := s.get(context.Background(), "Heuristic-Age"); err != nil {
+		t.Fatal(err)
+	}
+	published := len(*s.def.models.Load())
+	if published != 2 {
+		t.Fatalf("published %d models, want %s and Heuristic-Age", published, def)
+	}
+
+	rebuildsBefore := s.metrics.schedRebuilds.Value()
+	s.schedulerPass(false)
+	s.schedulerPass(false)
+	if got := s.metrics.schedRebuilds.Value() - rebuildsBefore; got != 0 {
+		t.Fatalf("passes with no new events started %d rebuilds, want 0", got)
+	}
+
+	if code := postJSON(t, ts.URL+"/api/events", eventBody(s.def, "sched-1"), nil); code != http.StatusOK {
+		t.Fatalf("event status %d", code)
+	}
+	s.schedulerPass(false)
+	if got := s.metrics.schedRebuilds.Value() - rebuildsBefore; got != int64(published) {
+		t.Fatalf("pass after one event started %d rebuilds, want %d (one per stale model)", got, published)
+	}
+	for name, tm := range *s.def.models.Load() {
+		if tm.eventSeq != 1 {
+			t.Fatalf("%s rebuilt at event seq %d, want 1", name, tm.eventSeq)
+		}
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/url"
@@ -100,9 +101,13 @@ type Server struct {
 	// defaultModel is the model a plan request with no "model" field
 	// resolves to, resolved once at construction — pipefail.Models()
 	// allocates its slice per call, which the zero-alloc plan path
-	// cannot afford. Kept as bytes because that path splices it into
-	// pooled key scratch.
-	defaultModel []byte
+	// cannot afford.
+	defaultModel string
+
+	// planBodies and bulkBodies memoize decoded plan and bulk request
+	// bodies by their raw bytes (see bodymemo.go).
+	planBodies bodyMemo[planRequest, *planRequest]
+	bulkBodies bodyMemo[bulkRequest, *bulkRequest]
 
 	// pool fans bulk-request misses and scheduler rebuilds across
 	// shards; sized to GOMAXPROCS at construction.
@@ -234,7 +239,7 @@ func NewMulti(nets []*pipefail.Network, logger *log.Logger, opts ...pipefail.Pip
 	s := &Server{
 		log:          logger,
 		metrics:      newServeMetrics(),
-		defaultModel: []byte(pipefail.Models()[0]),
+		defaultModel: pipefail.Models()[0],
 		byRegion:     make(map[string]*shard, len(nets)),
 		cacheBytes:   DefaultCacheBytes,
 		pool:         parallel.New(0),
@@ -460,7 +465,7 @@ var keyPool = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }
 // content: keying on identity makes the stale entry unreachable the
 // moment the new snapshot lands, while the bit-identical rebuilds the
 // scheduler normally produces keep the same key and stay warm.
-func appendRankingKey[T ~string | ~[]byte](key []byte, model T, etag string, entries int) []byte {
+func appendRankingKey(key []byte, model, etag string, entries int) []byte {
 	key = append(key, "ranking\x00"...)
 	key = append(key, model...)
 	key = append(key, 0)
@@ -473,7 +478,7 @@ func appendRankingKey[T ~string | ~[]byte](key []byte, model T, etag string, ent
 // values, so textual aliases of one request share an entry; shared by
 // the single and bulk plan paths. Like appendRankingKey, the snapshot
 // ETag keys the entry to the published content, not just the name.
-func appendPlanKey[T ~string | ~[]byte](key []byte, model T, etag string, cm plan.CostModel, b plan.Budget) []byte {
+func appendPlanKey(key []byte, model, etag string, cm plan.CostModel, b plan.Budget) []byte {
 	key = append(key, "plan\x00"...)
 	key = append(key, model...)
 	key = append(key, 0)
@@ -1011,12 +1016,11 @@ func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
 	s.writeCached(w, r, e)
 }
 
-// planRequest uses pointer fields for the priced parameters so "absent"
-// (use the default) and "explicitly zero" (a client bug — zero-cost
-// inspections, free failures or a zero spend cap price every plan
-// nonsensically) are distinguishable. This struct is the encoding/json
-// fallback shape; the hot path decodes the same fields into planFields
-// via parsePlanFast (see planreq.go).
+// planRequest is the decoded POST /api/plan body. The priced
+// parameters are pointers so "absent" (use the default) and "explicitly
+// zero" (a client bug — zero-cost inspections, free failures or a zero
+// spend cap price every plan nonsensically) are distinguishable. Values
+// come out of s.planBodies and are shared, so handlers never mutate one.
 type planRequest struct {
 	Model           string   `json:"model"`
 	Region          string   `json:"region"`
@@ -1027,29 +1031,7 @@ type planRequest struct {
 	MaxSpend        *float64 `json:"max_spend"`
 }
 
-// decodePlanSlow is the fallback decoder for bodies outside
-// parsePlanFast's subset: full encoding/json semantics (and its exact
-// error messages), converted into the same planFields shape.
-func decodePlanSlow(data []byte, pf *planFields) error {
-	var req planRequest
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
-		return err
-	}
-	pf.model = []byte(req.Model)
-	pf.region = []byte(req.Region)
-	pf.budgetKM = req.BudgetKM
-	pf.maxPipes = req.MaxPipes
-	if req.InspectionPerKM != nil {
-		pf.inspPerKM, pf.hasInsp = *req.InspectionPerKM, true
-	}
-	if req.FailureCost != nil {
-		pf.failCost, pf.hasFail = *req.FailureCost, true
-	}
-	if req.MaxSpend != nil {
-		pf.maxSpend, pf.hasSpend = *req.MaxSpend, true
-	}
-	return nil
-}
+func (r *planRequest) memoBytes() int { return len(r.Model) + len(r.Region) }
 
 type planResponse struct {
 	Model             string   `json:"model"`
@@ -1067,11 +1049,11 @@ const (
 
 // handlePlan prices a budget-constrained inspection plan. Steady state
 // is a pure replay, symmetric with handleRanking: the body is read into
-// a pooled buffer and decoded by the zero-alloc fast parser, the
-// snapshot comes from one atomic map load, the canonical cache key
-// (model, rendered budget dimensions, cost parameters) is assembled in
-// pooled scratch, and a respcache hit is served with prebuilt headers —
-// or a 304 against the body ETag — without touching the heap. A miss
+// a pooled buffer and resolved to its decoded request by the raw-body
+// memo, the snapshot comes from one atomic map load, the canonical cache
+// key (model, rendered budget dimensions, cost parameters) is assembled
+// in pooled scratch, and a respcache hit is served with prebuilt headers
+// — or a 304 against the body ETag — without touching the heap. A miss
 // runs a binary search over the snapshot's precomputed plan prefix
 // (plan.BuildPrefix, paid once per cost model) instead of re-sorting
 // all candidates, then caches the encoded response.
@@ -1085,57 +1067,52 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) {
-	if _, err := buf.ReadFrom(r.Body); err != nil {
+	if !s.readBody(w, r, buf) {
+		return
+	}
+	req, err := s.planBodies.decode(buf.Bytes())
+	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	data := buf.Bytes()
-	var pf planFields
-	if !parsePlanFast(data, &pf) {
-		pf = planFields{}
-		if err := decodePlanSlow(data, &pf); err != nil {
-			s.writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
-	}
 
-	cm, b, perr := planParams(&pf)
+	cm, b, perr := planParams(req.BudgetKM, req.MaxPipes, req.InspectionPerKM, req.FailureCost, req.MaxSpend)
 	if perr != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", perr)
 		return
 	}
 
 	sh := s.def
-	if len(pf.region) > 0 {
+	if req.Region != "" {
 		var ok bool
-		if sh, ok = s.byRegion[string(pf.region)]; !ok {
-			s.writeErr(w, http.StatusBadRequest, "unknown region %q", pf.region)
+		if sh, ok = s.byRegion[req.Region]; !ok {
+			s.writeErr(w, http.StatusBadRequest, "unknown region %q", req.Region)
 			return
 		}
 	}
-	if len(pf.model) == 0 {
-		pf.model = s.defaultModel
+	model := req.Model
+	if model == "" {
+		model = s.defaultModel
 	}
-	tm, ok := (*sh.models.Load())[string(pf.model)]
+	tm, ok := (*sh.models.Load())[model]
 	if ok {
 		s.metrics.sfCached.Inc()
 	} else {
-		var err error
-		tm, err = s.getShard(r.Context(), sh, string(pf.model))
+		tm, err = s.getShard(r.Context(), sh, model)
 		if err != nil {
 			s.writeGetErr(w, err)
 			return
 		}
 	}
 	if tm.calibrator == nil {
-		s.writeErr(w, http.StatusConflict, "model %q has no calibrator; cannot price a plan", pf.model)
+		s.writeErr(w, http.StatusConflict, "model %q has no calibrator; cannot price a plan", model)
 		return
 	}
 
 	// Canonical key over decoded values, so textual aliases of one
 	// request ({"budget_km":5} vs {"budget_km":5.0}) share an entry.
 	kp := keyPool.Get().(*[]byte)
-	key := appendPlanKey((*kp)[:0], pf.model, tm.etag, cm, b)
+	key := appendPlanKey((*kp)[:0], model, tm.etag, cm, b)
 
 	if e, ok := sh.cache.Get(key); ok {
 		*kp = key
@@ -1149,7 +1126,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, buf *bytes.Bu
 	// Miss: plan off the snapshot's prefix structure. Get/Add instead of
 	// GetOrFill so plan-validation failures map to 400 (and encode
 	// failures to 500) without ever being cached.
-	e, clientErr, err := s.buildPlanBody(tm, string(pf.model), cm, b)
+	e, clientErr, err := s.buildPlanBody(tm, model, cm, b)
 	if err != nil {
 		*kp = key
 		keyPool.Put(kp)
@@ -1157,7 +1134,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, buf *bytes.Bu
 			s.writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		s.log.Printf("serve: encode plan for %s: %v", pf.model, err)
+		s.log.Printf("serve: encode plan for %s: %v", model, err)
 		s.writeErr(w, http.StatusInternalServerError, "encoding plan failed")
 		return
 	}
@@ -1167,48 +1144,75 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, buf *bytes.Bu
 	s.writeCached(w, r, e)
 }
 
+// readBody reads a plan or bulk request body into buf, answering 413
+// (and returning false) once it passes bufPoolMax bytes and 400 on a
+// read error. It reads into buf's spare capacity directly because
+// http.MaxBytesReader or an io.LimitedReader would allocate on every
+// request, and the cached plan and bulk paths allocate nothing.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
+	for r.ContentLength <= bufPoolMax && buf.Len() <= bufPoolMax {
+		buf.Grow(bytes.MinRead)
+		spare := buf.AvailableBuffer()
+		spare = spare[:min(cap(spare), bufPoolMax+1-buf.Len())]
+		n, err := r.Body.Read(spare)
+		buf.Write(spare[:n])
+		if err == io.EOF {
+			return true
+		}
+		if err != nil {
+			s.writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+			return false
+		}
+	}
+	s.writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", bufPoolMax)
+	return false
+}
+
 // planParams validates the decoded plan fields and assembles the cost
 // model and budget; every error is a 400 with the exact text servePlan
 // has always sent. Shared by the single-plan and bulk-plan paths so the
-// two cannot drift.
-func planParams(pf *planFields) (plan.CostModel, plan.Budget, error) {
+// two cannot drift. Nil pointers are absent fields.
+func planParams(budgetKM float64, maxPipes int, inspPerKM, failCost, maxSpend *float64) (plan.CostModel, plan.Budget, error) {
 	// Explicit zero on a priced or capped parameter is a client bug, not
 	// a request for a degenerate plan.
-	if pf.hasInsp && pf.inspPerKM == 0 {
+	if inspPerKM != nil && *inspPerKM == 0 {
 		return plan.CostModel{}, plan.Budget{}, fmt.Errorf(
 			"inspection_per_km is explicitly 0; omit the field for the default (%d)", defaultInspectionPerKM)
 	}
-	if pf.hasFail && pf.failCost == 0 {
+	if failCost != nil && *failCost == 0 {
 		return plan.CostModel{}, plan.Budget{}, fmt.Errorf(
 			"failure_cost is explicitly 0; omit the field for the default (%d)", defaultFailureCost)
 	}
-	if pf.hasSpend && pf.maxSpend == 0 {
-		return plan.CostModel{}, plan.Budget{}, fmt.Errorf(
-			"max_spend is explicitly 0; omit the field for an uncapped spend")
+	spend := 0.0
+	if maxSpend != nil {
+		if spend = *maxSpend; spend == 0 {
+			return plan.CostModel{}, plan.Budget{}, fmt.Errorf(
+				"max_spend is explicitly 0; omit the field for an uncapped spend")
+		}
 	}
 	// Negative budget dimensions used to silently mean "unconstrained"
 	// (the planner treats <= 0 as unset); reject them instead.
-	if pf.budgetKM < 0 {
-		return plan.CostModel{}, plan.Budget{}, fmt.Errorf("negative budget_km %v", pf.budgetKM)
+	if budgetKM < 0 {
+		return plan.CostModel{}, plan.Budget{}, fmt.Errorf("negative budget_km %v", budgetKM)
 	}
-	if pf.maxPipes < 0 {
-		return plan.CostModel{}, plan.Budget{}, fmt.Errorf("negative max_pipes %d", pf.maxPipes)
+	if maxPipes < 0 {
+		return plan.CostModel{}, plan.Budget{}, fmt.Errorf("negative max_pipes %d", maxPipes)
 	}
-	if pf.maxSpend < 0 {
-		return plan.CostModel{}, plan.Budget{}, fmt.Errorf("negative max_spend %v", pf.maxSpend)
+	if spend < 0 {
+		return plan.CostModel{}, plan.Budget{}, fmt.Errorf("negative max_spend %v", spend)
 	}
 
 	cm := defaultCostModel
-	if pf.hasInsp {
-		cm.InspectionPerKM = pf.inspPerKM
+	if inspPerKM != nil {
+		cm.InspectionPerKM = *inspPerKM
 	}
-	if pf.hasFail {
-		cm.FailureCost = pf.failCost
+	if failCost != nil {
+		cm.FailureCost = *failCost
 	}
 	if err := cm.Validate(); err != nil {
 		return plan.CostModel{}, plan.Budget{}, err
 	}
-	b := plan.Budget{MaxLengthM: pf.budgetKM * 1000, MaxCount: pf.maxPipes, MaxSpend: pf.maxSpend}
+	b := plan.Budget{MaxLengthM: budgetKM * 1000, MaxCount: maxPipes, MaxSpend: spend}
 	if b.MaxLengthM <= 0 && b.MaxCount <= 0 && b.MaxSpend <= 0 {
 		return plan.CostModel{}, plan.Budget{}, plan.ErrNoBudget
 	}

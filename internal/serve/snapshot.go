@@ -21,7 +21,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro"
 	"repro/internal/core"
@@ -75,14 +74,10 @@ type modelSnapshot struct {
 	// ranking changes the tag, and re-training the same data reproduces it.
 	etag string
 
-	// builtAt is when this snapshot was frozen; the rebuild scheduler
-	// uses it to decide staleness. It does not feed the ETag, so a
-	// deterministic retrain still reproduces the same validator.
-	builtAt time.Time
-
 	// eventSeq is the shard's live-event sequence this snapshot trained
-	// at (0 = base network only). The scheduler treats a shard whose
-	// ingest seq has advanced past it as stale, independent of age.
+	// at (0 = base network only, -1 = restored from disk at an unknown
+	// seq). The scheduler treats a snapshot whose shard ingest seq has
+	// advanced past it as stale; nothing else makes a snapshot stale.
 	eventSeq int64
 }
 
@@ -132,7 +127,6 @@ func newModelSnapshot(name string, m pipefail.Model, ranking *pipefail.Ranking, 
 		fitSeconds: fitSeconds,
 		rankIdx:    make(map[string]int, ranking.Len()),
 		etag:       rankingETag(name, ranking.Scores),
-		builtAt:    time.Now(),
 	}
 	for i, id := range ranking.PipeIDs {
 		tm.rankIdx[id] = i

@@ -177,7 +177,7 @@ func (s *Server) restoreModelFile(sh *shard, path, name string) error {
 	// Rank against the live pipeline (base + any WAL-replayed events) so
 	// the restored snapshot carries the ETag a retrain at the current
 	// event seq would produce; SetEventLog must run before SetStateDir.
-	pipe, seq, err := sh.trainPipeline()
+	pipe, _, err := sh.trainPipeline()
 	if err != nil {
 		return err
 	}
@@ -190,7 +190,10 @@ func (s *Server) restoreModelFile(sh *shard, path, name string) error {
 			return fmt.Errorf("feature %d is %q, pipeline has %q", i, sm.FeatureNames[i], want[i])
 		}
 	}
-	snap, err := s.snapshotModel(sh, pipe, seq, name, m, 0)
+	// The file does not record the event seq its weights trained at, so
+	// the snapshot claims none (-1): the rebuild scheduler retrains it on
+	// its first pass instead of trusting possibly older weights forever.
+	snap, err := s.snapshotModel(sh, pipe, -1, name, m, 0)
 	if err != nil {
 		return err
 	}

@@ -183,3 +183,33 @@ func TestWriteModelFileSyncsStateDir(t *testing.T) {
 		t.Fatalf("state dir %q never fsynced after rename (synced: %v)", want, synced)
 	}
 }
+
+// TestRestoredSnapshotRebuiltOnce: a state file does not record the
+// event seq its weights trained at, so a restored snapshot is stale for
+// the first scheduler pass. The rebuild reproduces the restored ETag,
+// and after it the scheduler is idle until the next event.
+func TestRestoredSnapshotRebuiltOnce(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1 := stateTestServer(t, dir)
+	if code := postJSON(t, ts1.URL+"/api/models/DirectAUC-ES/train", nil, nil); code != 200 {
+		t.Fatal("train failed")
+	}
+	s2, _ := stateTestServer(t, dir)
+	restored := (*s2.def.models.Load())["DirectAUC-ES"]
+	if restored == nil || restored.eventSeq != -1 {
+		t.Fatalf("restored snapshot %+v, want eventSeq -1", restored)
+	}
+	s2.schedulerPass(false)
+	rebuilt := (*s2.def.models.Load())["DirectAUC-ES"]
+	if rebuilt == restored || rebuilt.eventSeq != 0 {
+		t.Fatalf("first pass left the restored snapshot in place (eventSeq %d)", rebuilt.eventSeq)
+	}
+	if rebuilt.etag != restored.etag {
+		t.Fatalf("rebuild changed the restored ETag: %s -> %s", restored.etag, rebuilt.etag)
+	}
+	before := s2.metrics.schedRebuilds.Value()
+	s2.schedulerPass(false)
+	if got := s2.metrics.schedRebuilds.Value() - before; got != 0 {
+		t.Fatalf("second pass started %d rebuilds, want 0", got)
+	}
+}
