@@ -9,23 +9,25 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the pre-submit gate: static checks, the race detector on the
-# concurrency-bearing packages (the parallel training engine, the
-# pool-fanned eval kernels, the kernel-conformance harness, the metrics
-# registry, the singleflight + snapshot HTTP layer with its raw-body
-# request memo, the response cache and the experiment fan-out), the
-# kerneltest differential harness (Dot, MatVec and the AUC kernel
-# bitwise vs naive oracles), the allocation-regression gates on the AUC
-# kernel, the serve ranking/plan/bulk cached paths and the request-body
-# memo hit (run without -race, which inflates allocation counts), the
-# chaos suite, and a short fuzz pass over the CSV parsers and the AUC
-# kernel differential.
+# verify is the pre-submit gate: gofmt cleanliness and static checks,
+# the race detector on the concurrency-bearing packages (the parallel
+# training engine, the pool-fanned eval kernels, the kernel-conformance
+# harness, the metrics registry, the train-singleflight + snapshot HTTP
+# layer with its single cached-response resolver and raw-body request
+# memo, the response cache and the experiment fan-out), the kerneltest
+# differential harness (Dot, MatVec and the AUC kernel bitwise vs naive
+# oracles), the allocation-regression gates on the AUC kernel, the
+# serve ranking/plan/bulk-rank/bulk-plan cached paths and the
+# request-body memo hit (run without -race, which inflates allocation
+# counts), the chaos suite, and a short fuzz pass over the CSV parsers
+# and the AUC kernel differential.
 verify:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/respcache/... ./internal/experiments/... ./internal/wal/...
 	$(GO) test ./internal/kerneltest -count=1
 	$(GO) test ./internal/eval -run='^TestAUCKernelZeroAlloc$$' -count=1
-	$(GO) test ./internal/serve -run='^(TestRankingCacheHitZeroAlloc|TestPlanCacheHitZeroAlloc|TestBodyMemoHitZeroAlloc|TestBulkRankCacheHitZeroAlloc)$$' -count=1
+	$(GO) test ./internal/serve -run='^(TestRankingCacheHitZeroAlloc|TestPlanCacheHitZeroAlloc|TestBodyMemoHitZeroAlloc|TestBulkRankCacheHitZeroAlloc|TestBulkPlanCacheHitZeroAlloc)$$' -count=1
 	$(GO) test ./internal/colfmt -run='^(TestReadAllocsRowIndependent|TestIngestAllocsRowIndependent)$$' -count=1
 	$(MAKE) chaos
 	$(MAKE) fuzz-smoke

@@ -174,9 +174,7 @@ func run() int {
 		log.Print(err)
 		return 1
 	}
-	if *cacheMB<<20 != serve.DefaultCacheBytes {
-		s.SetResponseCacheBytes(*cacheMB << 20)
-	}
+	s.SetResponseCacheBytes(*cacheMB << 20)
 	s.SetMaxInflight(*maxInflight)
 	s.SetRequestTimeout(*requestTimeout)
 	// The event log opens (and replays) before the state dir restores, so

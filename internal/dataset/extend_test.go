@@ -50,8 +50,8 @@ func TestExtendLiveRenewalsResetLaidYear(t *testing.T) {
 	n := extendFixture()
 	ext := n.ExtendLive(nil, []Renewal{
 		{PipeID: "P1", Year: 2004},
-		{PipeID: "P1", Year: 2002},  // older renewal never regresses LaidYear
-		{PipeID: "P9", Year: 2004},  // unknown pipe skipped
+		{PipeID: "P1", Year: 2002}, // older renewal never regresses LaidYear
+		{PipeID: "P9", Year: 2004}, // unknown pipe skipped
 	})
 	p, ok := ext.PipeByID("P1")
 	if !ok || p.LaidYear != 2004 {

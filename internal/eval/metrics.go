@@ -242,4 +242,3 @@ func ROCCurve(scores []float64, labels []bool, points int) []CurvePoint {
 	}
 	return out
 }
-

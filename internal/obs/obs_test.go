@@ -267,9 +267,9 @@ func TestSanitizeMetricName(t *testing.T) {
 		{"metro", "metro"},
 		{"METRO/s01", "metro_s01"},
 		{"Region B", "region_b"},
-		{"a--b..c", "a_b_c"},   // runs collapse to one separator
-		{"--edge--", "edge"},   // leading/trailing separators trim
-		{"..", "_"},            // nothing usable
+		{"a--b..c", "a_b_c"}, // runs collapse to one separator
+		{"--edge--", "edge"}, // leading/trailing separators trim
+		{"..", "_"},          // nothing usable
 		{"", "_"},
 		{"x9", "x9"},
 	}

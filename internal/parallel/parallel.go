@@ -124,16 +124,6 @@ func (p Pool) RunCtx(ctx context.Context, n int, body func(worker, lo, hi int)) 
 	return nil
 }
 
-// ForEach runs body(i) for every i in [0, n) across the pool's static
-// chunks. Use when per-item cost is uniform.
-func (p Pool) ForEach(n int, body func(i int)) {
-	p.Run(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
 // ForEachDynamic runs body(i) for every i in [0, n), handing indices to
 // workers one at a time in claim order. Use when items have very uneven
 // costs (e.g. one model per index). Which worker executes which index

@@ -68,21 +68,6 @@ func TestRunChunksAreDisjointPerWorker(t *testing.T) {
 	}
 }
 
-func TestForEachResultsIndependentOfWorkers(t *testing.T) {
-	const n = 500
-	ref := make([]int, n)
-	New(1).ForEach(n, func(i int) { ref[i] = i * i })
-	for _, workers := range []int{2, 4, 9} {
-		got := make([]int, n)
-		New(workers).ForEach(n, func(i int) { got[i] = i * i })
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, got[i], ref[i])
-			}
-		}
-	}
-}
-
 func TestForEachDynamicCoversEveryIndexExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		for _, n := range []int{0, 1, 3, 50} {

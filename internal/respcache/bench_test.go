@@ -14,10 +14,7 @@ func BenchmarkRespCache(b *testing.B) {
 	c := New("bench", 1<<20, obs.NewRegistry("bench"))
 	body := make([]byte, 4096)
 	for i := 0; i < 64; i++ {
-		key := []byte("k" + strconv.Itoa(i))
-		c.GetOrFill(key, func() (Entry, error) {
-			return Entry{Body: body, ETag: `"v1"`}, nil
-		})
+		c.Add([]byte("k"+strconv.Itoa(i)), Entry{Body: body, ETag: `"v1"`})
 	}
 	key := []byte("k17")
 	h := make(http.Header)

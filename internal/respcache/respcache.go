@@ -7,22 +7,24 @@
 // (model, budget dimensions, cost parameters) rendered canonically via
 // AppendKeyFloat, so textual aliases of one request share an entry.
 //
-// Three properties drive the design:
+// Callers pair Get with Add: look the key up, and on a miss build the
+// body and Add it only if building succeeded, so a failed fill (an
+// invalid plan, an encode error) is never cached. Three properties drive
+// the design:
 //
-//   - Zero-allocation hits. GetOrFill takes the key as a []byte so
-//     callers can assemble it in pooled scratch; the lookup uses Go's
+//   - Zero-allocation hits. Get takes the key as a []byte so callers can
+//     assemble it in pooled scratch; the lookup uses Go's
 //     map[string(bytes)] optimization and never retains the key on a
 //     hit. Entries carry their ETag and Content-Length header values as
 //     prebuilt []string slices, so serving a hit assigns three
 //     preexisting slices into the header map and writes one body —
 //     nothing escapes to the heap.
-//   - Singleflight fills. Concurrent misses on one key share a single
-//     fill call; the losers block on the winner's done channel. A fill
-//     that returns an error is never inserted, so a failed upstream
-//     (e.g. a training run that errored) cannot poison the cache.
+//   - No fill coordination. Cached bodies encode immutable snapshots, so
+//     two callers that miss on one key at once build identical bytes;
+//     each builds its own copy and Add keeps whichever landed first.
 //   - Bounded memory. Total body bytes are capped; inserting past the
 //     cap evicts from the LRU tail. A body larger than the whole cap is
-//     returned to the caller but never inserted.
+//     never inserted.
 //
 // Hit/miss/eviction counters and byte/entry gauges register in an obs
 // registry under respcache.<name>.* (see DESIGN.md, Observability).
@@ -56,8 +58,8 @@ type Entry struct {
 
 // SetHeaders installs the entry's ETag and Content-Length into h. On a
 // cache hit the slices were prepared at insert time, so this performs
-// no allocations; on the fill pass (before insertion) it falls back to
-// building them.
+// no allocations; on a freshly built entry (Add prepares only its own
+// copy) it falls back to building them.
 func (e *Entry) SetHeaders(h http.Header) {
 	if e.etagHdr == nil && e.lenHdr == nil {
 		e.prepare()
@@ -96,13 +98,6 @@ func AppendKeyFloat(key []byte, f float64) []byte {
 	return strconv.AppendFloat(key, f, 'g', -1, 64)
 }
 
-// call is the singleflight slot for one in-flight fill.
-type call struct {
-	done chan struct{}
-	e    Entry
-	err  error
-}
-
 // entry is the LRU node payload.
 type entry struct {
 	key string
@@ -114,11 +109,10 @@ type entry struct {
 type Cache struct {
 	maxBytes int64
 
-	mu      sync.Mutex
-	ll      *list.List // front = most recently used
-	items   map[string]*list.Element
-	pending map[string]*call
-	size    int64
+	mu    sync.Mutex
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
+	size  int64
 
 	hits, misses, evictions *obs.Counter
 	bytes, entries          *obs.Gauge
@@ -140,7 +134,6 @@ func New(name string, maxBytes int64, reg *obs.Registry) *Cache {
 		maxBytes:  maxBytes,
 		ll:        list.New(),
 		items:     make(map[string]*list.Element),
-		pending:   make(map[string]*call),
 		hits:      reg.Counter(prefix + "hits"),
 		misses:    reg.Counter(prefix + "misses"),
 		evictions: reg.Counter(prefix + "evictions"),
@@ -149,54 +142,11 @@ func New(name string, maxBytes int64, reg *obs.Registry) *Cache {
 	}
 }
 
-// GetOrFill returns the cached entry for key, or runs fill exactly once
-// to produce it — concurrent callers missing on the same key block on
-// the in-flight fill and share its result. The key may point into
-// caller-owned scratch: it is copied only on the miss path. A fill
-// error is returned to every waiter and nothing is cached.
-func (c *Cache) GetOrFill(key []byte, fill func() (Entry, error)) (Entry, error) {
-	c.mu.Lock()
-	if el, ok := c.items[string(key)]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*entry).e
-		c.mu.Unlock()
-		c.hits.Inc()
-		return e, nil
-	}
-	ks := string(key)
-	if cl, ok := c.pending[ks]; ok {
-		c.mu.Unlock()
-		c.misses.Inc()
-		<-cl.done
-		return cl.e, cl.err
-	}
-	cl := &call{done: make(chan struct{})}
-	c.pending[ks] = cl
-	c.mu.Unlock()
-	c.misses.Inc()
-
-	e, err := fill()
-	if err == nil {
-		e.prepare()
-	}
-	cl.e, cl.err = e, err
-
-	c.mu.Lock()
-	delete(c.pending, ks)
-	if err == nil {
-		c.insertLocked(ks, e)
-	}
-	c.mu.Unlock()
-	close(cl.done)
-	return e, err
-}
-
-// Add inserts a prepared entry under key, evicting from the LRU tail as
-// needed. It is the insertion half of a Get/Add pair for handlers that
-// must classify their fill errors into distinct HTTP statuses before
-// caching (the POST /plan path): compute the response, then Add the
-// successful encoding. An existing entry for the key is kept (both
-// encode the same immutable content). Safe for concurrent use.
+// Add inserts an entry under key, preparing its header slices and
+// evicting from the LRU tail as needed. It is the insertion half of the
+// Get/Add pair: callers Add only a successfully built body. An existing
+// entry for the key is kept (both encode the same immutable content).
+// Safe for concurrent use.
 func (c *Cache) Add(key []byte, e Entry) {
 	e.prepare()
 	c.mu.Lock()
@@ -204,8 +154,9 @@ func (c *Cache) Add(key []byte, e Entry) {
 	c.mu.Unlock()
 }
 
-// Get returns the cached entry without filling. Like GetOrFill, the hit
-// path performs zero allocations.
+// Get returns the cached entry for key, counting a hit or a miss. The
+// key may point into caller-owned scratch; the hit path performs zero
+// allocations.
 func (c *Cache) Get(key []byte) (Entry, bool) {
 	c.mu.Lock()
 	el, ok := c.items[string(key)]
@@ -230,7 +181,7 @@ func (c *Cache) insertLocked(key string, e Entry) {
 		return
 	}
 	if el, ok := c.items[key]; ok {
-		// A racing fill for the same key already inserted; keep the
+		// A racing miss for the same key already inserted; keep the
 		// existing entry (they encode the same immutable content).
 		c.ll.MoveToFront(el)
 		return

@@ -1,16 +1,13 @@
 package respcache
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"reflect"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
 
-	"reflect"
 	"repro/internal/obs"
 )
 
@@ -27,24 +24,22 @@ func counters(reg *obs.Registry, name string) (hits, misses, evictions int64) {
 		reg.Counter(prefix + "evictions").Value()
 }
 
-func TestGetOrFillCachesAndCounts(t *testing.T) {
+// TestGetAddCachesAndCounts pins the Get/Add pair: a miss is counted
+// and returns nothing, Add inserts, and later Gets hit the same entry.
+func TestGetAddCachesAndCounts(t *testing.T) {
 	c, reg := newTestCache(t, 1<<20)
-	fills := 0
-	fill := func() (Entry, error) {
-		fills++
-		return Entry{Body: []byte(`{"x":1}`), ETag: `"v1"`}, nil
+	if _, ok := c.Get([]byte("k1")); ok {
+		t.Fatal("hit on empty cache")
 	}
-	for i := 0; i < 3; i++ {
-		e, err := c.GetOrFill([]byte("k1"), fill)
-		if err != nil {
-			t.Fatal(err)
+	c.Add([]byte("k1"), Entry{Body: []byte(`{"x":1}`), ETag: `"v1"`})
+	for i := 0; i < 2; i++ {
+		e, ok := c.Get([]byte("k1"))
+		if !ok {
+			t.Fatal("miss after Add")
 		}
 		if string(e.Body) != `{"x":1}` || e.ETag != `"v1"` {
 			t.Fatalf("entry %+v", e)
 		}
-	}
-	if fills != 1 {
-		t.Fatalf("fill ran %d times, want 1", fills)
 	}
 	hits, misses, _ := counters(reg, t.Name())
 	if hits != 2 || misses != 1 {
@@ -55,47 +50,18 @@ func TestGetOrFillCachesAndCounts(t *testing.T) {
 	}
 }
 
-func TestFillErrorNeverCached(t *testing.T) {
-	c, reg := newTestCache(t, 1<<20)
-	boom := errors.New("boom")
-	calls := 0
-	for i := 0; i < 3; i++ {
-		_, err := c.GetOrFill([]byte("bad"), func() (Entry, error) {
-			calls++
-			return Entry{}, boom
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("err %v", err)
-		}
-	}
-	if calls != 3 {
-		t.Fatalf("failed fill should rerun every time, ran %d", calls)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("error cached: %v", c.Keys())
-	}
-	if hits, misses, _ := counters(reg, t.Name()); hits != 0 || misses != 3 {
-		t.Fatalf("hits=%d misses=%d", hits, misses)
-	}
-}
-
 func TestLRUEviction(t *testing.T) {
 	// Budget for exactly two 10-byte bodies.
 	c, reg := newTestCache(t, 20)
 	body := func(i int) []byte { return []byte(fmt.Sprintf("0123456%03d", i)) }
 	for i := 0; i < 2; i++ {
-		i := i
-		c.GetOrFill([]byte("k"+strconv.Itoa(i)), func() (Entry, error) {
-			return Entry{Body: body(i)}, nil
-		})
+		c.Add([]byte("k"+strconv.Itoa(i)), Entry{Body: body(i)})
 	}
 	// Touch k0 so k1 is the LRU tail, then insert k2.
 	if _, ok := c.Get([]byte("k0")); !ok {
 		t.Fatal("k0 missing")
 	}
-	c.GetOrFill([]byte("k2"), func() (Entry, error) {
-		return Entry{Body: body(2)}, nil
-	})
+	c.Add([]byte("k2"), Entry{Body: body(2)})
 	if _, ok := c.Get([]byte("k1")); ok {
 		t.Fatal("k1 should have been evicted")
 	}
@@ -112,53 +78,15 @@ func TestLRUEviction(t *testing.T) {
 
 func TestOversizedBodyNotInserted(t *testing.T) {
 	c, _ := newTestCache(t, 8)
-	e, err := c.GetOrFill([]byte("big"), func() (Entry, error) {
-		return Entry{Body: make([]byte, 64)}, nil
-	})
-	if err != nil || len(e.Body) != 64 {
-		t.Fatalf("oversized fill must still serve: %v %d", err, len(e.Body))
-	}
-	if c.Len() != 0 {
+	c.Add([]byte("big"), Entry{Body: make([]byte, 64)})
+	if _, ok := c.Get([]byte("big")); ok || c.Len() != 0 || c.SizeBytes() != 0 {
 		t.Fatal("oversized body inserted")
-	}
-}
-
-func TestSingleflightSharesOneFill(t *testing.T) {
-	c, _ := newTestCache(t, 1<<20)
-	var fills atomic.Int64
-	gate := make(chan struct{})
-	const workers = 16
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e, err := c.GetOrFill([]byte("shared"), func() (Entry, error) {
-				fills.Add(1)
-				<-gate // hold the fill open so everyone piles up
-				return Entry{Body: []byte("shared-body")}, nil
-			})
-			if err != nil || string(e.Body) != "shared-body" {
-				t.Errorf("worker got %v %q", err, e.Body)
-			}
-		}()
-	}
-	// Let the workers queue up behind the first fill, then release it.
-	close(gate)
-	wg.Wait()
-	if got := fills.Load(); got != 1 {
-		t.Fatalf("fill ran %d times, want 1", got)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("len=%d", c.Len())
 	}
 }
 
 func TestSetHeadersZeroAllocOnHit(t *testing.T) {
 	c, _ := newTestCache(t, 1<<20)
-	c.GetOrFill([]byte("k"), func() (Entry, error) {
-		return Entry{Body: []byte("xyz"), ETag: `"v9"`}, nil
-	})
+	c.Add([]byte("k"), Entry{Body: []byte("xyz"), ETag: `"v9"`})
 	h := make(http.Header)
 	key := []byte("k")
 	allocs := testing.AllocsPerRun(200, func() {
@@ -190,9 +118,9 @@ func TestBodyETagDeterministic(t *testing.T) {
 	}
 }
 
-// TestAddInsertsPreparedEntry pins the Get/Add pair the POST /plan path
-// uses: Add prepares headers, inserts under the byte budget, and keeps
-// an existing entry on a racing double-insert.
+// TestAddInsertsPreparedEntry pins Add's contract: it prepares headers,
+// inserts under the byte budget, and keeps an existing entry on a
+// racing double-insert.
 func TestAddInsertsPreparedEntry(t *testing.T) {
 	c, reg := newTestCache(t, 1<<20)
 	if _, ok := c.Get([]byte("p1")); ok {
@@ -216,7 +144,7 @@ func TestAddInsertsPreparedEntry(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("len=%d", c.Len())
 	}
-	// Oversized bodies are refused, like GetOrFill's.
+	// Oversized bodies are refused.
 	tiny, _ := newTestCache(t, 4)
 	tiny.Add([]byte("big"), Entry{Body: []byte("too large to hold")})
 	if tiny.Len() != 0 {

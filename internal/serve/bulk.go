@@ -5,16 +5,18 @@ package serve
 // stream one NDJSON line per segment back, flushed as each resolves.
 //
 // The design goal is that bulk is a framing layer, never a second
-// implementation: region segments replay the exact cache entries the
-// single-region handlers write (shared appendRankingKey/appendPlanKey,
-// shared fill code), so a bulk line's payload is byte-identical to the
-// corresponding single call's body. Resolution runs in three phases:
+// implementation: region segments resolve through snapshotEntry, the
+// same resolver the single-region handlers use, so a bulk line's
+// payload is byte-identical to the corresponding single call's body.
+// Resolution runs in three phases:
 //
-//  1. serial: published snapshots + cache hits resolve inline — the
-//     all-cached path touches no goroutines, channels or heap;
-//  2. fan-out: misses (untrained models, evicted entries) fill
-//     concurrently on the server's worker pool through the same
-//     singleflight as everyone else, each closing a ready channel;
+//  1. serial: every segment whose model is published resolves inline
+//     through snapshotEntry (a cache hit, or a fill-then-Add on a miss)
+//     — the all-cached path touches no goroutines, channels or heap;
+//  2. fan-out: segments whose model must train first run getShard
+//     concurrently on the server's worker pool (joining the shard's
+//     training singleflight), then resolve through snapshotEntry, each
+//     closing a ready channel;
 //  3. ordered writer: lines stream in request order, waiting on each
 //     segment's ready channel, flushing per line — so early segments
 //     reach the client while late ones still train.
@@ -24,14 +26,11 @@ package serve
 
 import (
 	"bytes"
-	"context"
-	"fmt"
 	"math"
 	"net/http"
 	"strconv"
 	"sync"
 
-	"repro/internal/plan"
 	"repro/internal/respcache"
 )
 
@@ -68,8 +67,8 @@ func (r *bulkRequest) memoBytes() int {
 
 // bulkSeg is one output line in flight: a region segment (pipeID empty)
 // or a per-pipe segment. ready is nil when phase 1 resolved the segment
-// inline; otherwise the fill fan-out closes it once tm/entry/errMsg are
-// final.
+// inline; otherwise the training fan-out closes it once tm/entry/errMsg
+// are final.
 type bulkSeg struct {
 	sh     *shard
 	pipeID string // points into the memoized request; empty for region segments
@@ -110,8 +109,8 @@ func (s *Server) serveBulk(w http.ResponseWriter, r *http.Request, isPlan bool) 
 	buf.Reset()
 	sc := scratchPool.Get().(*bulkScratch)
 	s.streamBulk(w, r, buf, sc, isPlan)
-	// streamBulk has waited out every fill before returning, so nothing
-	// concurrent still references the segments.
+	// streamBulk has waited out every phase-2 segment before returning,
+	// so nothing concurrent still references the segments.
 	sc.release()
 	scratchPool.Put(sc)
 	if buf.Cap() <= bufPoolMax {
@@ -129,28 +128,24 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 		return
 	}
 
-	top := 50
+	q := entryQuery{top: 50}
 	if req.Top != nil {
 		if *req.Top < 1 {
 			s.writeErr(w, http.StatusBadRequest, "bad top %d", *req.Top)
 			return
 		}
-		top = *req.Top
+		q.top = *req.Top
 	}
-	var (
-		cm plan.CostModel
-		b  plan.Budget
-	)
 	if isPlan {
 		if len(req.PipeIDs) > 0 {
 			s.writeErr(w, http.StatusBadRequest, "pipe_ids are not supported on /api/bulk/plan")
 			return
 		}
-		var perr error
-		if cm, b, perr = planParams(req.BudgetKM, req.MaxPipes, req.InspectionPerKM, req.FailureCost, req.MaxSpend); perr != nil {
-			s.writeErr(w, http.StatusBadRequest, "%v", perr)
+		if q.cm, q.b, err = planParams(req.BudgetKM, req.MaxPipes, req.InspectionPerKM, req.FailureCost, req.MaxSpend); err != nil {
+			s.writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		q.top = 0 // selects the plan (see entryQuery)
 	}
 	model := req.Model
 	if model == "" {
@@ -190,10 +185,9 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 		}
 	}
 
-	// Phase 1: serial resolution off published snapshots and caches.
+	// Phase 1: serial resolution of every segment whose model is
+	// published.
 	var miss []int
-	kp := keyPool.Get().(*[]byte)
-	key := (*kp)[:0]
 	for i := range sc.segs {
 		seg := &sc.segs[i]
 		tm, ok := (*seg.sh.models.Load())[model]
@@ -203,52 +197,26 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 			continue
 		}
 		s.metrics.sfCached.Inc()
-		seg.tm = tm
-		if seg.pipeID != "" {
-			continue // pipe lines render straight off the snapshot
-		}
-		if isPlan {
-			if tm.calibrator == nil {
-				seg.errMsg = fmt.Sprintf("model %q has no calibrator; cannot price a plan", model)
-				s.metrics.bulkSegErrs.Inc()
-				continue
-			}
-			key = appendPlanKey(key[:0], model, tm.etag, cm, b)
-			if e, ok := seg.sh.cache.Get(key); ok {
-				s.metrics.planCacheHits.Inc()
-				seg.entry = e
-				continue
-			}
-		} else {
-			// Per-shard key: the canonical entry count clamps to each
-			// shard's own ranking length, exactly like the single path.
-			key = appendRankingKey(key[:0], model, tm.etag, len(tm.topEntries(top)))
-			if e, ok := seg.sh.cache.Get(key); ok {
-				seg.entry = e
-				continue
-			}
-		}
-		seg.ready = make(chan struct{})
-		miss = append(miss, i)
+		s.resolveSeg(seg, tm, nil, model, q)
 	}
-	*kp = key
-	keyPool.Put(kp)
 
-	// Phase 2: misses fill concurrently. Each body closes its segment's
-	// ready channel as its final touch of shared state, so once phase 3
-	// has observed every channel, nothing still references the scratch.
+	// Phase 2: segments that must train first fan out. Each body closes
+	// its segment's ready channel as its final touch of shared state, so
+	// once phase 3 has observed every channel, nothing still references
+	// the scratch.
 	if len(miss) > 0 {
 		ctx := r.Context()
 		go s.pool.ForEachDynamic(len(miss), func(i int) {
 			seg := &sc.segs[miss[i]]
-			s.fillBulkSeg(ctx, seg, model, top, isPlan, cm, b)
+			tm, err := s.getShard(ctx, seg.sh, model)
+			s.resolveSeg(seg, tm, err, model, q)
 			close(seg.ready)
 		})
 	}
 
 	// Phase 3: ordered streaming writer. A client write failure stops
 	// writing but keeps draining ready channels — the scratch cannot be
-	// recycled while fills are in flight.
+	// recycled while phase-2 segments are in flight.
 	h := w.Header()
 	h["Content-Type"] = ndjsonCT
 	w.WriteHeader(http.StatusOK)
@@ -277,65 +245,22 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 	sc.line = line
 }
 
-// fillBulkSeg resolves one miss segment: train (or join the in-flight
-// training of) the model through the shard singleflight, then fill the
-// shard's cache entry exactly as the single-region handler would. Every
-// failure becomes the segment's error line.
-func (s *Server) fillBulkSeg(ctx context.Context, seg *bulkSeg, model string, top int, isPlan bool, cm plan.CostModel, b plan.Budget) {
-	tm := seg.tm
-	if tm == nil {
-		var err error
-		if tm, err = s.getShard(ctx, seg.sh, model); err != nil {
-			seg.errMsg = err.Error()
-			s.metrics.bulkSegErrs.Inc()
+// resolveSeg settles one segment off its model snapshot: pipe segments
+// render straight off tm, region segments take their body from
+// snapshotEntry. A training failure (err) or a resolver failure becomes
+// the segment's error line.
+func (s *Server) resolveSeg(seg *bulkSeg, tm *modelSnapshot, err error, model string, q entryQuery) {
+	if err == nil {
+		seg.tm = tm
+		if seg.pipeID != "" {
 			return
 		}
-		seg.tm = tm
+		seg.entry, _, err = s.snapshotEntry(seg.sh, tm, model, q)
 	}
-	if seg.pipeID != "" {
-		return // pipe lines render straight off the snapshot
+	if err != nil {
+		seg.errMsg = err.Error()
+		s.metrics.bulkSegErrs.Inc()
 	}
-	kp := keyPool.Get().(*[]byte)
-	key := (*kp)[:0]
-	if isPlan {
-		if tm.calibrator == nil {
-			seg.errMsg = fmt.Sprintf("model %q has no calibrator; cannot price a plan", model)
-			s.metrics.bulkSegErrs.Inc()
-		} else {
-			key = appendPlanKey(key, model, tm.etag, cm, b)
-			if e, ok := seg.sh.cache.Get(key); ok {
-				s.metrics.planCacheHits.Inc()
-				seg.entry = e
-			} else {
-				s.metrics.planCacheMisses.Inc()
-				e, _, err := s.buildPlanBody(tm, model, cm, b)
-				if err != nil {
-					seg.errMsg = err.Error()
-					s.metrics.bulkSegErrs.Inc()
-				} else {
-					seg.sh.cache.Add(key, e)
-					seg.entry = e
-				}
-			}
-		}
-	} else {
-		key = appendRankingKey(key, model, tm.etag, len(tm.topEntries(top)))
-		e, err := seg.sh.cache.GetOrFill(key, func() (respcache.Entry, error) {
-			body, err := encodeBody(tm.topEntries(top))
-			if err != nil {
-				return respcache.Entry{}, err
-			}
-			return respcache.Entry{Body: body, ETag: tm.etag}, nil
-		})
-		if err != nil {
-			seg.errMsg = err.Error()
-			s.metrics.bulkSegErrs.Inc()
-		} else {
-			seg.entry = e
-		}
-	}
-	*kp = key
-	keyPool.Put(kp)
 }
 
 // appendBulkLine renders one NDJSON line. Region lines splice the

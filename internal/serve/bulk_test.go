@@ -383,3 +383,33 @@ func TestBulkRankCacheHitZeroAlloc(t *testing.T) {
 		t.Fatalf("cached bulk rank allocated %.1f times per request, want 0", allocs)
 	}
 }
+
+// TestBulkPlanCacheHitZeroAlloc is the plan twin of the bulk-rank gate:
+// once the plan entry is cached, a steady-state bulk plan request
+// resolves through snapshotEntry's hit path and must not allocate.
+func TestBulkPlanCacheHitZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under -race")
+	}
+	s, _ := newTestServer(t)
+	if _, err := s.get(context.Background(), "Heuristic-Age"); err != nil {
+		t.Fatal(err)
+	}
+	rb := &replayBody{r: bytes.NewReader([]byte(`{"model":"Heuristic-Age","budget_km":10,"max_pipes":25}`))}
+	req, err := http.NewRequest("POST", "/api/bulk/plan", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Body = rb
+	w := &nopWriter{h: make(http.Header)}
+	s.handleBulkPlan(w, req) // warm: fills the plan cache entry
+	rb.rewind()
+	s.handleBulkPlan(w, req) // second pass settles pool objects
+	allocs := testing.AllocsPerRun(500, func() {
+		rb.rewind()
+		s.handleBulkPlan(w, req)
+	})
+	if allocs != 0 {
+		t.Fatalf("cached bulk plan allocated %.1f times per request, want 0", allocs)
+	}
+}

@@ -107,7 +107,7 @@ func TestEventsNDJSONBatch(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		fmt.Fprintf(&b, "{\"id\":\"b-%d\",\"pipe_id\":%q,\"year\":%d,\"day\":%d}\n", i, p.ID, year, i+1)
 	}
-	b.WriteString("\n") // blank lines are skipped
+	b.WriteString("\n")                                                                    // blank lines are skipped
 	fmt.Fprintf(&b, "{\"id\":\"b-1\",\"pipe_id\":%q,\"year\":%d,\"day\":2}\n", p.ID, year) // in-batch dup
 	resp, err := http.Post(ts.URL+"/api/events", "application/x-ndjson", strings.NewReader(b.String()))
 	if err != nil {

@@ -84,7 +84,7 @@ type Server struct {
 
 	// maxInflight caps concurrently served requests on sheddable routes
 	// (0 = unlimited); inflightReqs is the current count against the cap.
-	maxInflight int64
+	maxInflight  int64
 	inflightReqs atomic.Int64
 	// requestTimeout bounds each sheddable request's context (0 = none).
 	requestTimeout time.Duration
@@ -93,10 +93,6 @@ type Server struct {
 	// models are persisted for warm restarts (see state.go); each shard
 	// holds its own subdirectory in shard.stateDir.
 	stateDir string
-
-	// cacheBytes is the global response-cache budget, partitioned
-	// equally across shards (respcache.PartitionBudget).
-	cacheBytes int64
 
 	// defaultModel is the model a plan request with no "model" field
 	// resolves to, resolved once at construction — pipefail.Models()
@@ -140,67 +136,67 @@ type routeSpec struct {
 // serveMetrics caches the singleflight/in-flight metric handles so the
 // request path never does a registry lookup.
 type serveMetrics struct {
-	inflight       *obs.Gauge
-	sfHits         *obs.Counter // waiters that joined an in-flight run
-	sfMisses       *obs.Counter // requests that started a training run
-	sfCached       *obs.Counter // requests served from the trained cache
-	trainFailures  *obs.Counter
-	trainPanics    *obs.Counter // training panics contained into failures
-	trainCancelled *obs.Counter // training runs aborted via context
-	handlerPanics  *obs.Counter // handler panics recovered into 500s
-	shedCapacity   *obs.Counter // 503s from the in-flight cap
-	shedDraining   *obs.Counter // 503s issued while draining
-	planCacheHits    *obs.Counter // /api/plan responses replayed from cache
-	planCacheMisses  *obs.Counter // /api/plan responses computed and cached
-	planPrefixBuilds *obs.Counter // plan.BuildPrefix runs for non-default cost models
-	stateSaved     *obs.Counter // models persisted to the state dir
-	stateRestored  *obs.Counter // models reloaded on warm restart
-	stateSaveErrs  *obs.Counter // failed persistence attempts
-	stateQuarantined *obs.Counter // unreadable/stale state files set aside
-	bulkSegments  *obs.Counter // NDJSON lines written by the bulk endpoints
-	bulkSegErrs   *obs.Counter // bulk segments that became error lines
+	inflight             *obs.Gauge
+	sfHits               *obs.Counter // waiters that joined an in-flight run
+	sfMisses             *obs.Counter // requests that started a training run
+	sfCached             *obs.Counter // requests served from the trained cache
+	trainFailures        *obs.Counter
+	trainPanics          *obs.Counter // training panics contained into failures
+	trainCancelled       *obs.Counter // training runs aborted via context
+	handlerPanics        *obs.Counter // handler panics recovered into 500s
+	shedCapacity         *obs.Counter // 503s from the in-flight cap
+	shedDraining         *obs.Counter // 503s issued while draining
+	planCacheHits        *obs.Counter // /api/plan responses replayed from cache
+	planCacheMisses      *obs.Counter // /api/plan responses computed and cached
+	planPrefixBuilds     *obs.Counter // plan.BuildPrefix runs for non-default cost models
+	stateSaved           *obs.Counter // models persisted to the state dir
+	stateRestored        *obs.Counter // models reloaded on warm restart
+	stateSaveErrs        *obs.Counter // failed persistence attempts
+	stateQuarantined     *obs.Counter // unreadable/stale state files set aside
+	bulkSegments         *obs.Counter // NDJSON lines written by the bulk endpoints
+	bulkSegErrs          *obs.Counter // bulk segments that became error lines
 	eventsAccepted       *obs.Counter // ingested events acknowledged durable
 	eventsDuplicates     *obs.Counter // ingested events absorbed by ID dedup
 	eventsRejected       *obs.Counter // ingest requests refused by validation
 	eventsBackpressure   *obs.Counter // ingest 429s from WAL backlog
 	eventsFailed         *obs.Counter // ingest 503s from WAL append/sync errors
 	eventsReplayRejected *obs.Counter // replayed records skipped by validation
-	schedPasses   *obs.Counter // rebuild-scheduler sweeps over the shards
-	schedRebuilds *obs.Counter // scheduled retrains started
-	schedFailures *obs.Counter // scheduled retrains that failed
+	schedPasses          *obs.Counter // rebuild-scheduler sweeps over the shards
+	schedRebuilds        *obs.Counter // scheduled retrains started
+	schedFailures        *obs.Counter // scheduled retrains that failed
 }
 
 func newServeMetrics() serveMetrics {
 	reg := obs.Default()
 	return serveMetrics{
-		inflight:       reg.Gauge("serve.inflight"),
-		sfHits:         reg.Counter("serve.train.singleflight.hits"),
-		sfMisses:       reg.Counter("serve.train.singleflight.misses"),
-		sfCached:       reg.Counter("serve.train.cached_hits"),
-		trainFailures:  reg.Counter("serve.train.failures"),
-		trainPanics:    reg.Counter("serve.train.panics"),
-		trainCancelled: reg.Counter("serve.train.cancelled"),
-		handlerPanics:  reg.Counter("serve.panics.recovered"),
-		shedCapacity:   reg.Counter("serve.shed.capacity"),
-		shedDraining:   reg.Counter("serve.shed.draining"),
-		planCacheHits:    reg.Counter("serve.plan.cache_hits"),
-		planCacheMisses:  reg.Counter("serve.plan.cache_misses"),
-		planPrefixBuilds: reg.Counter("serve.plan.prefix_builds"),
-		stateSaved:     reg.Counter("serve.state.saved"),
-		stateRestored:  reg.Counter("serve.state.restored"),
-		stateSaveErrs:  reg.Counter("serve.state.save_errors"),
-		stateQuarantined: reg.Counter("serve.state.quarantined"),
-		bulkSegments:  reg.Counter("serve.bulk.segments"),
-		bulkSegErrs:   reg.Counter("serve.bulk.segment_errors"),
+		inflight:             reg.Gauge("serve.inflight"),
+		sfHits:               reg.Counter("serve.train.singleflight.hits"),
+		sfMisses:             reg.Counter("serve.train.singleflight.misses"),
+		sfCached:             reg.Counter("serve.train.cached_hits"),
+		trainFailures:        reg.Counter("serve.train.failures"),
+		trainPanics:          reg.Counter("serve.train.panics"),
+		trainCancelled:       reg.Counter("serve.train.cancelled"),
+		handlerPanics:        reg.Counter("serve.panics.recovered"),
+		shedCapacity:         reg.Counter("serve.shed.capacity"),
+		shedDraining:         reg.Counter("serve.shed.draining"),
+		planCacheHits:        reg.Counter("serve.plan.cache_hits"),
+		planCacheMisses:      reg.Counter("serve.plan.cache_misses"),
+		planPrefixBuilds:     reg.Counter("serve.plan.prefix_builds"),
+		stateSaved:           reg.Counter("serve.state.saved"),
+		stateRestored:        reg.Counter("serve.state.restored"),
+		stateSaveErrs:        reg.Counter("serve.state.save_errors"),
+		stateQuarantined:     reg.Counter("serve.state.quarantined"),
+		bulkSegments:         reg.Counter("serve.bulk.segments"),
+		bulkSegErrs:          reg.Counter("serve.bulk.segment_errors"),
 		eventsAccepted:       reg.Counter("serve.events.accepted"),
 		eventsDuplicates:     reg.Counter("serve.events.duplicates"),
 		eventsRejected:       reg.Counter("serve.events.rejected"),
 		eventsBackpressure:   reg.Counter("serve.events.backpressure"),
 		eventsFailed:         reg.Counter("serve.events.failed"),
 		eventsReplayRejected: reg.Counter("serve.events.replay_rejected"),
-		schedPasses:   reg.Counter("serve.sched.passes"),
-		schedRebuilds: reg.Counter("serve.sched.rebuilds"),
-		schedFailures: reg.Counter("serve.sched.failures"),
+		schedPasses:          reg.Counter("serve.sched.passes"),
+		schedRebuilds:        reg.Counter("serve.sched.rebuilds"),
+		schedFailures:        reg.Counter("serve.sched.failures"),
 	}
 }
 
@@ -227,8 +223,11 @@ func New(net *pipefail.Network, logger *log.Logger, opts ...pipefail.PipelineOpt
 // NewMulti builds a Server with one shard per network, in the given
 // (deterministic) fan-out order. Duplicate region names are a
 // configuration error and fail construction — a silent last-write-wins
-// registry would serve one region's data under another's name. The
-// response-cache budget is partitioned equally across the shards.
+// registry would serve one region's data under another's name. So are
+// distinct names that sanitize to one metric token (North and north):
+// the token names each shard's metric series, WAL directory and state
+// directory, so those regions would share them. The response-cache
+// budget is partitioned equally across the shards.
 func NewMulti(nets []*pipefail.Network, logger *log.Logger, opts ...pipefail.PipelineOption) (*Server, error) {
 	if len(nets) == 0 {
 		return nil, errors.New("serve: no networks given")
@@ -241,17 +240,21 @@ func NewMulti(nets []*pipefail.Network, logger *log.Logger, opts ...pipefail.Pip
 		metrics:      newServeMetrics(),
 		defaultModel: pipefail.Models()[0],
 		byRegion:     make(map[string]*shard, len(nets)),
-		cacheBytes:   DefaultCacheBytes,
 		pool:         parallel.New(0),
 	}
 	s.lifecycle, s.cancelLifecycle = context.WithCancel(context.Background())
-	budgets := respcache.PartitionBudget(DefaultCacheBytes, len(nets))
+	tokens := make(map[string]int, len(nets)) // metric token → input index
 	for i, n := range nets {
-		if prev, dup := s.byRegion[n.Region]; dup {
-			return nil, fmt.Errorf("serve: duplicate region %q (inputs %d and %d)",
-				n.Region, s.shardIndex(prev)+1, i+1)
+		token := obs.SanitizeMetricName(n.Region)
+		if j, clash := tokens[token]; clash {
+			if prev := nets[j].Region; prev != n.Region {
+				return nil, fmt.Errorf("serve: regions %q and %q share the metric and directory name %q (inputs %d and %d)",
+					prev, n.Region, token, j+1, i+1)
+			}
+			return nil, fmt.Errorf("serve: duplicate region %q (inputs %d and %d)", n.Region, j+1, i+1)
 		}
-		sh, err := newShard(n, s.cacheNameFor(n.Region, len(nets)), budgets[i], opts...)
+		tokens[token] = i
+		sh, err := newShard(n, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -260,27 +263,18 @@ func NewMulti(nets []*pipefail.Network, logger *log.Logger, opts ...pipefail.Pip
 	}
 	s.def = s.shards[0]
 	s.trainFn = s.train
+	s.SetResponseCacheBytes(DefaultCacheBytes)
 	return s, nil
 }
 
 // cacheNameFor keeps the single-shard cache under the historical
 // "serve" metric prefix (respcache.serve.*); multi-shard deployments
 // get one series per region (respcache.serve.<region>.*).
-func (s *Server) cacheNameFor(region string, n int) string {
-	if n == 1 {
+func (s *Server) cacheNameFor(region string) string {
+	if len(s.shards) == 1 {
 		return "serve"
 	}
 	return "serve." + obs.SanitizeMetricName(region)
-}
-
-// shardIndex returns sh's position in the fan-out order.
-func (s *Server) shardIndex(sh *shard) int {
-	for i, o := range s.shards {
-		if o == sh {
-			return i
-		}
-	}
-	return -1
 }
 
 // SetMaxInflight caps the number of concurrently served requests on the
@@ -329,10 +323,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // the first shard). Call before serving traffic (it is not synchronized
 // with in-flight requests).
 func (s *Server) SetResponseCacheBytes(maxBytes int64) {
-	s.cacheBytes = maxBytes
 	budgets := respcache.PartitionBudget(maxBytes, len(s.shards))
 	for i, sh := range s.shards {
-		sh.cache = respcache.New(sh.cacheName, budgets[i], nil)
+		sh.cache = respcache.New(s.cacheNameFor(sh.region), budgets[i], nil)
 	}
 }
 
@@ -556,6 +549,66 @@ func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, e respcache
 	if _, err := w.Write(e.Body); err != nil {
 		s.log.Printf("serve: write cached response: %v", err)
 	}
+}
+
+// entryQuery names one cacheable response off a model snapshot: the
+// top-N ranking when top > 0, otherwise the plan priced by cm under b.
+type entryQuery struct {
+	top int
+	cm  plan.CostModel
+	b   plan.Budget
+}
+
+// snapshotEntry resolves the cached ranking or plan body for one
+// published snapshot — the single path behind GET /ranking, POST /plan
+// and every bulk region segment, so their cache entries (and bytes)
+// always coincide. It builds the canonical key in pooled scratch and
+// replays a hit without allocating; on a miss it builds the body and
+// Adds it only on success, so failures are never cached. Concurrent
+// misses on one key each build the same immutable bytes, and the cache
+// keeps whichever Add lands first. The status accompanies a non-nil
+// error and is what the failure maps to: 409 for a plan against a model
+// without a calibrator, 400 for a plan that fails validation, 500 for an
+// encode failure.
+func (s *Server) snapshotEntry(sh *shard, tm *modelSnapshot, model string, q entryQuery) (respcache.Entry, int, error) {
+	isPlan := q.top == 0
+	if isPlan && tm.calibrator == nil {
+		return respcache.Entry{}, http.StatusConflict, fmt.Errorf("model %q has no calibrator; cannot price a plan", model)
+	}
+	kp := keyPool.Get().(*[]byte)
+	key := (*kp)[:0]
+	if isPlan {
+		key = appendPlanKey(key, model, tm.etag, q.cm, q.b)
+	} else {
+		// Canonical count: the clamped, re-rendered length, so top=050
+		// and any top beyond the ranking length share one entry.
+		key = appendRankingKey(key, model, tm.etag, len(tm.topEntries(q.top)))
+	}
+	e, hit := sh.cache.Get(key)
+	var (
+		status int
+		err    error
+	)
+	switch {
+	case hit && isPlan:
+		s.metrics.planCacheHits.Inc()
+	case isPlan:
+		s.metrics.planCacheMisses.Inc()
+		e, status, err = s.buildPlanBody(tm, model, q.cm, q.b)
+	case !hit:
+		var body []byte
+		if body, err = encodeBody(tm.topEntries(q.top)); err != nil {
+			s.log.Printf("serve: encode ranking for %s: %v", model, err)
+			status, err = http.StatusInternalServerError, errors.New("encoding ranking failed")
+		}
+		e = respcache.Entry{Body: body, ETag: tm.etag}
+	}
+	if !hit && err == nil {
+		sh.cache.Add(key, e)
+	}
+	*kp = key
+	keyPool.Put(kp)
+	return e, status, err
 }
 
 type apiError struct {
@@ -844,24 +897,9 @@ func (s *Server) handleRanking(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	entries := tm.topEntries(top)
-
-	// Canonical key: the clamped, re-rendered count, so top=050 and any
-	// top beyond the ranking length share one cache entry.
-	kp := keyPool.Get().(*[]byte)
-	key := appendRankingKey((*kp)[:0], name, tm.etag, len(entries))
-	e, err := sh.cache.GetOrFill(key, func() (respcache.Entry, error) {
-		body, err := encodeBody(entries)
-		if err != nil {
-			return respcache.Entry{}, err
-		}
-		return respcache.Entry{Body: body, ETag: tm.etag}, nil
-	})
-	*kp = key
-	keyPool.Put(kp)
+	e, status, err := s.snapshotEntry(sh, tm, name, entryQuery{top: top})
 	if err != nil {
-		s.log.Printf("serve: encode ranking for %s: %v", name, err)
-		s.writeErr(w, http.StatusInternalServerError, "encoding ranking failed")
+		s.writeErr(w, status, "%v", err)
 		return
 	}
 	s.writeCached(w, r, e)
@@ -957,17 +995,16 @@ func (s *Server) handleCohorts(w http.ResponseWriter, r *http.Request) {
 	kp := keyPool.Get().(*[]byte)
 	key := append((*kp)[:0], "cohorts\x00"...)
 	key = append(key, by...)
-	e, err := sh.cache.GetOrFill(key, func() (respcache.Entry, error) {
-		rows, err := fill()
-		if err != nil {
-			return respcache.Entry{}, err
+	e, ok := sh.cache.Get(key)
+	if !ok {
+		var rows any
+		if rows, err = fill(); err == nil {
+			e, err = hashedEntry(rows)
 		}
-		body, err := encodeBody(rows)
-		if err != nil {
-			return respcache.Entry{}, err
+		if err == nil {
+			sh.cache.Add(key, e)
 		}
-		return respcache.Entry{Body: body, ETag: respcache.BodyETag(body)}, nil
-	})
+	}
 	*kp = key
 	keyPool.Put(kp)
 	if err != nil {
@@ -975,6 +1012,16 @@ func (s *Server) handleCohorts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeCached(w, r, e)
+}
+
+// hashedEntry encodes v into a response entry tagged with its body hash,
+// for bodies with no snapshot ETag: plans, cohort and hotspot tables.
+func hashedEntry(v any) (respcache.Entry, error) {
+	body, err := encodeBody(v)
+	if err != nil {
+		return respcache.Entry{}, err
+	}
+	return respcache.Entry{Body: body, ETag: respcache.BodyETag(body)}, nil
 }
 
 func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
@@ -1000,13 +1047,12 @@ func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
 	kp := keyPool.Get().(*[]byte)
 	key := append((*kp)[:0], "hotspots\x00"...)
 	key = strconv.AppendInt(key, int64(min), 10)
-	e, err := sh.cache.GetOrFill(key, func() (respcache.Entry, error) {
-		body, err := encodeBody(sh.net.SegmentHotspots(min))
-		if err != nil {
-			return respcache.Entry{}, err
+	e, ok := sh.cache.Get(key)
+	if !ok {
+		if e, err = hashedEntry(sh.net.SegmentHotspots(min)); err == nil {
+			sh.cache.Add(key, e)
 		}
-		return respcache.Entry{Body: body, ETag: respcache.BodyETag(body)}, nil
-	})
+	}
 	*kp = key
 	keyPool.Put(kp)
 	if err != nil {
@@ -1094,53 +1140,16 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, buf *bytes.Bu
 	if model == "" {
 		model = s.defaultModel
 	}
-	tm, ok := (*sh.models.Load())[model]
-	if ok {
-		s.metrics.sfCached.Inc()
-	} else {
-		tm, err = s.getShard(r.Context(), sh, model)
-		if err != nil {
-			s.writeGetErr(w, err)
-			return
-		}
-	}
-	if tm.calibrator == nil {
-		s.writeErr(w, http.StatusConflict, "model %q has no calibrator; cannot price a plan", model)
-		return
-	}
-
-	// Canonical key over decoded values, so textual aliases of one
-	// request ({"budget_km":5} vs {"budget_km":5.0}) share an entry.
-	kp := keyPool.Get().(*[]byte)
-	key := appendPlanKey((*kp)[:0], model, tm.etag, cm, b)
-
-	if e, ok := sh.cache.Get(key); ok {
-		*kp = key
-		keyPool.Put(kp)
-		s.metrics.planCacheHits.Inc()
-		s.writeCached(w, r, e)
-		return
-	}
-	s.metrics.planCacheMisses.Inc()
-
-	// Miss: plan off the snapshot's prefix structure. Get/Add instead of
-	// GetOrFill so plan-validation failures map to 400 (and encode
-	// failures to 500) without ever being cached.
-	e, clientErr, err := s.buildPlanBody(tm, model, cm, b)
+	tm, err := s.getShard(r.Context(), sh, model)
 	if err != nil {
-		*kp = key
-		keyPool.Put(kp)
-		if clientErr {
-			s.writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		s.log.Printf("serve: encode plan for %s: %v", model, err)
-		s.writeErr(w, http.StatusInternalServerError, "encoding plan failed")
+		s.writeGetErr(w, err)
 		return
 	}
-	sh.cache.Add(key, e)
-	*kp = key
-	keyPool.Put(kp)
+	e, status, err := s.snapshotEntry(sh, tm, model, entryQuery{cm: cm, b: b})
+	if err != nil {
+		s.writeErr(w, status, "%v", err)
+		return
+	}
 	s.writeCached(w, r, e)
 }
 
@@ -1220,17 +1229,17 @@ func planParams(budgetKM float64, maxPipes int, inspPerKM, failCost, maxSpend *f
 }
 
 // buildPlanBody prices one plan against a snapshot and encodes the
-// response body; shared by the single-plan miss path and the bulk plan
-// fill. The bool distinguishes client errors (plan validation → 400)
-// from encode failures (500). The caller owns caching.
-func (s *Server) buildPlanBody(tm *modelSnapshot, model string, cm plan.CostModel, b plan.Budget) (respcache.Entry, bool, error) {
+// response body — snapshotEntry's plan miss path. The status is 400 for
+// a plan that fails validation and 500 for an encode failure; the
+// caller owns caching.
+func (s *Server) buildPlanBody(tm *modelSnapshot, model string, cm plan.CostModel, b plan.Budget) (respcache.Entry, int, error) {
 	px, err := tm.prefixFor(cm, s.metrics.planPrefixBuilds)
 	if err != nil {
-		return respcache.Entry{}, true, err
+		return respcache.Entry{}, http.StatusBadRequest, err
 	}
 	p, err := px.Plan(b)
 	if err != nil {
-		return respcache.Entry{}, true, err
+		return respcache.Entry{}, http.StatusBadRequest, err
 	}
 	resp := planResponse{
 		Model:             model,
@@ -1242,9 +1251,10 @@ func (s *Server) buildPlanBody(tm *modelSnapshot, model string, cm plan.CostMode
 	if len(p.Selected) > 0 {
 		resp.Pipes = p.IDs()
 	}
-	body, err := encodeBody(resp)
+	e, err := hashedEntry(resp)
 	if err != nil {
-		return respcache.Entry{}, false, err
+		s.log.Printf("serve: encode plan for %s: %v", model, err)
+		return respcache.Entry{}, http.StatusInternalServerError, errors.New("encoding plan failed")
 	}
-	return respcache.Entry{Body: body, ETag: respcache.BodyETag(body)}, false, nil
+	return e, 0, nil
 }

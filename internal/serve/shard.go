@@ -42,10 +42,8 @@ type shard struct {
 	ingest *ingestState
 
 	// cache holds this shard's encoded responses under its slice of the
-	// global budget; cacheName is kept so SetResponseCacheBytes can
-	// rebuild it under the same metric series.
-	cache     *respcache.Cache
-	cacheName string
+	// global budget (see Server.SetResponseCacheBytes).
+	cache *respcache.Cache
 
 	// stateDir is this shard's warm-restart directory (a per-region
 	// subdirectory of the server's -state-dir when multiple shards
@@ -66,9 +64,9 @@ type shard struct {
 	rebuildFailures *obs.Counter
 }
 
-// newShard builds one region's serving state with its slice of the
-// response-cache budget.
-func newShard(n *pipefail.Network, cacheName string, cacheBytes int64, opts ...pipefail.PipelineOption) (*shard, error) {
+// newShard builds one region's serving state; the caller installs its
+// response cache.
+func newShard(n *pipefail.Network, opts ...pipefail.PipelineOption) (*shard, error) {
 	p, err := pipefail.NewPipeline(n, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("serve: region %q: %w", n.Region, err)
@@ -80,8 +78,6 @@ func newShard(n *pipefail.Network, cacheName string, cacheBytes int64, opts ...p
 		net:             n,
 		pipe:            p,
 		opts:            opts,
-		cache:           respcache.New(cacheName, cacheBytes, nil),
-		cacheName:       cacheName,
 		pending:         make(map[string]*trainJob),
 		rebuilds:        reg.Counter("serve.shard." + token + ".rebuilds"),
 		rebuildFailures: reg.Counter("serve.shard." + token + ".rebuild_failures"),

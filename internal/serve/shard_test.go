@@ -58,6 +58,27 @@ func TestNewMultiRejectsDuplicateRegions(t *testing.T) {
 	if !strings.Contains(err.Error(), "inputs 1 and 2") {
 		t.Fatalf("error %q does not name the colliding inputs", err)
 	}
+
+	// Distinct names whose metric tokens collide would share a WAL dir,
+	// a state dir and a metric series; they are refused too.
+	netN1, err := pipefail.GenerateRegion("A", 7, 0.04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	netN2, err := pipefail.GenerateRegion("A", 8, 0.04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	netN1.Region, netN2.Region = "North", "north"
+	_, err = NewMulti([]*pipefail.Network{netA1, netN1, netN2}, log.New(io.Discard, "", 0))
+	if err == nil {
+		t.Fatal("regions with colliding metric tokens accepted")
+	}
+	for _, want := range []string{`"North"`, `"north"`, "inputs 2 and 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
+		}
+	}
 }
 
 func TestRegionQueryRouting(t *testing.T) {

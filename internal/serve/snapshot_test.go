@@ -338,6 +338,115 @@ func TestConcurrentReadsDuringColdTrain(t *testing.T) {
 	}
 }
 
+// TestConcurrentColdRankingConverges races 16 cache-cold requests for
+// one ranking: all join the same training run, then all miss the
+// response cache at once. Nothing coordinates the fills, so several may
+// encode their own copy, but every response must carry the same bytes
+// and ETag, and the cache must hold the key exactly once.
+func TestConcurrentColdRankingConverges(t *testing.T) {
+	s, ts := newTestServer(t)
+	const workers = 16
+	bodies := make([][]byte, workers)
+	etags := make([]string, workers)
+	errs := make([]error, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Get(ts.URL + "/api/models/Heuristic-Age/ranking?top=7")
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			etags[i] = resp.Header.Get("Etag")
+			bodies[i], errs[i] = io.ReadAll(resp.Body)
+			if errs[i] == nil && resp.StatusCode != 200 {
+				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, bodies[i])
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range errs {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(bodies[i], bodies[0]) || etags[i] != etags[0] || etags[i] == "" {
+			t.Fatalf("request %d diverged: etag %q vs %q, body %.60s vs %.60s",
+				i, etags[i], etags[0], bodies[i], bodies[0])
+		}
+	}
+	tm, err := s.get(context.Background(), "Heuristic-Age")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if etags[0] != tm.etag {
+		t.Fatalf("etag %q, want the snapshot's %q", etags[0], tm.etag)
+	}
+	want := string(appendRankingKey(nil, "Heuristic-Age", tm.etag, 7))
+	if keys := s.def.cache.Keys(); len(keys) != 1 || keys[0] != want {
+		t.Fatalf("cache keys %q, want exactly %q", keys, want)
+	}
+}
+
+// TestFillErrorNeverCached pins the Get/Add contract on the plan path:
+// a plan that fails validation (400) and a plan against a model without
+// a calibrator (409) fail the same way on every request, single or bulk,
+// and leave no cache entry behind.
+func TestFillErrorNeverCached(t *testing.T) {
+	s, ts := newTestServer(t)
+	realTrain := s.trainFn
+	s.trainFn = func(ctx context.Context, sh *shard, name string) (*modelSnapshot, error) {
+		tm, err := realTrain(ctx, sh, name)
+		if err != nil {
+			return nil, err
+		}
+		switch name {
+		case "Heuristic-Age": // a zero-length candidate fails plan validation
+			tm.cands[0].LengthM = 0
+			tm.planDefault = nil
+		case "Heuristic-Length":
+			tm.calibrator = nil
+		}
+		return tm, nil
+	}
+	for _, tc := range []struct {
+		model string
+		code  int
+		msg   string
+	}{
+		{"Heuristic-Age", 400, "non-positive length"},
+		{"Heuristic-Length", 409, "no calibrator"},
+	} {
+		body := `{"model":"` + tc.model + `","budget_km":3}`
+		for i := 0; i < 2; i++ {
+			code, resp, err := post(ts.URL+"/api/plan", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != tc.code || !strings.Contains(string(resp), tc.msg) {
+				t.Fatalf("%s plan: status %d %s, want %d naming %q", tc.model, code, resp, tc.code, tc.msg)
+			}
+		}
+		code, raw, err := post(ts.URL+"/api/bulk/plan", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != 200 || !strings.Contains(string(raw), `"error":`) || !strings.Contains(string(raw), tc.msg) {
+			t.Fatalf("%s bulk plan: status %d %s, want an error line naming %q", tc.model, code, raw, tc.msg)
+		}
+	}
+	for _, k := range s.def.cache.Keys() {
+		if strings.HasPrefix(k, "plan\x00") {
+			t.Fatalf("failed plan left cache entry %q", k)
+		}
+	}
+}
+
 // TestFailedTrainPopulatesNothing injects training failures and asserts
 // concurrent ranking requests all fail cleanly with no model published
 // and no response-cache entry left behind.
