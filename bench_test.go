@@ -183,7 +183,7 @@ func benchSets(b *testing.B) (*feature.Set, *feature.Set) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fb, err := feature.NewBuilder(net, feature.Options{})
+	fb, err := feature.NewBuilder(net.Columns(), feature.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func BenchmarkAblationLabels(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fb, err := feature.NewBuilder(net, feature.Options{})
+	fb, err := feature.NewBuilder(net.Columns(), feature.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

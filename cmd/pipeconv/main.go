@@ -37,7 +37,7 @@ func main() {
 	}
 
 	start := time.Now()
-	d, err := colfmt.Open(*in)
+	d, columnar, err := colfmt.Open(*in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,30 +45,11 @@ func main() {
 
 	var outFiles []string
 	var target string
+	format := "csv"
 	convStart := time.Now()
-	switch d.Format {
-	case colfmt.FormatCSV:
-		// CSV in -> columnar out. Accept either an explicit .col file path
-		// or a directory (then the canonical dataset.col inside it).
-		target = *out
-		if !strings.HasSuffix(target, ".col") {
-			if err := os.MkdirAll(target, 0o755); err != nil {
-				log.Fatal(err)
-			}
-			target = filepath.Join(target, colfmt.DatasetFile)
-		} else if err := os.MkdirAll(filepath.Dir(target), 0o755); err != nil {
-			log.Fatal(err)
-		}
-		col, err := d.Columnar()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := colfmt.WriteFile(target, col); err != nil {
-			log.Fatal(err)
-		}
-		outFiles = []string{target}
-	case colfmt.FormatColumnar:
+	if columnar {
 		// Columnar in -> CSV directory out.
+		format = "columnar"
 		net, err := d.Network()
 		if err != nil {
 			log.Fatal(err)
@@ -80,8 +61,22 @@ func main() {
 		for _, name := range []string{"pipes.csv", "failures.csv", "meta.csv"} {
 			outFiles = append(outFiles, filepath.Join(*out, name))
 		}
-	default:
-		log.Fatalf("unsupported input format %q", d.Format)
+	} else {
+		// CSV in -> columnar out. Accept either an explicit .col file path
+		// or a directory (then the canonical dataset.col inside it).
+		target = *out
+		if !strings.HasSuffix(target, ".col") {
+			if err := os.MkdirAll(target, 0o755); err != nil {
+				log.Fatal(err)
+			}
+			target = filepath.Join(target, colfmt.DatasetFile)
+		} else if err := os.MkdirAll(filepath.Dir(target), 0o755); err != nil {
+			log.Fatal(err)
+		}
+		if err := colfmt.WriteFile(target, d); err != nil {
+			log.Fatal(err)
+		}
+		outFiles = []string{target}
 	}
 	convElapsed := time.Since(convStart)
 
@@ -93,7 +88,7 @@ func main() {
 		}
 		bytes += st.Size()
 	}
-	fmt.Printf("converted %s (%s) -> %s\n", *in, d.Format, target)
-	fmt.Printf("pipes: %d  failures: %d  output bytes: %d\n", d.NumPipes(), d.NumFailures(), bytes)
+	fmt.Printf("converted %s (%s) -> %s\n", *in, format, target)
+	fmt.Printf("pipes: %d  failures: %d  output bytes: %d\n", d.NumPipes(), d.NumEvents(), bytes)
 	fmt.Printf("load: %s  convert+write: %s\n", loadElapsed.Round(time.Millisecond), convElapsed.Round(time.Millisecond))
 }

@@ -137,7 +137,7 @@ func generateCSV(cfg synthetic.Config, dir string) (*synthetic.StreamSummary, er
 // needed; they are then sorted into the canonical (Year, Day, ID) order so
 // the file is byte-identical to converting the equivalent CSV directory.
 func generateColumnar(cfg synthetic.Config, dir string) (*synthetic.StreamSummary, error) {
-	d := &colfmt.Dataset{
+	d := &dataset.Columns{
 		Region:       cfg.Region,
 		ObservedFrom: cfg.ObservedFrom,
 		ObservedTo:   cfg.ObservedTo,
@@ -151,24 +151,7 @@ func generateColumnar(cfg synthetic.Config, dir string) (*synthetic.StreamSummar
 
 	c := &d.Pipes
 	sum, err := synthetic.GenerateStream(cfg,
-		func(p *dataset.Pipe) error {
-			c.ID = append(c.ID, p.ID)
-			c.Class = append(c.Class, p.Class)
-			c.Material = append(c.Material, p.Material)
-			c.Coating = append(c.Coating, p.Coating)
-			c.DiameterMM = append(c.DiameterMM, p.DiameterMM)
-			c.LengthM = append(c.LengthM, p.LengthM)
-			c.LaidYear = append(c.LaidYear, int32(p.LaidYear))
-			c.SoilCorrosivity = append(c.SoilCorrosivity, p.SoilCorrosivity)
-			c.SoilExpansivity = append(c.SoilExpansivity, p.SoilExpansivity)
-			c.SoilGeology = append(c.SoilGeology, p.SoilGeology)
-			c.SoilMap = append(c.SoilMap, p.SoilMap)
-			c.DistToTrafficM = append(c.DistToTrafficM, p.DistToTrafficM)
-			c.X = append(c.X, p.X)
-			c.Y = append(c.Y, p.Y)
-			c.Segments = append(c.Segments, int32(p.Segments))
-			return nil
-		},
+		func(p *dataset.Pipe) error { c.Append(p); return nil },
 		func(f *dataset.Failure) error {
 			// The generator emits a pipe's failures right after the pipe
 			// itself, so the row reference is the last appended row.

@@ -39,8 +39,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// OpenData sniffs the on-disk format; columnar datasets feed the
-	// feature builder straight from their column arrays, never
+	// OpenData sniffs the on-disk format and validates the data; the
+	// feature builder reads the column arrays directly, never
 	// materializing a row-oriented registry.
 	d, err := pipefail.OpenData(*data)
 	if err != nil {
@@ -61,7 +61,7 @@ func main() {
 	}
 
 	fmt.Printf("model %s on region %s: trained on %d-%d, evaluated on %d\n",
-		*model, d.Region(), p.Split().TrainFrom, p.Split().TrainTo, p.Split().TestYear)
+		*model, d.Region, p.Split().TrainFrom, p.Split().TrainTo, p.Split().TestYear)
 	fmt.Printf("AUC %s | detection @1%% %s @5%% %s @10%% %s\n",
 		eval.FormatPercent(ranking.AUC()),
 		eval.FormatPercent(ranking.DetectionAt(0.01)),

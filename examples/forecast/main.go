@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := feature.NewBuilder(net, feature.Options{})
+	b, err := feature.NewBuilder(net.Columns(), feature.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

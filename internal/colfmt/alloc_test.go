@@ -12,11 +12,7 @@ import (
 // fraction, for alloc measurements at two different row counts.
 func encodedAt(t *testing.T, scale float64) []byte {
 	t.Helper()
-	d, err := FromNetwork(testNetwork(t, scale, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return encode(t, d)
+	return encode(t, testNetwork(t, scale, 11).Columns())
 }
 
 // TestReadAllocsRowIndependent enforces the O(columns) loading guarantee:
@@ -57,7 +53,7 @@ func TestIngestAllocsRowIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := feature.NewBuilderFromSource(d, feature.Options{Groups: feature.AllGroups(), Standardize: true})
+		b, err := feature.NewBuilder(d, feature.Options{Groups: feature.AllGroups(), Standardize: true})
 		if err != nil {
 			t.Fatal(err)
 		}

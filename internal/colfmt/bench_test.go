@@ -31,7 +31,7 @@ var benchSizes = []struct {
 var benchFixtures = map[float64]*benchFixture{}
 
 type benchFixture struct {
-	d   *Dataset
+	d   *dataset.Columns
 	raw []byte
 	// csvPipes and csvFails are the CSV renderings, for the convert path.
 	csvPipes, csvFails []byte
@@ -50,10 +50,7 @@ func fixture(b *testing.B, scale float64) *benchFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := FromNetwork(net)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := net.Columns()
 	var buf bytes.Buffer
 	if err := Write(&buf, d); err != nil {
 		b.Fatal(err)
@@ -128,11 +125,7 @@ func BenchmarkConvertCSVToCol(b *testing.B) {
 				b.Fatal(err)
 			}
 			net := dataset.NewNetwork(f.d.Region, f.d.ObservedFrom, f.d.ObservedTo, pipes, fails)
-			d, err := FromNetwork(net)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := Write(io.Discard, d); err != nil {
+			if err := Write(io.Discard, net.Columns()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -150,7 +143,7 @@ func BenchmarkIngest(b *testing.B) {
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			bld, err := feature.NewBuilderFromSource(f.d, feature.Options{Groups: feature.AllGroups(), Standardize: true})
+			bld, err := feature.NewBuilder(f.d, feature.Options{Groups: feature.AllGroups(), Standardize: true})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -23,28 +23,21 @@
 //	        blob (unique strings such as pipe IDs)
 //	encU32  uint32, 4 bytes/row (event→pipe row references)
 //
-// The reader (Read) streams the file in one pass into a Dataset — a
-// struct-of-arrays mirror of the registry — with O(columns) allocations:
-// one typed slice per column plus a reused section scratch buffer, never
-// per-row boxes. Events reference pipes by registry row index, so no
-// ID-keyed map is needed to join them. Dataset implements feature.Source,
-// which lets feature.Builder fill its flat row-major Set backing straight
-// from the columns without materializing []dataset.Pipe; because the same
-// Builder arithmetic runs over either source, columnar and CSV loads of
-// the same data yield bit-identical feature matrices.
+// The reader (Read) streams the file in one pass into a dataset.Columns —
+// the struct-of-arrays registry that feature.Builder reads — with
+// O(columns) allocations: one typed slice per column plus a reused
+// section scratch buffer, never per-row boxes. Events reference pipes by
+// registry row index, so no ID-keyed map is needed to join them. Every
+// decoded file is then checked with Columns.Validate, the same rules
+// Network.Validate applies, so a PCOL load rejects exactly what a
+// materialized load would.
 //
 // Open is the format-sniffing loader the CLIs share: a directory with a
 // dataset.col file (or a bare .col file path) loads columnar, any other
-// directory falls back to the CSV reader in internal/dataset.
+// directory falls back to the CSV reader in internal/dataset and converts
+// once with Network.Columns. OpenNetwork resolves the path the same way
+// and returns a validated row-oriented network.
 package colfmt
-
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"repro/internal/dataset"
-)
 
 // Magic is the 4-byte file signature.
 const Magic = "PCOL"
@@ -106,277 +99,3 @@ const (
 // maxRows bounds the declared registry and event-log sizes; anything
 // larger is a corrupt or hostile header, not a plausible utility.
 const maxRows = 1 << 31
-
-// PipeColumns is the registry as a struct of arrays; index i across every
-// slice is one pipe, in the same order a materialized Network.Pipes()
-// would present it. String columns share backing: dictionary-encoded
-// columns point at their dictionary entries, IDs slice one blob.
-type PipeColumns struct {
-	ID              []string
-	Class           []dataset.PipeClass
-	Material        []dataset.Material
-	Coating         []dataset.Coating
-	DiameterMM      []float64
-	LengthM         []float64
-	LaidYear        []int32
-	SoilCorrosivity []string
-	SoilExpansivity []string
-	SoilGeology     []string
-	SoilMap         []string
-	DistToTrafficM  []float64
-	X               []float64
-	Y               []float64
-	Segments        []int32
-}
-
-// EventColumns is the failure log as a struct of arrays. Pipe holds
-// registry row indices (not IDs), which is what makes columnar history
-// joins map-free.
-type EventColumns struct {
-	Pipe    []uint32
-	Segment []int32
-	Year    []int32
-	Day     []int32
-	Mode    []dataset.FailureMode
-}
-
-// Dataset is one region in columnar form: the decoded contents of a PCOL
-// file, or the columnar view of a Network built with FromNetwork. It
-// implements feature.Source, so feature.Builder can encode design
-// matrices from it directly.
-type Dataset struct {
-	Region                   string
-	ObservedFrom, ObservedTo int
-
-	Pipes  PipeColumns
-	Events EventColumns
-
-	// CSR-style per-pipe event index: pipe i's event years are
-	// evYear[evStart[i]:evStart[i+1]], grouped (not sorted) by pipe.
-	evStart []uint32
-	evYear  []int32
-}
-
-// NumPipes returns the registry size.
-func (d *Dataset) NumPipes() int { return len(d.Pipes.ID) }
-
-// NumEvents returns the failure-log size.
-func (d *Dataset) NumEvents() int { return len(d.Events.Pipe) }
-
-// LaidYearAt implements feature.Source.
-func (d *Dataset) LaidYearAt(i int) int { return int(d.Pipes.LaidYear[i]) }
-
-// PipeAt implements feature.Source: it assembles pipe i from the columns.
-// The string fields share backing with the dataset's dictionaries and ID
-// blob, so no allocation happens.
-func (d *Dataset) PipeAt(i int, p *dataset.Pipe) {
-	c := &d.Pipes
-	p.ID = c.ID[i]
-	p.Class = c.Class[i]
-	p.Material = c.Material[i]
-	p.Coating = c.Coating[i]
-	p.DiameterMM = c.DiameterMM[i]
-	p.LengthM = c.LengthM[i]
-	p.LaidYear = int(c.LaidYear[i])
-	p.SoilCorrosivity = c.SoilCorrosivity[i]
-	p.SoilExpansivity = c.SoilExpansivity[i]
-	p.SoilGeology = c.SoilGeology[i]
-	p.SoilMap = c.SoilMap[i]
-	p.DistToTrafficM = c.DistToTrafficM[i]
-	p.X = c.X[i]
-	p.Y = c.Y[i]
-	p.Segments = int(c.Segments[i])
-}
-
-// FailureCountAt implements feature.Source: failures of pipe i with Year
-// in [from, to].
-func (d *Dataset) FailureCountAt(i, from, to int) int {
-	n := 0
-	for _, y := range d.evYear[d.evStart[i]:d.evStart[i+1]] {
-		if yy := int(y); yy >= from && yy <= to {
-			n++
-		}
-	}
-	return n
-}
-
-// FailedInYearAt implements feature.Source.
-func (d *Dataset) FailedInYearAt(i, year int) bool {
-	for _, y := range d.evYear[d.evStart[i]:d.evStart[i+1]] {
-		if int(y) == year {
-			return true
-		}
-	}
-	return false
-}
-
-// buildEventIndex (re)derives the per-pipe event index from the columns.
-// Three allocations, O(pipes + events) time, no maps.
-func (d *Dataset) buildEventIndex() {
-	n := d.NumPipes()
-	counts := make([]uint32, n+1)
-	for _, p := range d.Events.Pipe {
-		counts[p+1]++
-	}
-	for i := 1; i <= n; i++ {
-		counts[i] += counts[i-1]
-	}
-	d.evStart = counts
-	d.evYear = make([]int32, len(d.Events.Pipe))
-	fill := make([]uint32, n)
-	copy(fill, counts[:n])
-	for e, p := range d.Events.Pipe {
-		d.evYear[fill[p]] = d.Events.Year[e]
-		fill[p]++
-	}
-}
-
-// check validates the cross-column invariants the CSV parsers enforce
-// row-by-row: non-empty unique pipe IDs, finite floats, and event pipe
-// references inside the registry. It allocates O(1) scratch (a sort
-// index), keeping the loading path's allocation count row-independent.
-func (d *Dataset) check() error {
-	n := d.NumPipes()
-	c := &d.Pipes
-	for i := 0; i < n; i++ {
-		if c.ID[i] == "" {
-			return fmt.Errorf("colfmt: pipe row %d has empty ID", i)
-		}
-	}
-	for _, col := range []struct {
-		name string
-		v    []float64
-	}{
-		{"diameter_mm", c.DiameterMM}, {"length_m", c.LengthM},
-		{"dist_traffic_m", c.DistToTrafficM}, {"x", c.X}, {"y", c.Y},
-	} {
-		for i, v := range col.v {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("colfmt: pipe row %d: non-finite %s", i, col.name)
-			}
-		}
-	}
-	// Duplicate-ID detection without an ID map: sort a row index by ID
-	// and compare neighbours.
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool { return c.ID[idx[a]] < c.ID[idx[b]] })
-	for i := 1; i < n; i++ {
-		if c.ID[idx[i]] == c.ID[idx[i-1]] {
-			return fmt.Errorf("colfmt: duplicate pipe ID %q (rows %d and %d)",
-				c.ID[idx[i]], idx[i-1], idx[i])
-		}
-	}
-	for e, p := range d.Events.Pipe {
-		if int(p) >= n {
-			return fmt.Errorf("colfmt: event %d references pipe row %d outside registry of %d", e, p, n)
-		}
-	}
-	return nil
-}
-
-// FromNetwork builds the columnar view of a network. Event rows keep the
-// network's (Year, Day, PipeID) order; pipe rows keep registry order.
-func FromNetwork(net *dataset.Network) (*Dataset, error) {
-	if net == nil {
-		return nil, fmt.Errorf("colfmt: nil network")
-	}
-	pipes := net.Pipes()
-	fails := net.Failures()
-	d := &Dataset{
-		Region:       net.Region,
-		ObservedFrom: net.ObservedFrom,
-		ObservedTo:   net.ObservedTo,
-		Pipes: PipeColumns{
-			ID:              make([]string, len(pipes)),
-			Class:           make([]dataset.PipeClass, len(pipes)),
-			Material:        make([]dataset.Material, len(pipes)),
-			Coating:         make([]dataset.Coating, len(pipes)),
-			DiameterMM:      make([]float64, len(pipes)),
-			LengthM:         make([]float64, len(pipes)),
-			LaidYear:        make([]int32, len(pipes)),
-			SoilCorrosivity: make([]string, len(pipes)),
-			SoilExpansivity: make([]string, len(pipes)),
-			SoilGeology:     make([]string, len(pipes)),
-			SoilMap:         make([]string, len(pipes)),
-			DistToTrafficM:  make([]float64, len(pipes)),
-			X:               make([]float64, len(pipes)),
-			Y:               make([]float64, len(pipes)),
-			Segments:        make([]int32, len(pipes)),
-		},
-		Events: EventColumns{
-			Pipe:    make([]uint32, len(fails)),
-			Segment: make([]int32, len(fails)),
-			Year:    make([]int32, len(fails)),
-			Day:     make([]int32, len(fails)),
-			Mode:    make([]dataset.FailureMode, len(fails)),
-		},
-	}
-	for i := range pipes {
-		p := &pipes[i]
-		c := &d.Pipes
-		c.ID[i] = p.ID
-		c.Class[i] = p.Class
-		c.Material[i] = p.Material
-		c.Coating[i] = p.Coating
-		c.DiameterMM[i] = p.DiameterMM
-		c.LengthM[i] = p.LengthM
-		c.LaidYear[i] = int32(p.LaidYear)
-		c.SoilCorrosivity[i] = p.SoilCorrosivity
-		c.SoilExpansivity[i] = p.SoilExpansivity
-		c.SoilGeology[i] = p.SoilGeology
-		c.SoilMap[i] = p.SoilMap
-		c.DistToTrafficM[i] = p.DistToTrafficM
-		c.X[i] = p.X
-		c.Y[i] = p.Y
-		c.Segments[i] = int32(p.Segments)
-	}
-	for e := range fails {
-		f := &fails[e]
-		row := net.PipeIndex(f.PipeID)
-		if row < 0 {
-			return nil, fmt.Errorf("colfmt: failure %d references unknown pipe %q", e, f.PipeID)
-		}
-		d.Events.Pipe[e] = uint32(row)
-		d.Events.Segment[e] = int32(f.Segment)
-		d.Events.Year[e] = int32(f.Year)
-		d.Events.Day[e] = int32(f.Day)
-		d.Events.Mode[e] = f.Mode
-	}
-	d.buildEventIndex()
-	return d, nil
-}
-
-// Failures materializes the event log in stored order (fresh slice; safe
-// for the caller to sort or mutate).
-func (d *Dataset) Failures() []dataset.Failure {
-	out := make([]dataset.Failure, d.NumEvents())
-	for e := range out {
-		out[e] = dataset.Failure{
-			PipeID:  d.Pipes.ID[d.Events.Pipe[e]],
-			Segment: int(d.Events.Segment[e]),
-			Year:    int(d.Events.Year[e]),
-			Day:     int(d.Events.Day[e]),
-			Mode:    d.Events.Mode[e],
-		}
-	}
-	return out
-}
-
-// Network materializes the dataset into a validated *dataset.Network —
-// the compatibility path for consumers that need the row-oriented model
-// (serving, planning, risk maps). Fresh slices every call; the columnar
-// fast path (feature.Source) never goes through here.
-func (d *Dataset) Network() (*dataset.Network, error) {
-	pipes := make([]dataset.Pipe, d.NumPipes())
-	for i := range pipes {
-		d.PipeAt(i, &pipes[i])
-	}
-	net := dataset.NewNetwork(d.Region, d.ObservedFrom, d.ObservedTo, pipes, d.Failures())
-	if err := net.Validate(); err != nil {
-		return nil, fmt.Errorf("colfmt: materialized network failed validation: %w", err)
-	}
-	return net, nil
-}

@@ -28,7 +28,7 @@ func testNetwork(t testing.TB, scale float64, seed int64) *dataset.Network {
 	return net
 }
 
-func encode(t testing.TB, d *Dataset) []byte {
+func encode(t testing.TB, d *dataset.Columns) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, d); err != nil {
@@ -39,10 +39,7 @@ func encode(t testing.TB, d *Dataset) []byte {
 
 func TestRoundTrip(t *testing.T) {
 	net := testNetwork(t, 0.05, 17)
-	d, err := FromNetwork(net)
-	if err != nil {
-		t.Fatalf("FromNetwork: %v", err)
-	}
+	d := net.Columns()
 	raw := encode(t, d)
 	got, err := Read(bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
@@ -74,10 +71,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestWriteFileReadFile(t *testing.T) {
 	net := testNetwork(t, 0.03, 5)
-	d, err := FromNetwork(net)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := net.Columns()
 	path := filepath.Join(t.TempDir(), DatasetFile)
 	if err := WriteFile(path, d); err != nil {
 		t.Fatalf("WriteFile: %v", err)
@@ -93,10 +87,7 @@ func TestWriteFileReadFile(t *testing.T) {
 
 func TestOpenSniffing(t *testing.T) {
 	net := testNetwork(t, 0.03, 9)
-	d, err := FromNetwork(net)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := net.Columns()
 
 	csvDir := t.TempDir()
 	if err := dataset.SaveDir(net, csvDir); err != nil {
@@ -115,53 +106,61 @@ func TestOpenSniffing(t *testing.T) {
 	}
 
 	cases := []struct {
-		path, format string
+		path     string
+		columnar bool
 	}{
-		{csvDir, FormatCSV},
-		{colDir, FormatColumnar},
-		{bothDir, FormatColumnar},
-		{filepath.Join(colDir, DatasetFile), FormatColumnar},
+		{csvDir, false},
+		{colDir, true},
+		{bothDir, true},
+		{filepath.Join(colDir, DatasetFile), true},
 	}
 	for _, c := range cases {
-		data, err := Open(c.path)
+		data, columnar, err := Open(c.path)
 		if err != nil {
 			t.Fatalf("Open(%s): %v", c.path, err)
 		}
-		if data.Format != c.format {
-			t.Fatalf("Open(%s): format %q, want %q", c.path, data.Format, c.format)
+		if columnar != c.columnar {
+			t.Fatalf("Open(%s): columnar = %v, want %v", c.path, columnar, c.columnar)
 		}
-		if data.NumPipes() != net.NumPipes() || data.NumFailures() != len(net.Failures()) {
+		if data.NumPipes() != net.NumPipes() || data.NumEvents() != len(net.Failures()) {
 			t.Fatalf("Open(%s): %d pipes / %d failures, want %d / %d",
-				c.path, data.NumPipes(), data.NumFailures(), net.NumPipes(), len(net.Failures()))
+				c.path, data.NumPipes(), data.NumEvents(), net.NumPipes(), len(net.Failures()))
 		}
-		if data.Region() != net.Region {
-			t.Fatalf("Open(%s): region %q, want %q", c.path, data.Region(), net.Region)
+		if data.Region != net.Region {
+			t.Fatalf("Open(%s): region %q, want %q", c.path, data.Region, net.Region)
 		}
-		if id := data.PipeID(3); id != net.Pipes()[3].ID {
-			t.Fatalf("Open(%s): PipeID(3) = %q, want %q", c.path, id, net.Pipes()[3].ID)
+		if id := data.Pipes.ID[3]; id != net.Pipes()[3].ID {
+			t.Fatalf("Open(%s): Pipes.ID[3] = %q, want %q", c.path, id, net.Pipes()[3].ID)
+		}
+		got, err := OpenNetwork(c.path)
+		if err != nil {
+			t.Fatalf("OpenNetwork(%s): %v", c.path, err)
+		}
+		if !reflect.DeepEqual(got.Pipes(), net.Pipes()) || !reflect.DeepEqual(got.Failures(), net.Failures()) {
+			t.Fatalf("OpenNetwork(%s): network differs from the original", c.path)
 		}
 	}
 
-	if _, err := Open(filepath.Join(csvDir, "no-such-path")); err == nil {
+	missing := filepath.Join(csvDir, "no-such-path")
+	if _, _, err := Open(missing); err == nil {
 		t.Fatal("Open of a missing path succeeded")
+	}
+	if _, err := OpenNetwork(missing); err == nil {
+		t.Fatal("OpenNetwork of a missing path succeeded")
 	}
 }
 
-// TestColumnarBuilderBitIdentical is the differential harness for the
-// acceptance criterion: feeding feature.Builder from the columnar source
-// must produce bit-for-bit the same design matrices as feeding it from the
-// materialized network.
+// TestColumnarBuilderBitIdentical is the cross-format differential
+// harness: feature.Builder over a network's columns (the CSV load path)
+// must produce bit-for-bit the same design matrices as over the same data
+// decoded from PCOL bytes.
 func TestColumnarBuilderBitIdentical(t *testing.T) {
 	net := testNetwork(t, 0.08, 23)
 	split, err := dataset.PaperSplit(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := FromNetwork(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := encode(t, d)
+	raw := encode(t, net.Columns())
 	col, err := Read(bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
 		t.Fatal(err)
@@ -169,11 +168,11 @@ func TestColumnarBuilderBitIdentical(t *testing.T) {
 
 	for _, std := range []bool{false, true} {
 		opts := feature.Options{Groups: feature.AllGroups(), Standardize: std}
-		nb, err := feature.NewBuilder(net, opts)
+		nb, err := feature.NewBuilder(net.Columns(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cb, err := feature.NewBuilderFromSource(col, opts)
+		cb, err := feature.NewBuilder(col, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,11 +222,7 @@ func TestColumnarBuilderBitIdentical(t *testing.T) {
 
 func TestReadRejectsCorruption(t *testing.T) {
 	net := testNetwork(t, 0.02, 41)
-	d, err := FromNetwork(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := encode(t, d)
+	raw := encode(t, net.Columns())
 
 	decode := func(b []byte) error {
 		_, err := Read(bytes.NewReader(b), int64(len(b)))
@@ -288,10 +283,7 @@ func TestReadRejectsBadContent(t *testing.T) {
 	net := testNetwork(t, 0.02, 43)
 
 	t.Run("duplicate IDs", func(t *testing.T) {
-		d, err := FromNetwork(net)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := net.Columns()
 		d.Pipes.ID[1] = d.Pipes.ID[0]
 		raw := encode(t, d)
 		if _, err := Read(bytes.NewReader(raw), int64(len(raw))); err == nil {
@@ -299,10 +291,7 @@ func TestReadRejectsBadContent(t *testing.T) {
 		}
 	})
 	t.Run("event ref out of range", func(t *testing.T) {
-		d, err := FromNetwork(net)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := net.Columns()
 		if d.NumEvents() == 0 {
 			t.Skip("no events at this scale")
 		}
@@ -313,10 +302,7 @@ func TestReadRejectsBadContent(t *testing.T) {
 		}
 	})
 	t.Run("non-finite float", func(t *testing.T) {
-		d, err := FromNetwork(net)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := net.Columns()
 		d.Pipes.DiameterMM[0] = nan()
 		raw := encode(t, d)
 		if _, err := Read(bytes.NewReader(raw), int64(len(raw))); err == nil {
@@ -328,38 +314,6 @@ func TestReadRejectsBadContent(t *testing.T) {
 func nan() float64 {
 	z := 0.0
 	return z / z
-}
-
-func TestSourceAgainstNetwork(t *testing.T) {
-	net := testNetwork(t, 0.05, 29)
-	d, err := FromNetwork(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns := feature.NetworkSource(net)
-	if d.NumPipes() != ns.NumPipes() {
-		t.Fatalf("NumPipes %d vs %d", d.NumPipes(), ns.NumPipes())
-	}
-	var cp, np dataset.Pipe
-	for i := 0; i < d.NumPipes(); i++ {
-		d.PipeAt(i, &cp)
-		ns.PipeAt(i, &np)
-		if cp != np {
-			t.Fatalf("pipe %d differs: %+v vs %+v", i, cp, np)
-		}
-		for y := net.ObservedFrom - 1; y <= net.ObservedTo+1; y++ {
-			if got, want := d.FailedInYearAt(i, y), ns.FailedInYearAt(i, y); got != want {
-				t.Fatalf("pipe %d FailedInYearAt(%d): %v vs %v", i, y, got, want)
-			}
-		}
-		if got, want := d.FailureCountAt(i, net.ObservedFrom, net.ObservedTo),
-			ns.FailureCountAt(i, net.ObservedFrom, net.ObservedTo); got != want {
-			t.Fatalf("pipe %d FailureCountAt: %d vs %d", i, got, want)
-		}
-		if got, want := d.FailureCountAt(i, net.ObservedTo, net.ObservedFrom), 0; got != want {
-			t.Fatalf("pipe %d empty-window FailureCountAt: %d", i, got)
-		}
-	}
 }
 
 // TestCSVColumnarCSVRoundTrip is the cross-format property: rendering a
@@ -399,11 +353,7 @@ func TestCSVColumnarCSVRoundTrip(t *testing.T) {
 		}
 
 		// CSV -> columnar -> encoded -> decoded -> network -> CSV.
-		d, err := FromNetwork(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw := encode(t, d)
+		raw := encode(t, net.Columns())
 		got, err := Read(bytes.NewReader(raw), int64(len(raw)))
 		if err != nil {
 			t.Fatal(err)
@@ -425,5 +375,55 @@ func TestCSVColumnarCSVRoundTrip(t *testing.T) {
 		if !bytes.Equal(fails1.Bytes(), fails2.Bytes()) {
 			t.Fatalf("%s seed %d: failures.csv changed across CSV->columnar->CSV", tc.preset, tc.seed)
 		}
+	}
+}
+
+// TestLoadRejectsImplausibleData pins validation on every load path: a
+// structurally sound PCOL file carrying one implausible value must be
+// rejected by Read, Open and OpenNetwork alike, with the problems
+// Network.Validate reports for the same data.
+func TestLoadRejectsImplausibleData(t *testing.T) {
+	net := testNetwork(t, 0.03, 13)
+	last := net.NumFailures() - 1
+	for _, tc := range []struct {
+		name   string
+		mutate func(d *dataset.Columns)
+	}{
+		{"zero diameter", func(d *dataset.Columns) { d.Pipes.DiameterMM[0] = 0 }},
+		// The latest event stays last, so both logs number it alike.
+		{"failure after window", func(d *dataset.Columns) { d.Events.Year[last] = int32(d.ObservedTo + 1) }},
+		{"failure segment", func(d *dataset.Columns) { d.Events.Segment[0] = 9999 }},
+		// The earliest event stays first.
+		{"day zero", func(d *dataset.Columns) { d.Events.Day[0] = 0 }},
+		{"failure before laid year", func(d *dataset.Columns) {
+			d.Pipes.LaidYear[d.Events.Pipe[0]] = d.Events.Year[0] + 1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := net.Columns()
+			tc.mutate(d)
+			_, verr := d.Network()
+			want, ok := dataset.AsValidationError(verr)
+			if !ok {
+				t.Fatalf("Network.Validate: got %v, want a validation error", verr)
+			}
+			path := filepath.Join(t.TempDir(), DatasetFile)
+			if err := WriteFile(path, d); err != nil {
+				t.Fatal(err)
+			}
+			raw := encode(t, d)
+			_, readErr := Read(bytes.NewReader(raw), int64(len(raw)))
+			_, _, openErr := Open(path)
+			_, netErr := OpenNetwork(path)
+			for _, err := range []error{readErr, openErr, netErr} {
+				got, ok := dataset.AsValidationError(err)
+				if !ok {
+					t.Fatalf("load accepted implausible data or failed otherwise: %v", err)
+				}
+				if !reflect.DeepEqual(got.Problems, want.Problems) {
+					t.Fatalf("problems differ:\n load:    %q\n network: %q", got.Problems, want.Problems)
+				}
+			}
+		})
 	}
 }

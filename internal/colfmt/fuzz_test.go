@@ -7,15 +7,14 @@ import (
 )
 
 // FuzzReadDataset hammers the streaming reader with corrupt inputs. The
-// invariant: Read either fails cleanly or yields a dataset that survives a
-// re-encode/re-decode round trip — it never panics, and its allocations are
-// bounded by the input size (enforced structurally by the budget charged in
-// reader.take, exercised here by headers declaring absurd lengths).
+// invariant: Read either fails cleanly or yields columns that survive a
+// re-encode/re-decode round trip and materialize through Network() without
+// error — it never panics, its validation is at least as strict as
+// Network.Validate, and its allocations are bounded by the input size
+// (enforced structurally by the budget charged in reader.take, exercised
+// here by headers declaring absurd lengths).
 func FuzzReadDataset(f *testing.F) {
-	d, err := FromNetwork(testNetwork(f, 0.02, 7))
-	if err != nil {
-		f.Fatal(err)
-	}
+	d := testNetwork(f, 0.02, 7).Columns()
 	var buf bytes.Buffer
 	if err := Write(&buf, d); err != nil {
 		f.Fatal(err)
@@ -69,6 +68,9 @@ func FuzzReadDataset(f *testing.F) {
 		}
 		if !reflect.DeepEqual(d.Pipes, d2.Pipes) || !reflect.DeepEqual(d.Events, d2.Events) {
 			t.Fatal("columns changed across re-encode round trip")
+		}
+		if _, err := d.Network(); err != nil {
+			t.Fatalf("accepted columns fail to materialize: %v", err)
 		}
 	})
 }

@@ -6,148 +6,62 @@ import (
 	"path/filepath"
 
 	"repro/internal/dataset"
-	"repro/internal/feature"
 )
 
-// Format names for Data.Format.
-const (
-	FormatColumnar = "columnar"
-	FormatCSV      = "csv"
-)
-
-// Data is a loaded dataset behind either backend. The columnar path keeps
-// the registry in struct-of-arrays form and only materializes a Network on
-// demand; the CSV path starts from a Network and builds the columnar view
-// lazily. Either way, Source() feeds feature.Builder the same values in
-// the same row order, so downstream matrices are bit-identical across
-// formats.
-type Data struct {
-	// Format records which backend the data came from: FormatColumnar or
-	// FormatCSV.
-	Format string
-
-	col *Dataset
-	net *dataset.Network
-}
-
-// Open loads the dataset at path, sniffing the format:
+// Open loads the dataset at path as columns and reports whether they came
+// from a PCOL file. The format is sniffed:
 //
 //   - a regular file is read as a PCOL columnar file;
 //   - a directory containing DatasetFile ("dataset.col") loads columnar,
 //     even if CSV files sit alongside it;
-//   - any other directory loads the pipes/failures/meta CSV trio.
-func Open(path string) (*Data, error) {
-	st, err := os.Stat(path)
+//   - any other directory loads the pipes/failures/meta CSV trio, which is
+//     validated as a network and converted once with Network.Columns.
+func Open(path string) (cols *dataset.Columns, columnar bool, err error) {
+	colPath, err := locate(path)
 	if err != nil {
-		return nil, fmt.Errorf("colfmt: %w", err)
+		return nil, false, err
 	}
-	if !st.IsDir() {
-		d, err := ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return &Data{Format: FormatColumnar, col: d}, nil
-	}
-	colPath := filepath.Join(path, DatasetFile)
-	if _, err := os.Stat(colPath); err == nil {
-		d, err := ReadFile(colPath)
-		if err != nil {
-			return nil, err
-		}
-		return &Data{Format: FormatColumnar, col: d}, nil
+	if colPath != "" {
+		cols, err := ReadFile(colPath)
+		return cols, true, err
 	}
 	net, err := dataset.LoadDir(path)
 	if err != nil {
+		return nil, false, err
+	}
+	return net.Columns(), false, nil
+}
+
+// OpenNetwork loads the dataset at path, sniffed as Open does, as a
+// validated row-oriented network.
+func OpenNetwork(path string) (*dataset.Network, error) {
+	colPath, err := locate(path)
+	if err != nil {
 		return nil, err
 	}
-	return &Data{Format: FormatCSV, net: net}, nil
-}
-
-// FromNetworkData wraps an in-memory network as Data (CSV-path semantics).
-func FromNetworkData(net *dataset.Network) *Data {
-	return &Data{Format: FormatCSV, net: net}
-}
-
-// Region returns the region label.
-func (d *Data) Region() string {
-	if d.col != nil {
-		return d.col.Region
+	if colPath == "" {
+		return dataset.LoadDir(path)
 	}
-	return d.net.Region
+	cols, err := ReadFile(colPath)
+	if err != nil {
+		return nil, err
+	}
+	return cols.Network()
 }
 
-// ObservedFrom returns the first observed calendar year.
-func (d *Data) ObservedFrom() int {
-	if d.col != nil {
-		return d.col.ObservedFrom
+// locate resolves path to the PCOL file it names or holds, or to "" for a
+// CSV directory.
+func locate(path string) (string, error) {
+	st, err := os.Stat(path)
+	if err != nil {
+		return "", fmt.Errorf("colfmt: %w", err)
 	}
-	return d.net.ObservedFrom
-}
-
-// ObservedTo returns the last observed calendar year.
-func (d *Data) ObservedTo() int {
-	if d.col != nil {
-		return d.col.ObservedTo
+	if !st.IsDir() {
+		return path, nil
 	}
-	return d.net.ObservedTo
-}
-
-// NumPipes returns the registry size.
-func (d *Data) NumPipes() int {
-	if d.col != nil {
-		return d.col.NumPipes()
+	colPath := filepath.Join(path, DatasetFile)
+	if _, err := os.Stat(colPath); err == nil {
+		return colPath, nil
 	}
-	return d.net.NumPipes()
-}
-
-// NumFailures returns the failure-log size.
-func (d *Data) NumFailures() int {
-	if d.col != nil {
-		return d.col.NumEvents()
-	}
-	return len(d.net.Failures())
-}
-
-// Source returns the feature.Source view — the fast path that never
-// materializes []dataset.Pipe for columnar data.
-func (d *Data) Source() feature.Source {
-	if d.col != nil {
-		return d.col
-	}
-	return feature.NetworkSource(d.net)
-}
-
-// PipeID returns pipe i's ID without materializing the registry.
-func (d *Data) PipeID(i int) string {
-	if d.col != nil {
-		return d.col.Pipes.ID[i]
-	}
-	return d.net.Pipes()[i].ID
-}
-
-// Columnar returns the columnar view, building it from the network on
-// first use for CSV-backed data. The result is cached.
-func (d *Data) Columnar() (*Dataset, error) {
-	if d.col == nil {
-		col, err := FromNetwork(d.net)
-		if err != nil {
-			return nil, err
-		}
-		d.col = col
-	}
-	return d.col, nil
-}
-
-// Network returns the row-oriented view, materializing and validating it
-// from the columns on first use for columnar-backed data. The result is
-// cached.
-func (d *Data) Network() (*dataset.Network, error) {
-	if d.net == nil {
-		net, err := d.col.Network()
-		if err != nil {
-			return nil, err
-		}
-		d.net = net
-	}
-	return d.net, nil
+	return "", nil
 }

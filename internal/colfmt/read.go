@@ -19,7 +19,7 @@ import (
 const chunkSize = 1 << 20
 
 // ReadFile decodes the PCOL file at path in one streaming pass.
-func ReadFile(path string) (*Dataset, error) {
+func ReadFile(path string) (*dataset.Columns, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("colfmt: %w", err)
@@ -36,14 +36,15 @@ func ReadFile(path string) (*Dataset, error) {
 	return d, nil
 }
 
-// Read decodes a PCOL stream of at most size bytes. The size bound is what
-// keeps allocation proportional to real input rather than to whatever a
-// corrupt header claims: every declared section length is charged against
-// it before any buffer is sized. The decoded Dataset holds one typed slice
-// per column — allocation count is O(columns), independent of row count.
-func Read(r io.Reader, size int64) (*Dataset, error) {
+// Read decodes a PCOL stream of at most size bytes and validates it with
+// Columns.Validate. The size bound is what keeps allocation proportional
+// to real input rather than to whatever a corrupt header claims: every
+// declared section length is charged against it before any buffer is
+// sized. The decoded columns hold one typed slice per column — allocation
+// count is O(columns), independent of row count.
+func Read(r io.Reader, size int64) (*dataset.Columns, error) {
 	rd := &reader{br: bufio.NewReaderSize(r, 1<<16), budget: size}
-	return rd.dataset()
+	return rd.columns()
 }
 
 // expected per-column encodings, in required file order.
@@ -176,7 +177,7 @@ func (p *payload) finish() error {
 	return nil
 }
 
-func (r *reader) dataset() (*Dataset, error) {
+func (r *reader) columns() (*dataset.Columns, error) {
 	var hdr [8]byte
 	if err := r.take(8); err != nil {
 		return nil, fmt.Errorf("colfmt: %w", err)
@@ -194,7 +195,7 @@ func (r *reader) dataset() (*Dataset, error) {
 		return nil, fmt.Errorf("colfmt: unsupported flags %#04x", f)
 	}
 
-	d := &Dataset{}
+	d := &dataset.Columns{}
 	numPipes, numEvents, err := r.meta(d)
 	if err != nil {
 		return nil, fmt.Errorf("colfmt: meta section: %w", err)
@@ -227,14 +228,14 @@ func (r *reader) dataset() (*Dataset, error) {
 		return nil, fmt.Errorf("colfmt: trailing data after end marker")
 	}
 
-	d.buildEventIndex()
-	if err := d.check(); err != nil {
-		return nil, err
+	if err := d.Validate(); err != nil {
+		return nil, fmt.Errorf("colfmt: %w", err)
 	}
+	d.IndexEvents()
 	return d, nil
 }
 
-func (r *reader) meta(d *Dataset) (numPipes, numEvents int, err error) {
+func (r *reader) meta(d *dataset.Columns) (numPipes, numEvents int, err error) {
 	h, err := r.sectionHeader()
 	if err != nil {
 		return 0, 0, err
@@ -303,7 +304,7 @@ func (r *reader) column(kind, id byte, rows int) (*payload, secHdr, error) {
 	return p, h, err
 }
 
-func (r *reader) pipeColumn(d *Dataset, id byte, rows int) error {
+func (r *reader) pipeColumn(d *dataset.Columns, id byte, rows int) error {
 	p, h, err := r.column(secPipe, id, rows)
 	if err != nil {
 		return err
@@ -347,7 +348,7 @@ func (r *reader) pipeColumn(d *Dataset, id byte, rows int) error {
 	return p.finish()
 }
 
-func (r *reader) eventColumn(d *Dataset, id byte, rows, numPipes int) error {
+func (r *reader) eventColumn(d *dataset.Columns, id byte, rows, numPipes int) error {
 	p, h, err := r.column(secEvent, id, rows)
 	if err != nil {
 		return err
@@ -355,8 +356,8 @@ func (r *reader) eventColumn(d *Dataset, id byte, rows, numPipes int) error {
 	ev := &d.Events
 	switch id {
 	case colEventPipe:
-		// Validating row references during decode keeps buildEventIndex
-		// panic-free on corrupt inputs.
+		// Validating row references during decode keeps Validate and
+		// IndexEvents panic-free on corrupt inputs.
 		ev.Pipe, err = r.u32Col(p, h, rows, uint32(numPipes))
 	case colEventSegment:
 		ev.Segment, err = r.i32Col(p, h, rows)

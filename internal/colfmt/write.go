@@ -16,7 +16,7 @@ import (
 // Write encodes the dataset as a PCOL file. Sections are emitted in the
 // canonical order the reader requires: meta, pipe columns, event columns,
 // end marker.
-func Write(w io.Writer, d *Dataset) error {
+func Write(w io.Writer, d *dataset.Columns) error {
 	if d == nil {
 		return fmt.Errorf("colfmt: nil dataset")
 	}
@@ -72,7 +72,7 @@ func Write(w io.Writer, d *Dataset) error {
 
 // WriteFile writes the dataset to path via a temp file + rename, so a
 // crashed writer never leaves a truncated .col behind.
-func WriteFile(path string, d *Dataset) error {
+func WriteFile(path string, d *dataset.Columns) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("colfmt: %w", err)
@@ -93,7 +93,7 @@ func WriteFile(path string, d *Dataset) error {
 	return nil
 }
 
-func consistentLengths(d *Dataset) error {
+func consistentLengths(d *dataset.Columns) error {
 	n, e := d.NumPipes(), d.NumEvents()
 	c, ev := &d.Pipes, &d.Events
 	for _, l := range []int{
@@ -145,7 +145,7 @@ func (s *sectionWriter) section(kind, id, enc byte, rows uint64, payload []byte)
 	}
 }
 
-func (s *sectionWriter) meta(d *Dataset) {
+func (s *sectionWriter) meta(d *dataset.Columns) {
 	b := s.scratch[:0]
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(d.Region)))
 	b = append(b, d.Region...)

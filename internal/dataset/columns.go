@@ -1,0 +1,280 @@
+package dataset
+
+import (
+	"slices"
+	"strings"
+)
+
+// PipeColumns is the registry as a struct of arrays; index i across every
+// slice is one pipe, in the same order a materialized Network.Pipes()
+// would present it. Decoded string columns share backing: dictionary
+// entries for the low-cardinality columns, one blob for the IDs.
+type PipeColumns struct {
+	ID              []string
+	Class           []PipeClass
+	Material        []Material
+	Coating         []Coating
+	DiameterMM      []float64
+	LengthM         []float64
+	LaidYear        []int32
+	SoilCorrosivity []string
+	SoilExpansivity []string
+	SoilGeology     []string
+	SoilMap         []string
+	DistToTrafficM  []float64
+	X               []float64
+	Y               []float64
+	Segments        []int32
+}
+
+// Append adds p as the last row.
+func (c *PipeColumns) Append(p *Pipe) {
+	c.ID = append(c.ID, p.ID)
+	c.Class = append(c.Class, p.Class)
+	c.Material = append(c.Material, p.Material)
+	c.Coating = append(c.Coating, p.Coating)
+	c.DiameterMM = append(c.DiameterMM, p.DiameterMM)
+	c.LengthM = append(c.LengthM, p.LengthM)
+	c.LaidYear = append(c.LaidYear, int32(p.LaidYear))
+	c.SoilCorrosivity = append(c.SoilCorrosivity, p.SoilCorrosivity)
+	c.SoilExpansivity = append(c.SoilExpansivity, p.SoilExpansivity)
+	c.SoilGeology = append(c.SoilGeology, p.SoilGeology)
+	c.SoilMap = append(c.SoilMap, p.SoilMap)
+	c.DistToTrafficM = append(c.DistToTrafficM, p.DistToTrafficM)
+	c.X = append(c.X, p.X)
+	c.Y = append(c.Y, p.Y)
+	c.Segments = append(c.Segments, int32(p.Segments))
+}
+
+// EventColumns is the failure log as a struct of arrays. Pipe holds
+// registry row indices (not IDs), which is what makes columnar history
+// joins map-free.
+type EventColumns struct {
+	Pipe    []uint32
+	Segment []int32
+	Year    []int32
+	Day     []int32
+	Mode    []FailureMode
+}
+
+// Columns is one region in columnar form: the decoded contents of a PCOL
+// file (internal/colfmt), or the view of a Network built by
+// Network.Columns. It is the only input of feature.Builder, which fills
+// its design matrices straight from the column arrays.
+//
+// Code that fills the columns directly must call IndexEvents before using
+// the per-pipe history accessors.
+type Columns struct {
+	Region                   string
+	ObservedFrom, ObservedTo int
+
+	Pipes  PipeColumns
+	Events EventColumns
+
+	// CSR-style per-pipe event index: pipe i's event years are
+	// evYear[evStart[i]:evStart[i+1]], grouped (not sorted) by pipe.
+	evStart []uint32
+	evYear  []int32
+}
+
+// Columns returns the network in columnar form: pipe rows in registry
+// order, event rows in the network's (Year, Day, PipeID) order. Failures
+// naming a pipe outside the registry are left out; Validate rejects such
+// networks, and no per-pipe history could count them anyway.
+func (n *Network) Columns() *Columns {
+	c := &Columns{Region: n.Region, ObservedFrom: n.ObservedFrom, ObservedTo: n.ObservedTo}
+	np, nf := len(n.pipes), len(n.failures)
+	c.Pipes = PipeColumns{
+		ID:              make([]string, 0, np),
+		Class:           make([]PipeClass, 0, np),
+		Material:        make([]Material, 0, np),
+		Coating:         make([]Coating, 0, np),
+		DiameterMM:      make([]float64, 0, np),
+		LengthM:         make([]float64, 0, np),
+		LaidYear:        make([]int32, 0, np),
+		SoilCorrosivity: make([]string, 0, np),
+		SoilExpansivity: make([]string, 0, np),
+		SoilGeology:     make([]string, 0, np),
+		SoilMap:         make([]string, 0, np),
+		DistToTrafficM:  make([]float64, 0, np),
+		X:               make([]float64, 0, np),
+		Y:               make([]float64, 0, np),
+		Segments:        make([]int32, 0, np),
+	}
+	for i := range n.pipes {
+		c.Pipes.Append(&n.pipes[i])
+	}
+	e := &c.Events
+	*e = EventColumns{
+		Pipe:    make([]uint32, 0, nf),
+		Segment: make([]int32, 0, nf),
+		Year:    make([]int32, 0, nf),
+		Day:     make([]int32, 0, nf),
+		Mode:    make([]FailureMode, 0, nf),
+	}
+	for i := range n.failures {
+		f := &n.failures[i]
+		row, ok := n.byID[f.PipeID]
+		if !ok {
+			continue
+		}
+		e.Pipe = append(e.Pipe, uint32(row))
+		e.Segment = append(e.Segment, int32(f.Segment))
+		e.Year = append(e.Year, int32(f.Year))
+		e.Day = append(e.Day, int32(f.Day))
+		e.Mode = append(e.Mode, f.Mode)
+	}
+	c.IndexEvents()
+	return c
+}
+
+// NumPipes returns the registry size.
+func (c *Columns) NumPipes() int { return len(c.Pipes.ID) }
+
+// NumEvents returns the failure-log size.
+func (c *Columns) NumEvents() int { return len(c.Events.Pipe) }
+
+// PipeAt assembles pipe i from the columns. The string fields share
+// backing with the columns, so nothing is allocated.
+func (c *Columns) PipeAt(i int, p *Pipe) {
+	pc := &c.Pipes
+	*p = Pipe{
+		ID:              pc.ID[i],
+		Class:           pc.Class[i],
+		Material:        pc.Material[i],
+		Coating:         pc.Coating[i],
+		DiameterMM:      pc.DiameterMM[i],
+		LengthM:         pc.LengthM[i],
+		LaidYear:        int(pc.LaidYear[i]),
+		SoilCorrosivity: pc.SoilCorrosivity[i],
+		SoilExpansivity: pc.SoilExpansivity[i],
+		SoilGeology:     pc.SoilGeology[i],
+		SoilMap:         pc.SoilMap[i],
+		DistToTrafficM:  pc.DistToTrafficM[i],
+		X:               pc.X[i],
+		Y:               pc.Y[i],
+		Segments:        int(pc.Segments[i]),
+	}
+}
+
+// failureAt assembles event e from the columns without allocating.
+func (c *Columns) failureAt(e int, f *Failure) {
+	ev := &c.Events
+	*f = Failure{
+		PipeID:  c.Pipes.ID[ev.Pipe[e]],
+		Segment: int(ev.Segment[e]),
+		Year:    int(ev.Year[e]),
+		Day:     int(ev.Day[e]),
+		Mode:    ev.Mode[e],
+	}
+}
+
+// FailureCount returns how many failures pipe i had in calendar years
+// [from, to] (inclusive); from > to is an empty window.
+func (c *Columns) FailureCount(i, from, to int) int {
+	n := 0
+	for _, y := range c.evYear[c.evStart[i]:c.evStart[i+1]] {
+		if yy := int(y); yy >= from && yy <= to {
+			n++
+		}
+	}
+	return n
+}
+
+// FailedInYear reports whether pipe i failed at least once in year.
+func (c *Columns) FailedInYear(i, year int) bool {
+	for _, y := range c.evYear[c.evStart[i]:c.evStart[i+1]] {
+		if int(y) == year {
+			return true
+		}
+	}
+	return false
+}
+
+// IndexEvents (re)derives the per-pipe event index from the columns.
+// Three allocations, O(pipes + events) time, no maps. Every Events.Pipe
+// entry must be a row of the registry.
+func (c *Columns) IndexEvents() {
+	n := c.NumPipes()
+	counts := make([]uint32, n+1)
+	for _, p := range c.Events.Pipe {
+		counts[p+1]++
+	}
+	for i := 1; i <= n; i++ {
+		counts[i] += counts[i-1]
+	}
+	c.evStart = counts
+	c.evYear = make([]int32, len(c.Events.Pipe))
+	fill := make([]uint32, n)
+	copy(fill, counts[:n])
+	for e, p := range c.Events.Pipe {
+		c.evYear[fill[p]] = c.Events.Year[e]
+		fill[p]++
+	}
+}
+
+// Validate applies Network.Validate's rules to the columns, with the same
+// problem text, so a columnar load rejects exactly what a materialized one
+// would. Event pipe references must already lie inside the registry (the
+// PCOL decoder enforces that). A clean registry costs O(1) allocations —
+// one sort index for the duplicate-ID scan — whatever its size.
+func (c *Columns) Validate() error {
+	var probs problems
+	if c.ObservedFrom > c.ObservedTo {
+		probs.add("observation window [%d, %d] is inverted", c.ObservedFrom, c.ObservedTo)
+	}
+	var p Pipe
+	for i := range c.Pipes.ID {
+		c.PipeAt(i, &p)
+		if p.ID == "" {
+			probs.add("pipe %d has empty ID", i)
+			continue
+		}
+		probs.checkPipe(&p, c.ObservedTo)
+	}
+	// Duplicate-ID detection without an ID map: sort a row index by ID
+	// and compare neighbours.
+	ids := c.Pipes.ID
+	idx := make([]int32, len(ids))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int { return strings.Compare(ids[a], ids[b]) })
+	for i := 1; i < len(idx); i++ {
+		if id := ids[idx[i]]; id != "" && id == ids[idx[i-1]] {
+			probs.add("duplicate pipe ID %q", id)
+		}
+	}
+	var f Failure
+	for e := range c.Events.Pipe {
+		c.failureAt(e, &f)
+		c.PipeAt(int(c.Events.Pipe[e]), &p)
+		probs.checkFailure(e, &f, &p, c.ObservedFrom, c.ObservedTo)
+	}
+	return probs.err()
+}
+
+// Failures materializes the event log in stored order (fresh slice; safe
+// for the caller to sort or mutate).
+func (c *Columns) Failures() []Failure {
+	out := make([]Failure, c.NumEvents())
+	for e := range out {
+		c.failureAt(e, &out[e])
+	}
+	return out
+}
+
+// Network materializes the columns into a validated *Network — the path
+// for consumers that need the row-oriented model (serving, planning, risk
+// maps). Fresh slices every call.
+func (c *Columns) Network() (*Network, error) {
+	pipes := make([]Pipe, c.NumPipes())
+	for i := range pipes {
+		c.PipeAt(i, &pipes[i])
+	}
+	net := NewNetwork(c.Region, c.ObservedFrom, c.ObservedTo, pipes, c.Failures())
+	if err := net.Validate(); err != nil {
+		return nil, err
+	}
+	return net, nil
+}

@@ -97,11 +97,6 @@ const (
 	CoatingTar Coating = "TAR"
 )
 
-// Coatings lists every known coating in a stable order.
-func Coatings() []Coating {
-	return []Coating{CoatingNone, CoatingPESleeve, CoatingTar}
-}
-
 // Soil categorical levels. Each soil factor partitions the region into zones;
 // pipes falling in the same zone share the value.
 var (

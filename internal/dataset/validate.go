@@ -3,6 +3,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -32,73 +33,104 @@ func (e *ValidationError) Error() string {
 // physically plausible attributes, and failures that reference existing
 // pipes, valid segments, and the observation window. It returns nil when
 // the network is clean, or a *ValidationError listing every problem.
+// Columns.Validate applies the same rules to a columnar registry.
 func (n *Network) Validate() error {
-	var probs []string
-	add := func(format string, args ...any) {
-		probs = append(probs, fmt.Sprintf(format, args...))
-	}
-
+	var probs problems
 	if n.ObservedFrom > n.ObservedTo {
-		add("observation window [%d, %d] is inverted", n.ObservedFrom, n.ObservedTo)
+		probs.add("observation window [%d, %d] is inverted", n.ObservedFrom, n.ObservedTo)
 	}
 
 	seen := make(map[string]bool, len(n.pipes))
 	for i := range n.pipes {
 		p := &n.pipes[i]
 		if p.ID == "" {
-			add("pipe %d has empty ID", i)
+			probs.add("pipe %d has empty ID", i)
 			continue
 		}
 		if seen[p.ID] {
-			add("duplicate pipe ID %q", p.ID)
+			probs.add("duplicate pipe ID %q", p.ID)
 		}
 		seen[p.ID] = true
-		if p.DiameterMM <= 0 {
-			add("pipe %q has non-positive diameter %v", p.ID, p.DiameterMM)
-		}
-		if p.LengthM <= 0 {
-			add("pipe %q has non-positive length %v", p.ID, p.LengthM)
-		}
-		if p.Segments <= 0 {
-			add("pipe %q has non-positive segment count %d", p.ID, p.Segments)
-		}
-		if p.LaidYear > n.ObservedTo {
-			add("pipe %q laid in %d, after observation end %d", p.ID, p.LaidYear, n.ObservedTo)
-		}
-		if p.Class != ClassForDiameter(p.DiameterMM) {
-			add("pipe %q class %s inconsistent with diameter %v mm", p.ID, p.Class, p.DiameterMM)
-		}
-		if p.DistToTrafficM < 0 {
-			add("pipe %q has negative traffic distance %v", p.ID, p.DistToTrafficM)
-		}
+		probs.checkPipe(p, n.ObservedTo)
 	}
 
 	for i := range n.failures {
 		f := &n.failures[i]
 		p, ok := n.PipeByID(f.PipeID)
 		if !ok {
-			add("failure %d references unknown pipe %q", i, f.PipeID)
+			probs.add("failure %d references unknown pipe %q", i, f.PipeID)
 			continue
 		}
-		if f.Segment < 0 || f.Segment >= p.Segments {
-			add("failure %d on pipe %q has segment %d outside [0,%d)", i, f.PipeID, f.Segment, p.Segments)
-		}
-		if f.Year < n.ObservedFrom || f.Year > n.ObservedTo {
-			add("failure %d on pipe %q in year %d outside window [%d,%d]",
-				i, f.PipeID, f.Year, n.ObservedFrom, n.ObservedTo)
-		}
-		if f.Year < p.LaidYear {
-			add("failure %d on pipe %q predates laid year %d", i, f.PipeID, p.LaidYear)
-		}
-		if f.Day < 1 || f.Day > 366 {
-			add("failure %d on pipe %q has day-of-year %d", i, f.PipeID, f.Day)
-		}
+		probs.checkFailure(i, f, p, n.ObservedFrom, n.ObservedTo)
 	}
+	return probs.err()
+}
 
-	if len(probs) == 0 {
+// problems accumulates validation findings; the zero value is empty and
+// adding nothing allocates nothing.
+type problems []string
+
+func (ps *problems) add(format string, args ...any) {
+	*ps = append(*ps, fmt.Sprintf(format, args...))
+}
+
+func (ps problems) err() error {
+	if len(ps) == 0 {
 		return nil
 	}
-	return &ValidationError{Problems: probs}
+	return &ValidationError{Problems: ps}
+}
+
+// checkPipe applies the per-pipe plausibility rules to a pipe with a
+// non-empty ID.
+func (ps *problems) checkPipe(p *Pipe, observedTo int) {
+	for _, v := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"diameter", p.DiameterMM}, {"length", p.LengthM},
+		{"traffic distance", p.DistToTrafficM}, {"x", p.X}, {"y", p.Y},
+	} {
+		if math.IsNaN(v.v) || math.IsInf(v.v, 0) {
+			ps.add("pipe %q has non-finite %s", p.ID, v.name)
+		}
+	}
+	if p.DiameterMM <= 0 {
+		ps.add("pipe %q has non-positive diameter %v", p.ID, p.DiameterMM)
+	}
+	if p.LengthM <= 0 {
+		ps.add("pipe %q has non-positive length %v", p.ID, p.LengthM)
+	}
+	if p.Segments <= 0 {
+		ps.add("pipe %q has non-positive segment count %d", p.ID, p.Segments)
+	}
+	if p.LaidYear > observedTo {
+		ps.add("pipe %q laid in %d, after observation end %d", p.ID, p.LaidYear, observedTo)
+	}
+	if p.Class != ClassForDiameter(p.DiameterMM) {
+		ps.add("pipe %q class %s inconsistent with diameter %v mm", p.ID, p.Class, p.DiameterMM)
+	}
+	if p.DistToTrafficM < 0 {
+		ps.add("pipe %q has negative traffic distance %v", p.ID, p.DistToTrafficM)
+	}
+}
+
+// checkFailure applies the per-failure plausibility rules to failure i,
+// recorded against pipe p.
+func (ps *problems) checkFailure(i int, f *Failure, p *Pipe, observedFrom, observedTo int) {
+	if f.Segment < 0 || f.Segment >= p.Segments {
+		ps.add("failure %d on pipe %q has segment %d outside [0,%d)", i, f.PipeID, f.Segment, p.Segments)
+	}
+	if f.Year < observedFrom || f.Year > observedTo {
+		ps.add("failure %d on pipe %q in year %d outside window [%d,%d]",
+			i, f.PipeID, f.Year, observedFrom, observedTo)
+	}
+	if f.Year < p.LaidYear {
+		ps.add("failure %d on pipe %q predates laid year %d", i, f.PipeID, p.LaidYear)
+	}
+	if f.Day < 1 || f.Day > 366 {
+		ps.add("failure %d on pipe %q has day-of-year %d", i, f.PipeID, f.Day)
+	}
 }
 
 // AsValidationError unwraps err into a *ValidationError when possible.

@@ -18,6 +18,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/feature"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/synthetic"
 )
 
@@ -138,9 +139,13 @@ type ModelEval struct {
 }
 
 // EvaluateSplit trains and evaluates the named models on one split.
-// groups selects the feature groups (zero value = all).
+// groups selects the feature groups (zero value = all). Feature sets are
+// built once and shared read-only while the per-model work fans out across
+// the bounded worker pool in internal/parallel; every model is independent
+// and deterministic, so results do not depend on the worker count
+// (wall-clock timings aside). Results come back in the order of names.
 func EvaluateSplit(net *dataset.Network, split dataset.Split, reg *core.Registry, names []string, groups feature.Groups) ([]ModelEval, error) {
-	b, err := feature.NewBuilder(net, feature.Options{Groups: groups, Standardize: true})
+	b, err := feature.NewBuilder(net.Columns(), feature.Options{Groups: groups, Standardize: true})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
@@ -152,15 +157,19 @@ func EvaluateSplit(net *dataset.Network, split dataset.Split, reg *core.Registry
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	out := make([]ModelEval, 0, len(names))
-	for _, name := range names {
-		me, err := evalOne(net, reg, name, train, test)
+	// Dynamic assignment: per-model cost is wildly uneven (ES vs
+	// closed-form baselines), and every model writes only its own slot.
+	results := make([]ModelEval, len(names))
+	errs := make([]error, len(names))
+	parallel.New(0).ForEachDynamic(len(names), func(i int) {
+		results[i], errs[i] = evalOne(net, reg, names[i], train, test)
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, me)
 	}
-	return out, nil
+	return results, nil
 }
 
 // evalOne trains one fresh model and computes its full ModelEval. Each
@@ -236,7 +245,7 @@ func RunNetworks(opts Options, nets []*dataset.Network) ([]RegionResult, error) 
 		if err != nil {
 			return nil, err
 		}
-		evals, err := EvaluateSplitParallel(net, split, reg, opts.Models, feature.Groups{})
+		evals, err := EvaluateSplit(net, split, reg, opts.Models, feature.Groups{})
 		if err != nil {
 			return nil, err
 		}

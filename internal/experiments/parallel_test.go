@@ -8,6 +8,9 @@ import (
 	"repro/internal/feature"
 )
 
+// TestParallelMatchesSequential pins EvaluateSplit's fan-out: evaluating
+// several models in one call must give exactly what evaluating each one
+// alone gives.
 func TestParallelMatchesSequential(t *testing.T) {
 	opts := fastOpts()
 	net, _, err := GenerateRegion("A", opts)
@@ -20,27 +23,31 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	reg := NewRegistry(opts.Seed, opts.ESGenerations)
 	names := []string{"DirectAUC-ES", "Logistic", "Cox", "Heuristic-Age"}
-	seq, err := EvaluateSplit(net, split, reg, names, feature.Groups{})
+	par, err := EvaluateSplit(net, split, reg, names, feature.Groups{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := EvaluateSplitParallel(net, split, reg, names, feature.Groups{})
-	if err != nil {
-		t.Fatal(err)
+	if len(par) != len(names) {
+		t.Fatalf("got %d evals for %d names", len(par), len(names))
 	}
-	if len(seq) != len(par) {
-		t.Fatalf("lengths %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i].Model != par[i].Model {
-			t.Fatalf("order differs at %d: %s vs %s", i, seq[i].Model, par[i].Model)
+	for i, name := range names {
+		alone, err := EvaluateSplit(net, split, reg, []string{name}, feature.Groups{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if seq[i].AUC != par[i].AUC {
-			t.Fatalf("%s AUC differs: %v vs %v", seq[i].Model, seq[i].AUC, par[i].AUC)
+		seq := alone[0]
+		if seq.Model != par[i].Model {
+			t.Fatalf("order differs at %d: %s vs %s", i, seq.Model, par[i].Model)
 		}
-		for j := range seq[i].Scores {
-			if seq[i].Scores[j] != par[i].Scores[j] {
-				t.Fatalf("%s scores differ at %d", seq[i].Model, j)
+		if seq.AUC != par[i].AUC {
+			t.Fatalf("%s AUC differs: %v vs %v", seq.Model, seq.AUC, par[i].AUC)
+		}
+		if len(seq.Scores) != len(par[i].Scores) {
+			t.Fatalf("%s: %d scores vs %d", seq.Model, len(seq.Scores), len(par[i].Scores))
+		}
+		for j := range seq.Scores {
+			if seq.Scores[j] != par[i].Scores[j] {
+				t.Fatalf("%s scores differ at %d", seq.Model, j)
 			}
 		}
 	}
@@ -57,7 +64,7 @@ func TestParallelPropagatesErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry(opts.Seed, opts.ESGenerations)
-	if _, err := EvaluateSplitParallel(net, split, reg, []string{"Cox", "bogus"}, feature.Groups{}); err == nil {
+	if _, err := EvaluateSplit(net, split, reg, []string{"Cox", "bogus"}, feature.Groups{}); err == nil {
 		t.Fatal("unknown model must propagate")
 	}
 }

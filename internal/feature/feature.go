@@ -16,7 +16,7 @@ package feature
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/linalg"
@@ -196,13 +196,14 @@ func max(a, b int) int {
 	return b
 }
 
-// Builder encodes a registry's pipes into Sets. A Builder is bound to one
-// Source (a materialized network or a columnar dataset); categorical
-// vocabularies are collected from the full registry (attributes are known
-// for all pipes up front — only labels are temporal), while numeric scaling
-// statistics are fitted on the training set alone.
+// Builder encodes a registry's pipes into Sets. A Builder reads one
+// columnar registry (dataset.Columns: a decoded PCOL file, or
+// Network.Columns); categorical vocabularies are collected from the full
+// registry (attributes are known for all pipes up front — only labels are
+// temporal), while numeric scaling statistics are fitted on the training
+// set alone. The columns must not be mutated while the Builder is in use.
 type Builder struct {
-	src  Source
+	cols *dataset.Columns
 	opts Options
 
 	materials []dataset.Material
@@ -222,27 +223,18 @@ type Builder struct {
 	isNumeric []bool
 }
 
-// NewBuilder returns a Builder over the network. Zero-valued Options get
-// the full feature set with standardization enabled.
-func NewBuilder(net *dataset.Network, opts Options) (*Builder, error) {
-	if net == nil {
-		return nil, fmt.Errorf("feature: nil network")
-	}
-	return NewBuilderFromSource(NetworkSource(net), opts)
-}
-
-// NewBuilderFromSource returns a Builder over any Source, e.g. a columnar
-// dataset that never materializes []Pipe. Zero-valued Options get the full
-// feature set with standardization enabled.
-func NewBuilderFromSource(src Source, opts Options) (*Builder, error) {
-	if src == nil {
-		return nil, fmt.Errorf("feature: nil source")
+// NewBuilder returns a Builder over the columns; a network reaches it
+// through Network.Columns. Zero-valued Options get the full feature set
+// with standardization enabled.
+func NewBuilder(cols *dataset.Columns, opts Options) (*Builder, error) {
+	if cols == nil {
+		return nil, fmt.Errorf("feature: nil columns")
 	}
 	if !opts.Groups.Any() {
 		opts.Groups = AllGroups()
 		opts.Standardize = true
 	}
-	b := &Builder{src: src, opts: opts}
+	b := &Builder{cols: cols, opts: opts}
 	b.collectVocabularies()
 	b.buildNames()
 	if len(b.names) == 0 {
@@ -254,39 +246,26 @@ func NewBuilderFromSource(src Source, opts Options) (*Builder, error) {
 // collectVocabularies scans the registry for the categorical levels present,
 // in sorted order for stable column layouts.
 func (b *Builder) collectVocabularies() {
-	mats := map[dataset.Material]bool{}
-	coats := map[dataset.Coating]bool{}
-	sc, se, sg, sm := map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
-	var p dataset.Pipe
-	for i, n := 0, b.src.NumPipes(); i < n; i++ {
-		b.src.PipeAt(i, &p)
-		mats[p.Material] = true
-		coats[p.Coating] = true
-		sc[p.SoilCorrosivity] = true
-		se[p.SoilExpansivity] = true
-		sg[p.SoilGeology] = true
-		sm[p.SoilMap] = true
-	}
-	for m := range mats {
-		b.materials = append(b.materials, m)
-	}
-	sort.Slice(b.materials, func(i, j int) bool { return b.materials[i] < b.materials[j] })
-	for c := range coats {
-		b.coatings = append(b.coatings, c)
-	}
-	sort.Slice(b.coatings, func(i, j int) bool { return b.coatings[i] < b.coatings[j] })
-	b.soilCorr = sortedKeys(sc)
-	b.soilExp = sortedKeys(se)
-	b.soilGeo = sortedKeys(sg)
-	b.soilMap = sortedKeys(sm)
+	c := &b.cols.Pipes
+	b.materials = levels(c.Material)
+	b.coatings = levels(c.Coating)
+	b.soilCorr = levels(c.SoilCorrosivity)
+	b.soilExp = levels(c.SoilExpansivity)
+	b.soilGeo = levels(c.SoilGeology)
+	b.soilMap = levels(c.SoilMap)
 }
 
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// levels returns the distinct values of a categorical column, sorted.
+func levels[T ~string](col []T) []T {
+	seen := map[T]bool{}
+	for _, v := range col {
+		seen[v] = true
 	}
-	sort.Strings(out)
+	out := make([]T, 0, len(seen))
+	for v := range seen {
+		out = append(out, v)
+	}
+	slices.Sort(out)
 	return out
 }
 
@@ -389,7 +368,7 @@ func (b *Builder) rowInto(x []float64, i int, p *dataset.Pipe, year, historyFrom
 	if g.History {
 		n := 0
 		if historyTo >= historyFrom {
-			n = b.src.FailureCountAt(i, historyFrom, historyTo)
+			n = b.cols.FailureCount(i, historyFrom, historyTo)
 		}
 		put(float64(n))
 		put(boolTo01(n > 0))
@@ -408,11 +387,11 @@ func boolTo01(v bool) float64 {
 // use failures in [split.TrainFrom, y-1] only. The returned set is dense
 // (one contiguous backing array; see Set.Flat).
 func (b *Builder) TrainSet(split dataset.Split) (*Set, error) {
-	numPipes := b.src.NumPipes()
+	laid := b.cols.Pipes.LaidYear
 	rows := 0
 	for y := split.TrainFrom; y <= split.TrainTo; y++ {
-		for i := 0; i < numPipes; i++ {
-			if b.src.LaidYearAt(i) <= y {
+		for _, l := range laid {
+			if int(l) <= y {
 				rows++
 			}
 		}
@@ -424,13 +403,13 @@ func (b *Builder) TrainSet(split dataset.Split) (*Set, error) {
 	r := 0
 	var p dataset.Pipe
 	for y := split.TrainFrom; y <= split.TrainTo; y++ {
-		for i := 0; i < numPipes; i++ {
-			if b.src.LaidYearAt(i) > y {
+		for i, l := range laid {
+			if int(l) > y {
 				continue
 			}
-			b.src.PipeAt(i, &p)
+			b.cols.PipeAt(i, &p)
 			b.rowInto(s.X[r], i, &p, y, split.TrainFrom, y-1)
-			s.Label[r] = b.src.FailedInYearAt(i, y)
+			s.Label[r] = b.cols.FailedInYear(i, y)
 			s.Age[r] = p.AgeAt(y)
 			s.LengthM[r] = p.LengthM
 			s.PipeIdx[r] = i
@@ -450,11 +429,11 @@ func (b *Builder) TestSet(split dataset.Split) (*Set, error) {
 	if !b.fitted {
 		return nil, fmt.Errorf("feature: TestSet called before TrainSet")
 	}
-	numPipes := b.src.NumPipes()
+	laid := b.cols.Pipes.LaidYear
 	y := split.TestYear
 	rows := 0
-	for i := 0; i < numPipes; i++ {
-		if b.src.LaidYearAt(i) <= y {
+	for _, l := range laid {
+		if int(l) <= y {
 			rows++
 		}
 	}
@@ -464,13 +443,13 @@ func (b *Builder) TestSet(split dataset.Split) (*Set, error) {
 	s := NewDense(b.Names(), rows, b.Dim())
 	r := 0
 	var p dataset.Pipe
-	for i := 0; i < numPipes; i++ {
-		if b.src.LaidYearAt(i) > y {
+	for i, l := range laid {
+		if int(l) > y {
 			continue
 		}
-		b.src.PipeAt(i, &p)
+		b.cols.PipeAt(i, &p)
 		b.rowInto(s.X[r], i, &p, y, split.TrainFrom, split.TrainTo)
-		s.Label[r] = b.src.FailedInYearAt(i, y)
+		s.Label[r] = b.cols.FailedInYear(i, y)
 		s.Age[r] = p.AgeAt(y)
 		s.LengthM[r] = p.LengthM
 		s.PipeIdx[r] = i

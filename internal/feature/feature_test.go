@@ -48,7 +48,7 @@ func mustSplit(t *testing.T, n *dataset.Network) dataset.Split {
 }
 
 func TestBuilderDefaultsToAllGroups(t *testing.T) {
-	b, err := NewBuilder(buildNet(), Options{})
+	b, err := NewBuilder(buildNet().Columns(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +73,13 @@ func TestBuilderDefaultsToAllGroups(t *testing.T) {
 
 func TestNilNetworkRejected(t *testing.T) {
 	if _, err := NewBuilder(nil, Options{}); err == nil {
-		t.Fatal("nil network must error")
+		t.Fatal("nil columns must error")
 	}
 }
 
 func TestTrainSetShapeAndLaidFilter(t *testing.T) {
 	net := buildNet()
-	b, err := NewBuilder(net, Options{})
+	b, err := NewBuilder(net.Columns(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestTrainSetShapeAndLaidFilter(t *testing.T) {
 
 func TestTestSetShape(t *testing.T) {
 	net := buildNet()
-	b, err := NewBuilder(net, Options{})
+	b, err := NewBuilder(net.Columns(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestTestSetShape(t *testing.T) {
 
 func TestHistoryFeatureNoLeakage(t *testing.T) {
 	net := buildNet()
-	b, err := NewBuilder(net, Options{Groups: Groups{History: true}})
+	b, err := NewBuilder(net.Columns(), Options{Groups: Groups{History: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestHistoryFeatureNoLeakage(t *testing.T) {
 
 func TestStandardizationTrainStats(t *testing.T) {
 	net := buildNet()
-	b, err := NewBuilder(net, Options{Groups: Groups{Age: true, Geometry: true}, Standardize: true})
+	b, err := NewBuilder(net.Columns(), Options{Groups: Groups{Age: true, Geometry: true}, Standardize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestStandardizationTrainStats(t *testing.T) {
 
 func TestOneHotExactlyOnePerFactor(t *testing.T) {
 	net := buildNet()
-	b, err := NewBuilder(net, Options{Groups: Groups{Material: true, Soil: true}})
+	b, err := NewBuilder(net.Columns(), Options{Groups: Groups{Material: true, Soil: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestGroupsWithout(t *testing.T) {
 
 func TestSetMatrix(t *testing.T) {
 	net := buildNet()
-	b, err := NewBuilder(net, Options{Groups: Groups{Age: true}})
+	b, err := NewBuilder(net.Columns(), Options{Groups: Groups{Age: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestSetMatrix(t *testing.T) {
 
 func TestAblationChangesDim(t *testing.T) {
 	net := buildNet()
-	full, err := NewBuilder(net, Options{Groups: AllGroups()})
+	full, err := NewBuilder(net.Columns(), Options{Groups: AllGroups()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestAblationChangesDim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := NewBuilder(net, Options{Groups: noSoil})
+	reduced, err := NewBuilder(net.Columns(), Options{Groups: noSoil})
 	if err != nil {
 		t.Fatal(err)
 	}

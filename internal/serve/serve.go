@@ -315,9 +315,6 @@ func (s *Server) BeginShutdown() {
 	s.closeEventLogs()
 }
 
-// Draining reports whether BeginShutdown has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // SetResponseCacheBytes replaces every shard's response cache with one
 // carved from a global budget of maxBytes (equal shares, remainder to
 // the first shard). Call before serving traffic (it is not synchronized

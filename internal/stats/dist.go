@@ -10,11 +10,6 @@ func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// NormalPDF returns the standard normal density at x.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
-}
-
 // NormalQuantile returns the inverse of the standard normal CDF.
 // It uses the Acklam rational approximation refined with one Halley step,
 // giving ~1e-15 relative accuracy over (0, 1). It panics for p outside (0,1).

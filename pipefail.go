@@ -77,41 +77,39 @@ func GenerateRegion(name string, seed int64, scale float64) (*Network, error) {
 // LoadNetwork reads a network from a dataset path in either on-disk format
 // — the PCOL columnar file (a bare .col file, or a directory holding
 // dataset.col) or the CSV trio written by SaveNetwork — and validates it.
-// The result is always a materialized row-oriented network; large columnar
-// datasets that only need training should go through OpenData instead,
-// which keeps the registry in columnar form.
-func LoadNetwork(dir string) (*Network, error) {
-	d, err := colfmt.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	return d.Network()
-}
+// The result is always a materialized row-oriented network; datasets that
+// only need training should go through OpenData instead, which keeps the
+// registry in columnar form. Both paths reject the same invalid data.
+func LoadNetwork(dir string) (*Network, error) { return colfmt.OpenNetwork(dir) }
 
 // SaveNetwork writes a network to a directory as CSV.
 func SaveNetwork(net *Network, dir string) error { return dataset.SaveDir(net, dir) }
 
-// Data is a loaded dataset behind either on-disk format (CSV trio or PCOL
-// columnar). Columnar-backed Data feeds the feature pipeline straight from
-// its column arrays without ever materializing per-pipe structs.
-type Data = colfmt.Data
+// Data is a region in columnar form, the one input of the feature
+// pipeline: its column arrays feed the design matrices without ever
+// materializing per-pipe structs. Region, ObservedFrom and ObservedTo are
+// plain fields; Network materializes the row-oriented view.
+type Data = dataset.Columns
 
-// OpenData loads the dataset at path with format sniffing: a regular file
-// is read as PCOL columnar, a directory prefers dataset.col over the CSV
-// trio. Pair it with NewPipelineData for the one-pass training path.
-func OpenData(path string) (*Data, error) { return colfmt.Open(path) }
+// OpenData loads and validates the dataset at path with format sniffing:
+// a regular file is read as PCOL columnar, a directory prefers dataset.col
+// over the CSV trio. It rejects exactly what LoadNetwork rejects. Pair it
+// with NewPipelineData for the one-pass training path.
+func OpenData(path string) (*Data, error) {
+	d, _, err := colfmt.Open(path)
+	return d, err
+}
 
 // Pipeline binds a network to a temporal split and a fitted feature
 // encoding, and trains models against it.
 type Pipeline struct {
-	data  *Data
+	ids   []string // registry pipe IDs, by row
 	split Split
 	seed  int64
 
-	builder *feature.Builder
-	train   *feature.Set
-	test    *feature.Set
-	reg     *core.Registry
+	train *feature.Set
+	test  *feature.Set
+	reg   *core.Registry
 }
 
 // PipelineOption customizes NewPipeline.
@@ -157,15 +155,14 @@ func NewPipeline(net *Network, opts ...PipelineOption) (*Pipeline, error) {
 	if net == nil {
 		return nil, fmt.Errorf("pipefail: nil network")
 	}
-	return NewPipelineData(colfmt.FromNetworkData(net), opts...)
+	return NewPipelineData(net.Columns(), opts...)
 }
 
-// NewPipelineData is NewPipeline over a loaded Data handle. For
-// columnar-backed data this is the million-pipe fast path: the feature
-// matrices fill straight from the column arrays with no intermediate
-// per-pipe structs. The default split follows the paper's protocol (all
-// observed years but the last for training); note that for columnar data
-// the split carries no *Network, so Split helpers that need one
+// NewPipelineData is NewPipeline over columnar data, as OpenData returns
+// it or Network.Columns builds it: the feature matrices fill straight from
+// the column arrays with no intermediate per-pipe structs. The default
+// split follows the paper's protocol (all observed years but the last for
+// training); the split carries no *Network, so Split helpers that need one
 // (TrainFailures, TestLabels) are unavailable unless WithSplit supplies it.
 func NewPipelineData(data *Data, opts ...PipelineOption) (*Pipeline, error) {
 	if data == nil {
@@ -179,13 +176,13 @@ func NewPipelineData(data *Data, opts ...PipelineOption) (*Pipeline, error) {
 	if cfg.split != nil {
 		split = *cfg.split
 	} else {
-		from, to := data.ObservedFrom(), data.ObservedTo()
+		from, to := data.ObservedFrom, data.ObservedTo
 		if to-1 < from {
 			return nil, fmt.Errorf("pipefail: observation window [%d, %d] leaves no training years before the held-out year", from, to)
 		}
 		split = Split{TrainFrom: from, TrainTo: to - 1, TestYear: to}
 	}
-	b, err := feature.NewBuilderFromSource(data.Source(), feature.Options{Groups: cfg.groups, Standardize: true})
+	b, err := feature.NewBuilder(data, feature.Options{Groups: cfg.groups, Standardize: true})
 	if err != nil {
 		return nil, fmt.Errorf("pipefail: %w", err)
 	}
@@ -198,8 +195,8 @@ func NewPipelineData(data *Data, opts ...PipelineOption) (*Pipeline, error) {
 		return nil, fmt.Errorf("pipefail: %w", err)
 	}
 	return &Pipeline{
-		data: data, split: split, seed: cfg.seed,
-		builder: b, train: train, test: test,
+		ids: data.Pipes.ID, split: split, seed: cfg.seed,
+		train: train, test: test,
 		reg: experiments.NewRegistry(cfg.seed, cfg.esGens),
 	}, nil
 }
@@ -208,7 +205,7 @@ func NewPipelineData(data *Data, opts ...PipelineOption) (*Pipeline, error) {
 func (p *Pipeline) Split() Split { return p.split }
 
 // FeatureNames returns the expanded design-matrix column names.
-func (p *Pipeline) FeatureNames() []string { return p.builder.Names() }
+func (p *Pipeline) FeatureNames() []string { return append([]string(nil), p.train.Names...) }
 
 // Train fits a fresh instance of the named model on the training window
 // and returns it. Fit wall-clock is recorded into the per-model
@@ -258,7 +255,7 @@ func (p *Pipeline) TrainAndRank(modelName string) (*Ranking, error) {
 func (p *Pipeline) rankingFromScores(model string, scores []float64) *Ranking {
 	r := &Ranking{Model: model, TestYear: p.split.TestYear}
 	for row, idx := range p.test.PipeIdx {
-		r.PipeIDs = append(r.PipeIDs, p.data.PipeID(idx))
+		r.PipeIDs = append(r.PipeIDs, p.ids[idx])
 		r.Scores = append(r.Scores, scores[row])
 		r.Failed = append(r.Failed, p.test.Label[row])
 		r.LengthM = append(r.LengthM, p.test.LengthM[row])

@@ -230,11 +230,7 @@ func TestPipelineDataColumnarMatchesNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Convert the CSV directory to a columnar one.
-	d, err := OpenData(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := d.Columnar()
+	col, err := OpenData(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,12 +242,12 @@ func TestPipelineDataColumnarMatchesNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dCol, err := OpenData(colDir)
+	dCol, columnar, err := colfmt.Open(colDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dCol.Format != colfmt.FormatColumnar {
-		t.Fatalf("sniffer chose %q for a dataset.col directory", dCol.Format)
+	if !columnar {
+		t.Fatal("sniffer chose CSV for a dataset.col directory")
 	}
 
 	pNet, err := NewPipeline(net, WithSeed(3))
