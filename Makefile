@@ -18,8 +18,9 @@ test:
 # differential harness (Dot, MatVec and the AUC kernel bitwise vs naive
 # oracles), the allocation-regression gates on the AUC kernel, the
 # serve ranking/plan/bulk-rank/bulk-plan cached paths and the
-# request-body memo hit (run without -race, which inflates allocation
-# counts), the chaos suite, and a short fuzz pass over the CSV parsers
+# request-body memo hit, the flat per-event ingest allocation count
+# (run without -race, which inflates allocation counts), the chaos
+# suite, and a short fuzz pass over the CSV parsers
 # and the AUC kernel differential.
 verify:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
@@ -27,7 +28,7 @@ verify:
 	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/respcache/... ./internal/experiments/... ./internal/wal/...
 	$(GO) test ./internal/kerneltest -count=1
 	$(GO) test ./internal/eval -run='^TestAUCKernelZeroAlloc$$' -count=1
-	$(GO) test ./internal/serve -run='^(TestRankingCacheHitZeroAlloc|TestPlanCacheHitZeroAlloc|TestBodyMemoHitZeroAlloc|TestBulkRankCacheHitZeroAlloc|TestBulkPlanCacheHitZeroAlloc)$$' -count=1
+	$(GO) test ./internal/serve -run='^(TestRankingCacheHitZeroAlloc|TestPlanCacheHitZeroAlloc|TestBodyMemoHitZeroAlloc|TestBulkRankCacheHitZeroAlloc|TestBulkPlanCacheHitZeroAlloc|TestEventsAllocsFlatWithHistory)$$' -count=1
 	$(GO) test ./internal/colfmt -run='^(TestReadAllocsRowIndependent|TestIngestAllocsRowIndependent)$$' -count=1
 	$(MAKE) chaos
 	$(MAKE) fuzz-smoke
@@ -92,13 +93,10 @@ bench-data:
 # bench-ingest records the streaming-ingest data plane into
 # BENCH_ingest.json: raw WAL append latency per fsync policy (the
 # group-commit parallel case included), replay throughput, and the
-# /api/events handler end to end. The serve-side benchmarks run a fixed
-# iteration count: accepted events accumulate in the live overlays and
-# the per-request drift scan is O(overlay), so time-based auto-scaling
-# would measure ever-growing windows instead of the steady state.
+# /api/events handler end to end.
 bench-ingest:
 	{ $(GO) test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALReplay' ./internal/wal/; \
-	  $(GO) test -run='^$$' -bench='BenchmarkEventsIngest' -benchtime=2000x ./internal/serve/; } \
+	  $(GO) test -run='^$$' -bench='BenchmarkEventsIngest' ./internal/serve/; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_ingest.json
 
 BENCH_TOL ?= 0.30
@@ -111,7 +109,7 @@ bench-check:
 	  $(GO) test -run='^$$' -bench='BenchmarkReadPipes|BenchmarkReadFailures' ./internal/dataset/; } \
 	| $(GO) run ./cmd/benchjson -check BENCH_data.json -tol $(BENCH_TOL)
 	{ $(GO) test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALReplay' ./internal/wal/; \
-	  $(GO) test -run='^$$' -bench='BenchmarkEventsIngest' -benchtime=2000x ./internal/serve/; } \
+	  $(GO) test -run='^$$' -bench='BenchmarkEventsIngest' ./internal/serve/; } \
 	| $(GO) run ./cmd/benchjson -check BENCH_ingest.json -tol $(BENCH_TOL)
 	{ $(GO) test -run='^$$' -bench='BenchmarkRankingHandler|BenchmarkPlanHandler|BenchmarkBulkRank|BenchmarkShardRebuild' ./internal/serve/; \
 	  $(GO) test -run='^$$' -bench='BenchmarkRespCache' ./internal/respcache/; } \

@@ -44,8 +44,9 @@
 // is applied exactly once across crashes. Ingested events mark models
 // stale for the -rebuild-interval scheduler, which retrains on the
 // event-extended window and republishes atomically; /metrics gains
-// per-region drift gauges (live-window vs train-time AUC, event counts)
-// and WAL health series (backlog, size, fsync latency).
+// per-region drift gauges (live-window vs train-time AUC, computed when
+// /metrics is scraped, and event counts) and WAL health series
+// (backlog, size, fsync latency).
 //
 // Region-scoped GET endpoints take ?region=NAME; without it the first
 // shard answers, so single-region deployments are unchanged.
@@ -56,10 +57,12 @@
 // 304 Not-Modified.
 //
 // -rebuild-interval starts the background rebuild scheduler: each
-// interval, shards with no trained default model and snapshots that
-// ingested events have made stale retrain in the background (at most
-// -rebuild-workers at once) and publish atomically without blocking
-// reads.
+// interval, every shard with no trained default model and every
+// snapshot that ingested events have made stale starts its own
+// background retrain, unless it is already retraining or all
+// -rebuild-workers slots are busy (then the next tick retries it).
+// Retrains publish atomically without blocking reads, and a slow model
+// never delays a fast one: each holds a slot only for its own fit.
 //
 // Resilience: SIGINT/SIGTERM triggers a graceful shutdown — readiness
 // flips to 503, in-flight training and scheduled rebuilds are
@@ -109,8 +112,8 @@ func run() int {
 	var data multiFlag
 	flag.Var(&data, "data", "dataset path: CSV directory, columnar directory or .col file (repeatable: one region shard per path)")
 	shards := flag.Int("shards", 1, "split a single district-structured dataset into this many region shards")
-	rebuildInterval := flag.Duration("rebuild-interval", 0, "background rebuild scheduler period, e.g. 10m (0 = off)")
-	rebuildWorkers := flag.Int("rebuild-workers", 2, "max concurrent scheduled rebuilds (0 = GOMAXPROCS)")
+	rebuildInterval := flag.Duration("rebuild-interval", 0, "background rebuild scheduler tick, e.g. 200ms: each tick starts a retrain for every stale model not already retraining, while worker slots last (0 = off)")
+	rebuildWorkers := flag.Int("rebuild-workers", 2, "worker slots for scheduled rebuilds: a rebuild holds one for its own fit only, and stale models that find every slot busy wait for the next tick (0 = GOMAXPROCS)")
 	region := flag.String("region", "A", "synthetic region preset when -data is unset")
 	seed := flag.Int64("seed", 1, "generator / learner seed")
 	scale := flag.Float64("scale", 0.25, "synthetic region scale")

@@ -61,6 +61,10 @@ func (m *Heuristic) Fit(train *feature.Set) error {
 	return nil
 }
 
+// FitDataFree marks the heuristic fitted without a training set: it has
+// nothing to learn, so a caller need not build one just to call Fit.
+func (m *Heuristic) FitDataFree() { m.fitted = true }
+
 // Scores implements core.Model.
 func (m *Heuristic) Scores(test *feature.Set) ([]float64, error) {
 	if !m.fitted {

@@ -215,12 +215,20 @@ type Builder struct {
 
 	names []string
 
-	// Standardization state, fitted by TrainSet.
-	fitted bool
-	mean   []float64
-	scale  []float64
-	// isNumeric marks columns that participate in standardization.
-	isNumeric []bool
+	// Standardization state, fitted by Fit on the training window
+	// [fitFrom, fitTo]. logAge[a] is Log1p(a) for every whole age a in
+	// that window.
+	fitted         bool
+	fitFrom, fitTo int
+	mean           []float64
+	scale          []float64
+	logAge         []float64
+	// numeric lists the columns that participate in standardization, in
+	// ascending order.
+	numeric []int
+	// ageCol and historyCol are the first of the age and history column
+	// pairs, -1 when the group is off: the year-dependent slots of a row.
+	ageCol, historyCol int
 }
 
 // NewBuilder returns a Builder over the columns; a network reaches it
@@ -272,9 +280,9 @@ func levels[T ~string](col []T) []T {
 func (b *Builder) buildNames() {
 	g := b.opts.Groups
 	var names []string
-	var numeric []bool
-	addNum := func(n string) { names = append(names, n); numeric = append(numeric, true) }
-	addCat := func(n string) { names = append(names, n); numeric = append(numeric, false) }
+	var numeric []int
+	addNum := func(n string) { numeric = append(numeric, len(names)); names = append(names, n) }
+	addCat := func(n string) { names = append(names, n) }
 
 	if g.Material {
 		for _, m := range b.materials {
@@ -284,7 +292,9 @@ func (b *Builder) buildNames() {
 			addCat("coating=" + string(c))
 		}
 	}
+	b.ageCol, b.historyCol = -1, -1
 	if g.Age {
+		b.ageCol = len(names)
 		addNum("age")
 		addNum("log_age")
 	}
@@ -310,11 +320,12 @@ func (b *Builder) buildNames() {
 		addNum("log_dist_traffic")
 	}
 	if g.History {
+		b.historyCol = len(names)
 		addNum("prior_failures")
 		addNum("had_failure")
 	}
 	b.names = names
-	b.isNumeric = numeric
+	b.numeric = numeric
 }
 
 // Names returns the expanded feature names in column order.
@@ -382,52 +393,222 @@ func boolTo01(v bool) float64 {
 	return 0
 }
 
-// TrainSet builds the pipe-year training set for the split and fits the
-// standardization statistics. History features for an instance in year y
-// use failures in [split.TrainFrom, y-1] only. The returned set is dense
-// (one contiguous backing array; see Set.Flat).
-func (b *Builder) TrainSet(split dataset.Split) (*Set, error) {
+// Fit fits the standardization statistics of the split's training
+// window: each numeric column's mean and population standard deviation
+// over the pipe-year instances TrainSet builds, accumulated in the same
+// row order — which fixes each sum's rounding — without building the
+// matrix. TrainSet calls it; a caller that needs only a TestSet calls it
+// instead of TrainSet.
+func (b *Builder) Fit(split dataset.Split) error {
+	from, to := split.TrainFrom, split.TrainTo
 	laid := b.cols.Pipes.LaidYear
-	rows := 0
-	for y := split.TrainFrom; y <= split.TrainTo; y++ {
-		for _, l := range laid {
-			if int(l) <= y {
-				rows++
+	rows, minLaid := 0, to+1
+	for _, l := range laid {
+		if int(l) <= to {
+			rows += to - max(int(l), from) + 1
+			minLaid = min(minLaid, int(l))
+		}
+	}
+	if to < from || rows == 0 {
+		return fmt.Errorf("feature: empty training set for split %+v", split)
+	}
+	d := b.Dim()
+	// One allocation holds the statistics and the log1p table for the
+	// window's ages, which are whole years in [0, to-minLaid].
+	buf := make([]float64, 2*d+to-minLaid+1)
+	b.mean, b.scale, b.logAge = buf[:d:d], buf[d:2*d:2*d], buf[2*d:]
+	for j := range b.scale {
+		b.scale[j] = 1
+	}
+	for a := range b.logAge {
+		b.logAge[a] = math.Log1p(float64(a))
+	}
+	b.fitted, b.fitFrom, b.fitTo = true, from, to
+	if !b.opts.Standardize {
+		return nil
+	}
+
+	// vals holds each pipe's raw numeric columns: the year-invariant ones
+	// encoded once, the age and history slots rewritten per instance.
+	k := len(b.numeric)
+	vals := make([]float64, len(laid)*k)
+	var rowBuf [128]float64
+	row := rowBuf[:]
+	if d > len(row) {
+		row = make([]float64, d)
+	}
+	row = row[:d]
+	ageAt, histAt := -1, -1
+	for c, j := range b.numeric {
+		switch j {
+		case b.ageCol:
+			ageAt = c
+		case b.historyCol:
+			histAt = c
+		}
+	}
+	var p dataset.Pipe
+	for i, l := range laid {
+		if int(l) <= to {
+			b.cols.PipeAt(i, &p)
+			b.rowInto(row, i, &p, to, from, to)
+			for c, j := range b.numeric {
+				vals[i*k+c] = row[j]
 			}
 		}
 	}
-	if rows == 0 {
-		return nil, fmt.Errorf("feature: empty training set for split %+v", split)
+	instances := func(visit func(v []float64)) {
+		for y := from; y <= to; y++ {
+			for i, l := range laid {
+				if int(l) <= y {
+					v := vals[i*k : (i+1)*k]
+					b.yearSlots(v, ageAt, histAt, i, y-int(l), from, y-1)
+					visit(v)
+				}
+			}
+		}
+	}
+	n := float64(rows)
+	instances(func(v []float64) {
+		for c, j := range b.numeric {
+			b.mean[j] += v[c]
+		}
+	})
+	// scale accumulates the sums of squared deviations first.
+	for _, j := range b.numeric {
+		b.mean[j] /= n
+		b.scale[j] = 0
+	}
+	instances(func(v []float64) {
+		for c, j := range b.numeric {
+			dv := v[c] - b.mean[j]
+			b.scale[j] += dv * dv
+		}
+	})
+	for _, j := range b.numeric {
+		sd := math.Sqrt(b.scale[j] / n)
+		b.scale[j] = 1
+		if sd > 1e-12 {
+			b.scale[j] = sd
+		}
+	}
+	return nil
+}
+
+// yearSlots writes the year-dependent values of pipe i's instance at
+// the given age into v, whose age and history column pairs start at
+// ageAt and histAt (-1 when the group is off); the history features
+// count failures in [historyFrom, historyTo]. The values equal what
+// rowInto encodes for that instance.
+func (b *Builder) yearSlots(v []float64, ageAt, histAt, i, age, historyFrom, historyTo int) {
+	if ageAt >= 0 {
+		v[ageAt] = float64(age)
+		v[ageAt+1] = b.logAge[age]
+	}
+	if histAt >= 0 {
+		n := b.cols.FailureCount(i, historyFrom, historyTo)
+		v[histAt] = float64(n)
+		v[histAt+1] = boolTo01(n > 0)
+	}
+}
+
+// standardize rescales the given columns of one encoded row in place
+// with the fitted statistics.
+func (b *Builder) standardize(x []float64, cols []int) {
+	if !b.opts.Standardize {
+		return
+	}
+	for _, j := range cols {
+		x[j] = (x[j] - b.mean[j]) / b.scale[j]
+	}
+}
+
+// TrainSet builds the pipe-year training set for the split, first
+// fitting the standardization statistics (see Fit) unless they are
+// already fitted on the split's training window. History features for an
+// instance in year y use failures in [split.TrainFrom, y-1] only. The
+// returned set is dense (one contiguous backing array; see Set.Flat).
+//
+// Rows are year-major — every pipe in service in TrainFrom, then in
+// TrainFrom+1, and so on — in registry order within a year. They are
+// filled pipe by pipe: a pipe's first row is encoded and standardized in
+// full, and its later rows copy it, rewriting only the age and history
+// slots, the only ones that vary with the year.
+func (b *Builder) TrainSet(split dataset.Split) (*Set, error) {
+	if !b.fitted || b.fitFrom != split.TrainFrom || b.fitTo != split.TrainTo {
+		if err := b.Fit(split); err != nil {
+			return nil, err
+		}
+	}
+	from, to := split.TrainFrom, split.TrainTo
+	laid := b.cols.Pipes.LaidYear
+	years := to - from + 1
+	// next[k] first counts the pipes entering service in year from+k,
+	// then becomes that year's next free row. The stack buffer keeps the
+	// fill allocation-free for any realistic window.
+	var nextBuf [64]int
+	next := nextBuf[:]
+	if years > len(next) {
+		next = make([]int, years)
+	}
+	next = next[:years]
+	for _, l := range laid {
+		if k := max(int(l), from) - from; k < years {
+			next[k]++
+		}
+	}
+	rows, inService := 0, 0
+	for k := range next {
+		inService += next[k]
+		next[k] = rows
+		rows += inService
 	}
 	s := NewDense(b.Names(), rows, b.Dim())
-	r := 0
+	var yearBuf [4]int
+	yearCols := yearBuf[:0]
+	for _, at := range [2]int{b.ageCol, b.historyCol} {
+		if at >= 0 {
+			yearCols = append(yearCols, at, at+1)
+		}
+	}
 	var p dataset.Pipe
-	for y := split.TrainFrom; y <= split.TrainTo; y++ {
-		for i, l := range laid {
-			if int(l) > y {
-				continue
+	for i, l := range laid {
+		first := max(int(l), from)
+		if first > to {
+			continue
+		}
+		b.cols.PipeAt(i, &p)
+		var tmpl []float64
+		for y := first; y <= to; y++ {
+			k := y - from
+			r := next[k]
+			next[k]++
+			x := s.X[r]
+			if tmpl == nil {
+				b.rowInto(x, i, &p, y, from, y-1)
+				b.standardize(x, b.numeric)
+				tmpl = x
+			} else {
+				copy(x, tmpl)
+				b.yearSlots(x, b.ageCol, b.historyCol, i, y-p.LaidYear, from, y-1)
+				b.standardize(x, yearCols)
 			}
-			b.cols.PipeAt(i, &p)
-			b.rowInto(s.X[r], i, &p, y, split.TrainFrom, y-1)
 			s.Label[r] = b.cols.FailedInYear(i, y)
 			s.Age[r] = p.AgeAt(y)
 			s.LengthM[r] = p.LengthM
 			s.PipeIdx[r] = i
 			s.Year[r] = y
-			r++
 		}
 	}
-	b.fitScaler(s)
-	b.apply(s)
 	return s, nil
 }
 
 // TestSet builds the one-row-per-pipe test set for the split, using the
-// standardization fitted by TrainSet. History features use the full
-// training window. The returned set is dense (see Set.Flat).
+// standardization fitted by Fit or TrainSet. History features use the
+// full training window. The returned set is dense (see Set.Flat).
 func (b *Builder) TestSet(split dataset.Split) (*Set, error) {
 	if !b.fitted {
-		return nil, fmt.Errorf("feature: TestSet called before TrainSet")
+		return nil, fmt.Errorf("feature: TestSet called before Fit or TrainSet")
 	}
 	laid := b.cols.Pipes.LaidYear
 	y := split.TestYear
@@ -449,6 +630,7 @@ func (b *Builder) TestSet(split dataset.Split) (*Set, error) {
 		}
 		b.cols.PipeAt(i, &p)
 		b.rowInto(s.X[r], i, &p, y, split.TrainFrom, split.TrainTo)
+		b.standardize(s.X[r], b.numeric)
 		s.Label[r] = b.cols.FailedInYear(i, y)
 		s.Age[r] = p.AgeAt(y)
 		s.LengthM[r] = p.LengthM
@@ -456,54 +638,5 @@ func (b *Builder) TestSet(split dataset.Split) (*Set, error) {
 		s.Year[r] = y
 		r++
 	}
-	b.apply(s)
 	return s, nil
-}
-
-func (b *Builder) fitScaler(s *Set) {
-	d := b.Dim()
-	b.mean = make([]float64, d)
-	b.scale = make([]float64, d)
-	for j := 0; j < d; j++ {
-		b.scale[j] = 1
-	}
-	if !b.opts.Standardize {
-		b.fitted = true
-		return
-	}
-	n := float64(s.Len())
-	for j := 0; j < d; j++ {
-		if !b.isNumeric[j] {
-			continue
-		}
-		sum := 0.0
-		for _, row := range s.X {
-			sum += row[j]
-		}
-		mean := sum / n
-		ss := 0.0
-		for _, row := range s.X {
-			dv := row[j] - mean
-			ss += dv * dv
-		}
-		sd := math.Sqrt(ss / n)
-		b.mean[j] = mean
-		if sd > 1e-12 {
-			b.scale[j] = sd
-		}
-	}
-	b.fitted = true
-}
-
-func (b *Builder) apply(s *Set) {
-	if !b.opts.Standardize {
-		return
-	}
-	for _, row := range s.X {
-		for j := range row {
-			if b.isNumeric[j] {
-				row[j] = (row[j] - b.mean[j]) / b.scale[j]
-			}
-		}
-	}
 }

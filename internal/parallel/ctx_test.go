@@ -46,37 +46,3 @@ func TestRunCtxPreCancelledSkipsAllChunks(t *testing.T) {
 		}
 	}
 }
-
-func TestForEachDynamicCtxCancelMidRun(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var processed atomic.Int32
-	const n = 10000
-	err := New(4).ForEachDynamicCtx(ctx, n, func(i int) {
-		if processed.Add(1) == 10 {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want Canceled", err)
-	}
-	if got := processed.Load(); got >= n {
-		t.Fatalf("all %d items ran despite cancellation", got)
-	}
-}
-
-func TestForEachDynamicCtxUncancelledCoversAll(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		hits := make([]int32, 333)
-		err := New(workers).ForEachDynamicCtx(context.Background(), len(hits), func(i int) {
-			atomic.AddInt32(&hits[i], 1)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d hit %d times", workers, i, h)
-			}
-		}
-	}
-}

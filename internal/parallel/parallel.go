@@ -130,45 +130,24 @@ func (p Pool) RunCtx(ctx context.Context, n int, body func(worker, lo, hi int)) 
 // depends on timing, so the determinism contract here is per-item: body
 // must write only state owned by i.
 func (p Pool) ForEachDynamic(n int, body func(i int)) {
-	p.forEachDynamic(context.Background(), n, body)
-}
-
-// ForEachDynamicCtx is ForEachDynamic with cooperative cancellation:
-// workers check ctx before claiming each index and stop claiming once it
-// is done. Returns ctx.Err() when one or more indices were skipped (the
-// caller must treat the outputs as partial), nil when every index ran.
-func (p Pool) ForEachDynamicCtx(ctx context.Context, n int, body func(i int)) error {
-	return p.forEachDynamic(ctx, n, body)
-}
-
-func (p Pool) forEachDynamic(ctx context.Context, n int, body func(i int)) error {
 	if n <= 0 {
-		return ctx.Err()
+		return
 	}
 	dynamicCalls.Inc()
 	dynamicItems.Add(int64(n))
-	done := ctx.Done()
 	w := p.Workers()
 	if w > n {
 		w = n
 	}
 	if w == 1 {
 		for i := 0; i < n; i++ {
-			if done != nil && ctx.Err() != nil {
-				return ctx.Err()
-			}
 			body(i)
 		}
-		return nil
+		return
 	}
 	var next atomic.Int64
-	var skipped atomic.Bool
 	run := func() {
 		for {
-			if done != nil && ctx.Err() != nil {
-				skipped.Store(true)
-				return
-			}
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
@@ -186,8 +165,4 @@ func (p Pool) forEachDynamic(ctx context.Context, n int, body func(i int)) error
 	}
 	run()
 	wg.Wait()
-	if skipped.Load() {
-		return ctx.Err()
-	}
-	return nil
 }

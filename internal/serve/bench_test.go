@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/parallel"
 	"repro/internal/wal"
 )
 
@@ -153,9 +152,9 @@ func BenchmarkBulkRankCached(b *testing.B) {
 	}
 }
 
-// BenchmarkShardRebuildConcurrent measures one forced scheduler pass
-// over a two-shard registry with both models published: four retrains
-// fanned across the scheduler pool, each republishing atomically.
+// BenchmarkShardRebuildConcurrent measures one forced dispatch over a
+// two-shard registry with both models published: four retrains, each on
+// its own worker slot, each republishing atomically.
 func BenchmarkShardRebuildConcurrent(b *testing.B) {
 	netA, err := pipefail.GenerateRegion("A", 7, 0.04)
 	if err != nil {
@@ -177,19 +176,23 @@ func BenchmarkShardRebuildConcurrent(b *testing.B) {
 			}
 		}
 	}
-	s.schedPool = parallel.New(0)
+	targets := forcedTargets(s)
+	s.rebuildSlots = newRebuildSlots(len(targets))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.schedulerPass(true)
+		deferred, wait := s.dispatch(targets)
+		wait()
+		if len(deferred) > 0 {
+			b.Fatalf("%d targets deferred with a slot per target", len(deferred))
+		}
 	}
 }
 
 // benchEventsIngest drives POST /api/events through the handler with a
-// fresh single-event body per iteration. Run with a fixed -benchtime
-// iteration count (see make bench-ingest): the live overlays grow with
-// every accepted event, and the per-request drift scan is O(overlay), so
-// time-based auto-scaling would measure ever-larger windows.
+// fresh single-event body per iteration. Applying an event costs the
+// same however many came before it, so the default time-based
+// iteration count measures the steady state.
 func benchEventsIngest(b *testing.B, sync wal.SyncPolicy) {
 	net, err := pipefail.GenerateRegion("A", 7, 0.25)
 	if err != nil {

@@ -261,7 +261,7 @@ func TestChaosBulkRankDuringRebuilds(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				s.schedulerPass(true)
+				rebuildAll(s, forcedTargets(s))
 			}
 		}
 	}()

@@ -22,6 +22,9 @@ package serve
 // anchored at the newest live event) and exports gauges comparing the
 // default model's train-time AUC with its AUC against the live window's
 // labels — the operator signal that the serving model has gone stale.
+// Applying an event updates the window in amortized O(log window) time;
+// the AUC pair is computed off the request path, when GET /metrics is
+// scraped, and only when the event seq or the default snapshot moved.
 
 import (
 	"bufio"
@@ -96,20 +99,79 @@ type ingestState struct {
 	defModel string
 
 	// windowDays and maxDayIdx define the rolling drift window:
-	// [maxDayIdx-windowDays, maxDayIdx] in year*366+day space.
+	// (maxDayIdx-windowDays, maxDayIdx] in year*366+day space. window
+	// holds the in-window failures as a min-heap on day index and
+	// inWindow counts them per pipe; applyLocked keeps both current,
+	// popping failures as the window's start passes them. Guarded by mu.
 	windowDays int
 	maxDayIdx  int
+	window     windowHeap
+	inWindow   map[string]int
 
-	// livePipe memoizes the extended pipeline built at livePipeSeq, so a
-	// scheduler pass retraining several models per shard extends the
-	// network once, not per model.
+	// driftSeq and driftSnap are the event seq and default snapshot the
+	// drift AUC pair was last computed at (see refreshDrift).
+	driftMu   sync.Mutex
+	driftSeq  int64
+	driftSnap *modelSnapshot
+
+	// livePipe memoizes the extended pipeline built at livePipeSeq, so
+	// rebuilds of several models at one seq extend the network once, not
+	// per model.
 	pipeMu      sync.Mutex
 	livePipe    *pipefail.Pipeline
 	livePipeSeq int64
 
 	// Drift gauges (serve.shard.<region>.drift.*, .window_events,
 	// .live_events).
-	gLiveAUC, gTrainAUC, gWindowEvents, gLiveEvents *obs.Gauge
+	gLiveAUC, gTrainAUC, gDriftSeq, gWindowEvents, gLiveEvents *obs.Gauge
+}
+
+// windowEntry is one in-window failure: its year*366+day index and pipe.
+type windowEntry struct {
+	idx  int
+	pipe string
+}
+
+// windowHeap is a binary min-heap of windowEntry on idx. It is hand
+// rolled rather than container/heap, whose any-typed Push and Pop would
+// allocate once per applied failure.
+type windowHeap []windowEntry
+
+func (h *windowHeap) push(e windowEntry) {
+	w := append(*h, e)
+	for i := len(w) - 1; i > 0; {
+		p := (i - 1) / 2
+		if w[p].idx <= w[i].idx {
+			break
+		}
+		w[p], w[i] = w[i], w[p]
+		i = p
+	}
+	*h = w
+}
+
+// pop removes and returns the entry with the smallest idx.
+func (h *windowHeap) pop() windowEntry {
+	w := *h
+	top, n := w[0], len(w)-1
+	w[0], w[n] = w[n], windowEntry{}
+	w = w[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && w[c+1].idx < w[c].idx {
+			c++
+		}
+		if w[i].idx <= w[c].idx {
+			break
+		}
+		w[i], w[c] = w[c], w[i]
+		i = c
+	}
+	*h = w
+	return top
 }
 
 // SetEventLog opens (and replays) the write-ahead event logs and enables
@@ -145,9 +207,11 @@ func (s *Server) SetEventLog(cfg EventLogConfig) error {
 			seen:          make(map[string]struct{}),
 			maxBacklog:    cfg.MaxBacklogBytes,
 			windowDays:    cfg.WindowDays,
+			inWindow:      make(map[string]int),
 			defModel:      string(s.defaultModel),
 			gLiveAUC:      reg.Gauge("serve.shard." + token + ".drift.live_auc"),
 			gTrainAUC:     reg.Gauge("serve.shard." + token + ".drift.train_auc"),
+			gDriftSeq:     reg.Gauge("serve.shard." + token + ".drift.seq"),
 			gWindowEvents: reg.Gauge("serve.shard." + token + ".window_events"),
 			gLiveEvents:   reg.Gauge("serve.shard." + token + ".live_events"),
 		}
@@ -183,7 +247,7 @@ func (s *Server) SetEventLog(cfg EventLogConfig) error {
 			return err
 		}
 		ing.wal = w
-		ing.updateDrift(sh)
+		ing.setCountGauges()
 		if n := ing.seq.Load(); n > 0 {
 			s.log.Printf("serve: region %s: replayed %d live events from %s", sh.region, n, dir)
 		}
@@ -327,13 +391,43 @@ func (ing *ingestState) applyLocked(ev *walEvent) {
 			Day:     ev.Day,
 			Mode:    dataset.FailureMode(ev.Mode),
 		})
-		if idx := ev.Year*366 + ev.Day; idx > ing.maxDayIdx {
-			ing.maxDayIdx = idx
-		}
+		ing.advanceWindow(ev.Year*366+ev.Day, ev.PipeID)
 	case "renewal":
 		ing.renewals = append(ing.renewals, pipefail.Renewal{PipeID: ev.PipeID, Year: ev.Year})
 	}
 	ing.seq.Add(1)
+	ing.setCountGauges()
+}
+
+// advanceWindow adds one failure at day index idx to the drift window,
+// moving the window's end forward when idx is the newest yet, and pops
+// every failure the window's start has passed. A failure that is
+// already older than the window never enters it; the start only moves
+// forward, so it never could. Callers hold ing.mu.
+func (ing *ingestState) advanceWindow(idx int, pipe string) {
+	if idx > ing.maxDayIdx {
+		ing.maxDayIdx = idx
+	}
+	cutoff := ing.maxDayIdx - ing.windowDays
+	if idx > cutoff {
+		ing.window.push(windowEntry{idx, pipe})
+		ing.inWindow[pipe]++
+	}
+	for len(ing.window) > 0 && ing.window[0].idx <= cutoff {
+		e := ing.window.pop()
+		if n := ing.inWindow[e.pipe] - 1; n > 0 {
+			ing.inWindow[e.pipe] = n
+		} else {
+			delete(ing.inWindow, e.pipe)
+		}
+	}
+}
+
+// setCountGauges publishes the applied-event and in-window failure
+// counts. Callers hold ing.mu (or have exclusive access during replay).
+func (ing *ingestState) setCountGauges() {
+	ing.gLiveEvents.Set(float64(ing.seq.Load()))
+	ing.gWindowEvents.Set(float64(len(ing.window)))
 }
 
 // eventSeqNow returns how many live events this shard has applied; 0
@@ -349,8 +443,8 @@ func (sh *shard) eventSeqNow() int64 {
 // trainPipeline returns the pipeline training should run against — the
 // base pipeline when no live events exist, otherwise one rebuilt over
 // the event-extended network — plus the event seq it reflects. The
-// extended pipeline is memoized per seq so one scheduler pass extends
-// the network once, not once per model.
+// extended pipeline is memoized per seq so rebuilds of several models
+// at one seq extend the network once, not once per model.
 func (sh *shard) trainPipeline() (*pipefail.Pipeline, int64, error) {
 	ing := sh.ingest
 	if ing == nil {
@@ -371,6 +465,9 @@ func (sh *shard) trainPipeline() (*pipefail.Pipeline, int64, error) {
 	if ing.livePipe != nil && ing.livePipeSeq == seq {
 		return ing.livePipe, seq, nil
 	}
+	// Let the superseded pipeline go before building its successor, so
+	// the memo never pins two at once.
+	ing.livePipe = nil
 	net := sh.net.ExtendLive(failures, renewals)
 	p, err := pipefail.NewPipeline(net, sh.opts...)
 	if err != nil {
@@ -380,46 +477,42 @@ func (sh *shard) trainPipeline() (*pipefail.Pipeline, int64, error) {
 	return p, seq, nil
 }
 
-// updateDrift refreshes the shard's drift gauges: live/window event
-// counts always, and the live-vs-train AUC pair when the default model
-// is published and the live window is non-degenerate (at least one
-// failed and one intact pipe — AUC is undefined otherwise, and a NaN
-// gauge would be worse than a stale one).
-func (ing *ingestState) updateDrift(sh *shard) {
+// refreshDrift recomputes the shard's live-vs-train AUC gauges, and
+// stamps drift.seq with the event seq they reflect, when the event seq
+// or the published default snapshot moved since the last computation.
+// The pair is left as it was while the default model is unpublished or
+// the live window is degenerate (no failed or no intact pipe — AUC is
+// undefined then, and a NaN gauge would be worse than a stale one).
+func (ing *ingestState) refreshDrift(sh *shard) {
+	ing.driftMu.Lock()
+	defer ing.driftMu.Unlock()
+	tm := (*sh.models.Load())[ing.defModel]
 	ing.mu.Lock()
-	inWindow := make(map[string]struct{})
-	cutoff := ing.maxDayIdx - ing.windowDays
-	var windowCount int
-	for i := range ing.failures {
-		f := &ing.failures[i]
-		if f.Year*366+f.Day > cutoff {
-			inWindow[f.PipeID] = struct{}{}
-			windowCount++
-		}
+	seq := ing.seq.Load()
+	if tm == nil || (tm == ing.driftSnap && seq == ing.driftSeq) {
+		ing.mu.Unlock()
+		return
 	}
-	total := ing.seq.Load()
-	ing.mu.Unlock()
-
-	ing.gLiveEvents.Set(float64(total))
-	ing.gWindowEvents.Set(float64(windowCount))
-
-	tm, ok := (*sh.models.Load())[ing.defModel]
-	if !ok || windowCount == 0 {
+	ing.driftSnap, ing.driftSeq = tm, seq
+	if len(ing.inWindow) == 0 {
+		ing.mu.Unlock()
 		return
 	}
 	labels := make([]bool, len(tm.ranking.PipeIDs))
 	pos := 0
 	for i, id := range tm.ranking.PipeIDs {
-		if _, hit := inWindow[id]; hit {
+		if ing.inWindow[id] > 0 {
 			labels[i] = true
 			pos++
 		}
 	}
+	ing.mu.Unlock()
 	if pos == 0 || pos == len(labels) {
 		return
 	}
 	ing.gLiveAUC.Set(eval.AUC(tm.ranking.Scores, labels))
 	ing.gTrainAUC.Set(tm.ranking.AUC())
+	ing.gDriftSeq.Set(float64(seq))
 }
 
 // eventsResponse is the POST /api/events success body.
@@ -513,7 +606,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.metrics.eventsDuplicates.Add(int64(dups))
 		resp.Accepted += accepted
 		resp.Duplicates += dups
-		sh.ingest.updateDrift(sh)
 		resp.LiveEvents = sh.eventSeqNow()
 	}
 	s.writeJSON(w, http.StatusOK, resp)

@@ -171,7 +171,7 @@ func TestChaosIngestStormDuringRebuilds(t *testing.T) {
 	go func() {
 		defer close(rebuildsDone)
 		for i := 0; i < 3; i++ {
-			s.rebuild(s.def, def)
+			rebuildAll(s, []rebuildTarget{{sh: s.def, name: def}})
 		}
 	}()
 	wg.Wait()
@@ -182,7 +182,7 @@ func TestChaosIngestStormDuringRebuilds(t *testing.T) {
 	}
 	// One more pass now that ingest has quiesced: the published snapshot
 	// must catch up to the final seq.
-	s.rebuild(s.def, def)
+	rebuildAll(s, []rebuildTarget{{sh: s.def, name: def}})
 	tm := (*s.def.models.Load())[def]
 	if tm.eventSeq != int64(workers*perWorker) {
 		t.Fatalf("final snapshot trained at seq %d, want %d", tm.eventSeq, workers*perWorker)

@@ -400,7 +400,16 @@ func TestEventsMarkModelsStaleAndDriftGauges(t *testing.T) {
 	if got := reg.Gauge("serve.shard.a.window_events").Value(); got != 1 {
 		t.Fatalf("window_events gauge %v, want 1", got)
 	}
-	// One failed pipe among many gives a well-defined live-window AUC.
+	// The AUC pair is computed when /metrics is scraped. One failed pipe
+	// among many gives a well-defined live-window AUC.
+	if resp, err := http.Get(ts.URL + "/metrics"); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
+	if got := reg.Gauge("serve.shard.a.drift.seq").Value(); got != 1 {
+		t.Fatalf("drift.seq gauge %v, want 1", got)
+	}
 	if got := reg.Gauge("serve.shard.a.drift.live_auc").Value(); got < 0 || got > 1 {
 		t.Fatalf("drift.live_auc gauge %v, want [0,1]", got)
 	}
@@ -409,7 +418,7 @@ func TestEventsMarkModelsStaleAndDriftGauges(t *testing.T) {
 	}
 
 	// A rebuild retrains on the event-extended window and stamps the seq.
-	s.rebuild(s.def, def)
+	rebuildAll(s, []rebuildTarget{{sh: s.def, name: def}})
 	tm1 := (*s.def.models.Load())[def]
 	if tm1.eventSeq != 1 {
 		t.Fatalf("rebuilt snapshot eventSeq %d, want 1", tm1.eventSeq)
@@ -441,7 +450,7 @@ func TestEventsRepublishRotatesCachedResponses(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/api/events", eventBody(s.def, "cache-rotate-1"), &resp); code != http.StatusOK {
 		t.Fatalf("event status %d", code)
 	}
-	s.rebuild(s.def, def)
+	rebuildAll(s, []rebuildTarget{{sh: s.def, name: def}})
 	tm := (*s.def.models.Load())[def]
 
 	after := fetchRankingETag(t, url)

@@ -1,10 +1,19 @@
 package serve
 
 // Background rebuild scheduler: a single loop under the server
-// lifecycle that periodically sweeps every shard, training the default
-// model where no snapshot exists yet and retraining published snapshots
-// that live events have made stale. Nothing else feeds training, so a
-// shard that ingested nothing is never retrained. Rebuilds run through
+// lifecycle that, on every tick, dispatches each stale (shard, model)
+// target to its own rebuild goroutine — training the default model
+// where no snapshot exists yet and retraining published snapshots that
+// live events have made stale. Nothing else feeds training, so a shard
+// that ingested nothing is never retrained.
+//
+// Dispatch is per target, not per pass: a target starts the moment a
+// worker slot is free and it is not already in flight, and it holds its
+// slot only for its own fit. A slow model (a DirectAUC-ES retrain) keeps
+// one slot busy while a fast one (Heuristic-Age) republishes on every
+// tick through the others; a target that finds every slot busy is
+// counted deferred and retried on the next tick, ahead of every target
+// that republished since (see staleTargets). Rebuilds run through
 // the exact same per-shard singleflight, cancellation and atomic-publish
 // machinery as request-triggered training, so:
 //
@@ -15,23 +24,23 @@ package serve
 //   - a scheduled rebuild and a request-triggered train of the same
 //     model collapse into one run (whoever gets the pending slot first
 //     wins, the other joins or skips);
-//   - BeginShutdown cancels the sweep and any in-flight rebuild via the
-//     lifecycle context.
+//   - BeginShutdown cancels every dispatched rebuild via the lifecycle
+//     context and waits for their goroutines before it returns.
 
 import (
 	"context"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
-
-	"repro/internal/parallel"
 )
 
 // StartRebuildScheduler launches the background rebuild loop: every
-// interval it builds each shard's unbuilt default model and rebuilds
-// any published snapshot trained before the shard's latest live event,
-// fanning work across at most workers concurrent rebuilds (workers <= 0
-// means GOMAXPROCS). An interval <= 0 disables the scheduler; starting
-// twice is a no-op. The loop exits when BeginShutdown cancels the server
+// interval it dispatches each shard's unbuilt default model and every
+// published snapshot trained before the shard's latest live event, with
+// at most workers rebuilds running at once (workers <= 0 means
+// GOMAXPROCS). An interval <= 0 disables the scheduler; starting twice
+// is a no-op. The loop exits when BeginShutdown cancels the server
 // lifecycle.
 func (s *Server) StartRebuildScheduler(interval time.Duration, workers int) {
 	if interval <= 0 {
@@ -41,95 +50,137 @@ func (s *Server) StartRebuildScheduler(interval time.Duration, workers int) {
 		return
 	}
 	s.schedInterval = interval
-	s.schedPool = parallel.New(workers)
-	s.log.Printf("serve: rebuild scheduler on: interval %s, %d workers", interval, s.schedPool.Workers())
+	s.rebuildSlots = newRebuildSlots(workers)
+	s.log.Printf("serve: rebuild scheduler on: interval %s, %d workers", interval, cap(s.rebuildSlots))
 	go s.schedulerLoop()
+}
+
+// newRebuildSlots returns the semaphore bounding concurrent scheduled
+// rebuilds: workers slots, or GOMAXPROCS when workers <= 0.
+func newRebuildSlots(workers int) chan struct{} {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return make(chan struct{}, workers)
 }
 
 func (s *Server) schedulerLoop() {
 	ticker := time.NewTicker(s.schedInterval)
 	defer ticker.Stop()
-	// One immediate pass so cold shards warm at boot instead of a full
+	// One immediate tick so cold shards warm at boot instead of a full
 	// interval later.
-	s.schedulerPass(false)
 	for {
+		s.metrics.schedPasses.Inc()
+		s.dispatch(s.staleTargets())
 		select {
 		case <-s.lifecycle.Done():
 			return
 		case <-ticker.C:
-			s.schedulerPass(false)
 		}
 	}
 }
 
-// rebuildTarget is one (shard, model) pair a pass decided to rebuild.
+// rebuildTarget is one (shard, model) pair to rebuild; seq is the event
+// seq its published snapshot trained at, -1 when it has none.
 type rebuildTarget struct {
 	sh   *shard
 	name string
+	seq  int64
 }
 
-// schedulerPass sweeps every shard once and rebuilds what it finds
-// stale (or everything published, when force is set — the benchmark
-// hook). Targets are sorted (region, model) so a pass is deterministic
-// regardless of map iteration order.
-func (s *Server) schedulerPass(force bool) {
-	s.metrics.schedPasses.Inc()
+// staleTargets lists what a tick rebuilds: each shard's unbuilt default
+// model and every published snapshot trained before the shard's latest
+// live event, oldest first — unbuilt targets, then by the event seq the
+// snapshot trained at, ties broken by (region, model) so the order does
+// not depend on map iteration. Oldest first is what bounds staleness
+// under steady ingest: a target that found every slot busy keeps its old
+// seq and so takes the first free slot on a later tick, while a target
+// that just republished moves behind every target still waiting.
+func (s *Server) staleTargets() []rebuildTarget {
 	def := s.defaultModel
 	var targets []rebuildTarget
 	for _, sh := range s.shards {
 		models := *sh.models.Load()
 		if _, ok := models[def]; !ok {
-			targets = append(targets, rebuildTarget{sh, def})
+			targets = append(targets, rebuildTarget{sh, def, -1})
 		}
 		// A snapshot is stale when live events have been ingested past
 		// the seq it trained at; training is deterministic in the data,
 		// so retraining anything else would reproduce the same snapshot.
 		seqNow := sh.eventSeqNow()
 		for name, tm := range models {
-			if force || tm.eventSeq < seqNow {
-				targets = append(targets, rebuildTarget{sh, name})
+			if tm.eventSeq < seqNow {
+				targets = append(targets, rebuildTarget{sh, name, tm.eventSeq})
 			}
 		}
 	}
-	if len(targets) == 0 {
-		return
-	}
 	sort.Slice(targets, func(i, j int) bool {
-		if targets[i].sh.region != targets[j].sh.region {
-			return targets[i].sh.region < targets[j].sh.region
+		a, b := targets[i], targets[j]
+		if a.seq != b.seq {
+			return a.seq < b.seq
 		}
-		return targets[i].name < targets[j].name
+		if a.sh.region != b.sh.region {
+			return a.sh.region < b.sh.region
+		}
+		return a.name < b.name
 	})
-	// Bounded fan-out; the lifecycle context stops handing out targets
-	// once shutdown begins (in-flight rebuilds abort via their own
-	// lifecycle-derived contexts).
-	s.schedPool.ForEachDynamicCtx(s.lifecycle, len(targets), func(i int) {
-		s.rebuild(targets[i].sh, targets[i].name)
-	})
+	return targets
 }
 
-// rebuild retrains one model on one shard through the shard's
-// singleflight: if a request (or an earlier target) is already training
-// it, the rebuild is already happening and this one skips. The train
-// runs synchronously inside the scheduler worker; request-path waiters
-// that arrive meanwhile join the pending job as usual.
-func (s *Server) rebuild(sh *shard, name string) {
-	sh.mu.Lock()
-	if _, inflight := sh.pending[name]; inflight {
+// dispatch starts one rebuild goroutine per target that is not already
+// in flight (a request or an earlier tick is training it: the rebuild is
+// already happening), as long as a worker slot is free. Targets that
+// find every slot busy are returned as deferred, and counted, for the
+// next tick. wait blocks until every rebuild this call started has
+// published or failed. Once BeginShutdown has begun, dispatch starts
+// nothing.
+func (s *Server) dispatch(targets []rebuildTarget) (deferred []rebuildTarget, wait func()) {
+	var started sync.WaitGroup
+	slots := s.rebuildSlots
+	for _, t := range targets {
+		sh := t.sh
+		sh.mu.Lock()
+		if _, inflight := sh.pending[t.name]; inflight {
+			sh.mu.Unlock()
+			continue
+		}
+		select {
+		case slots <- struct{}{}:
+		default:
+			sh.mu.Unlock()
+			s.metrics.schedDeferred.Inc()
+			deferred = append(deferred, t)
+			continue
+		}
+		// rebuildMu orders this Add against BeginShutdown's Wait.
+		s.rebuildMu.Lock()
+		if s.lifecycle.Err() != nil {
+			s.rebuildMu.Unlock()
+			sh.mu.Unlock()
+			<-slots
+			break
+		}
+		s.rebuilding.Add(1)
+		s.rebuildMu.Unlock()
+		tctx, cancel := context.WithCancel(s.lifecycle)
+		job := &trainJob{done: make(chan struct{}), cancel: cancel, waiters: 1}
+		sh.pending[t.name] = job
 		sh.mu.Unlock()
-		return
-	}
-	tctx, cancel := context.WithCancel(s.lifecycle)
-	job := &trainJob{done: make(chan struct{}), cancel: cancel, waiters: 1}
-	sh.pending[name] = job
-	sh.mu.Unlock()
 
-	s.metrics.schedRebuilds.Inc()
-	sh.rebuilds.Inc()
-	s.runTrain(tctx, sh, name, job)
-	if job.err != nil {
-		s.metrics.schedFailures.Inc()
-		sh.rebuildFailures.Inc()
-		s.log.Printf("serve: scheduled rebuild of %s/%s failed: %v", sh.region, name, job.err)
+		s.metrics.schedRebuilds.Inc()
+		sh.rebuilds.Inc()
+		started.Add(1)
+		go func(sh *shard, name string) {
+			defer s.rebuilding.Done()
+			defer started.Done()
+			defer func() { <-slots }()
+			s.runTrain(tctx, sh, name, job)
+			if job.err != nil {
+				s.metrics.schedFailures.Inc()
+				sh.rebuildFailures.Inc()
+				s.log.Printf("serve: scheduled rebuild of %s/%s failed: %v", sh.region, name, job.err)
+			}
+		}(sh, t.name)
 	}
+	return deferred, started.Wait
 }

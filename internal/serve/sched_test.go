@@ -1,18 +1,48 @@
 package serve
 
 // Rebuild-scheduler tests: the background loop trains unbuilt shards,
-// a forced pass rotates every published snapshot atomically (and —
+// a forced dispatch rotates every published snapshot atomically (and —
 // training being deterministic — bit-identically), in-flight training
-// is never duplicated, and the off switch is really off.
+// is never duplicated, a slow fit never holds back a fast model, the
+// shutdown path leaves no rebuild running, and the off switch is really
+// off.
 
 import (
 	"context"
+	"fmt"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/wal"
 )
+
+// rebuildAll dispatches targets, waiting on each round, until none is
+// deferred: every target not already in flight is rebuilt exactly once.
+func rebuildAll(s *Server, targets []rebuildTarget) {
+	for len(targets) > 0 {
+		var wait func()
+		targets, wait = s.dispatch(targets)
+		wait()
+	}
+}
+
+// forcedTargets is every shard's default model plus every published
+// snapshot, stale or not.
+func forcedTargets(s *Server) []rebuildTarget {
+	var out []rebuildTarget
+	for _, sh := range s.shards {
+		models := *sh.models.Load()
+		if _, ok := models[s.defaultModel]; !ok {
+			out = append(out, rebuildTarget{sh: sh, name: s.defaultModel})
+		}
+		for name := range models {
+			out = append(out, rebuildTarget{sh: sh, name: name})
+		}
+	}
+	return out
+}
 
 func TestSchedulerTrainsUnbuiltShards(t *testing.T) {
 	s, _ := newMultiTestServer(t)
@@ -54,8 +84,8 @@ func TestSchedulerRebuildAtomicIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Nothing is stale (no events); only force finds targets.
-	s.schedulerPass(true)
+	// Nothing is stale (no events); only a forced dispatch rebuilds.
+	rebuildAll(s, forcedTargets(s))
 
 	after, ok := (*s.def.models.Load())["Heuristic-Age"]
 	if !ok {
@@ -92,9 +122,10 @@ func TestSchedulerSkipsInflightTraining(t *testing.T) {
 	}()
 
 	rebuildsBefore := s.metrics.schedRebuilds.Value()
-	s.rebuild(s.def, "Heuristic-Age")
-	if got := s.metrics.schedRebuilds.Value() - rebuildsBefore; got != 0 {
-		t.Fatalf("rebuild of an in-flight model started %d trainers, want 0", got)
+	deferred, wait := s.dispatch([]rebuildTarget{{sh: s.def, name: "Heuristic-Age"}})
+	wait()
+	if got := s.metrics.schedRebuilds.Value() - rebuildsBefore; got != 0 || len(deferred) != 0 {
+		t.Fatalf("dispatch of an in-flight model started %d trainers and deferred %d, want 0 and 0", got, len(deferred))
 	}
 }
 
@@ -118,12 +149,12 @@ func TestSchedulerDisabledAndIdempotent(t *testing.T) {
 // TestSchedulerRebuildsOnlyOnEvents: rebuilds are change-driven. Once
 // the published snapshots exist, passes with no new events start no
 // rebuilds however much time goes by; one applied event makes every
-// published model on the shard stale, and the next pass rebuilds each
-// exactly once.
+// published model on the shard stale, and the next dispatch rebuilds
+// each exactly once.
 func TestSchedulerRebuildsOnlyOnEvents(t *testing.T) {
 	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
 	def := string(s.defaultModel)
-	s.schedulerPass(false) // first build of the default model
+	rebuildAll(s, s.staleTargets()) // first build of the default model
 	if _, err := s.get(context.Background(), "Heuristic-Age"); err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +164,8 @@ func TestSchedulerRebuildsOnlyOnEvents(t *testing.T) {
 	}
 
 	rebuildsBefore := s.metrics.schedRebuilds.Value()
-	s.schedulerPass(false)
-	s.schedulerPass(false)
+	rebuildAll(s, s.staleTargets())
+	rebuildAll(s, s.staleTargets())
 	if got := s.metrics.schedRebuilds.Value() - rebuildsBefore; got != 0 {
 		t.Fatalf("passes with no new events started %d rebuilds, want 0", got)
 	}
@@ -142,13 +173,132 @@ func TestSchedulerRebuildsOnlyOnEvents(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/api/events", eventBody(s.def, "sched-1"), nil); code != http.StatusOK {
 		t.Fatalf("event status %d", code)
 	}
-	s.schedulerPass(false)
+	rebuildAll(s, s.staleTargets())
 	if got := s.metrics.schedRebuilds.Value() - rebuildsBefore; got != int64(published) {
-		t.Fatalf("pass after one event started %d rebuilds, want %d (one per stale model)", got, published)
+		t.Fatalf("dispatch after one event started %d rebuilds, want %d (one per stale model)", got, published)
 	}
 	for name, tm := range *s.def.models.Load() {
 		if tm.eventSeq != 1 {
 			t.Fatalf("%s rebuilt at event seq %d, want 1", name, tm.eventSeq)
+		}
+	}
+}
+
+// TestSchedulerSlowFitDoesNotHoldBackFastModel: with the default model's
+// fit blocked through the trainFn seam, Heuristic-Age keeps
+// republishing at every new event seq on later ticks.
+func TestSchedulerSlowFitDoesNotHoldBackFastModel(t *testing.T) {
+	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
+	def := string(s.defaultModel)
+	for _, name := range []string{def, "Heuristic-Age"} {
+		if _, err := s.get(context.Background(), name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slowStarted := make(chan struct{}, 1)
+	s.trainFn = func(ctx context.Context, sh *shard, name string) (*modelSnapshot, error) {
+		if name == def {
+			slowStarted <- struct{}{}
+			<-ctx.Done() // held until shutdown
+			return nil, ctx.Err()
+		}
+		return s.train(ctx, sh, name)
+	}
+	s.StartRebuildScheduler(10*time.Millisecond, 2)
+	defer s.BeginShutdown()
+
+	for i := 1; i <= 3; i++ {
+		if code := postJSON(t, ts.URL+"/api/events", eventBody(s.def, fmt.Sprintf("slow-%d", i)), nil); code != http.StatusOK {
+			t.Fatalf("event status %d", code)
+		}
+		if i == 1 {
+			<-slowStarted
+		}
+		waitFor(t, func() bool { return (*s.def.models.Load())["Heuristic-Age"].eventSeq == int64(i) })
+	}
+	s.def.mu.Lock()
+	_, slowInflight := s.def.pending[def]
+	s.def.mu.Unlock()
+	if !slowInflight {
+		t.Fatal("the blocked default-model rebuild is no longer in flight")
+	}
+	if got := (*s.def.models.Load())[def].eventSeq; got != 0 {
+		t.Fatalf("blocked model republished at seq %d", got)
+	}
+}
+
+// TestShutdownWaitsForDispatchedRebuilds: BeginShutdown cancels a
+// dispatched rebuild and returns only after its goroutine has finished —
+// no trainer running, no singleflight slot held, no worker slot taken —
+// and a dispatch after shutdown starts nothing.
+func TestShutdownWaitsForDispatchedRebuilds(t *testing.T) {
+	s, _ := newTestServer(t)
+	started := make(chan struct{})
+	var running atomic.Int32
+	s.trainFn = func(ctx context.Context, sh *shard, name string) (*modelSnapshot, error) {
+		running.Add(1)
+		defer running.Add(-1)
+		close(started)
+		<-ctx.Done()
+		time.Sleep(20 * time.Millisecond) // a fit winding down after cancellation
+		return nil, ctx.Err()
+	}
+	s.StartRebuildScheduler(time.Hour, 2) // the boot tick dispatches the default model
+	<-started
+	s.BeginShutdown()
+
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d trainers still running after BeginShutdown", n)
+	}
+	s.def.mu.Lock()
+	pending := len(s.def.pending)
+	s.def.mu.Unlock()
+	if pending != 0 {
+		t.Fatalf("%d singleflight slots held after BeginShutdown", pending)
+	}
+	if n := len(s.rebuildSlots); n != 0 {
+		t.Fatalf("%d worker slots held after BeginShutdown", n)
+	}
+	rebuildsBefore := s.metrics.schedRebuilds.Value()
+	if deferred, wait := s.dispatch(forcedTargets(s)); len(deferred) != 0 {
+		t.Fatalf("dispatch after shutdown deferred %d targets", len(deferred))
+	} else {
+		wait()
+	}
+	if got := s.metrics.schedRebuilds.Value() - rebuildsBefore; got != 0 {
+		t.Fatalf("dispatch after shutdown started %d rebuilds", got)
+	}
+}
+
+// TestSchedulerStaleTargetsDoNotStarve: with more stale targets than
+// worker slots and an event before every tick, every published model
+// republishes within one tick per target. The oldest snapshot takes the
+// free slot, so a target that sorts first by name cannot take it on
+// every tick.
+func TestSchedulerStaleTargetsDoNotStarve(t *testing.T) {
+	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
+	models := []string{s.defaultModel, "Heuristic-Age", "Heuristic-Length", "Logistic", "Random"}
+	for _, name := range models {
+		if _, err := s.get(context.Background(), name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.rebuildSlots = newRebuildSlots(1)
+	n := len(models)
+	for tick := 1; tick <= 3*n; tick++ {
+		if code := postJSON(t, ts.URL+"/api/events", eventBody(s.def, fmt.Sprintf("steady-%d", tick)), nil); code != http.StatusOK {
+			t.Fatalf("event status %d", code)
+		}
+		_, wait := s.dispatch(s.staleTargets()) // the scheduler loop's tick
+		wait()
+		if tick < n {
+			continue
+		}
+		published := *s.def.models.Load()
+		for _, name := range models {
+			if seq := published[name].eventSeq; seq <= int64(tick-n) {
+				t.Fatalf("tick %d: %s last republished at seq %d, more than %d ticks ago", tick, name, seq, n)
+			}
 		}
 	}
 }

@@ -105,8 +105,8 @@ type Server struct {
 	planBodies bodyMemo[planRequest, *planRequest]
 	bulkBodies bodyMemo[bulkRequest, *bulkRequest]
 
-	// pool fans bulk-request misses and scheduler rebuilds across
-	// shards; sized to GOMAXPROCS at construction.
+	// pool fans bulk-request misses across shards; sized to GOMAXPROCS
+	// at construction.
 	pool parallel.Pool
 
 	// routes records every registered route and whether it passes the
@@ -118,10 +118,15 @@ type Server struct {
 	// POST /api/events answers 503 until then (see events.go).
 	eventsOn bool
 
-	// Rebuild scheduler state (see sched.go).
+	// Rebuild scheduler state (see sched.go). rebuildSlots bounds the
+	// concurrently running scheduled rebuilds; rebuilding counts their
+	// goroutines so BeginShutdown can wait them out, and rebuildMu orders
+	// its Adds against that Wait.
 	schedOn       atomic.Bool
 	schedInterval time.Duration
-	schedPool     parallel.Pool
+	rebuildSlots  chan struct{}
+	rebuildMu     sync.Mutex
+	rebuilding    sync.WaitGroup
 }
 
 // routeSpec is one registered route: its mux pattern, its metric name,
@@ -161,8 +166,9 @@ type serveMetrics struct {
 	eventsBackpressure   *obs.Counter // ingest 429s from WAL backlog
 	eventsFailed         *obs.Counter // ingest 503s from WAL append/sync errors
 	eventsReplayRejected *obs.Counter // replayed records skipped by validation
-	schedPasses          *obs.Counter // rebuild-scheduler sweeps over the shards
+	schedPasses          *obs.Counter // rebuild-scheduler ticks
 	schedRebuilds        *obs.Counter // scheduled retrains started
+	schedDeferred        *obs.Counter // stale targets left for the next tick: every slot busy
 	schedFailures        *obs.Counter // scheduled retrains that failed
 }
 
@@ -196,6 +202,7 @@ func newServeMetrics() serveMetrics {
 		eventsReplayRejected: reg.Counter("serve.events.replay_rejected"),
 		schedPasses:          reg.Counter("serve.sched.passes"),
 		schedRebuilds:        reg.Counter("serve.sched.rebuilds"),
+		schedDeferred:        reg.Counter("serve.sched.deferred"),
 		schedFailures:        reg.Counter("serve.sched.failures"),
 	}
 }
@@ -241,6 +248,7 @@ func NewMulti(nets []*pipefail.Network, logger *log.Logger, opts ...pipefail.Pip
 		defaultModel: pipefail.Models()[0],
 		byRegion:     make(map[string]*shard, len(nets)),
 		pool:         parallel.New(0),
+		rebuildSlots: newRebuildSlots(0),
 	}
 	s.lifecycle, s.cancelLifecycle = context.WithCancel(context.Background())
 	tokens := make(map[string]int, len(nets)) // metric token → input index
@@ -301,14 +309,17 @@ func (s *Server) SetRequestTimeout(d time.Duration) {
 // BeginShutdown transitions the server into draining: /readyz flips to
 // 503 so load balancers stop routing, new requests on sheddable routes
 // are refused with 503 + Retry-After, and every in-flight training run is
-// cancelled via its context. In-flight requests finish their responses —
-// pair this with http.Server.Shutdown, which drains connections.
-// Idempotent.
+// cancelled via its context; it returns once the scheduler's cancelled
+// rebuilds have exited. In-flight requests finish their responses — pair
+// this with http.Server.Shutdown, which drains connections. Idempotent.
 func (s *Server) BeginShutdown() {
 	if s.draining.CompareAndSwap(false, true) {
 		s.log.Printf("serve: draining: refusing new work, cancelling in-flight training")
 	}
+	s.rebuildMu.Lock()
 	s.cancelLifecycle()
+	s.rebuildMu.Unlock()
+	s.rebuilding.Wait()
 	// Seal the event logs after the drain flag flips: new ingest is
 	// already refused, and stragglers get ErrClosed → 503, never a lost
 	// acknowledgment.
@@ -652,8 +663,14 @@ func queryParam(rawQuery, key string) (string, bool, error) {
 // per-endpoint request/latency/error series, the training singleflight
 // counters, the response-cache hit/miss/eviction counters, per-model
 // fit-duration histograms and the worker-pool task counters (see
-// DESIGN.md for the catalog).
+// DESIGN.md for the catalog). Each shard's drift AUC gauges are brought
+// up to date first: they are computed on scrape, not on ingest.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	for _, sh := range s.shards {
+		if sh.ingest != nil {
+			sh.ingest.refreshDrift(sh)
+		}
+	}
 	s.writeJSON(w, http.StatusOK, obs.Default().Snapshot())
 }
 

@@ -199,7 +199,7 @@ func TestRestoredSnapshotRebuiltOnce(t *testing.T) {
 	if restored == nil || restored.eventSeq != -1 {
 		t.Fatalf("restored snapshot %+v, want eventSeq -1", restored)
 	}
-	s2.schedulerPass(false)
+	rebuildAll(s2, s2.staleTargets())
 	rebuilt := (*s2.def.models.Load())["DirectAUC-ES"]
 	if rebuilt == restored || rebuilt.eventSeq != 0 {
 		t.Fatalf("first pass left the restored snapshot in place (eventSeq %d)", rebuilt.eventSeq)
@@ -208,7 +208,7 @@ func TestRestoredSnapshotRebuiltOnce(t *testing.T) {
 		t.Fatalf("rebuild changed the restored ETag: %s -> %s", restored.etag, rebuilt.etag)
 	}
 	before := s2.metrics.schedRebuilds.Value()
-	s2.schedulerPass(false)
+	rebuildAll(s2, s2.staleTargets())
 	if got := s2.metrics.schedRebuilds.Value() - before; got != 0 {
 		t.Fatalf("second pass started %d rebuilds, want 0", got)
 	}

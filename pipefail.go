@@ -21,6 +21,7 @@ package pipefail
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/colfmt"
 	"repro/internal/core"
@@ -107,9 +108,18 @@ type Pipeline struct {
 	split Split
 	seed  int64
 
-	train *feature.Set
-	test  *feature.Set
-	reg   *core.Registry
+	// b holds the standardization fitted on the training window until
+	// the training set is built from it on first use (see trainSet),
+	// then is dropped: a model that learns nothing from data is fitted
+	// and ranked without the set, and a built set needs no builder.
+	names     []string
+	b         *feature.Builder
+	trainOnce sync.Once
+	train     *feature.Set
+	trainErr  error
+
+	test *feature.Set
+	reg  *core.Registry
 }
 
 // PipelineOption customizes NewPipeline.
@@ -186,8 +196,7 @@ func NewPipelineData(data *Data, opts ...PipelineOption) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipefail: %w", err)
 	}
-	train, err := b.TrainSet(split)
-	if err != nil {
+	if err := b.Fit(split); err != nil {
 		return nil, fmt.Errorf("pipefail: %w", err)
 	}
 	test, err := b.TestSet(split)
@@ -196,16 +205,26 @@ func NewPipelineData(data *Data, opts ...PipelineOption) (*Pipeline, error) {
 	}
 	return &Pipeline{
 		ids: data.Pipes.ID, split: split, seed: cfg.seed,
-		train: train, test: test,
+		names: b.Names(), b: b, test: test,
 		reg: experiments.NewRegistry(cfg.seed, cfg.esGens),
 	}, nil
+}
+
+// trainSet returns the pipe-year training set, building it on the first
+// call and releasing the builder; concurrent callers share one build.
+func (p *Pipeline) trainSet() (*feature.Set, error) {
+	p.trainOnce.Do(func() {
+		p.train, p.trainErr = p.b.TrainSet(p.split)
+		p.b = nil
+	})
+	return p.train, p.trainErr
 }
 
 // Split returns the pipeline's temporal split.
 func (p *Pipeline) Split() Split { return p.split }
 
 // FeatureNames returns the expanded design-matrix column names.
-func (p *Pipeline) FeatureNames() []string { return append([]string(nil), p.train.Names...) }
+func (p *Pipeline) FeatureNames() []string { return append([]string(nil), p.names...) }
 
 // Train fits a fresh instance of the named model on the training window
 // and returns it. Fit wall-clock is recorded into the per-model
@@ -226,13 +245,31 @@ func (p *Pipeline) TrainContext(ctx context.Context, modelName string) (Model, e
 	if err != nil {
 		return nil, err
 	}
+	if df, ok := m.(dataFree); ok {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("pipefail: %s: fit cancelled: %w", m.Name(), err)
+		}
+		done := obs.Span("core.fit_seconds." + modelName)
+		df.FitDataFree()
+		done()
+		return m, nil
+	}
+	train, err := p.trainSet()
+	if err != nil {
+		return nil, fmt.Errorf("pipefail: %w", err)
+	}
 	done := obs.Span("core.fit_seconds." + modelName)
-	if err := core.FitModel(ctx, m, p.train); err != nil {
+	if err := core.FitModel(ctx, m, train); err != nil {
 		return nil, fmt.Errorf("pipefail: %w", err)
 	}
 	done()
 	return m, nil
 }
+
+// dataFree is implemented by the heuristic baselines, which learn
+// nothing from training data: TrainContext fits them without building
+// the pipe-year training set.
+type dataFree interface{ FitDataFree() }
 
 // Rank scores the held-out year with a fitted model.
 func (p *Pipeline) Rank(m Model) (*Ranking, error) {
@@ -253,7 +290,12 @@ func (p *Pipeline) TrainAndRank(modelName string) (*Ranking, error) {
 }
 
 func (p *Pipeline) rankingFromScores(model string, scores []float64) *Ranking {
-	r := &Ranking{Model: model, TestYear: p.split.TestYear}
+	n := p.test.Len()
+	r := &Ranking{
+		Model: model, TestYear: p.split.TestYear,
+		PipeIDs: make([]string, 0, n), Scores: make([]float64, 0, n),
+		Failed: make([]bool, 0, n), LengthM: make([]float64, 0, n),
+	}
 	for row, idx := range p.test.PipeIdx {
 		r.PipeIDs = append(r.PipeIDs, p.ids[idx])
 		r.Scores = append(r.Scores, scores[row])
@@ -285,7 +327,11 @@ func (p *Pipeline) SelectModel(names []string, k int) (best string, meanAUC map[
 			},
 		})
 	}
-	results, err := tune.SelectByCV(p.train, cands, k, p.seed)
+	train, err := p.trainSet()
+	if err != nil {
+		return "", nil, fmt.Errorf("pipefail: %w", err)
+	}
+	results, err := tune.SelectByCV(train, cands, k, p.seed)
 	if err != nil {
 		return "", nil, fmt.Errorf("pipefail: %w", err)
 	}

@@ -279,3 +279,45 @@ func TestPipelineDataColumnarMatchesNetwork(t *testing.T) {
 		t.Fatal("scores differ across formats")
 	}
 }
+
+// TestHeuristicsSkipTrainingSet: ranking with the heuristic baselines
+// never builds the pipe-year matrix, a learned model built after them
+// ranks exactly as on a fresh pipeline, and building the training set
+// releases the builder without losing the feature names.
+func TestHeuristicsSkipTrainingSet(t *testing.T) {
+	net := testNet(t)
+	p, err := NewPipeline(net, WithESGenerations(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"Heuristic-Age", "Heuristic-Length", "Random"} {
+		if _, err := p.TrainAndRank(name); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if p.train != nil {
+		t.Fatal("a heuristic fit built the training set")
+	}
+	names := p.FeatureNames()
+	got, err := p.TrainAndRank("Logistic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.b != nil {
+		t.Fatal("the builder is still held after the training set was built")
+	}
+	if !reflect.DeepEqual(p.FeatureNames(), names) || !reflect.DeepEqual(p.train.Names, names) {
+		t.Fatal("feature names changed when the training set was built")
+	}
+	fresh, err := NewPipeline(net, WithESGenerations(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.TrainAndRank("Logistic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Logistic ranking after heuristic fits differs from a fresh pipeline's")
+	}
+}
