@@ -60,14 +60,17 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# bench-json records the training/serving hot-path benchmarks as JSON so
+# bench-json records the training/serving hot-path benchmarks (the ES
+# fitness kernel, scoring, the RankBoost and Weibull fits, AUC, top-k and
+# the linalg kernels; the serve handlers and the response cache) as JSON so
 # perf can be diffed commit to commit (BENCH_core.json and
 # BENCH_serve.json are checked in). Each benchmark runs long enough for
 # ns/op to stabilize; steady-state B/op for the scratch-reusing kernels
 # shrinks toward zero as iteration counts grow, so treat allocs/op (not
 # B/op) as the regression signal.
 bench-json:
-	{ $(GO) test -run='^$$' -bench='BenchmarkFitnessEval|BenchmarkScoreAllFlat' ./internal/core/; \
+	{ $(GO) test -run='^$$' -bench='BenchmarkFitnessEval|BenchmarkScoreAllFlat|BenchmarkRankBoostFit' ./internal/core/; \
+	  $(GO) test -run='^$$' -bench='BenchmarkWeibullFit' ./internal/baseline/; \
 	  $(GO) test -run='^$$' -bench='BenchmarkAUCKernel|BenchmarkTopK' ./internal/eval/; \
 	  $(GO) test -run='^$$' -bench='BenchmarkMatVec|BenchmarkDot' ./internal/linalg/; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_core.json
@@ -101,7 +104,8 @@ bench-ingest:
 
 BENCH_TOL ?= 0.30
 bench-check:
-	{ $(GO) test -run='^$$' -bench='BenchmarkFitnessEval|BenchmarkScoreAllFlat' ./internal/core/; \
+	{ $(GO) test -run='^$$' -bench='BenchmarkFitnessEval|BenchmarkScoreAllFlat|BenchmarkRankBoostFit' ./internal/core/; \
+	  $(GO) test -run='^$$' -bench='BenchmarkWeibullFit' ./internal/baseline/; \
 	  $(GO) test -run='^$$' -bench='BenchmarkAUCKernel|BenchmarkTopK' ./internal/eval/; \
 	  $(GO) test -run='^$$' -bench='BenchmarkMatVec|BenchmarkDot' ./internal/linalg/; } \
 	| $(GO) run ./cmd/benchjson -check BENCH_core.json -tol $(BENCH_TOL)

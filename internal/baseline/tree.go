@@ -236,6 +236,7 @@ func (c *ForestConfig) fillDefaults() {
 type RandomForest struct {
 	cfg   ForestConfig
 	trees []*cartTree
+	dim   int
 }
 
 // NewRandomForest returns an unfitted forest.
@@ -298,6 +299,7 @@ func (m *RandomForest) Fit(train *feature.Set) error {
 		}
 		m.trees = append(m.trees, fitTree(train, rows, treeCfg, treeRNG))
 	}
+	m.dim = train.Dim()
 	return nil
 }
 
@@ -307,6 +309,9 @@ func (m *RandomForest) Fit(train *feature.Set) error {
 func (m *RandomForest) Scores(test *feature.Set) ([]float64, error) {
 	if len(m.trees) == 0 {
 		return nil, fmt.Errorf("%s: %w", m.Name(), ErrNotFitted)
+	}
+	if test.Dim() != m.dim {
+		return nil, fmt.Errorf("%s: test dim %d != model dim %d", m.Name(), test.Dim(), m.dim)
 	}
 	out := make([]float64, test.Len())
 	for i, row := range test.X {

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/feature"
@@ -162,5 +163,21 @@ func TestRandomForestErrors(t *testing.T) {
 	}
 	if err := m.Fit(oneClass); err == nil {
 		t.Fatal("single-class train must error")
+	}
+}
+
+// TestRandomForestScoresChecksDim: a set narrower or wider than the
+// fitted one must be refused, not scored on the wrong columns.
+func TestRandomForestScoresChecksDim(t *testing.T) {
+	m := NewRandomForest(ForestConfig{Seed: 1, Trees: 5})
+	if err := m.Fit(xorSet(11, 200)); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range [][]float64{{0.5}, {0.5, -0.5, 1}} {
+		s := &feature.Set{X: [][]float64{x}, Label: []bool{true}, Age: []float64{1}, LengthM: []float64{1}, PipeIdx: []int{0}, Year: []int{0}}
+		_, err := m.Scores(s)
+		if err == nil || !strings.Contains(err.Error(), "test dim") {
+			t.Fatalf("dim %d: err = %v", len(x), err)
+		}
 	}
 }

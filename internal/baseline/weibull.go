@@ -95,6 +95,13 @@ func (m *WeibullNHPP) Fit(train *feature.Set) error {
 		}
 	}
 
+	// Ages repeat across pipe-years (they are whole years by
+	// construction), so each iteration evaluates the age basis once per
+	// distinct age and looks it up per instance. ageBasis is pure, so the
+	// lookup returns the bits a per-instance call would.
+	ages, ageIdx := distinctAges(train.Age)
+	basis := make([][2]float64, len(ages))
+
 	gTheta := make([]float64, d)
 	for iter := 0; iter < m.cfg.Iterations; iter++ {
 		alpha := math.Exp(logAlpha)
@@ -103,12 +110,15 @@ func (m *WeibullNHPP) Fit(train *feature.Set) error {
 		for j := range gTheta {
 			gTheta[j] = 0
 		}
+		for u, a := range ages {
+			basis[u][0], basis[u][1] = ageBasis(a, beta)
+		}
 		for i := 0; i < n; i++ {
 			eta := linalg.Dot(theta, train.X[i])
 			if eta > 30 {
 				eta = 30
 			}
-			g, dgdb := ageBasis(train.Age[i], beta)
+			g, dgdb := basis[ageIdx[i]][0], basis[ageIdx[i]][1]
 			mu := alpha * g * math.Exp(eta)
 			if mu > 50 {
 				mu = 50 // guard against transient blow-ups early in the ascent
@@ -140,6 +150,25 @@ func (m *WeibullNHPP) Fit(train *feature.Set) error {
 	m.Theta = theta
 	m.fitted = true
 	return nil
+}
+
+// distinctAges returns the distinct values of age in first-seen order and
+// each instance's index into them. Values are keyed by their bits, so any
+// float works: −0 and +0 stay apart, and so do NaNs with distinct
+// payloads.
+func distinctAges(age []float64) (vals []float64, idx []int32) {
+	seen := make(map[uint64]int32)
+	idx = make([]int32, len(age))
+	for i, a := range age {
+		u, ok := seen[math.Float64bits(a)]
+		if !ok {
+			u = int32(len(vals))
+			seen[math.Float64bits(a)] = u
+			vals = append(vals, a)
+		}
+		idx[i] = u
+	}
+	return vals, idx
 }
 
 // Forecast projects each test pipe's expected failure count over the next

@@ -52,3 +52,21 @@ func BenchmarkScoreAllFlat(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRankBoostFit measures one serial RankBoost fit at the
+// train-offline shape: 8k pipe-years, 35 features, 2 % positives, the
+// default 100 rounds and 16 cuts per feature.
+func BenchmarkRankBoostFit(b *testing.B) {
+	set := gaussianSet(3, 8000, 0.02, 1, 35)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewRankBoost(RankBoostConfig{Workers: 1})
+		if err := m.Fit(set); err != nil {
+			b.Fatal(err)
+		}
+		if m.Rounds() != 100 {
+			b.Fatalf("%d rounds, want 100", m.Rounds())
+		}
+	}
+}

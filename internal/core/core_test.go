@@ -366,4 +366,8 @@ func TestRankBoostErrors(t *testing.T) {
 	if err := m.Fit(&feature.Set{}); err == nil {
 		t.Fatal("empty train must error")
 	}
+	wide := NewRankBoost(RankBoostConfig{Rounds: 5, Thresholds: maxCuts + 1})
+	if err := wide.Fit(gaussianSet(56, 200, 0.2, 1, 3)); err == nil {
+		t.Fatalf("Thresholds %d must error: a cut index must fit a byte", maxCuts+1)
+	}
 }

@@ -15,7 +15,8 @@ type RankBoostConfig struct {
 	// Rounds is the number of boosting rounds (default 100).
 	Rounds int
 	// Thresholds is the number of candidate thresholds examined per
-	// feature per round (default 16 quantile cuts).
+	// feature per round (default 16 quantile cuts, at most 255; Fit
+	// refuses more).
 	Thresholds int
 	// Workers bounds the stump-search and scoring worker pool
 	// (0 = GOMAXPROCS, 1 = serial). Results are bit-identical for every
@@ -50,13 +51,27 @@ func (s stump) eval(x []float64) float64 {
 	return 0
 }
 
+// maxCuts bounds RankBoostConfig.Thresholds: a cut index must fit the
+// uint8 bins of the stump scan.
+const maxCuts = math.MaxUint8
+
 // RankBoost implements the bipartite variant of Freund et al.'s RankBoost:
 // the pair distribution factorizes into per-instance potentials v⁺ and v⁻,
-// so each round runs in O(instances × features × thresholds) instead of
-// O(pairs). Weak rankers are threshold stumps on single features.
+// so a round never enumerates pairs. Weak rankers are threshold stumps on
+// single features.
+//
+// Each instance's value of each feature is binned once per Fit: its bin is
+// the number of the feature's ascending cuts the value exceeds. A round
+// then fills every cut's ratio r in one sequential pass over each
+// feature's bins: O(instances × features × mean bin) additions and no
+// comparisons. Each r receives the additions of a direct per-cut scan
+// (every positive above the cut, then every negative above it) in the
+// same order, so the stumps, and every bit of the scores, are those of
+// the direct scan.
 type RankBoost struct {
 	cfg    RankBoostConfig
 	stumps []stump
+	dim    int
 }
 
 // NewRankBoost returns an unfitted RankBoost.
@@ -84,6 +99,9 @@ func (m *RankBoost) FitContext(ctx context.Context, train *feature.Set) error {
 	if err := validateFitInputs(train); err != nil {
 		return fmt.Errorf("%s: %w", m.Name(), err)
 	}
+	if m.cfg.Thresholds > maxCuts {
+		return fmt.Errorf("%s: Thresholds %d exceeds %d", m.Name(), m.cfg.Thresholds, maxCuts)
+	}
 	pos, neg := splitByLabel(train)
 	dim := train.Dim()
 
@@ -104,8 +122,18 @@ func (m *RankBoost) FitContext(ctx context.Context, train *feature.Set) error {
 				vals[i] = row[j]
 			}
 		}
-		cuts[j] = quantileCuts(vals, m.cfg.Thresholds)
+		c := quantileCuts(vals, m.cfg.Thresholds)
+		// The sort puts NaN first, so NaN cuts lead the list. No value
+		// exceeds a NaN cut, so its ratio would stay 0 and never win the
+		// argmax: dropping it selects the same stumps and leaves the
+		// cuts ascending.
+		for len(c) > 0 && math.IsNaN(c[0]) {
+			c = c[1:]
+		}
+		cuts[j] = c
 	}
+	binPos := cutBins(train, pos, cuts)
+	binNeg := cutBins(train, neg, cuts)
 
 	// Potentials over positives and negatives; pair weight = vPos[i]*vNeg[j].
 	vPos := make([]float64, len(pos))
@@ -127,6 +155,7 @@ func (m *RankBoost) FitContext(ctx context.Context, train *feature.Set) error {
 	}
 	pool := parallel.New(m.cfg.Workers)
 	perFeature := make([]featureBest, dim)
+	nPos, nNeg := len(pos), len(neg)
 
 	m.stumps = m.stumps[:0]
 	for round := 0; round < m.cfg.Rounds; round++ {
@@ -136,25 +165,34 @@ func (m *RankBoost) FitContext(ctx context.Context, train *feature.Set) error {
 		}
 		// r(h) = Σ_i vPos[i] h(x_i) − Σ_j vNeg[j] h(x_j); maximize |r|.
 		pool.Run(dim, func(_, lo, hi int) {
+			var acc [maxCuts]float64
 			for j := lo; j < hi; j++ {
+				// r[c] receives +vPos[k] for each positive with bin > c,
+				// in k order, then −vNeg[k] for each such negative: the
+				// additions of a per-cut scan, in its order, so every
+				// r[c] is bit-identical to it. Prefix sums over the bins
+				// would regroup the additions and change the bits.
+				r := acc[:len(cuts[j])]
+				clear(r)
+				for k, b := range binPos[j*nPos : (j+1)*nPos] {
+					v := vPos[k]
+					for c := range r[:b] {
+						r[c] += v
+					}
+				}
+				for k, b := range binNeg[j*nNeg : (j+1)*nNeg] {
+					v := vNeg[k]
+					for c := range r[:b] {
+						r[c] -= v
+					}
+				}
 				fb := featureBest{}
-				for _, c := range cuts[j] {
-					r := 0.0
-					for k, i := range pos {
-						if train.X[i][j] > c {
-							r += vPos[k]
-						}
-					}
-					for k, i := range neg {
-						if train.X[i][j] > c {
-							r -= vNeg[k]
-						}
-					}
+				for c, rc := range r {
 					// Σ vPos = Σ vNeg after normalization, so the inverted
 					// stump has ratio −r; searching |r| covers both.
-					if math.Abs(r) > math.Abs(fb.r) {
-						fb.r = r
-						fb.st = stump{FeatureIdx: j, Threshold: c, Inverted: r < 0}
+					if math.Abs(rc) > math.Abs(fb.r) {
+						fb.r = rc
+						fb.st = stump{FeatureIdx: j, Threshold: cuts[j][c], Inverted: rc < 0}
 					}
 				}
 				perFeature[j] = fb
@@ -193,13 +231,37 @@ func (m *RankBoost) FitContext(ctx context.Context, train *feature.Set) error {
 	if len(m.stumps) == 0 {
 		return fmt.Errorf("%s: no discriminative weak ranker found", m.Name())
 	}
+	m.dim = dim
 	return nil
+}
+
+// cutBins returns, column-major per feature, each listed row's bin: the
+// number of the feature's ascending cuts its value exceeds, so that
+// x > cuts[j][c] holds exactly when c < bin. NaN exceeds no cut and gets
+// bin 0, as NaN > c is false.
+func cutBins(train *feature.Set, rows []int, cuts [][]float64) []uint8 {
+	n := len(rows)
+	bins := make([]uint8, len(cuts)*n)
+	for k, i := range rows {
+		row := train.X[i]
+		for j, cj := range cuts {
+			b := 0
+			for b < len(cj) && row[j] > cj[b] {
+				b++
+			}
+			bins[j*n+k] = uint8(b)
+		}
+	}
+	return bins
 }
 
 // Scores implements Model.
 func (m *RankBoost) Scores(test *feature.Set) ([]float64, error) {
 	if len(m.stumps) == 0 {
 		return nil, fmt.Errorf("%s: Scores before Fit", m.Name())
+	}
+	if test.Dim() != m.dim {
+		return nil, fmt.Errorf("%s: test dim %d != model dim %d", m.Name(), test.Dim(), m.dim)
 	}
 	out := make([]float64, test.Len())
 	parallel.New(m.cfg.Workers).Run(test.Len(), func(_, lo, hi int) {
