@@ -16,9 +16,10 @@ test:
 # layer with its single cached-response resolver and raw-body request
 # memo, the response cache and the experiment fan-out), the kerneltest
 # differential harness (Dot, MatVec and the AUC kernel bitwise vs naive
-# oracles), the allocation-regression gates on the AUC kernel, the
-# serve ranking/plan/bulk-rank/bulk-plan cached paths and the
-# request-body memo hit, the flat per-event ingest allocation count
+# oracles), the allocation-regression gates on the AUC kernel, the ES's
+# per-generation negative resample, the serve
+# ranking/plan/bulk-rank/bulk-plan cached paths and the request-body
+# memo hit, the flat per-event ingest allocation count
 # (run without -race, which inflates allocation counts), the chaos
 # suite, and a short fuzz pass over the CSV parsers
 # and the AUC kernel differential.
@@ -28,6 +29,7 @@ verify:
 	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/respcache/... ./internal/experiments/... ./internal/wal/...
 	$(GO) test ./internal/kerneltest -count=1
 	$(GO) test ./internal/eval -run='^TestAUCKernelZeroAlloc$$' -count=1
+	$(GO) test ./internal/core -run='^TestFitnessBatchResampleZeroAlloc$$' -count=1
 	$(GO) test ./internal/serve -run='^(TestRankingCacheHitZeroAlloc|TestPlanCacheHitZeroAlloc|TestBodyMemoHitZeroAlloc|TestBulkRankCacheHitZeroAlloc|TestBulkPlanCacheHitZeroAlloc|TestEventsAllocsFlatWithHistory)$$' -count=1
 	$(GO) test ./internal/colfmt -run='^(TestReadAllocsRowIndependent|TestIngestAllocsRowIndependent)$$' -count=1
 	$(MAKE) chaos

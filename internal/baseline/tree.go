@@ -286,6 +286,7 @@ func (m *RandomForest) Fit(train *feature.Set) error {
 	}
 
 	m.trees = m.trees[:0]
+	var negSampler stats.Sampler
 	for t := 0; t < m.cfg.Trees; t++ {
 		treeRNG := rng.Split()
 		// Bootstrap positives (with replacement) + a fresh negative
@@ -294,7 +295,7 @@ func (m *RandomForest) Fit(train *feature.Set) error {
 		for i := 0; i < len(posRows); i++ {
 			rows = append(rows, posRows[treeRNG.Intn(len(posRows))])
 		}
-		for _, j := range treeRNG.SampleWithoutReplacement(len(negRows), negPerTree) {
+		for _, j := range negSampler.Sample(treeRNG, len(negRows), negPerTree) {
 			rows = append(rows, negRows[j])
 		}
 		m.trees = append(m.trees, fitTree(train, rows, treeCfg, treeRNG))

@@ -228,6 +228,28 @@ func TestDirectAUCDeterminism(t *testing.T) {
 	}
 }
 
+// TestFitnessBatchResampleZeroAlloc is the allocation-regression gate for
+// the ES's per-generation negative resample: once warm it allocates
+// nothing, and it draws the same negatives as a one-shot
+// SampleWithoutReplacement from a twin generator.
+func TestFitnessBatchResampleZeroAlloc(t *testing.T) {
+	set := gaussianSet(4, 5000, 0.05, 1.5, 8)
+	pos, neg := splitByLabel(set)
+	batch := newFitnessBatch(set, pos, neg, 4*len(pos))
+	rng, twin := stats.NewRNG(11), stats.NewRNG(11)
+	for gen := 0; gen < 3; gen++ {
+		batch.resample(rng)
+		for i, j := range twin.SampleWithoutReplacement(len(neg), batch.batchNeg) {
+			if batch.rows[len(pos)+i] != neg[j] {
+				t.Fatalf("generation %d: batch row %d is %d, want %d", gen, i, batch.rows[len(pos)+i], neg[j])
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { batch.resample(rng) }); allocs != 0 {
+		t.Fatalf("fitnessBatch.resample allocates %v per generation, want 0", allocs)
+	}
+}
+
 // TestFlatAndViewSetsScoreIdentically pins the memory-layout contract:
 // the flat MatVec fast path and the row-view fallback must produce
 // bit-identical scores and, through them, bit-identical fitted models.

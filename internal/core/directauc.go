@@ -359,6 +359,7 @@ type fitnessBatch struct {
 	stride   int
 	scores   []float64      // scratch for the serial auc() convenience
 	kernel   eval.AUCKernel // ditto
+	sampler  stats.Sampler  // resample's index scratch, kept across generations
 }
 
 func newFitnessBatch(s *feature.Set, pos, neg []int, batchNeg int) *fitnessBatch {
@@ -390,8 +391,7 @@ func (b *fitnessBatch) gather(lo, hi int) {
 }
 
 func (b *fitnessBatch) resample(rng *stats.RNG) {
-	sample := rng.SampleWithoutReplacement(len(b.neg), b.batchNeg)
-	for i, s := range sample {
+	for i, s := range b.sampler.Sample(rng, len(b.neg), b.batchNeg) {
 		b.rows[len(b.pos)+i] = b.neg[s]
 	}
 	b.gather(len(b.pos), len(b.rows))

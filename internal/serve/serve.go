@@ -18,6 +18,7 @@ import (
 	"log"
 	"net/http"
 	"net/url"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -170,6 +171,9 @@ type serveMetrics struct {
 	schedRebuilds        *obs.Counter // scheduled retrains started
 	schedDeferred        *obs.Counter // stale targets left for the next tick: every slot busy
 	schedFailures        *obs.Counter // scheduled retrains that failed
+	procHeapLive         *obs.Gauge   // live heap bytes as of the last GC
+	procHeapGoal         *obs.Gauge   // heap size the collector paces toward
+	procGCCycles         *obs.Gauge   // completed GC cycles since start
 }
 
 func newServeMetrics() serveMetrics {
@@ -204,6 +208,26 @@ func newServeMetrics() serveMetrics {
 		schedRebuilds:        reg.Counter("serve.sched.rebuilds"),
 		schedDeferred:        reg.Counter("serve.sched.deferred"),
 		schedFailures:        reg.Counter("serve.sched.failures"),
+		procHeapLive:         reg.Gauge("proc.heap_live_bytes"),
+		procHeapGoal:         reg.Gauge("proc.heap_goal_bytes"),
+		procGCCycles:         reg.Gauge("proc.gc_cycles"),
+	}
+}
+
+// refreshRuntime reads the process's heap and collector state from
+// runtime/metrics into the proc.* gauges. It runs on /metrics scrapes
+// only, so requests pay nothing for it.
+func (m *serveMetrics) refreshRuntime() {
+	samples := []rtmetrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/heap/goal:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	rtmetrics.Read(samples)
+	for i, g := range [...]*obs.Gauge{m.procHeapLive, m.procHeapGoal, m.procGCCycles} {
+		if v := samples[i].Value; v.Kind() == rtmetrics.KindUint64 {
+			g.Set(float64(v.Uint64()))
+		}
 	}
 }
 
@@ -662,15 +686,17 @@ func queryParam(rawQuery, key string) (string, bool, error) {
 // handleMetrics serves a JSON snapshot of the default obs registry:
 // per-endpoint request/latency/error series, the training singleflight
 // counters, the response-cache hit/miss/eviction counters, per-model
-// fit-duration histograms and the worker-pool task counters (see
-// DESIGN.md for the catalog). Each shard's drift AUC gauges are brought
-// up to date first: they are computed on scrape, not on ingest.
+// fit-duration histograms, the worker-pool task counters and the
+// process's heap and GC gauges (see DESIGN.md for the catalog). Each
+// shard's drift AUC gauges and the proc.* gauges are brought up to date
+// first: they are computed on scrape, not on the request path.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, sh := range s.shards {
 		if sh.ingest != nil {
 			sh.ingest.refreshDrift(sh)
 		}
 	}
+	s.metrics.refreshRuntime()
 	s.writeJSON(w, http.StatusOK, obs.Default().Snapshot())
 }
 

@@ -10,6 +10,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -317,6 +318,32 @@ func TestMetricsEndpoint(t *testing.T) {
 	// In-flight gauge exists and is back to a sane value.
 	if g, ok := snap.Gauges["serve.inflight"]; !ok || g < 1 {
 		t.Errorf("in-flight gauge %v (the /metrics request itself is in flight)", g)
+	}
+}
+
+// TestMetricsRuntimeGauges: every /metrics scrape reports the process's
+// live heap, heap goal and GC cycle count from runtime/metrics, all
+// non-zero once a collection has run, and the cycle count never goes
+// backwards across scrapes.
+func TestMetricsRuntimeGauges(t *testing.T) {
+	_, ts := newTestServer(t)
+	var last float64
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		var snap obs.Snapshot
+		if code := getJSON(t, ts.URL+"/metrics", &snap); code != http.StatusOK {
+			t.Fatalf("/metrics status %d", code)
+		}
+		for _, name := range []string{"proc.heap_live_bytes", "proc.heap_goal_bytes", "proc.gc_cycles"} {
+			if v := snap.Gauges[name]; v <= 0 {
+				t.Fatalf("scrape %d: %s = %v, want > 0", i, name, v)
+			}
+		}
+		cycles := snap.Gauges["proc.gc_cycles"]
+		if cycles < last {
+			t.Fatalf("scrape %d: proc.gc_cycles fell from %v to %v", i, last, cycles)
+		}
+		last = cycles
 	}
 }
 

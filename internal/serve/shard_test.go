@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro"
@@ -253,4 +254,51 @@ func TestBulkCountsAgainstInflightCap(t *testing.T) {
 	}
 	close(release) // unpark the trainers so the first request finishes
 	<-done
+}
+
+// TestConcurrentLearnedFitsOneShard trains DirectAUC-ES and RankSVM at
+// the same time on one shard's pipeline: each fit builds its own training
+// set from the shared fitted builder, so (under -race) nothing is written
+// concurrently and the published ETags equal those of one-at-a-time
+// training on a fresh server.
+func TestConcurrentLearnedFitsOneShard(t *testing.T) {
+	models := []string{"DirectAUC-ES", "RankSVM"}
+	seq, _ := newTestServer(t)
+	want := make([]string, len(models))
+	for i, name := range models {
+		tm, err := seq.get(context.Background(), name)
+		if err != nil {
+			t.Fatalf("sequential %s: %v", name, err)
+		}
+		want[i] = tm.etag
+	}
+
+	conc, _ := newTestServer(t)
+	got := make([]string, len(models))
+	errs := make([]error, len(models))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, name := range models {
+		wg.Add(1)
+		go func(i int, name string) {
+			defer wg.Done()
+			<-start
+			tm, err := conc.get(context.Background(), name)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = tm.etag
+		}(i, name)
+	}
+	close(start)
+	wg.Wait()
+	for i, name := range models {
+		if errs[i] != nil {
+			t.Fatalf("concurrent %s: %v", name, errs[i])
+		}
+		if got[i] != want[i] {
+			t.Fatalf("%s: concurrent ETag %s, sequential %s", name, got[i], want[i])
+		}
+	}
 }

@@ -148,20 +148,69 @@ func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // SampleWithoutReplacement returns k distinct indices drawn uniformly from
-// [0, n). If k >= n it returns the identity permutation of all n indices.
-// The result is in random order.
+// [0, n). If k >= n it returns a random permutation of all n indices.
+// The result is in random order. It is a one-shot Sampler draw; callers
+// that draw repeatedly keep a Sampler instead.
 func (g *RNG) SampleWithoutReplacement(n, k int) []int {
-	if k >= n {
-		return g.r.Perm(n)
+	var s Sampler
+	return s.Sample(g, n, k)
+}
+
+// Sampler draws without replacement like SampleWithoutReplacement — the
+// same Intn calls, the same indices in the same order — but keeps its
+// index array between draws. A draw is a partial Fisher-Yates over an
+// identity array; the next draw first undoes its k swaps in reverse order,
+// so a warm draw costs O(k) and allocates nothing. The zero value is ready
+// to use. A Sampler is not safe for concurrent use.
+type Sampler struct {
+	idx   []int // the identity permutation, save for the last draw's swaps
+	swaps []int // swaps[i] is the partner of position i in the last draw
+	perm  int   // the last draw permuted idx[:perm] in full
+}
+
+// Sample returns k distinct indices from [0, n), drawn from g. If k >= n
+// it returns a random permutation of all n indices, as math/rand's Perm
+// would. The result is owned by the Sampler and valid until its next
+// Sample call.
+func (s *Sampler) Sample(g *RNG, n, k int) []int {
+	s.restore()
+	if n > len(s.idx) {
+		s.idx = make([]int, n)
+		for i := range s.idx {
+			s.idx[i] = i
+		}
 	}
-	// Partial Fisher-Yates over an index array.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	idx := s.idx[:n:n]
+	if k >= n {
+		// math/rand's Perm, written in place of the identity.
+		for i := range idx {
+			j := g.r.Intn(i + 1)
+			idx[i] = idx[j]
+			idx[j] = i
+		}
+		s.perm = n
+		return idx
+	}
+	if cap(s.swaps) < k {
+		s.swaps = make([]int, 0, k)
 	}
 	for i := 0; i < k; i++ {
 		j := i + g.r.Intn(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
+		s.swaps = append(s.swaps, j)
 	}
-	return idx[:k]
+	return idx[:k:k]
+}
+
+// restore returns idx to the identity permutation.
+func (s *Sampler) restore() {
+	for i := 0; i < s.perm; i++ {
+		s.idx[i] = i
+	}
+	s.perm = 0
+	for i := len(s.swaps) - 1; i >= 0; i-- {
+		j := s.swaps[i]
+		s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
+	}
+	s.swaps = s.swaps[:0]
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -193,6 +194,74 @@ func TestSampleWithoutReplacement(t *testing.T) {
 	all := g.SampleWithoutReplacement(5, 50)
 	if len(all) != 5 {
 		t.Fatalf("k>=n must return n indices, got %d", len(all))
+	}
+}
+
+// sampleOracle is SampleWithoutReplacement as it was before Sampler: a
+// fresh index array per draw, math/rand's Perm when k >= n.
+func sampleOracle(g *RNG, n, k int) []int {
+	if k >= n {
+		return g.r.Perm(n)
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 0; i < k; i++ {
+		j := i + g.r.Intn(n-i)
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	return idx[:k]
+}
+
+// TestSamplerMatchesOracle: one Sampler, reused across a grid of (n, k)
+// that covers the empty, single, all-but-one, full-permutation and
+// oversized draws, returns exactly the oracle's indices for 50
+// consecutive draws per cell and leaves the generator where the oracle
+// leaves it.
+func TestSamplerMatchesOracle(t *testing.T) {
+	var s Sampler
+	for _, n := range []int{1, 2, 3, 10, 257, 4000} {
+		for _, k := range []int{0, 1, n - 1, n, n + 5} {
+			g, want := NewRNG(int64(31*n+k)), NewRNG(int64(31*n+k))
+			for d := 0; d < 50; d++ {
+				got, exp := s.Sample(g, n, k), sampleOracle(want, n, k)
+				if !slices.Equal(got, exp) {
+					t.Fatalf("n=%d k=%d draw %d: sampler %v, oracle %v", n, k, d, got, exp)
+				}
+			}
+			if a, b := g.Int63(), want.Int63(); a != b {
+				t.Fatalf("n=%d k=%d: generators diverged (%d vs %d)", n, k, a, b)
+			}
+		}
+	}
+}
+
+// TestSamplerMixedSizes interleaves sizes on one Sampler, so every draw
+// starts from the undo of a differently shaped one.
+func TestSamplerMixedSizes(t *testing.T) {
+	var s Sampler
+	shape := NewRNG(5)
+	g, want := NewRNG(6), NewRNG(6)
+	for d := 0; d < 500; d++ {
+		n := 1 + shape.Intn(300)
+		k := shape.Intn(n + 10)
+		if got, exp := s.Sample(g, n, k), sampleOracle(want, n, k); !slices.Equal(got, exp) {
+			t.Fatalf("draw %d (n=%d k=%d): sampler %v, oracle %v", d, n, k, got, exp)
+		}
+	}
+	if g.Int63() != want.Int63() {
+		t.Fatal("generators diverged")
+	}
+}
+
+// TestSamplerZeroAlloc: once warm, a draw allocates nothing.
+func TestSamplerZeroAlloc(t *testing.T) {
+	var s Sampler
+	g := NewRNG(8)
+	s.Sample(g, 5000, 400)
+	if allocs := testing.AllocsPerRun(50, func() { s.Sample(g, 5000, 400) }); allocs != 0 {
+		t.Fatalf("warm Sample allocates %v per draw, want 0", allocs)
 	}
 }
 

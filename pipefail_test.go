@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/colfmt"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/feature"
 )
 
 func testNet(t *testing.T) *Network {
@@ -280,34 +282,58 @@ func TestPipelineDataColumnarMatchesNetwork(t *testing.T) {
 	}
 }
 
-// TestHeuristicsSkipTrainingSet: ranking with the heuristic baselines
-// never builds the pipe-year matrix, a learned model built after them
-// ranks exactly as on a fresh pipeline, and building the training set
-// releases the builder without losing the feature names.
+// TestHeuristicsSkipTrainingSet: fitting the heuristic baselines never
+// builds the pipe-year matrix (it allocates a fraction of one), a learned
+// model fitted after them ranks exactly as on a fresh pipeline, no
+// training set stays reachable from the pipeline or its fitted models
+// once a fit returns, and the feature names never change.
 func TestHeuristicsSkipTrainingSet(t *testing.T) {
 	net := testNet(t)
 	p, err := NewPipeline(net, WithESGenerations(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"Heuristic-Age", "Heuristic-Length", "Random"} {
-		if _, err := p.TrainAndRank(name); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	if p.train != nil {
-		t.Fatal("a heuristic fit built the training set")
-	}
-	names := p.FeatureNames()
-	got, err := p.TrainAndRank("Logistic")
+	b, err := feature.NewBuilder(net.Columns(), feature.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.b != nil {
-		t.Fatal("the builder is still held after the training set was built")
+	ref, err := b.TrainSet(p.Split())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p.FeatureNames(), names) || !reflect.DeepEqual(p.train.Names, names) {
-		t.Fatal("feature names changed when the training set was built")
+	trainBytes := uint64(ref.Len() * ref.Dim() * 8)
+	names := p.FeatureNames()
+	if !reflect.DeepEqual(names, ref.Names) {
+		t.Fatal("pipeline feature names differ from the training set's")
+	}
+	for _, name := range []string{"Heuristic-Age", "Heuristic-Length", "Random"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := p.Train(name)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= trainBytes/4 {
+			t.Fatalf("%s fit allocated %d bytes; the training matrix is %d", name, got, trainBytes)
+		}
+		if _, err := p.Rank(m); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	m, err := p.Train("Logistic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sets := reachableSets(p, m); len(sets) != 1 || sets[0] != p.test {
+		t.Fatalf("%d feature sets reachable from the pipeline and its model after the fit, want only the test set", len(sets))
+	}
+	got, err := p.Rank(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p.FeatureNames(), names) {
+		t.Fatal("feature names changed across fits")
 	}
 	fresh, err := NewPipeline(net, WithESGenerations(8))
 	if err != nil {
@@ -320,4 +346,50 @@ func TestHeuristicsSkipTrainingSet(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("Logistic ranking after heuristic fits differs from a fresh pipeline's")
 	}
+}
+
+// reachableSets walks everything reachable from roots through pointers,
+// interfaces, structs, slices, arrays and maps (not closures), and returns
+// each distinct *feature.Set it meets.
+func reachableSets(roots ...any) []*feature.Set {
+	setType := reflect.TypeOf((*feature.Set)(nil))
+	seen := make(map[uintptr]bool)
+	var sets []*feature.Set
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] {
+				return
+			}
+			seen[v.Pointer()] = true
+			if v.Type() == setType {
+				sets = append(sets, (*feature.Set)(v.UnsafePointer()))
+			}
+			walk(v.Elem())
+		case reflect.Interface:
+			walk(v.Elem())
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Slice, reflect.Array:
+			switch v.Type().Elem().Kind() {
+			case reflect.Pointer, reflect.Interface, reflect.Struct, reflect.Slice, reflect.Array, reflect.Map:
+				for i := 0; i < v.Len(); i++ {
+					walk(v.Index(i))
+				}
+			}
+		case reflect.Map:
+			it := v.MapRange()
+			for it.Next() {
+				walk(it.Key())
+				walk(it.Value())
+			}
+		}
+	}
+	for _, r := range roots {
+		walk(reflect.ValueOf(r))
+	}
+	return sets
 }
