@@ -1,13 +1,18 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test verify chaos fuzz-smoke bench bench-json bench-data bench-ingest bench-check
+.PHONY: build test loc verify chaos fuzz-smoke bench bench-json bench-data bench-ingest bench-check
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# loc prints the non-test Go line count that ROADMAP tracks: every
+# tracked .go file except _test.go files and the perfbench/ harness.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^perfbench/' | xargs cat | wc -l
 
 # verify is the pre-submit gate: gofmt cleanliness and static checks,
 # the race detector on the concurrency-bearing packages (the parallel

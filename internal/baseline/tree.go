@@ -248,9 +248,6 @@ func NewRandomForest(cfg ForestConfig) *RandomForest {
 // Name implements core.Model.
 func (m *RandomForest) Name() string { return "RandomForest" }
 
-// NumTrees returns the number of fitted trees.
-func (m *RandomForest) NumTrees() int { return len(m.trees) }
-
 // Fit implements core.Model.
 func (m *RandomForest) Fit(train *feature.Set) error {
 	if train == nil || train.Len() == 0 {

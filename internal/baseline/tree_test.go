@@ -99,8 +99,8 @@ func TestRandomForestLearnsXOR(t *testing.T) {
 	if err := m.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	if m.NumTrees() != 30 {
-		t.Fatalf("trees = %d", m.NumTrees())
+	if len(m.trees) != 30 {
+		t.Fatalf("trees = %d", len(m.trees))
 	}
 	scores, err := m.Scores(test)
 	if err != nil {

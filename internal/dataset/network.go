@@ -1,9 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Network is a region's pipe registry plus its observed failure log.
 // The zero value is unusable; construct with NewNetwork or the CSV loaders.
@@ -80,16 +77,6 @@ func (n *Network) PipeByID(id string) (*Pipe, bool) {
 	return &n.pipes[i], true
 }
 
-// PipeIndex returns the position of the pipe with the given ID in Pipes(),
-// or -1 when absent.
-func (n *Network) PipeIndex(id string) int {
-	i, ok := n.byID[id]
-	if !ok {
-		return -1
-	}
-	return i
-}
-
 // FailuresOf returns the failures recorded against the pipe, in time order.
 func (n *Network) FailuresOf(pipeID string) []Failure {
 	idx := n.failByPipe[pipeID]
@@ -123,17 +110,6 @@ func (n *Network) FailedInYear(pipeID string, year int) bool {
 	return false
 }
 
-// FailuresInYears returns all failures with Year in [from, to].
-func (n *Network) FailuresInYears(from, to int) []Failure {
-	var out []Failure
-	for i := range n.failures {
-		if y := n.failures[i].Year; y >= from && y <= to {
-			out = append(out, n.failures[i])
-		}
-	}
-	return out
-}
-
 // SubsetByClass returns a new Network containing only pipes of the given
 // class and the failures recorded against them.
 func (n *Network) SubsetByClass(class PipeClass) *Network {
@@ -152,27 +128,6 @@ func (n *Network) SubsetByClass(class PipeClass) *Network {
 		}
 	}
 	return NewNetwork(n.Region, n.ObservedFrom, n.ObservedTo, pipes, fails)
-}
-
-// SubsetPipes returns a new Network restricted to the pipes whose index in
-// Pipes() appears in idx (failures filtered accordingly).
-func (n *Network) SubsetPipes(idx []int) (*Network, error) {
-	keep := make(map[string]bool, len(idx))
-	pipes := make([]Pipe, 0, len(idx))
-	for _, i := range idx {
-		if i < 0 || i >= len(n.pipes) {
-			return nil, fmt.Errorf("dataset: subset index %d out of range [0,%d)", i, len(n.pipes))
-		}
-		pipes = append(pipes, n.pipes[i])
-		keep[n.pipes[i].ID] = true
-	}
-	var fails []Failure
-	for i := range n.failures {
-		if keep[n.failures[i].PipeID] {
-			fails = append(fails, n.failures[i])
-		}
-	}
-	return NewNetwork(n.Region, n.ObservedFrom, n.ObservedTo, pipes, fails), nil
 }
 
 // TotalLengthM returns the summed length of all pipes in metres.
@@ -242,14 +197,4 @@ func (n *Network) summaryRow(scope string, sub *Network) Summary {
 		ObservedTo:   n.ObservedTo,
 		TotalKM:      sub.TotalLengthM() / 1000,
 	}
-}
-
-// AnnualFailureRate returns the mean fraction of pipes failing per observed
-// year, the quantity the early age-rate models regress on.
-func (n *Network) AnnualFailureRate() float64 {
-	years := n.ObservedTo - n.ObservedFrom + 1
-	if years <= 0 || len(n.pipes) == 0 {
-		return 0
-	}
-	return float64(len(n.failures)) / float64(years) / float64(len(n.pipes))
 }

@@ -7,7 +7,6 @@ import "fmt"
 // on predicting failures in TestYear, exactly as a utility would run the
 // model at the end of TrainTo to plan the next year's inspections.
 type Split struct {
-	Network   *Network
 	TrainFrom int
 	TrainTo   int
 	TestYear  int
@@ -26,46 +25,13 @@ func NewSplit(n *Network, trainFrom, trainTo, testYear int) (Split, error) {
 	case testYear > n.ObservedTo:
 		return Split{}, fmt.Errorf("dataset: test year %d after observation end %d", testYear, n.ObservedTo)
 	}
-	return Split{Network: n, TrainFrom: trainFrom, TrainTo: trainTo, TestYear: testYear}, nil
+	return Split{TrainFrom: trainFrom, TrainTo: trainTo, TestYear: testYear}, nil
 }
 
 // PaperSplit reproduces the paper's protocol: all observed history except
 // the final year for training, the final year held out for testing.
 func PaperSplit(n *Network) (Split, error) {
 	return NewSplit(n, n.ObservedFrom, n.ObservedTo-1, n.ObservedTo)
-}
-
-// TrainYears returns the number of training years.
-func (s Split) TrainYears() int { return s.TrainTo - s.TrainFrom + 1 }
-
-// TrainFailures returns the failures visible to the model.
-func (s Split) TrainFailures() []Failure {
-	return s.Network.FailuresInYears(s.TrainFrom, s.TrainTo)
-}
-
-// TestLabels returns, for each pipe in Network.Pipes() order, whether the
-// pipe failed in the test year — the ground truth the rankings are scored
-// against.
-func (s Split) TestLabels() []bool {
-	pipes := s.Network.Pipes()
-	out := make([]bool, len(pipes))
-	for i := range pipes {
-		out[i] = s.Network.FailedInYear(pipes[i].ID, s.TestYear)
-	}
-	return out
-}
-
-// TestFailureCount returns the number of pipes that failed in the test year
-// (pipes, not events: a pipe failing twice counts once, matching how
-// detection rates are reported).
-func (s Split) TestFailureCount() int {
-	c := 0
-	for _, v := range s.TestLabels() {
-		if v {
-			c++
-		}
-	}
-	return c
 }
 
 // RollingSplits enumerates rolling-origin splits: for each test year in

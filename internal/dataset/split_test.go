@@ -11,9 +11,6 @@ func TestPaperSplit(t *testing.T) {
 	if s.TrainFrom != 1998 || s.TrainTo != 2008 || s.TestYear != 2009 {
 		t.Fatalf("split %+v", s)
 	}
-	if s.TrainYears() != 11 {
-		t.Fatalf("train years = %d", s.TrainYears())
-	}
 }
 
 func TestNewSplitValidation(t *testing.T) {
@@ -31,26 +28,33 @@ func TestNewSplitValidation(t *testing.T) {
 	}
 }
 
+// TestTrainFailuresAndTestLabels pins what a split selects from the
+// columnar form the feature builder reads: failures counted over the
+// inclusive train window and the per-pipe test-year label.
 func TestTrainFailuresAndTestLabels(t *testing.T) {
 	n := testNetwork()
+	c := n.Columns()
 	s, err := NewSplit(n, 1998, 2004, 2005)
 	if err != nil {
 		t.Fatal(err)
 	}
+	windowFailures := func(from, to int) int {
+		total := 0
+		for i := 0; i < c.NumPipes(); i++ {
+			total += c.FailureCount(i, from, to)
+		}
+		return total
+	}
 	// Train window 1998-2004 contains: P1@2000, P3@2001 x2 = 3 events.
-	if got := len(s.TrainFailures()); got != 3 {
+	if got := windowFailures(s.TrainFrom, s.TrainTo); got != 3 {
 		t.Fatalf("train failures = %d", got)
 	}
-	labels := s.TestLabels()
 	// Pipes order P1, P2, P3; only P3 failed in 2005.
 	want := []bool{false, false, true}
 	for i := range want {
-		if labels[i] != want[i] {
-			t.Fatalf("labels = %v, want %v", labels, want)
+		if got := c.FailedInYear(i, s.TestYear); got != want[i] {
+			t.Fatalf("pipe %d test label = %v, want %v", i, got, want[i])
 		}
-	}
-	if s.TestFailureCount() != 1 {
-		t.Fatalf("test failure count = %d", s.TestFailureCount())
 	}
 }
 

@@ -1,9 +1,6 @@
 package eval
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Brier returns the Brier score (mean squared error of predicted
 // probabilities against binary outcomes); lower is better. It panics on
@@ -25,80 +22,6 @@ func Brier(probs []float64, labels []bool) float64 {
 		s += d * d
 	}
 	return s / float64(len(probs))
-}
-
-// ReliabilityBin is one bin of a reliability diagram.
-type ReliabilityBin struct {
-	// Lo and Hi bound the predicted-probability bin [Lo, Hi).
-	Lo, Hi float64
-	// Count is the number of predictions in the bin.
-	Count int
-	// MeanPredicted is the average predicted probability in the bin.
-	MeanPredicted float64
-	// ObservedRate is the empirical positive rate in the bin.
-	ObservedRate float64
-}
-
-// Reliability computes an equal-width reliability diagram with the given
-// number of bins (default 10 when bins < 1). Predictions outside [0, 1]
-// are clamped into the terminal bins.
-func Reliability(probs []float64, labels []bool, bins int) []ReliabilityBin {
-	if len(probs) != len(labels) {
-		panic(fmt.Sprintf("eval: Reliability length mismatch %d vs %d", len(probs), len(labels)))
-	}
-	if bins < 1 {
-		bins = 10
-	}
-	out := make([]ReliabilityBin, bins)
-	sums := make([]float64, bins)
-	pos := make([]int, bins)
-	for i := range out {
-		out[i].Lo = float64(i) / float64(bins)
-		out[i].Hi = float64(i+1) / float64(bins)
-	}
-	for i, p := range probs {
-		b := int(p * float64(bins))
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		out[b].Count++
-		sums[b] += p
-		if labels[i] {
-			pos[b]++
-		}
-	}
-	for i := range out {
-		if out[i].Count > 0 {
-			out[i].MeanPredicted = sums[i] / float64(out[i].Count)
-			out[i].ObservedRate = float64(pos[i]) / float64(out[i].Count)
-		}
-	}
-	return out
-}
-
-// ECE returns the expected calibration error: the count-weighted mean
-// absolute gap between predicted and observed rates across reliability
-// bins. 0 is perfectly calibrated.
-func ECE(probs []float64, labels []bool, bins int) float64 {
-	rel := Reliability(probs, labels, bins)
-	n := 0
-	for _, b := range rel {
-		n += b.Count
-	}
-	if n == 0 {
-		return 0
-	}
-	e := 0.0
-	for _, b := range rel {
-		if b.Count == 0 {
-			continue
-		}
-		e += float64(b.Count) / float64(n) * math.Abs(b.MeanPredicted-b.ObservedRate)
-	}
-	return e
 }
 
 // KendallTau returns the Kendall rank correlation (tau-a) between two score

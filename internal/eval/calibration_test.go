@@ -2,9 +2,8 @@ package eval
 
 import (
 	"math"
+	"reflect"
 	"testing"
-
-	"repro/internal/stats"
 )
 
 func TestBrierKnownValues(t *testing.T) {
@@ -32,59 +31,6 @@ func TestBrierPanicsOnMismatch(t *testing.T) {
 	Brier([]float64{1}, []bool{true, false})
 }
 
-func TestReliabilityAndECEPerfectlyCalibrated(t *testing.T) {
-	rng := stats.NewRNG(3)
-	n := 60000
-	probs := make([]float64, n)
-	labels := make([]bool, n)
-	for i := range probs {
-		probs[i] = rng.Float64()
-		labels[i] = rng.Bernoulli(probs[i])
-	}
-	rel := Reliability(probs, labels, 10)
-	if len(rel) != 10 {
-		t.Fatalf("bins = %d", len(rel))
-	}
-	total := 0
-	for _, b := range rel {
-		total += b.Count
-		if b.Count > 0 && math.Abs(b.MeanPredicted-b.ObservedRate) > 0.05 {
-			t.Fatalf("bin [%v,%v): predicted %v vs observed %v",
-				b.Lo, b.Hi, b.MeanPredicted, b.ObservedRate)
-		}
-	}
-	if total != n {
-		t.Fatalf("bin counts sum to %d", total)
-	}
-	if e := ECE(probs, labels, 10); e > 0.02 {
-		t.Fatalf("ECE of calibrated predictions = %v", e)
-	}
-}
-
-func TestECEDetectsMiscalibration(t *testing.T) {
-	rng := stats.NewRNG(4)
-	n := 20000
-	probs := make([]float64, n)
-	labels := make([]bool, n)
-	for i := range probs {
-		probs[i] = 0.9 // overconfident
-		labels[i] = rng.Bernoulli(0.1)
-	}
-	if e := ECE(probs, labels, 10); e < 0.7 {
-		t.Fatalf("ECE should flag gross miscalibration, got %v", e)
-	}
-}
-
-func TestReliabilityClampsOutOfRange(t *testing.T) {
-	rel := Reliability([]float64{-0.5, 1.5}, []bool{false, true}, 5)
-	if rel[0].Count != 1 || rel[4].Count != 1 {
-		t.Fatalf("clamping failed: %+v", rel)
-	}
-	if e := ECE(nil, nil, 5); e != 0 {
-		t.Fatalf("empty ECE = %v", e)
-	}
-}
-
 func TestKendallTau(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	if got := KendallTau(a, a); got != 1 {
@@ -107,8 +53,13 @@ func TestKendallTau(t *testing.T) {
 	}
 }
 
+// TestKFold pins the partition StratifiedKFold makes: every index in
+// exactly one fold, near-equal fold sizes, the k range checked, and the
+// same folds for the same seed.
 func TestKFold(t *testing.T) {
-	folds, err := KFold(10, 3, 1)
+	labels := make([]bool, 10)
+	labels[0] = true
+	folds, err := StratifiedKFold(labels, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,26 +78,21 @@ func TestKFold(t *testing.T) {
 			seen[i] = true
 		}
 	}
-	if len(seen) != 10 {
-		t.Fatalf("covered %d of 10", len(seen))
+	if len(seen) != len(labels) {
+		t.Fatalf("covered %d of %d", len(seen), len(labels))
 	}
-	if _, err := KFold(10, 1, 1); err == nil {
+	if _, err := StratifiedKFold(labels, 1, 1); err == nil {
 		t.Fatal("k=1 must error")
 	}
-	if _, err := KFold(3, 5, 1); err == nil {
+	if _, err := StratifiedKFold(labels[:3], 5, 1); err == nil {
 		t.Fatal("k>n must error")
 	}
-	// Determinism.
-	f2, err := KFold(10, 3, 1)
+	again, err := StratifiedKFold(labels, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range folds {
-		for j := range folds[i] {
-			if folds[i][j] != f2[i][j] {
-				t.Fatal("KFold not deterministic")
-			}
-		}
+	if !reflect.DeepEqual(folds, again) {
+		t.Fatal("StratifiedKFold not deterministic")
 	}
 }
 

@@ -6,23 +6,6 @@ import (
 	"repro/internal/stats"
 )
 
-// KFold partitions n items into k shuffled folds of near-equal size,
-// returning the item indices per fold. It errors when k is out of [2, n].
-func KFold(n, k int, seed int64) ([][]int, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("eval: k-fold k=%d < 2", k)
-	}
-	if k > n {
-		return nil, fmt.Errorf("eval: k-fold k=%d > n=%d", k, n)
-	}
-	perm := stats.NewRNG(seed).Perm(n)
-	folds := make([][]int, k)
-	for i, p := range perm {
-		folds[i%k] = append(folds[i%k], p)
-	}
-	return folds, nil
-}
-
 // StratifiedKFold partitions items into k folds preserving the positive
 // rate per fold — essential under the extreme class imbalance of failure
 // data, where plain folds can end up with zero positives.

@@ -200,45 +200,3 @@ func PartialDetectionArea(scores []float64, labels []bool, frac float64) float64
 	}
 	return area
 }
-
-// ROCCurve returns the ROC curve sub-sampled to at most points+1 points.
-func ROCCurve(scores []float64, labels []bool, points int) []CurvePoint {
-	if len(scores) != len(labels) {
-		panic("eval: ROCCurve length mismatch")
-	}
-	if points < 1 {
-		points = 100
-	}
-	totalPos, totalNeg := 0, 0
-	for _, v := range labels {
-		if v {
-			totalPos++
-		} else {
-			totalNeg++
-		}
-	}
-	out := []CurvePoint{{0, 0}}
-	if totalPos == 0 || totalNeg == 0 {
-		return append(out, CurvePoint{1, 1})
-	}
-	tp, fp := 0, 0
-	next := 1
-	for _, i := range rankOrder(scores) {
-		if labels[i] {
-			tp++
-		} else {
-			fp++
-		}
-		for next <= points && fp*points >= next*totalNeg {
-			out = append(out, CurvePoint{
-				X: float64(fp) / float64(totalNeg),
-				Y: float64(tp) / float64(totalPos),
-			})
-			next++
-		}
-	}
-	if last := out[len(out)-1]; last.X != 1 || last.Y != 1 {
-		out = append(out, CurvePoint{1, 1})
-	}
-	return out
-}

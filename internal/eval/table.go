@@ -33,21 +33,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted cells; each argument is rendered with
-// %v unless it is a float64, which gets %.4f.
-func (t *Table) AddRowf(cells ...any) {
-	strs := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			strs[i] = fmt.Sprintf("%.4f", v)
-		default:
-			strs[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	t.AddRow(strs...)
-}
-
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 

@@ -127,8 +127,6 @@ type ModelEval struct {
 	// PAUC1 is the partial detection area up to 1 % inspected ("AUC 1%",
 	// reported in basis points by the tables).
 	PAUC1 float64
-	// Curve is the detection curve (100 points).
-	Curve []eval.CurvePoint
 	// FitSeconds and ScoreSeconds are wall-clock training/scoring times.
 	FitSeconds, ScoreSeconds float64
 	// Scores are the raw test scores (kept for significance tests and the
@@ -201,7 +199,6 @@ func evalOne(net *dataset.Network, reg *core.Registry, name string, train, test 
 		Det5:         eval.DetectionAt(scores, test.Label, 0.05),
 		Det10:        eval.DetectionAt(scores, test.Label, 0.10),
 		PAUC1:        eval.PartialDetectionArea(scores, test.Label, 0.01),
-		Curve:        eval.DetectionCurve(scores, test.Label, 100),
 		FitSeconds:   fitDur.Seconds(),
 		ScoreSeconds: scoreDur.Seconds(),
 		Scores:       scores,

@@ -99,26 +99,6 @@ func Scale(alpha float64, x []float64) {
 	}
 }
 
-// Norm2 returns the Euclidean norm of x, guarding against overflow by
-// scaling with the largest magnitude component.
-func Norm2(x []float64) float64 {
-	maxAbs := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range x {
-		r := v / maxAbs
-		s += r * r
-	}
-	return maxAbs * math.Sqrt(s)
-}
-
 // NormInf returns the maximum absolute component of x (0 for empty x).
 func NormInf(x []float64) float64 {
 	m := 0.0
@@ -134,9 +114,6 @@ func NormInf(x []float64) float64 {
 func Clone(x []float64) []float64 {
 	return append([]float64(nil), x...)
 }
-
-// Zeros returns a zeroed vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
 
 // Add returns a+b as a new vector. It panics on length mismatch.
 func Add(a, b []float64) []float64 {

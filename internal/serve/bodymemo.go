@@ -5,11 +5,10 @@ package serve
 // can be memoized by those bytes with no invalidation: a repeated body
 // is one map lookup under a read lock and allocates nothing, which keeps
 // the cached plan and bulk paths allocation-free. A miss decodes with
-// encoding/json exactly as a plain json.NewDecoder(...).Decode would
-// (first value only, trailing bytes ignored, last duplicate key wins,
-// stdlib error text) and stores the result under a copied key. Rejected
-// bodies are never stored, and the memo is cleared whenever an insert
-// would push it past memoMaxBytes.
+// decodeOne (one value and only whitespace after it, last duplicate key
+// wins, stdlib error text) and stores the result under a copied key.
+// Rejected bodies are never stored, and the memo is cleared whenever an
+// insert would push it past memoMaxBytes.
 
 import (
 	"bytes"
@@ -51,7 +50,7 @@ func (bm *bodyMemo[T, P]) decode(body []byte) (*T, error) {
 		return v, nil
 	}
 	v = new(T)
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
+	if err := decodeOne(json.NewDecoder(bytes.NewReader(body)), v); err != nil {
 		return nil, err
 	}
 	cost := len(body) + P(v).memoBytes() + memoEntryBytes

@@ -46,7 +46,11 @@ var planBodyCorpus = []string{
 	`{"max_pipes":0}`,
 	`{"max_pipes":-3}`,
 	`{"max_spend":0}`,
-	`{"budget_km":3} trailing garbage`, // json.Decoder reads one value
+	`{"budget_km":3} trailing garbage`, // one value per body
+	`{"budget_km":3}{"budget_km":4}`,
+	`{"budget_km":3} ]`,
+	`{"budget_km":3}}`,
+	"{\"budget_km\":3}\r\n\t ",
 	`{"model":"a\"b"}`,
 	`{"model":"café"}`,
 	"{\"model\":\"caf\xc3\xa9\"}",
@@ -99,12 +103,16 @@ var bulkBodyCorpus = append(append([]string{}, planBodyCorpus...),
 	`{"region":5,"top":3}`,
 )
 
-// stdlibDecode is the reference: the decode the handlers did before the
-// memo existed.
+// stdlibDecode is the reference: a plain encoding/json decode of the
+// first value, refused when anything but JSON whitespace follows it.
 func stdlibDecode[T any](body string) (*T, error) {
 	v := new(T)
-	if err := json.NewDecoder(strings.NewReader(body)).Decode(v); err != nil {
+	dec := json.NewDecoder(strings.NewReader(body))
+	if err := dec.Decode(v); err != nil {
 		return nil, err
+	}
+	if strings.TrimLeft(body[dec.InputOffset():], " \t\r\n") != "" {
+		return nil, errTrailingData
 	}
 	return v, nil
 }
@@ -298,5 +306,51 @@ func TestOversizedBodiesRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("body of exactly %d bytes: status %d, want 200", bufPoolMax, resp.StatusCode)
+	}
+}
+
+// memoHas reports whether body is stored in bm.
+func memoHas[T any, P interface {
+	*T
+	memoBytes() int
+}](bm *bodyMemo[T, P], body string) bool {
+	bm.mu.RLock()
+	defer bm.mu.RUnlock()
+	_, ok := bm.m[body]
+	return ok
+}
+
+// TestPlanAndBulkRejectTrailingData: a plan or bulk body holding more
+// than one JSON value is a 400 and never enters the memo; a trailing
+// newline is still accepted.
+func TestPlanAndBulkRejectTrailingData(t *testing.T) {
+	s, ts := newTestServer(t)
+	const valid = `{"model":"Heuristic-Age","budget_km":1}`
+	for _, path := range []string{"/api/plan", "/api/bulk/rank", "/api/bulk/plan"} {
+		for _, tc := range []struct {
+			body string
+			code int
+		}{
+			{valid + ` garbage`, http.StatusBadRequest},
+			{valid + valid, http.StatusBadRequest},
+			{valid + "\n" + valid, http.StatusBadRequest},
+			{valid + `]`, http.StatusBadRequest},
+			{valid + "\n", http.StatusOK},
+		} {
+			code, resp, err := post(ts.URL+path, tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != tc.code {
+				t.Errorf("%s %q: status %d %s, want %d", path, tc.body, code, resp, tc.code)
+			}
+			stored := memoHas(&s.bulkBodies, tc.body)
+			if path == "/api/plan" {
+				stored = memoHas(&s.planBodies, tc.body)
+			}
+			if stored != (tc.code == http.StatusOK) {
+				t.Errorf("%s %q: stored in the memo = %v", path, tc.body, stored)
+			}
+		}
 	}
 }

@@ -151,7 +151,7 @@ func TestChaosServerSurvives(t *testing.T) {
 	// Every published snapshot is fully formed (a torn publish would
 	// leave nil fields that panic the read path).
 	for name, tm := range *s.def.models.Load() {
-		if tm == nil || tm.ranking == nil || tm.model == nil {
+		if tm == nil || tm.ranking == nil {
 			t.Fatalf("torn snapshot published for %s", name)
 		}
 	}

@@ -523,11 +523,13 @@ type eventsResponse struct {
 }
 
 // handleEvents ingests one event (JSON object) or a batch (NDJSON, one
-// event per line, Content-Type application/x-ndjson). All events are
-// validated before anything is logged — a 400 applies nothing. Events
-// route to the shard named by their "region" field (default shard when
-// absent). 429 + Retry-After signals WAL backpressure; 503 means the
-// log is unconfigured, closed, or failed to make the batch durable.
+// event per line, Content-Type application/x-ndjson). The object, and
+// each line, holds exactly one JSON value. All events are validated
+// before anything is logged — a 400 applies nothing, nor does the 413
+// for a body over maxEventBody. Events route to the shard named by their
+// "region" field (default shard when absent). 429 + Retry-After signals
+// WAL backpressure; 503 means the log is unconfigured, closed, or failed
+// to make the batch durable.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !s.eventsOn {
 		s.writeErr(w, http.StatusServiceUnavailable, "event log not configured (start with -wal-dir)")
@@ -535,6 +537,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	events, err := decodeEvents(r)
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) || errors.Is(err, bufio.ErrTooLong) {
+			s.writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxEventBody)
+			return
+		}
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -683,21 +690,21 @@ func decodeEvents(r *http.Request) ([]walEvent, error) {
 			var ev walEvent
 			dec := json.NewDecoder(bytes.NewReader(text))
 			dec.DisallowUnknownFields()
-			if err := dec.Decode(&ev); err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
+			if err := decodeOne(dec, &ev); err != nil {
+				return nil, fmt.Errorf("line %d: %w", line, err)
 			}
 			events = append(events, ev)
 		}
 		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("reading body: %v", err)
+			return nil, fmt.Errorf("reading body: %w", err)
 		}
 		return events, nil
 	}
 	var ev walEvent
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ev); err != nil {
-		return nil, fmt.Errorf("decoding event: %v", err)
+	if err := decodeOne(dec, &ev); err != nil {
+		return nil, fmt.Errorf("decoding event: %w", err)
 	}
 	return []walEvent{ev}, nil
 }

@@ -510,3 +510,80 @@ func TestEventsClosedLog503(t *testing.T) {
 		t.Fatalf("closed log applied %d events", got)
 	}
 }
+
+// TestEventsRejectTrailingData: on both the single-object and the NDJSON
+// path, anything but whitespace after an event's JSON value is a 400 that
+// logs and applies nothing. A trailing newline is still accepted.
+func TestEventsRejectTrailingData(t *testing.T) {
+	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
+	p := s.def.net.Pipes()[0]
+	ev := func(id string) string {
+		return fmt.Sprintf(`{"id":%q,"pipe_id":%q,"year":%d,"day":1}`, id, p.ID, s.def.net.ObservedTo+1)
+	}
+	logged := s.def.ingest.wal.SizeBytes()
+	for _, tc := range []struct {
+		name, ctype, body string
+	}{
+		{"two objects", "application/json", ev("t-1") + ev("t-2")},
+		{"two objects, newline", "application/json", ev("t-1") + "\n" + ev("t-2")},
+		{"garbage", "application/json", ev("t-1") + " garbage"},
+		{"stray bracket", "application/json", ev("t-1") + "]"},
+		{"ndjson two objects on a line", "application/x-ndjson", ev("t-1") + ev("t-2") + "\n"},
+		{"ndjson garbage", "application/x-ndjson", ev("t-1") + "\n" + ev("t-2") + " x\n"},
+	} {
+		resp, err := http.Post(ts.URL+"/api/events", tc.ctype, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), errTrailingData.Error()) {
+			t.Errorf("%s: status %d %s, want 400 naming the trailing data", tc.name, resp.StatusCode, body)
+		}
+		if got := s.def.eventSeqNow(); got != 0 {
+			t.Fatalf("%s: applied %d events", tc.name, got)
+		}
+		if got := s.def.ingest.wal.SizeBytes(); got != logged {
+			t.Fatalf("%s: log grew %d -> %d bytes", tc.name, logged, got)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/api/events", "application/json", strings.NewReader(ev("t-3")+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || s.def.eventSeqNow() != 1 {
+		t.Fatalf("single event with a trailing newline: status %d, %d events", resp.StatusCode, s.def.eventSeqNow())
+	}
+}
+
+// TestEventsOversizedBody413: a body over maxEventBody is a 413 with one
+// text on both paths, whether one value or the whole body is too long.
+func TestEventsOversizedBody413(t *testing.T) {
+	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
+	p := s.def.net.Pipes()[0]
+	over := maxEventBody + 1
+	for _, tc := range []struct {
+		name, ctype, body string
+	}{
+		{"huge object", "application/json", `{"id":"` + strings.Repeat("a", over) + `"}`},
+		{"object then padding", "application/json",
+			fmt.Sprintf(`{"id":"o-1","pipe_id":%q,"year":%d,"day":1}`, p.ID, s.def.net.ObservedTo+1) + strings.Repeat(" ", over)},
+		{"ndjson long line", "application/x-ndjson", strings.Repeat(" ", over)},
+		{"ndjson many lines", "application/x-ndjson", strings.Repeat("\n", over)},
+	} {
+		resp, err := http.Post(ts.URL+"/api/events", tc.ctype, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		want := fmt.Sprintf("request body exceeds %d bytes", maxEventBody)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), want) {
+			t.Errorf("%s: status %d %s, want 413 %q", tc.name, resp.StatusCode, body, want)
+		}
+	}
+	if got := s.def.eventSeqNow(); got != 0 {
+		t.Fatalf("oversized bodies applied %d events", got)
+	}
+}

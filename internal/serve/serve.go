@@ -90,11 +90,6 @@ type Server struct {
 	// requestTimeout bounds each sheddable request's context (0 = none).
 	requestTimeout time.Duration
 
-	// stateDir, when non-empty, is the root under which trained linear
-	// models are persisted for warm restarts (see state.go); each shard
-	// holds its own subdirectory in shard.stateDir.
-	stateDir string
-
 	// defaultModel is the model a plan request with no "model" field
 	// resolves to, resolved once at construction — pipefail.Models()
 	// allocates its slice per call, which the zero-alloc plan path
@@ -863,7 +858,7 @@ func (s *Server) snapshotModel(sh *shard, pipe *pipefail.Pipeline, seq int64, na
 	} else {
 		calibrator = cal
 	}
-	tm := newModelSnapshot(name, m, ranking, calibrator, fitSeconds)
+	tm := newModelSnapshot(name, ranking, calibrator, fitSeconds)
 	tm.eventSeq = seq
 	return tm, nil
 }
@@ -1215,6 +1210,26 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buf
 	}
 	s.writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", bufPoolMax)
 	return false
+}
+
+// errTrailingData rejects a body holding more than one JSON value: a
+// decoder stops after the first, and the rest would be dropped unread.
+var errTrailingData = errors.New("unexpected data after the JSON value")
+
+// decodeOne decodes into v the one JSON value dec's input must hold;
+// only whitespace may follow it.
+func decodeOne(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	_, err := dec.Token()
+	if err == io.EOF {
+		return nil
+	}
+	if _, syntax := err.(*json.SyntaxError); err == nil || syntax {
+		return errTrailingData
+	}
+	return err
 }
 
 // planParams validates the decoded plan fields and assembles the cost

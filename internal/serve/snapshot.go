@@ -30,7 +30,6 @@ import (
 
 // modelSnapshot is one trained model frozen for serving.
 type modelSnapshot struct {
-	model      pipefail.Model
 	ranking    *pipefail.Ranking
 	calibrator core.Calibrator
 	fitSeconds float64
@@ -119,9 +118,8 @@ func (tm *modelSnapshot) prefixFor(cm plan.CostModel, builds *obs.Counter) (*pla
 // newModelSnapshot freezes a trained model. calibrator may be nil (plans
 // are refused for the model, rankings omit fail_prob); everything else
 // is mandatory.
-func newModelSnapshot(name string, m pipefail.Model, ranking *pipefail.Ranking, calibrator core.Calibrator, fitSeconds float64) *modelSnapshot {
+func newModelSnapshot(name string, ranking *pipefail.Ranking, calibrator core.Calibrator, fitSeconds float64) *modelSnapshot {
 	tm := &modelSnapshot{
-		model:      m,
 		ranking:    ranking,
 		calibrator: calibrator,
 		fitSeconds: fitSeconds,

@@ -52,7 +52,6 @@ func (s *Server) SetStateDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("serve: state dir: %w", err)
 	}
-	s.stateDir = dir
 	for _, sh := range s.shards {
 		sub := dir
 		if len(s.shards) > 1 {

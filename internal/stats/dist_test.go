@@ -21,28 +21,6 @@ func TestNormalCDFKnownValues(t *testing.T) {
 	}
 }
 
-func TestNormalQuantileRoundTrip(t *testing.T) {
-	for _, p := range []float64{1e-10, 1e-4, 0.01, 0.3, 0.5, 0.7, 0.975, 0.9999, 1 - 1e-10} {
-		x := NormalQuantile(p)
-		if got := NormalCDF(x); !almostEqual(got, p, 1e-10) {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
-		}
-	}
-}
-
-func TestNormalQuantilePanics(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.5, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NormalQuantile(%v) did not panic", p)
-				}
-			}()
-			NormalQuantile(p)
-		}()
-	}
-}
-
 func TestStudentTCDFAgainstKnown(t *testing.T) {
 	// Reference values from R's pt().
 	cases := []struct{ t, df, want float64 }{
@@ -78,34 +56,6 @@ func TestStudentTCDFPanicsOnBadDF(t *testing.T) {
 	StudentTCDF(1, 0)
 }
 
-func TestWeibullCDFExponentialSpecialCase(t *testing.T) {
-	// shape=1 reduces to exponential with rate 1/scale.
-	for _, tt := range []float64{0.1, 1, 3, 10} {
-		got := WeibullCDF(tt, 1, 2)
-		want := ExpCDF(tt, 0.5)
-		if !almostEqual(got, want, 1e-12) {
-			t.Errorf("WeibullCDF(%v,1,2) = %v, want %v", tt, got, want)
-		}
-	}
-	if WeibullCDF(-1, 2, 1) != 0 {
-		t.Fatal("negative time must give 0")
-	}
-}
-
-func TestWeibullHazardMonotonicity(t *testing.T) {
-	// shape > 1: increasing hazard (aging); shape < 1: decreasing.
-	hUp1 := WeibullHazard(1, 2.5, 50)
-	hUp2 := WeibullHazard(10, 2.5, 50)
-	if hUp2 <= hUp1 {
-		t.Fatalf("shape>1 hazard must increase: %v vs %v", hUp1, hUp2)
-	}
-	hDn1 := WeibullHazard(1, 0.5, 50)
-	hDn2 := WeibullHazard(10, 0.5, 50)
-	if hDn2 >= hDn1 {
-		t.Fatalf("shape<1 hazard must decrease: %v vs %v", hDn1, hDn2)
-	}
-}
-
 func TestLogisticBasics(t *testing.T) {
 	if got := Logistic(0); got != 0.5 {
 		t.Fatalf("Logistic(0) = %v", got)
@@ -121,18 +71,6 @@ func TestLogisticBasics(t *testing.T) {
 		if !almostEqual(Logistic(-x), 1-Logistic(x), 1e-15) {
 			t.Errorf("symmetry violated at %v", x)
 		}
-	}
-}
-
-func TestLog1pExpExtremes(t *testing.T) {
-	if got := Log1pExp(100); got != 100 {
-		t.Fatalf("Log1pExp(100) = %v", got)
-	}
-	if got := Log1pExp(-100); !almostEqual(got, math.Exp(-100), 1e-50) {
-		t.Fatalf("Log1pExp(-100) = %v", got)
-	}
-	if got := Log1pExp(0); !almostEqual(got, math.Ln2, 1e-15) {
-		t.Fatalf("Log1pExp(0) = %v, want ln 2", got)
 	}
 }
 

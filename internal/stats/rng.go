@@ -12,8 +12,8 @@ import (
 )
 
 // RNG is a seeded source of randomness used across the library.
-// It wraps math/rand with a few extra samplers (exponential, Weibull,
-// lognormal, Poisson, categorical) that the synthetic data generator and the
+// It wraps math/rand with a few extra samplers (exponential, lognormal,
+// Poisson, categorical) that the synthetic data generator and the
 // evolutionary optimizer need.
 //
 // RNG is not safe for concurrent use; derive independent streams with Split.
@@ -66,12 +66,6 @@ func (g *RNG) LogNormal(mu, sigma float64) float64 {
 func (g *RNG) Exp(rate float64) float64 {
 	// Inverse CDF; 1-U avoids log(0).
 	return -math.Log(1-g.r.Float64()) / rate
-}
-
-// Weibull returns a Weibull variate with the given shape k and scale lambda.
-func (g *RNG) Weibull(shape, scale float64) float64 {
-	u := 1 - g.r.Float64()
-	return scale * math.Pow(-math.Log(u), 1/shape)
 }
 
 // Bernoulli returns true with probability p.

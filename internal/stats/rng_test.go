@@ -85,20 +85,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestWeibullMedian(t *testing.T) {
-	g := NewRNG(4)
-	n := 100000
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = g.Weibull(2, 10)
-	}
-	// Median of Weibull(k, lambda) is lambda * (ln 2)^(1/k).
-	want := 10 * math.Pow(math.Ln2, 0.5)
-	if got := Median(xs); math.Abs(got-want) > 0.15 {
-		t.Fatalf("weibull median %v, want about %v", got, want)
-	}
-}
-
 func TestBernoulliEdges(t *testing.T) {
 	g := NewRNG(5)
 	for i := 0; i < 100; i++ {

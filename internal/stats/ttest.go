@@ -105,27 +105,3 @@ func studentCDFSafe(t, df float64) float64 {
 		return StudentTCDF(t, df)
 	}
 }
-
-// BootstrapCI returns a percentile bootstrap confidence interval for the
-// mean of xs at the given confidence level (e.g. 0.95), using b resamples.
-func BootstrapCI(rng *RNG, xs []float64, level float64, b int) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrInsufficientData
-	}
-	if level <= 0 || level >= 1 {
-		return 0, 0, fmt.Errorf("stats: bootstrap level %v out of (0,1)", level)
-	}
-	if b < 2 {
-		return 0, 0, fmt.Errorf("stats: bootstrap resamples %d < 2", b)
-	}
-	means := make([]float64, b)
-	tmp := make([]float64, len(xs))
-	for i := 0; i < b; i++ {
-		for j := range tmp {
-			tmp[j] = xs[rng.Intn(len(xs))]
-		}
-		means[i] = Mean(tmp)
-	}
-	tail := (1 - level) / 2
-	return Quantile(means, tail), Quantile(means, 1-tail), nil
-}

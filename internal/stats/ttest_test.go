@@ -107,37 +107,3 @@ func TestPairedTTestErrors(t *testing.T) {
 		t.Fatal("unknown alternative must error")
 	}
 }
-
-func TestBootstrapCICoversMean(t *testing.T) {
-	g := NewRNG(11)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = g.Normal(10, 2)
-	}
-	lo, hi, err := BootstrapCI(g, xs, 0.95, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo >= hi {
-		t.Fatalf("degenerate interval [%v, %v]", lo, hi)
-	}
-	if lo > 10 || hi < 10 {
-		t.Fatalf("interval [%v, %v] misses the true mean 10", lo, hi)
-	}
-	if hi-lo > 1 {
-		t.Fatalf("interval [%v, %v] suspiciously wide", lo, hi)
-	}
-}
-
-func TestBootstrapCIErrors(t *testing.T) {
-	g := NewRNG(12)
-	if _, _, err := BootstrapCI(g, nil, 0.95, 100); err == nil {
-		t.Fatal("empty sample must error")
-	}
-	if _, _, err := BootstrapCI(g, []float64{1}, 1.5, 100); err == nil {
-		t.Fatal("bad level must error")
-	}
-	if _, _, err := BootstrapCI(g, []float64{1}, 0.95, 1); err == nil {
-		t.Fatal("too few resamples must error")
-	}
-}

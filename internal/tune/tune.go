@@ -78,22 +78,6 @@ func SelectByCV(train *feature.Set, cands []Candidate, k int, seed int64) ([]Res
 	return results, nil
 }
 
-// Best runs SelectByCV and returns the winning candidate alongside the
-// full result list.
-func Best(train *feature.Set, cands []Candidate, k int, seed int64) (Candidate, []Result, error) {
-	results, err := SelectByCV(train, cands, k, seed)
-	if err != nil {
-		return Candidate{}, nil, err
-	}
-	for _, c := range cands {
-		if c.Label == results[0].Label {
-			return c, results, nil
-		}
-	}
-	// Unreachable: results derive from cands.
-	return Candidate{}, nil, fmt.Errorf("tune: winner %q not among candidates", results[0].Label)
-}
-
 // subset builds a row-subset view of a feature set (copies the index
 // slices, shares the row vectors).
 func subset(s *feature.Set, rows []int) *feature.Set {

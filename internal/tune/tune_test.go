@@ -75,24 +75,6 @@ func TestSelectByCVRanksCandidates(t *testing.T) {
 	}
 }
 
-func TestBestReturnsWinner(t *testing.T) {
-	train := noisySet(2, 800, 6)
-	best, results, err := Best(train, svmCandidates(), 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Label != results[0].Label {
-		t.Fatalf("best %s vs results[0] %s", best.Label, results[0].Label)
-	}
-	if best.Make == nil {
-		t.Fatal("winner has no factory")
-	}
-	m := best.Make()
-	if err := m.Fit(train); err != nil {
-		t.Fatalf("winner cannot be retrained: %v", err)
-	}
-}
-
 func TestSelectByCVDeterminism(t *testing.T) {
 	train := noisySet(3, 600, 5)
 	r1, err := SelectByCV(train, svmCandidates(), 3, 9)

@@ -170,8 +170,7 @@ func NewPipeline(net *Network, opts ...PipelineOption) (*Pipeline, error) {
 // it or Network.Columns builds it: the feature matrices fill straight from
 // the column arrays with no intermediate per-pipe structs. The default
 // split follows the paper's protocol (all observed years but the last for
-// training); the split carries no *Network, so Split helpers that need one
-// (TrainFailures, TestLabels) are unavailable unless WithSplit supplies it.
+// training).
 func NewPipelineData(data *Data, opts ...PipelineOption) (*Pipeline, error) {
 	if data == nil {
 		return nil, fmt.Errorf("pipefail: nil data")
