@@ -15,13 +15,14 @@ loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^perfbench/' | xargs cat | wc -l
 
 # verify is the pre-submit gate: gofmt cleanliness and static checks,
-# the race detector on the concurrency-bearing packages (the parallel
-# training engine, the pool-fanned eval kernels, the kernel-conformance
-# harness, the metrics registry, the train-singleflight + snapshot HTTP
-# layer with its single cached-response resolver and raw-body request
-# memo, the response cache and the experiment fan-out), the kerneltest
-# differential harness (Dot, MatVec and the AUC kernel bitwise vs naive
-# oracles), the allocation-regression gates on the AUC kernel, the ES's
+# the race detector on the concurrency-bearing packages (live extension
+# of one shared region, the parallel training engine, the pool-fanned
+# eval kernels, the kernel-conformance harness, the metrics registry,
+# the train-singleflight + snapshot HTTP layer with its single
+# cached-response resolver and raw-body request memo, the response
+# cache and the experiment fan-out), the kerneltest differential
+# harness (Dot, MatVec and the AUC kernel bitwise vs naive oracles),
+# the allocation-regression gates on the AUC kernel, the ES's
 # per-generation negative resample, the serve
 # ranking/plan/bulk-rank/bulk-plan cached paths and the request-body
 # memo hit, the flat per-event ingest allocation count
@@ -31,7 +32,7 @@ loc:
 verify:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
-	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/respcache/... ./internal/experiments/... ./internal/wal/...
+	$(GO) test -race ./internal/dataset/... ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/respcache/... ./internal/experiments/... ./internal/wal/...
 	$(GO) test ./internal/kerneltest -count=1
 	$(GO) test ./internal/eval -run='^TestAUCKernelZeroAlloc$$' -count=1
 	$(GO) test ./internal/core -run='^TestFitnessBatchResampleZeroAlloc$$' -count=1
@@ -92,11 +93,12 @@ bench-json:
 # allocs/op grew at all, or if a recorded benchmark disappeared. Refresh
 # the core and serve baselines with bench-json.
 # bench-data records the columnar data-plane benchmarks (streaming decode,
-# encode, CSV->columnar conversion, feature ingest) at 10k/100k/1M rows
-# into BENCH_data.json. BENCH_FULL=1 unlocks the 1M-pipe fixture, which
-# takes about a minute of synthesis before measurement starts.
+# encode, CSV->columnar conversion, feature ingest, live rebuild) at
+# 10k/100k/1M rows into BENCH_data.json. BENCH_FULL=1 unlocks the
+# 1M-pipe fixture, which takes about a minute of synthesis before
+# measurement starts.
 bench-data:
-	{ BENCH_FULL=1 $(GO) test -run='^$$' -bench='BenchmarkColRead|BenchmarkColWrite|BenchmarkConvertCSVToCol|BenchmarkIngest' -timeout 60m ./internal/colfmt/; \
+	{ BENCH_FULL=1 $(GO) test -run='^$$' -bench='BenchmarkColRead|BenchmarkColWrite|BenchmarkConvertCSVToCol|BenchmarkIngest|BenchmarkLiveRebuild' -timeout 60m ./internal/colfmt/; \
 	  $(GO) test -run='^$$' -bench='BenchmarkReadPipes|BenchmarkReadFailures' ./internal/dataset/; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_data.json
 
@@ -116,7 +118,7 @@ bench-check:
 	  $(GO) test -run='^$$' -bench='BenchmarkAUCKernel|BenchmarkTopK' ./internal/eval/; \
 	  $(GO) test -run='^$$' -bench='BenchmarkMatVec|BenchmarkDot' ./internal/linalg/; } \
 	| $(GO) run ./cmd/benchjson -check BENCH_core.json -tol $(BENCH_TOL)
-	{ BENCH_FULL=1 $(GO) test -run='^$$' -bench='BenchmarkColRead|BenchmarkColWrite|BenchmarkConvertCSVToCol|BenchmarkIngest' -timeout 60m ./internal/colfmt/; \
+	{ BENCH_FULL=1 $(GO) test -run='^$$' -bench='BenchmarkColRead|BenchmarkColWrite|BenchmarkConvertCSVToCol|BenchmarkIngest|BenchmarkLiveRebuild' -timeout 60m ./internal/colfmt/; \
 	  $(GO) test -run='^$$' -bench='BenchmarkReadPipes|BenchmarkReadFailures' ./internal/dataset/; } \
 	| $(GO) run ./cmd/benchjson -check BENCH_data.json -tol $(BENCH_TOL)
 	{ $(GO) test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALReplay' ./internal/wal/; \

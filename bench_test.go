@@ -183,7 +183,7 @@ func benchSets(b *testing.B) (*feature.Set, *feature.Set) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fb, err := feature.NewBuilder(net.Columns(), feature.Options{})
+	fb, err := feature.NewBuilder(net, feature.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func BenchmarkAblationLabels(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fb, err := feature.NewBuilder(net.Columns(), feature.Options{})
+	fb, err := feature.NewBuilder(net, feature.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -356,10 +356,8 @@ func BenchmarkAblationLabels(b *testing.B) {
 	cumTrain := &feature.Set{Names: train.Names, X: train.X, Age: train.Age,
 		LengthM: train.LengthM, PipeIdx: train.PipeIdx, Year: train.Year}
 	cumTrain.Label = make([]bool, train.Len())
-	pipes := net.Pipes()
 	for i := range cumTrain.Label {
-		id := pipes[train.PipeIdx[i]].ID
-		cumTrain.Label[i] = net.FailureCount(id, split.TrainFrom, train.Year[i]) > 0
+		cumTrain.Label[i] = net.FailureCount(train.PipeIdx[i], split.TrainFrom, train.Year[i]) > 0
 	}
 	cases := map[string]*feature.Set{"next-year": train, "cumulative": cumTrain}
 	for name, tr := range cases {

@@ -50,11 +50,7 @@ func main() {
 	if columnar {
 		// Columnar in -> CSV directory out.
 		format = "columnar"
-		net, err := d.Network()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := dataset.SaveDir(net, *out); err != nil {
+		if err := dataset.SaveDir(d, *out); err != nil {
 			log.Fatal(err)
 		}
 		target = *out
@@ -89,6 +85,6 @@ func main() {
 		bytes += st.Size()
 	}
 	fmt.Printf("converted %s (%s) -> %s\n", *in, format, target)
-	fmt.Printf("pipes: %d  failures: %d  output bytes: %d\n", d.NumPipes(), d.NumEvents(), bytes)
+	fmt.Printf("pipes: %d  failures: %d  output bytes: %d\n", d.NumPipes(), d.NumFailures(), bytes)
 	fmt.Printf("load: %s  convert+write: %s\n", loadElapsed.Round(time.Millisecond), convElapsed.Round(time.Millisecond))
 }

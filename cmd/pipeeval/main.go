@@ -113,9 +113,9 @@ func main() {
 	if needShared {
 		var err error
 		if *data != "" {
-			var nets []*dataset.Network
+			var nets []*dataset.Columns
 			for _, path := range splitList(*data) {
-				net, err := pipefail.LoadNetwork(path)
+				net, err := pipefail.OpenData(path)
 				if err != nil {
 					log.Fatalf("load %s: %v", path, err)
 				}

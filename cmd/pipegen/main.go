@@ -86,7 +86,7 @@ func main() {
 
 // generateCSV streams pipe rows directly into pipes.csv. Failures are
 // buffered (they are ~25x fewer than pipes) because the on-disk log is
-// sorted by (Year, Day, PipeID) — the same stable order dataset.NewNetwork
+// sorted by (Year, Day, PipeID) — the same stable order dataset.FromRows
 // imposes — while generation emits them grouped by pipe.
 func generateCSV(cfg synthetic.Config, dir string) (*synthetic.StreamSummary, error) {
 	pipesF, err := os.Create(filepath.Join(dir, "pipes.csv"))
@@ -149,7 +149,7 @@ func generateColumnar(cfg synthetic.Config, dir string) (*synthetic.StreamSummar
 	}
 	var events []event
 
-	c := &d.Pipes
+	c := &d.Registry
 	sum, err := synthetic.GenerateStream(cfg,
 		func(p *dataset.Pipe) error { c.Append(p); return nil },
 		func(f *dataset.Failure) error {

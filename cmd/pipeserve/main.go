@@ -136,10 +136,10 @@ func run() int {
 		return 1
 	}
 
-	var networks []*pipefail.Network
+	var networks []*pipefail.Data
 	if len(data) > 0 {
 		for _, path := range data {
-			network, err := pipefail.LoadNetwork(path)
+			network, err := pipefail.OpenData(path)
 			if err != nil {
 				log.Print(err)
 				return 1

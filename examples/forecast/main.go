@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := feature.NewBuilder(net.Columns(), feature.Options{})
+	b, err := feature.NewBuilder(net, feature.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,23 +69,23 @@ func main() {
 
 	// Renewal shortlist: pipes with the largest 5-year expected counts.
 	type cand struct {
-		id  string
+		row int
 		sum float64
 	}
-	pipes := net.Pipes()
 	cands := make([]cand, len(fc))
 	for i := range fc {
 		s := 0.0
 		for _, v := range fc[i] {
 			s += v
 		}
-		cands[i] = cand{pipes[test.PipeIdx[i]].ID, s}
+		cands[i] = cand{test.PipeIdx[i], s}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].sum > cands[j].sum })
 	fmt.Println("\nrenewal shortlist (largest 5-year expected failure counts):")
+	var p pipefail.Pipe
 	for i := 0; i < 10 && i < len(cands); i++ {
-		p, _ := net.PipeByID(cands[i].id)
+		net.PipeAt(cands[i].row, &p)
 		fmt.Printf("  %2d. %s  %.2f expected failures  (%s, %d, %.0fmm, %.0fm)\n",
-			i+1, cands[i].id, cands[i].sum, p.Material, p.LaidYear, p.DiameterMM, p.LengthM)
+			i+1, p.ID, cands[i].sum, p.Material, p.LaidYear, p.DiameterMM, p.LengthM)
 	}
 }

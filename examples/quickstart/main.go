@@ -16,7 +16,7 @@ func main() {
 
 	// 1. Obtain a network. Region "A" is a calibrated preset of a populous
 	// suburban water network; scale 0.1 keeps this example fast (~1.5k
-	// pipes). Use pipefail.LoadNetwork to read a real CSV export instead.
+	// pipes). Use pipefail.OpenData to read a real CSV or PCOL export instead.
 	net, err := pipefail.GenerateRegion("A", 42, 0.1)
 	if err != nil {
 		log.Fatal(err)

@@ -33,7 +33,7 @@ func sets(t *testing.T) (*feature.Set, *feature.Set) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := feature.NewBuilder(net.Columns(), feature.Options{})
+	b, err := feature.NewBuilder(net, feature.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

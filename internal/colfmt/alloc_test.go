@@ -12,7 +12,7 @@ import (
 // fraction, for alloc measurements at two different row counts.
 func encodedAt(t *testing.T, scale float64) []byte {
 	t.Helper()
-	return encode(t, testNetwork(t, scale, 11).Columns())
+	return encode(t, testNetwork(t, scale, 11))
 }
 
 // TestReadAllocsRowIndependent enforces the O(columns) loading guarantee:

@@ -46,20 +46,19 @@ func fixture(b *testing.B, scale float64) *benchFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, _, err := synthetic.Generate(cfg)
+	d, _, err := synthetic.Generate(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := net.Columns()
 	var buf bytes.Buffer
 	if err := Write(&buf, d); err != nil {
 		b.Fatal(err)
 	}
 	var pbuf, fbuf bytes.Buffer
-	if err := dataset.WritePipes(&pbuf, net.Pipes()); err != nil {
+	if err := dataset.WritePipes(&pbuf, d.Pipes()); err != nil {
 		b.Fatal(err)
 	}
-	if err := dataset.WriteFailures(&fbuf, net.Failures()); err != nil {
+	if err := dataset.WriteFailures(&fbuf, d.Failures()); err != nil {
 		b.Fatal(err)
 	}
 	f := &benchFixture{d: d, raw: buf.Bytes(), csvPipes: pbuf.Bytes(), csvFails: fbuf.Bytes()}
@@ -124,8 +123,11 @@ func BenchmarkConvertCSVToCol(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			net := dataset.NewNetwork(f.d.Region, f.d.ObservedFrom, f.d.ObservedTo, pipes, fails)
-			if err := Write(io.Discard, net.Columns()); err != nil {
+			net, err := dataset.FromRows(f.d.Region, f.d.ObservedFrom, f.d.ObservedTo, pipes, fails)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := Write(io.Discard, net); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -155,4 +157,45 @@ func BenchmarkIngest(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkLiveRebuild measures one live retrain's data path: extend the
+// loaded region with 1k live events (900 failures, 100 renewals) and
+// build the pipeline over the result, as pipefail.NewPipelineData does
+// (builder, scaler fit, test set).
+func BenchmarkLiveRebuild(b *testing.B) {
+	benchEach(b, func(b *testing.B, f *benchFixture) {
+		fails, renewals := liveEvents(f.d, 900, 100)
+		split := dataset.Split{TrainFrom: f.d.ObservedFrom, TrainTo: f.d.ObservedTo - 1, TestYear: f.d.ObservedTo}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ext := f.d.ExtendLive(fails, renewals)
+			bld, err := feature.NewBuilder(ext, feature.Options{Standardize: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := bld.Fit(split); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := bld.TestSet(split); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// liveEvents spreads nf failures and nr renewals evenly over the
+// registry, all in the last training year.
+func liveEvents(d *dataset.Columns, nf, nr int) ([]dataset.Failure, []dataset.Renewal) {
+	year := d.ObservedTo - 1
+	fails := make([]dataset.Failure, nf)
+	for k := range fails {
+		i := k * d.NumPipes() / nf
+		fails[k] = dataset.Failure{PipeID: d.Registry.ID[i], Year: year, Day: 1 + k%365, Mode: dataset.ModeBreak}
+	}
+	renewals := make([]dataset.Renewal, nr)
+	for k := range renewals {
+		renewals[k] = dataset.Renewal{PipeID: d.Registry.ID[(2*k+1)*d.NumPipes()/(2*nr)], Year: year}
+	}
+	return fails, renewals
 }

@@ -28,15 +28,12 @@
 // O(columns) allocations: one typed slice per column plus a reused
 // section scratch buffer, never per-row boxes. Events reference pipes by
 // registry row index, so no ID-keyed map is needed to join them. Every
-// decoded file is then checked with Columns.Validate, the same rules
-// Network.Validate applies, so a PCOL load rejects exactly what a
-// materialized load would.
+// decoded file is then checked with Columns.Validate, the same rules a
+// CSV load applies, so both formats reject exactly the same data.
 //
 // Open is the format-sniffing loader the CLIs share: a directory with a
 // dataset.col file (or a bare .col file path) loads columnar, any other
-// directory falls back to the CSV reader in internal/dataset and converts
-// once with Network.Columns. OpenNetwork resolves the path the same way
-// and returns a validated row-oriented network.
+// directory falls back to the CSV reader in internal/dataset.
 package colfmt
 
 // Magic is the 4-byte file signature.

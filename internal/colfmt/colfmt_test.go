@@ -11,7 +11,7 @@ import (
 	"repro/internal/synthetic"
 )
 
-func testNetwork(t testing.TB, scale float64, seed int64) *dataset.Network {
+func testNetwork(t testing.TB, scale float64, seed int64) *dataset.Columns {
 	t.Helper()
 	cfg, err := synthetic.Preset("A", seed)
 	if err != nil {
@@ -38,8 +38,7 @@ func encode(t testing.TB, d *dataset.Columns) []byte {
 }
 
 func TestRoundTrip(t *testing.T) {
-	net := testNetwork(t, 0.05, 17)
-	d := net.Columns()
+	d := testNetwork(t, 0.05, 17)
 	raw := encode(t, d)
 	got, err := Read(bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
@@ -49,29 +48,24 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("meta mismatch: got %q [%d,%d], want %q [%d,%d]",
 			got.Region, got.ObservedFrom, got.ObservedTo, d.Region, d.ObservedFrom, d.ObservedTo)
 	}
-	if !reflect.DeepEqual(got.Pipes, d.Pipes) {
+	if !reflect.DeepEqual(got.Registry, d.Registry) {
 		t.Fatal("pipe columns changed across round trip")
 	}
 	if !reflect.DeepEqual(got.Events, d.Events) {
 		t.Fatal("event columns changed across round trip")
 	}
 
-	// The materialized network must match the original exactly.
-	back, err := got.Network()
-	if err != nil {
-		t.Fatalf("materialize: %v", err)
+	// The materialized rows must match the original exactly.
+	if !reflect.DeepEqual(got.Pipes(), d.Pipes()) {
+		t.Fatal("materialized pipes differ from the original")
 	}
-	if !reflect.DeepEqual(back.Pipes(), net.Pipes()) {
-		t.Fatal("materialized pipes differ from the original network")
-	}
-	if !reflect.DeepEqual(back.Failures(), net.Failures()) {
-		t.Fatal("materialized failures differ from the original network")
+	if !reflect.DeepEqual(got.Failures(), d.Failures()) {
+		t.Fatal("materialized failures differ from the original")
 	}
 }
 
 func TestWriteFileReadFile(t *testing.T) {
-	net := testNetwork(t, 0.03, 5)
-	d := net.Columns()
+	d := testNetwork(t, 0.03, 5)
 	path := filepath.Join(t.TempDir(), DatasetFile)
 	if err := WriteFile(path, d); err != nil {
 		t.Fatalf("WriteFile: %v", err)
@@ -80,17 +74,16 @@ func TestWriteFileReadFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	if !reflect.DeepEqual(got.Pipes, d.Pipes) || !reflect.DeepEqual(got.Events, d.Events) {
+	if !reflect.DeepEqual(got.Registry, d.Registry) || !reflect.DeepEqual(got.Events, d.Events) {
 		t.Fatal("file round trip changed the columns")
 	}
 }
 
 func TestOpenSniffing(t *testing.T) {
-	net := testNetwork(t, 0.03, 9)
-	d := net.Columns()
+	d := testNetwork(t, 0.03, 9)
 
 	csvDir := t.TempDir()
-	if err := dataset.SaveDir(net, csvDir); err != nil {
+	if err := dataset.SaveDir(d, csvDir); err != nil {
 		t.Fatal(err)
 	}
 	colDir := t.TempDir()
@@ -98,7 +91,7 @@ func TestOpenSniffing(t *testing.T) {
 		t.Fatal(err)
 	}
 	bothDir := t.TempDir()
-	if err := dataset.SaveDir(net, bothDir); err != nil {
+	if err := dataset.SaveDir(d, bothDir); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFile(filepath.Join(bothDir, DatasetFile), d); err != nil {
@@ -122,31 +115,24 @@ func TestOpenSniffing(t *testing.T) {
 		if columnar != c.columnar {
 			t.Fatalf("Open(%s): columnar = %v, want %v", c.path, columnar, c.columnar)
 		}
-		if data.NumPipes() != net.NumPipes() || data.NumEvents() != len(net.Failures()) {
+		if data.NumPipes() != d.NumPipes() || data.NumFailures() != len(d.Failures()) {
 			t.Fatalf("Open(%s): %d pipes / %d failures, want %d / %d",
-				c.path, data.NumPipes(), data.NumEvents(), net.NumPipes(), len(net.Failures()))
+				c.path, data.NumPipes(), data.NumFailures(), d.NumPipes(), len(d.Failures()))
 		}
-		if data.Region != net.Region {
-			t.Fatalf("Open(%s): region %q, want %q", c.path, data.Region, net.Region)
+		if data.Region != d.Region {
+			t.Fatalf("Open(%s): region %q, want %q", c.path, data.Region, d.Region)
 		}
-		if id := data.Pipes.ID[3]; id != net.Pipes()[3].ID {
-			t.Fatalf("Open(%s): Pipes.ID[3] = %q, want %q", c.path, id, net.Pipes()[3].ID)
+		if id := data.Registry.ID[3]; id != d.Pipes()[3].ID {
+			t.Fatalf("Open(%s): Pipes.ID[3] = %q, want %q", c.path, id, d.Pipes()[3].ID)
 		}
-		got, err := OpenNetwork(c.path)
-		if err != nil {
-			t.Fatalf("OpenNetwork(%s): %v", c.path, err)
-		}
-		if !reflect.DeepEqual(got.Pipes(), net.Pipes()) || !reflect.DeepEqual(got.Failures(), net.Failures()) {
-			t.Fatalf("OpenNetwork(%s): network differs from the original", c.path)
+		if !reflect.DeepEqual(data.Pipes(), d.Pipes()) || !reflect.DeepEqual(data.Failures(), d.Failures()) {
+			t.Fatalf("Open(%s): rows differ from the original", c.path)
 		}
 	}
 
 	missing := filepath.Join(csvDir, "no-such-path")
 	if _, _, err := Open(missing); err == nil {
 		t.Fatal("Open of a missing path succeeded")
-	}
-	if _, err := OpenNetwork(missing); err == nil {
-		t.Fatal("OpenNetwork of a missing path succeeded")
 	}
 }
 
@@ -160,7 +146,7 @@ func TestColumnarBuilderBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := encode(t, net.Columns())
+	raw := encode(t, net)
 	col, err := Read(bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +154,7 @@ func TestColumnarBuilderBitIdentical(t *testing.T) {
 
 	for _, std := range []bool{false, true} {
 		opts := feature.Options{Groups: feature.AllGroups(), Standardize: std}
-		nb, err := feature.NewBuilder(net.Columns(), opts)
+		nb, err := feature.NewBuilder(net, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +208,7 @@ func TestColumnarBuilderBitIdentical(t *testing.T) {
 
 func TestReadRejectsCorruption(t *testing.T) {
 	net := testNetwork(t, 0.02, 41)
-	raw := encode(t, net.Columns())
+	raw := encode(t, net)
 
 	decode := func(b []byte) error {
 		_, err := Read(bytes.NewReader(b), int64(len(b)))
@@ -280,19 +266,19 @@ func TestReadRejectsCorruption(t *testing.T) {
 }
 
 func TestReadRejectsBadContent(t *testing.T) {
-	net := testNetwork(t, 0.02, 43)
-
+	// Each case mutates a fresh fixture, so it is rejected for its own
+	// defect alone.
 	t.Run("duplicate IDs", func(t *testing.T) {
-		d := net.Columns()
-		d.Pipes.ID[1] = d.Pipes.ID[0]
+		d := testNetwork(t, 0.02, 43)
+		d.Registry.ID[1] = d.Registry.ID[0]
 		raw := encode(t, d)
 		if _, err := Read(bytes.NewReader(raw), int64(len(raw))); err == nil {
 			t.Fatal("accepted duplicate pipe IDs")
 		}
 	})
 	t.Run("event ref out of range", func(t *testing.T) {
-		d := net.Columns()
-		if d.NumEvents() == 0 {
+		d := testNetwork(t, 0.02, 43)
+		if d.NumFailures() == 0 {
 			t.Skip("no events at this scale")
 		}
 		d.Events.Pipe[0] = uint32(d.NumPipes())
@@ -302,8 +288,8 @@ func TestReadRejectsBadContent(t *testing.T) {
 		}
 	})
 	t.Run("non-finite float", func(t *testing.T) {
-		d := net.Columns()
-		d.Pipes.DiameterMM[0] = nan()
+		d := testNetwork(t, 0.02, 43)
+		d.Registry.DiameterMM[0] = nan()
 		raw := encode(t, d)
 		if _, err := Read(bytes.NewReader(raw), int64(len(raw))); err == nil {
 			t.Fatal("accepted NaN diameter")
@@ -352,21 +338,17 @@ func TestCSVColumnarCSVRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// CSV -> columnar -> encoded -> decoded -> network -> CSV.
-		raw := encode(t, net.Columns())
+		// CSV -> columnar -> encoded -> decoded -> CSV.
+		raw := encode(t, net)
 		got, err := Read(bytes.NewReader(raw), int64(len(raw)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := got.Network()
-		if err != nil {
-			t.Fatal(err)
-		}
 		var pipes2, fails2 bytes.Buffer
-		if err := dataset.WritePipes(&pipes2, back.Pipes()); err != nil {
+		if err := dataset.WritePipes(&pipes2, got.Pipes()); err != nil {
 			t.Fatal(err)
 		}
-		if err := dataset.WriteFailures(&fails2, back.Failures()); err != nil {
+		if err := dataset.WriteFailures(&fails2, got.Failures()); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(pipes1.Bytes(), pipes2.Bytes()) {
@@ -380,32 +362,36 @@ func TestCSVColumnarCSVRoundTrip(t *testing.T) {
 
 // TestLoadRejectsImplausibleData pins validation on every load path: a
 // structurally sound PCOL file carrying one implausible value must be
-// rejected by Read, Open and OpenNetwork alike, with the problems
-// Network.Validate reports for the same data.
+// rejected by Read and Open alike, with the problems the row constructor
+// reports for the same data as rows.
 func TestLoadRejectsImplausibleData(t *testing.T) {
 	net := testNetwork(t, 0.03, 13)
+	clean := encode(t, net)
 	last := net.NumFailures() - 1
 	for _, tc := range []struct {
 		name   string
 		mutate func(d *dataset.Columns)
 	}{
-		{"zero diameter", func(d *dataset.Columns) { d.Pipes.DiameterMM[0] = 0 }},
+		{"zero diameter", func(d *dataset.Columns) { d.Registry.DiameterMM[0] = 0 }},
 		// The latest event stays last, so both logs number it alike.
 		{"failure after window", func(d *dataset.Columns) { d.Events.Year[last] = int32(d.ObservedTo + 1) }},
 		{"failure segment", func(d *dataset.Columns) { d.Events.Segment[0] = 9999 }},
 		// The earliest event stays first.
 		{"day zero", func(d *dataset.Columns) { d.Events.Day[0] = 0 }},
 		{"failure before laid year", func(d *dataset.Columns) {
-			d.Pipes.LaidYear[d.Events.Pipe[0]] = d.Events.Year[0] + 1
+			d.Registry.LaidYear[d.Events.Pipe[0]] = d.Events.Year[0] + 1
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d := net.Columns()
+			d, err := Read(bytes.NewReader(clean), int64(len(clean)))
+			if err != nil {
+				t.Fatal(err)
+			}
 			tc.mutate(d)
-			_, verr := d.Network()
+			_, verr := dataset.FromRows(d.Region, d.ObservedFrom, d.ObservedTo, d.Pipes(), d.Failures())
 			want, ok := dataset.AsValidationError(verr)
 			if !ok {
-				t.Fatalf("Network.Validate: got %v, want a validation error", verr)
+				t.Fatalf("FromRows: got %v, want a validation error", verr)
 			}
 			path := filepath.Join(t.TempDir(), DatasetFile)
 			if err := WriteFile(path, d); err != nil {
@@ -414,14 +400,13 @@ func TestLoadRejectsImplausibleData(t *testing.T) {
 			raw := encode(t, d)
 			_, readErr := Read(bytes.NewReader(raw), int64(len(raw)))
 			_, _, openErr := Open(path)
-			_, netErr := OpenNetwork(path)
-			for _, err := range []error{readErr, openErr, netErr} {
+			for _, err := range []error{readErr, openErr} {
 				got, ok := dataset.AsValidationError(err)
 				if !ok {
 					t.Fatalf("load accepted implausible data or failed otherwise: %v", err)
 				}
 				if !reflect.DeepEqual(got.Problems, want.Problems) {
-					t.Fatalf("problems differ:\n load:    %q\n network: %q", got.Problems, want.Problems)
+					t.Fatalf("problems differ:\n load: %q\n rows: %q", got.Problems, want.Problems)
 				}
 			}
 		})

@@ -4,17 +4,20 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // FuzzReadDataset hammers the streaming reader with corrupt inputs. The
 // invariant: Read either fails cleanly or yields columns that survive a
-// re-encode/re-decode round trip and materialize through Network() without
-// error — it never panics, its validation is at least as strict as
-// Network.Validate, and its allocations are bounded by the input size
+// re-encode/re-decode round trip and rebuild from their materialized rows
+// through dataset.FromRows without error and with the same per-pipe
+// histories — it never panics, its validation is at least as strict as
+// the row constructor's, and its allocations are bounded by the input size
 // (enforced structurally by the budget charged in reader.take, exercised
 // here by headers declaring absurd lengths).
 func FuzzReadDataset(f *testing.F) {
-	d := testNetwork(f, 0.02, 7).Columns()
+	d := testNetwork(f, 0.02, 7)
 	var buf bytes.Buffer
 	if err := Write(&buf, d); err != nil {
 		f.Fatal(err)
@@ -66,11 +69,23 @@ func FuzzReadDataset(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-read of re-encoded dataset failed: %v", err)
 		}
-		if !reflect.DeepEqual(d.Pipes, d2.Pipes) || !reflect.DeepEqual(d.Events, d2.Events) {
+		if !reflect.DeepEqual(d.Registry, d2.Registry) || !reflect.DeepEqual(d.Events, d2.Events) {
 			t.Fatal("columns changed across re-encode round trip")
 		}
-		if _, err := d.Network(); err != nil {
-			t.Fatalf("accepted columns fail to materialize: %v", err)
+		rows, err := dataset.FromRows(d.Region, d.ObservedFrom, d.ObservedTo, d.Pipes(), d.Failures())
+		if err != nil {
+			t.Fatalf("accepted columns fail to rebuild from rows: %v", err)
+		}
+		for i := 0; i < d.NumPipes(); i++ {
+			if got, want := rows.FailureCount(i, d.ObservedFrom, d.ObservedTo), d.FailureCount(i, d.ObservedFrom, d.ObservedTo); got != want {
+				t.Fatalf("pipe %d: %d failures after the row rebuild, %d before", i, got, want)
+			}
+		}
+		for e, pipe := range d.Events.Pipe {
+			i, y := int(pipe), int(d.Events.Year[e])
+			if got, want := rows.FailureCount(i, y, y), d.FailureCount(i, y, y); got != want {
+				t.Fatalf("pipe %d year %d: %d failures after the row rebuild, %d before", i, y, got, want)
+			}
 		}
 	})
 }

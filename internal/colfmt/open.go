@@ -14,8 +14,10 @@ import (
 //   - a regular file is read as a PCOL columnar file;
 //   - a directory containing DatasetFile ("dataset.col") loads columnar,
 //     even if CSV files sit alongside it;
-//   - any other directory loads the pipes/failures/meta CSV trio, which is
-//     validated as a network and converted once with Network.Columns.
+//   - any other directory loads the pipes/failures/meta CSV trio through
+//     dataset.LoadDir.
+//
+// Both formats apply the same validation rules (Columns.Validate).
 func Open(path string) (cols *dataset.Columns, columnar bool, err error) {
 	colPath, err := locate(path)
 	if err != nil {
@@ -25,28 +27,8 @@ func Open(path string) (cols *dataset.Columns, columnar bool, err error) {
 		cols, err := ReadFile(colPath)
 		return cols, true, err
 	}
-	net, err := dataset.LoadDir(path)
-	if err != nil {
-		return nil, false, err
-	}
-	return net.Columns(), false, nil
-}
-
-// OpenNetwork loads the dataset at path, sniffed as Open does, as a
-// validated row-oriented network.
-func OpenNetwork(path string) (*dataset.Network, error) {
-	colPath, err := locate(path)
-	if err != nil {
-		return nil, err
-	}
-	if colPath == "" {
-		return dataset.LoadDir(path)
-	}
-	cols, err := ReadFile(colPath)
-	if err != nil {
-		return nil, err
-	}
-	return cols.Network()
+	cols, err = dataset.LoadDir(path)
+	return cols, false, err
 }
 
 // locate resolves path to the PCOL file it names or holds, or to "" for a

@@ -309,7 +309,7 @@ func (r *reader) pipeColumn(d *dataset.Columns, id byte, rows int) error {
 	if err != nil {
 		return err
 	}
-	c := &d.Pipes
+	c := &d.Registry
 	switch id {
 	case colPipeID:
 		c.ID, err = r.strCol(p, h, rows)

@@ -36,23 +36,23 @@ func Write(w io.Writer, d *dataset.Columns) error {
 
 	enc := &sectionWriter{w: bw}
 	enc.meta(d)
-	pipes, events := uint64(d.NumPipes()), uint64(d.NumEvents())
+	pipes, events := uint64(d.NumPipes()), uint64(d.NumFailures())
 
-	enc.column(secPipe, colPipeID, encStr, pipes, func(b []byte) []byte { return appendStrCol(b, d.Pipes.ID) })
-	enc.dictColumn(secPipe, colPipeClass, pipes, classStrings(d.Pipes.Class))
-	enc.dictColumn(secPipe, colPipeMaterial, pipes, materialStrings(d.Pipes.Material))
-	enc.dictColumn(secPipe, colPipeCoating, pipes, coatingStrings(d.Pipes.Coating))
-	enc.column(secPipe, colPipeDiameter, encF64, pipes, func(b []byte) []byte { return appendF64Col(b, d.Pipes.DiameterMM) })
-	enc.column(secPipe, colPipeLength, encF64, pipes, func(b []byte) []byte { return appendF64Col(b, d.Pipes.LengthM) })
-	enc.column(secPipe, colPipeLaidYear, encI32, pipes, func(b []byte) []byte { return appendI32Col(b, d.Pipes.LaidYear) })
-	enc.dictColumn(secPipe, colPipeSoilCorr, pipes, d.Pipes.SoilCorrosivity)
-	enc.dictColumn(secPipe, colPipeSoilExp, pipes, d.Pipes.SoilExpansivity)
-	enc.dictColumn(secPipe, colPipeSoilGeo, pipes, d.Pipes.SoilGeology)
-	enc.dictColumn(secPipe, colPipeSoilMap, pipes, d.Pipes.SoilMap)
-	enc.column(secPipe, colPipeTraffic, encF64, pipes, func(b []byte) []byte { return appendF64Col(b, d.Pipes.DistToTrafficM) })
-	enc.column(secPipe, colPipeX, encF64, pipes, func(b []byte) []byte { return appendF64Col(b, d.Pipes.X) })
-	enc.column(secPipe, colPipeY, encF64, pipes, func(b []byte) []byte { return appendF64Col(b, d.Pipes.Y) })
-	enc.column(secPipe, colPipeSegments, encI32, pipes, func(b []byte) []byte { return appendI32Col(b, d.Pipes.Segments) })
+	enc.column(secPipe, colPipeID, encStr, pipes, func(b []byte) []byte { return appendStrCol(b, d.Registry.ID) })
+	enc.dictColumn(secPipe, colPipeClass, pipes, classStrings(d.Registry.Class))
+	enc.dictColumn(secPipe, colPipeMaterial, pipes, materialStrings(d.Registry.Material))
+	enc.dictColumn(secPipe, colPipeCoating, pipes, coatingStrings(d.Registry.Coating))
+	enc.column(secPipe, colPipeDiameter, encF64, pipes, func(b []byte) []byte { return appendF64Col(b, d.Registry.DiameterMM) })
+	enc.column(secPipe, colPipeLength, encF64, pipes, func(b []byte) []byte { return appendF64Col(b, d.Registry.LengthM) })
+	enc.column(secPipe, colPipeLaidYear, encI32, pipes, func(b []byte) []byte { return appendI32Col(b, d.Registry.LaidYear) })
+	enc.dictColumn(secPipe, colPipeSoilCorr, pipes, d.Registry.SoilCorrosivity)
+	enc.dictColumn(secPipe, colPipeSoilExp, pipes, d.Registry.SoilExpansivity)
+	enc.dictColumn(secPipe, colPipeSoilGeo, pipes, d.Registry.SoilGeology)
+	enc.dictColumn(secPipe, colPipeSoilMap, pipes, d.Registry.SoilMap)
+	enc.column(secPipe, colPipeTraffic, encF64, pipes, func(b []byte) []byte { return appendF64Col(b, d.Registry.DistToTrafficM) })
+	enc.column(secPipe, colPipeX, encF64, pipes, func(b []byte) []byte { return appendF64Col(b, d.Registry.X) })
+	enc.column(secPipe, colPipeY, encF64, pipes, func(b []byte) []byte { return appendF64Col(b, d.Registry.Y) })
+	enc.column(secPipe, colPipeSegments, encI32, pipes, func(b []byte) []byte { return appendI32Col(b, d.Registry.Segments) })
 
 	enc.column(secEvent, colEventPipe, encU32, events, func(b []byte) []byte { return appendU32Col(b, d.Events.Pipe) })
 	enc.column(secEvent, colEventSegment, encI32, events, func(b []byte) []byte { return appendI32Col(b, d.Events.Segment) })
@@ -94,8 +94,8 @@ func WriteFile(path string, d *dataset.Columns) error {
 }
 
 func consistentLengths(d *dataset.Columns) error {
-	n, e := d.NumPipes(), d.NumEvents()
-	c, ev := &d.Pipes, &d.Events
+	n, e := d.NumPipes(), d.NumFailures()
+	c, ev := &d.Registry, &d.Events
 	for _, l := range []int{
 		len(c.Class), len(c.Material), len(c.Coating), len(c.DiameterMM),
 		len(c.LengthM), len(c.LaidYear), len(c.SoilCorrosivity),
@@ -152,7 +152,7 @@ func (s *sectionWriter) meta(d *dataset.Columns) {
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(d.ObservedFrom)))
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(d.ObservedTo)))
 	b = binary.LittleEndian.AppendUint64(b, uint64(d.NumPipes()))
-	b = binary.LittleEndian.AppendUint64(b, uint64(d.NumEvents()))
+	b = binary.LittleEndian.AppendUint64(b, uint64(d.NumFailures()))
 	s.scratch = b
 	s.section(secMeta, 0, 0, 0, b)
 }

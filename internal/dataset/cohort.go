@@ -36,13 +36,10 @@ func finishRow(r *CohortRow) {
 	}
 }
 
-// activeYears returns the number of observed years the pipe existed.
-func (n *Network) activeYears(p *Pipe) float64 {
-	from := n.ObservedFrom
-	if p.LaidYear > from {
-		from = p.LaidYear
-	}
-	years := n.ObservedTo - from + 1
+// activeYears returns the number of observed years pipe i existed.
+func (c *Columns) activeYears(i int) float64 {
+	from := max(int(c.Registry.LaidYear[i]), c.ObservedFrom)
+	years := c.ObservedTo - from + 1
 	if years < 0 {
 		return 0
 	}
@@ -51,20 +48,19 @@ func (n *Network) activeYears(p *Pipe) float64 {
 
 // CohortByMaterial returns failure statistics per material, sorted by
 // descending failure rate per pipe-year.
-func (n *Network) CohortByMaterial() []CohortRow {
+func (c *Columns) CohortByMaterial() []CohortRow {
 	rows := map[Material]*CohortRow{}
-	for i := range n.pipes {
-		p := &n.pipes[i]
-		r, ok := rows[p.Material]
+	for i, m := range c.Registry.Material {
+		r, ok := rows[m]
 		if !ok {
-			r = &CohortRow{Cohort: string(p.Material)}
-			rows[p.Material] = r
+			r = &CohortRow{Cohort: string(m)}
+			rows[m] = r
 		}
-		y := n.activeYears(p)
+		y := c.activeYears(i)
 		r.Pipes++
 		r.PipeYears += y
-		r.KMYears += y * p.LengthM / 1000
-		r.Failures += n.FailureCount(p.ID, n.ObservedFrom, n.ObservedTo)
+		r.KMYears += y * c.Registry.LengthM[i] / 1000
+		r.Failures += c.FailureCount(i, c.ObservedFrom, c.ObservedTo)
 	}
 	out := make([]CohortRow, 0, len(rows))
 	for _, r := range rows {
@@ -84,12 +80,12 @@ func (n *Network) CohortByMaterial() []CohortRow {
 // given width (in years). Exposure and failures are attributed to the band
 // the pipe was in during each observed year, so a pipe contributes to
 // several bands over a long window.
-func (n *Network) CohortByAgeBand(bandYears int) ([]CohortRow, error) {
+func (c *Columns) CohortByAgeBand(bandYears int) ([]CohortRow, error) {
 	if bandYears < 1 {
 		return nil, fmt.Errorf("dataset: age band width %d must be >= 1", bandYears)
 	}
 	type acc struct {
-		pipes     map[string]bool
+		pipes     int
 		pipeYears float64
 		kmYears   float64
 		failures  int
@@ -98,28 +94,30 @@ func (n *Network) CohortByAgeBand(bandYears int) ([]CohortRow, error) {
 	get := func(b int) *acc {
 		a, ok := bands[b]
 		if !ok {
-			a = &acc{pipes: map[string]bool{}}
+			a = &acc{}
 			bands[b] = a
 		}
 		return a
 	}
-	for i := range n.pipes {
-		p := &n.pipes[i]
-		for year := maxInt(p.LaidYear, n.ObservedFrom); year <= n.ObservedTo; year++ {
-			b := int(p.AgeAt(year)) / bandYears
+	band := func(laid int32, year int) int { return max(year-int(laid), 0) / bandYears }
+	laidYear := c.Registry.LaidYear
+	for i, laid := range laidYear {
+		// A pipe's band never decreases with the year, so it enters each
+		// band it visits once.
+		last := -1
+		for year := max(int(laid), c.ObservedFrom); year <= c.ObservedTo; year++ {
+			b := band(laid, year)
 			a := get(b)
-			a.pipes[p.ID] = true
+			if b != last {
+				a.pipes++
+				last = b
+			}
 			a.pipeYears++
-			a.kmYears += p.LengthM / 1000
+			a.kmYears += c.Registry.LengthM[i] / 1000
 		}
 	}
-	for _, f := range n.failures {
-		p, ok := n.PipeByID(f.PipeID)
-		if !ok {
-			continue
-		}
-		b := int(p.AgeAt(f.Year)) / bandYears
-		get(b).failures++
+	for e, pipe := range c.Events.Pipe {
+		get(band(laidYear[pipe], int(c.Events.Year[e]))).failures++
 	}
 	keys := make([]int, 0, len(bands))
 	for b := range bands {
@@ -131,7 +129,7 @@ func (n *Network) CohortByAgeBand(bandYears int) ([]CohortRow, error) {
 		a := bands[b]
 		r := CohortRow{
 			Cohort:    fmt.Sprintf("age %d-%d", b*bandYears, (b+1)*bandYears-1),
-			Pipes:     len(a.pipes),
+			Pipes:     a.pipes,
 			PipeYears: a.pipeYears,
 			KMYears:   a.kmYears,
 			Failures:  a.failures,
@@ -145,7 +143,7 @@ func (n *Network) CohortByAgeBand(bandYears int) ([]CohortRow, error) {
 // CohortByDiameterBand returns failure statistics per diameter band.
 // bounds are the ascending band upper limits in mm; a final open-ended
 // band is appended automatically.
-func (n *Network) CohortByDiameterBand(bounds []float64) ([]CohortRow, error) {
+func (c *Columns) CohortByDiameterBand(bounds []float64) ([]CohortRow, error) {
 	if len(bounds) == 0 {
 		return nil, fmt.Errorf("dataset: no diameter bounds")
 	}
@@ -175,14 +173,13 @@ func (n *Network) CohortByDiameterBand(bounds []float64) ([]CohortRow, error) {
 	for b := range rows {
 		rows[b].Cohort = label(b)
 	}
-	for i := range n.pipes {
-		p := &n.pipes[i]
-		b := bandOf(p.DiameterMM)
-		y := n.activeYears(p)
+	for i, d := range c.Registry.DiameterMM {
+		b := bandOf(d)
+		y := c.activeYears(i)
 		rows[b].Pipes++
 		rows[b].PipeYears += y
-		rows[b].KMYears += y * p.LengthM / 1000
-		rows[b].Failures += n.FailureCount(p.ID, n.ObservedFrom, n.ObservedTo)
+		rows[b].KMYears += y * c.Registry.LengthM[i] / 1000
+		rows[b].Failures += c.FailureCount(i, c.ObservedFrom, c.ObservedTo)
 	}
 	out := rows[:0]
 	for _, r := range rows {
@@ -195,13 +192,6 @@ func (n *Network) CohortByDiameterBand(bounds []float64) ([]CohortRow, error) {
 	return out, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // SegmentHotspot is a pipe segment with repeated failures — the strongest
 // renewal signal a work-order log can give.
 type SegmentHotspot struct {
@@ -212,23 +202,22 @@ type SegmentHotspot struct {
 
 // SegmentHotspots returns segments with at least minFailures recorded
 // failures, sorted by failure count descending (ties by pipe then segment).
-func (n *Network) SegmentHotspots(minFailures int) []SegmentHotspot {
+func (c *Columns) SegmentHotspots(minFailures int) []SegmentHotspot {
 	if minFailures < 1 {
 		minFailures = 1
 	}
 	type key struct {
-		id  string
-		seg int
+		pipe uint32
+		seg  int32
 	}
 	counts := map[key]int{}
-	for i := range n.failures {
-		f := &n.failures[i]
-		counts[key{f.PipeID, f.Segment}]++
+	for e, pipe := range c.Events.Pipe {
+		counts[key{pipe, c.Events.Segment[e]}]++
 	}
 	var out []SegmentHotspot
-	for k, c := range counts {
-		if c >= minFailures {
-			out = append(out, SegmentHotspot{PipeID: k.id, Segment: k.seg, Failures: c})
+	for k, n := range counts {
+		if n >= minFailures {
+			out = append(out, SegmentHotspot{PipeID: c.Registry.ID[k.pipe], Segment: int(k.seg), Failures: n})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {

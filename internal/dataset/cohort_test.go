@@ -105,7 +105,7 @@ func TestSegmentHotspots(t *testing.T) {
 		{PipeID: "H", Segment: 1, Year: 2007, Day: 1, Mode: ModeBreak},
 		{PipeID: "H", Segment: 0, Year: 2004, Day: 1, Mode: ModeLeak},
 	}
-	n := NewNetwork("S", 1998, 2009, pipes, fails)
+	n := mustRows("S", 1998, 2009, pipes, fails)
 	hot := n.SegmentHotspots(2)
 	if len(hot) != 1 {
 		t.Fatalf("hotspots %+v", hot)

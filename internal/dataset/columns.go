@@ -2,13 +2,15 @@ package dataset
 
 import (
 	"slices"
+	"sort"
 	"strings"
+	"sync"
 )
 
 // PipeColumns is the registry as a struct of arrays; index i across every
-// slice is one pipe, in the same order a materialized Network.Pipes()
-// would present it. Decoded string columns share backing: dictionary
-// entries for the low-cardinality columns, one blob for the IDs.
+// slice is one pipe (row i of the registry). Decoded string columns share
+// backing: dictionary entries for the low-cardinality columns, one blob
+// for the IDs.
 type PipeColumns struct {
 	ID              []string
 	Class           []PipeClass
@@ -57,34 +59,46 @@ type EventColumns struct {
 	Mode    []FailureMode
 }
 
-// Columns is one region in columnar form: the decoded contents of a PCOL
-// file (internal/colfmt), or the view of a Network built by
-// Network.Columns. It is the only input of feature.Builder, which fills
+// Columns is one region: its pipe registry and failure log in columnar
+// form, the one in-memory form of a dataset. A PCOL file (internal/colfmt)
+// decodes straight into it, FromRows builds it from CSV rows or a
+// simulation, and it is the only input of feature.Builder, which fills
 // its design matrices straight from the column arrays.
 //
 // Code that fills the columns directly must call IndexEvents before using
 // the per-pipe history accessors.
 type Columns struct {
-	Region                   string
+	Region string
+	// ObservedFrom and ObservedTo bound (inclusively) the calendar years
+	// in which failures were recorded; Validate rejects events outside.
 	ObservedFrom, ObservedTo int
 
-	Pipes  PipeColumns
-	Events EventColumns
+	Registry PipeColumns
+	Events   EventColumns
 
 	// CSR-style per-pipe event index: pipe i's event years are
 	// evYear[evStart[i]:evStart[i+1]], grouped (not sorted) by pipe.
 	evStart []uint32
 	evYear  []int32
+
+	// rowByID maps pipe ID to registry row. It is built on first use by
+	// RowOf, so loads that only train never pay for it, and ExtendLive
+	// hands it on to the extended region, whose registry rows are the
+	// same.
+	rowOnce sync.Once
+	rowByID map[string]int32
 }
 
-// Columns returns the network in columnar form: pipe rows in registry
-// order, event rows in the network's (Year, Day, PipeID) order. Failures
-// naming a pipe outside the registry are left out; Validate rejects such
-// networks, and no per-pipe history could count them anyway.
-func (n *Network) Columns() *Columns {
-	c := &Columns{Region: n.Region, ObservedFrom: n.ObservedFrom, ObservedTo: n.ObservedTo}
-	np, nf := len(n.pipes), len(n.failures)
-	c.Pipes = PipeColumns{
+// FromRows builds a region from row-form pipes and failures, as the CSV
+// loader and the simulator produce them, and validates it. Failures are
+// sorted in place by (Year, Day, PipeID), the order Failures returns, and
+// may arrive in any order. The error is a *ValidationError listing every
+// problem Validate finds, plus each failure that names no registry pipe.
+func FromRows(region string, observedFrom, observedTo int, pipes []Pipe, failures []Failure) (*Columns, error) {
+	sortFailures(failures)
+	c := &Columns{Region: region, ObservedFrom: observedFrom, ObservedTo: observedTo}
+	np, nf := len(pipes), len(failures)
+	c.Registry = PipeColumns{
 		ID:              make([]string, 0, np),
 		Class:           make([]PipeClass, 0, np),
 		Material:        make([]Material, 0, np),
@@ -101,8 +115,8 @@ func (n *Network) Columns() *Columns {
 		Y:               make([]float64, 0, np),
 		Segments:        make([]int32, 0, np),
 	}
-	for i := range n.pipes {
-		c.Pipes.Append(&n.pipes[i])
+	for i := range pipes {
+		c.Registry.Append(&pipes[i])
 	}
 	e := &c.Events
 	*e = EventColumns{
@@ -112,32 +126,78 @@ func (n *Network) Columns() *Columns {
 		Day:     make([]int32, 0, nf),
 		Mode:    make([]FailureMode, 0, nf),
 	}
-	for i := range n.failures {
-		f := &n.failures[i]
-		row, ok := n.byID[f.PipeID]
+	var probs problems
+	c.checkRegistry(&probs)
+	var p Pipe
+	for i := range failures {
+		f := &failures[i]
+		row, ok := c.RowOf(f.PipeID)
 		if !ok {
+			probs.add("failure %d references unknown pipe %q", i, f.PipeID)
 			continue
 		}
+		c.PipeAt(row, &p)
+		probs.checkFailure(i, f, &p, observedFrom, observedTo)
 		e.Pipe = append(e.Pipe, uint32(row))
 		e.Segment = append(e.Segment, int32(f.Segment))
 		e.Year = append(e.Year, int32(f.Year))
 		e.Day = append(e.Day, int32(f.Day))
 		e.Mode = append(e.Mode, f.Mode)
 	}
+	if err := probs.err(); err != nil {
+		return nil, err
+	}
 	c.IndexEvents()
-	return c
+	return c, nil
+}
+
+// sortFailures orders a failure log by (Year, Day, PipeID), keeping the
+// input order of ties.
+func sortFailures(fs []Failure) {
+	sort.SliceStable(fs, func(a, b int) bool {
+		fa, fb := &fs[a], &fs[b]
+		if fa.Year != fb.Year {
+			return fa.Year < fb.Year
+		}
+		if fa.Day != fb.Day {
+			return fa.Day < fb.Day
+		}
+		return fa.PipeID < fb.PipeID
+	})
 }
 
 // NumPipes returns the registry size.
-func (c *Columns) NumPipes() int { return len(c.Pipes.ID) }
+func (c *Columns) NumPipes() int { return len(c.Registry.ID) }
 
-// NumEvents returns the failure-log size.
-func (c *Columns) NumEvents() int { return len(c.Events.Pipe) }
+// NumFailures returns the failure-log size.
+func (c *Columns) NumFailures() int { return len(c.Events.Pipe) }
+
+// RowOf returns the registry row of the pipe with the given ID. The
+// ID index is built on the first call and shared by every region
+// ExtendLive derives from c.
+func (c *Columns) RowOf(id string) (int, bool) {
+	row, ok := c.rowIndex()[id]
+	return int(row), ok
+}
+
+func (c *Columns) rowIndex() map[string]int32 {
+	c.rowOnce.Do(func() {
+		if c.rowByID != nil {
+			return
+		}
+		m := make(map[string]int32, c.NumPipes())
+		for i, id := range c.Registry.ID {
+			m[id] = int32(i)
+		}
+		c.rowByID = m
+	})
+	return c.rowByID
+}
 
 // PipeAt assembles pipe i from the columns. The string fields share
 // backing with the columns, so nothing is allocated.
 func (c *Columns) PipeAt(i int, p *Pipe) {
-	pc := &c.Pipes
+	pc := &c.Registry
 	*p = Pipe{
 		ID:              pc.ID[i],
 		Class:           pc.Class[i],
@@ -161,7 +221,7 @@ func (c *Columns) PipeAt(i int, p *Pipe) {
 func (c *Columns) failureAt(e int, f *Failure) {
 	ev := &c.Events
 	*f = Failure{
-		PipeID:  c.Pipes.ID[ev.Pipe[e]],
+		PipeID:  c.Registry.ID[ev.Pipe[e]],
 		Segment: int(ev.Segment[e]),
 		Year:    int(ev.Year[e]),
 		Day:     int(ev.Day[e]),
@@ -213,18 +273,35 @@ func (c *Columns) IndexEvents() {
 	}
 }
 
-// Validate applies Network.Validate's rules to the columns, with the same
-// problem text, so a columnar load rejects exactly what a materialized one
-// would. Event pipe references must already lie inside the registry (the
-// PCOL decoder enforces that). A clean registry costs O(1) allocations —
-// one sort index for the duplicate-ID scan — whatever its size.
+// Validate checks the structural integrity of the region: unique,
+// non-empty pipe IDs, physically plausible attributes, and failures on
+// valid segments inside the observation window and after the pipe was
+// laid. It returns nil when the region is clean, or a *ValidationError
+// listing every problem. Event pipe references must already lie inside
+// the registry (the PCOL decoder and FromRows enforce that). A clean
+// registry costs O(1) allocations, one sort index for the duplicate-ID
+// scan, whatever its size.
 func (c *Columns) Validate() error {
 	var probs problems
+	c.checkRegistry(&probs)
+	var p Pipe
+	var f Failure
+	for e := range c.Events.Pipe {
+		c.failureAt(e, &f)
+		c.PipeAt(int(c.Events.Pipe[e]), &p)
+		probs.checkFailure(e, &f, &p, c.ObservedFrom, c.ObservedTo)
+	}
+	return probs.err()
+}
+
+// checkRegistry applies the window and per-pipe rules, then reports
+// duplicate IDs.
+func (c *Columns) checkRegistry(probs *problems) {
 	if c.ObservedFrom > c.ObservedTo {
 		probs.add("observation window [%d, %d] is inverted", c.ObservedFrom, c.ObservedTo)
 	}
 	var p Pipe
-	for i := range c.Pipes.ID {
+	for i := range c.Registry.ID {
 		c.PipeAt(i, &p)
 		if p.ID == "" {
 			probs.add("pipe %d has empty ID", i)
@@ -234,7 +311,7 @@ func (c *Columns) Validate() error {
 	}
 	// Duplicate-ID detection without an ID map: sort a row index by ID
 	// and compare neighbours.
-	ids := c.Pipes.ID
+	ids := c.Registry.ID
 	idx := make([]int32, len(ids))
 	for i := range idx {
 		idx[i] = int32(i)
@@ -245,36 +322,27 @@ func (c *Columns) Validate() error {
 			probs.add("duplicate pipe ID %q", id)
 		}
 	}
-	var f Failure
-	for e := range c.Events.Pipe {
-		c.failureAt(e, &f)
-		c.PipeAt(int(c.Events.Pipe[e]), &p)
-		probs.checkFailure(e, &f, &p, c.ObservedFrom, c.ObservedTo)
-	}
-	return probs.err()
 }
 
-// Failures materializes the event log in stored order (fresh slice; safe
-// for the caller to sort or mutate).
-func (c *Columns) Failures() []Failure {
-	out := make([]Failure, c.NumEvents())
-	for e := range out {
-		c.failureAt(e, &out[e])
+// Pipes materializes the registry in row order (fresh slice).
+func (c *Columns) Pipes() []Pipe {
+	out := make([]Pipe, c.NumPipes())
+	for i := range out {
+		c.PipeAt(i, &out[i])
 	}
 	return out
 }
 
-// Network materializes the columns into a validated *Network — the path
-// for consumers that need the row-oriented model (serving, planning, risk
-// maps). Fresh slices every call.
-func (c *Columns) Network() (*Network, error) {
-	pipes := make([]Pipe, c.NumPipes())
-	for i := range pipes {
-		c.PipeAt(i, &pipes[i])
+// Failures materializes the event log sorted by (Year, Day, PipeID),
+// ties in stored order (fresh slice; safe for the caller to mutate).
+func (c *Columns) Failures() []Failure {
+	out := make([]Failure, c.NumFailures())
+	for e := range out {
+		c.failureAt(e, &out[e])
 	}
-	net := NewNetwork(c.Region, c.ObservedFrom, c.ObservedTo, pipes, c.Failures())
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
-	return net, nil
+	sortFailures(out)
+	return out
 }
+
+// Network returns c; it stays for callers written against the former row form.
+func (c *Columns) Network() (*Columns, error) { return c, nil }

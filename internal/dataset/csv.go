@@ -120,7 +120,7 @@ func ReadPipes(r io.Reader) ([]Pipe, error) {
 	tab := make(intern, 64)
 	// A duplicated pipe ID would make every ID-keyed structure downstream
 	// (failure joins, rank indexes) silently drop rows, so the parser
-	// rejects it here rather than deferring to network validation
+	// rejects it here rather than deferring to region validation
 	// (found by FuzzReadPipes).
 	seen := make(map[string]int)
 	for line := 2; ; line++ {
@@ -279,24 +279,24 @@ func ReadFailures(r io.Reader) ([]Failure, error) {
 	return out, nil
 }
 
-// SaveDir writes a network into dir as pipes.csv, failures.csv and meta.csv.
-// The directory is created if needed.
-func SaveDir(n *Network, dir string) error {
+// SaveDir writes a region into dir as pipes.csv, failures.csv (sorted by
+// Year, Day, PipeID) and meta.csv. The directory is created if needed.
+func SaveDir(c *Columns, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("dataset: create %s: %w", dir, err)
 	}
 	if err := writeFile(filepath.Join(dir, "pipes.csv"), func(w io.Writer) error {
-		return WritePipes(w, n.Pipes())
+		return WritePipes(w, c.Pipes())
 	}); err != nil {
 		return err
 	}
 	if err := writeFile(filepath.Join(dir, "failures.csv"), func(w io.Writer) error {
-		return WriteFailures(w, n.Failures())
+		return WriteFailures(w, c.Failures())
 	}); err != nil {
 		return err
 	}
 	return writeFile(filepath.Join(dir, "meta.csv"), func(w io.Writer) error {
-		return WriteMeta(w, n.Region, n.ObservedFrom, n.ObservedTo)
+		return WriteMeta(w, c.Region, c.ObservedFrom, c.ObservedTo)
 	})
 }
 
@@ -314,8 +314,8 @@ func WriteMeta(w io.Writer, region string, observedFrom, observedTo int) error {
 	return cw.Error()
 }
 
-// LoadDir reads a network previously written by SaveDir and validates it.
-func LoadDir(dir string) (*Network, error) {
+// LoadDir reads a region previously written by SaveDir and validates it.
+func LoadDir(dir string) (*Columns, error) {
 	pipesF, err := os.Open(filepath.Join(dir, "pipes.csv"))
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
@@ -357,11 +357,11 @@ func LoadDir(dir string) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := NewNetwork(rows[1][0], from, to, pipes, fails)
-	if err := n.Validate(); err != nil {
+	c, err := FromRows(rows[1][0], from, to, pipes, fails)
+	if err != nil {
 		return nil, fmt.Errorf("dataset: %s failed validation: %w", dir, err)
 	}
-	return n, nil
+	return c, nil
 }
 
 func writeFile(path string, fn func(io.Writer) error) error {

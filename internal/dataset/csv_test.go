@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -158,9 +160,17 @@ func TestLoadDirRejectsInvalidNetwork(t *testing.T) {
 	pipes := []Pipe{{ID: "P1", Class: ReticulationMain, Material: PVC,
 		Coating: CoatingNone, DiameterMM: 100, LengthM: 10, LaidYear: 1990, Segments: 1}}
 	fails := []Failure{{PipeID: "GHOST", Segment: 0, Year: 2000, Day: 1, Mode: ModeBreak}}
-	n := NewNetwork("bad", 1998, 2009, pipes, fails)
-	if err := SaveDir(n, dir); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
+	}
+	for name, write := range map[string]func(io.Writer) error{
+		"pipes.csv":    func(w io.Writer) error { return WritePipes(w, pipes) },
+		"failures.csv": func(w io.Writer) error { return WriteFailures(w, fails) },
+		"meta.csv":     func(w io.Writer) error { return WriteMeta(w, "bad", 1998, 2009) },
+	} {
+		if err := writeFile(filepath.Join(dir, name), write); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := LoadDir(dir); err == nil {
 		t.Fatal("invalid network must fail LoadDir validation")

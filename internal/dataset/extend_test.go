@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func extendFixture() *Network {
+func extendFixture() *Columns {
 	pipes := []Pipe{
 		{ID: "P1", Class: CriticalMain, Material: "CI", DiameterMM: 300, LengthM: 120, LaidYear: 1960, Segments: 3},
 		{ID: "P2", Class: ReticulationMain, Material: "PVC", DiameterMM: 100, LengthM: 80, LaidYear: 1990, Segments: 2},
@@ -14,7 +14,7 @@ func extendFixture() *Network {
 		{PipeID: "P1", Segment: 0, Year: 2001, Day: 40, Mode: ModeBreak},
 		{PipeID: "P2", Segment: 1, Year: 2003, Day: 100, Mode: ModeLeak},
 	}
-	return NewNetwork("X", 2000, 2005, pipes, fails)
+	return mustRows("X", 2000, 2005, pipes, fails)
 }
 
 func TestExtendLiveAppendsAndExtendsWindow(t *testing.T) {
@@ -32,7 +32,8 @@ func TestExtendLiveAppendsAndExtendsWindow(t *testing.T) {
 	if ext.ObservedFrom != 2000 {
 		t.Fatalf("ObservedFrom = %d, want 2000", ext.ObservedFrom)
 	}
-	// Sorted merge: the 2002 event lands between the originals.
+	// Failures() merges in order: the 2002 event lands between the
+	// originals.
 	years := make([]int, 0, 4)
 	for _, f := range ext.Failures() {
 		years = append(years, f.Year)
@@ -40,8 +41,11 @@ func TestExtendLiveAppendsAndExtendsWindow(t *testing.T) {
 	if !reflect.DeepEqual(years, []int{2001, 2002, 2003, 2007}) {
 		t.Fatalf("failure years = %v", years)
 	}
-	// Base network untouched.
-	if n.NumFailures() != 2 || n.ObservedTo != 2005 {
+	if got := ext.FailureCount(0, 2000, 2007); got != 2 {
+		t.Fatalf("P1 history = %d failures, want 2", got)
+	}
+	// Base region untouched.
+	if n.NumFailures() != 2 || n.ObservedTo != 2005 || n.FailureCount(0, 2000, 2007) != 1 {
 		t.Fatalf("base mutated: %d failures, ObservedTo %d", n.NumFailures(), n.ObservedTo)
 	}
 }
@@ -53,13 +57,12 @@ func TestExtendLiveRenewalsResetLaidYear(t *testing.T) {
 		{PipeID: "P1", Year: 2002}, // older renewal never regresses LaidYear
 		{PipeID: "P9", Year: 2004}, // unknown pipe skipped
 	})
-	p, ok := ext.PipeByID("P1")
-	if !ok || p.LaidYear != 2004 {
-		t.Fatalf("P1 LaidYear = %v, want 2004", p)
+	row, ok := ext.RowOf("P1")
+	if !ok || ext.Registry.LaidYear[row] != 2004 {
+		t.Fatalf("P1 LaidYear = %v, want 2004", ext.Registry.LaidYear)
 	}
-	base, _ := n.PipeByID("P1")
-	if base.LaidYear != 1960 {
-		t.Fatalf("base P1 mutated to %d", base.LaidYear)
+	if n.Registry.LaidYear[row] != 1960 {
+		t.Fatalf("base P1 mutated to %d", n.Registry.LaidYear[row])
 	}
 	if ext.ObservedTo != n.ObservedTo {
 		t.Fatalf("renewals must not move ObservedTo")

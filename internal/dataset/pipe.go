@@ -1,7 +1,7 @@
 // Package dataset defines the domain model of the reproduction: water pipes
 // with their physical attributes and environmental factors, the failure
-// (work-order) log recorded against them, and the network container that
-// every other package consumes.
+// (work-order) log recorded against them, and the columnar region container
+// (Columns) that every other package consumes.
 //
 // The model mirrors the registries water utilities keep: a pipe table keyed
 // by asset ID carrying intrinsic attributes (material, diameter, length,
@@ -113,7 +113,7 @@ var (
 // Pipe is one water main: a set of segments connected in series that share
 // intrinsic attributes and (approximately) environmental factors.
 type Pipe struct {
-	// ID is the utility asset identifier, unique within a Network.
+	// ID is the utility asset identifier, unique within a region.
 	ID string
 	// Class is the 300 mm diameter classification.
 	Class PipeClass

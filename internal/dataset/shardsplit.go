@@ -51,7 +51,7 @@ func allDigits(s string) bool {
 	return true
 }
 
-// SplitDistricts partitions n into k networks along district
+// SplitDistricts partitions c into k regions along district
 // boundaries. Districts are taken in first-appearance order (the
 // presets generate them as contiguous pipe blocks) and dealt into k
 // contiguous groups balanced by pipe count; each shard gets the region
@@ -62,11 +62,11 @@ func allDigits(s string) bool {
 // must be at least k districts; either violation is an error, since a
 // caller asking to shard a dataset that cannot be sharded should hear
 // about it rather than silently serve one lopsided region.
-func SplitDistricts(n *Network, k int) ([]*Network, error) {
+func SplitDistricts(c *Columns, k int) ([]*Columns, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("dataset: split into %d shards: need at least 2", k)
 	}
-	pipes := n.Pipes()
+	ids := c.Registry.ID
 	// District list in first-appearance order, with each district's pipe
 	// count. IDs arrive as contiguous blocks, so "last seen" catches the
 	// common case without a map lookup per pipe.
@@ -77,10 +77,10 @@ func SplitDistricts(n *Network, k int) ([]*Network, error) {
 		lastD  string
 		lastIx = -1
 	)
-	for i := range pipes {
-		d, ok := DistrictOf(pipes[i].ID)
+	for _, id := range ids {
+		d, ok := DistrictOf(id)
 		if !ok {
-			return nil, fmt.Errorf("dataset: split %q: pipe %q has no district-structured ID", n.Region, pipes[i].ID)
+			return nil, fmt.Errorf("dataset: split %q: pipe %q has no district-structured ID", c.Region, id)
 		}
 		if d != lastD || lastIx < 0 {
 			ix, ok := seen[d]
@@ -95,7 +95,7 @@ func SplitDistricts(n *Network, k int) ([]*Network, error) {
 		counts[lastIx]++
 	}
 	if len(order) < k {
-		return nil, fmt.Errorf("dataset: split %q into %d shards: only %d districts", n.Region, k, len(order))
+		return nil, fmt.Errorf("dataset: split %q into %d shards: only %d districts", c.Region, k, len(order))
 	}
 
 	// Deal districts into k contiguous groups, balancing pipe counts:
@@ -103,7 +103,7 @@ func SplitDistricts(n *Network, k int) ([]*Network, error) {
 	// of the remaining pipes, always leaving enough districts for the
 	// remaining groups.
 	groupOf := make(map[string]int, len(order))
-	remaining := len(pipes)
+	remaining := len(ids)
 	di := 0
 	for g := 0; g < k; g++ {
 		target := remaining / (k - g)
@@ -125,25 +125,16 @@ func SplitDistricts(n *Network, k int) ([]*Network, error) {
 		remaining -= gotPipes
 	}
 
-	// Materialize the shard networks in group order.
-	shardPipes := make([][]Pipe, k)
-	pipeGroup := make(map[string]int, len(pipes))
-	for i := range pipes {
-		d, _ := DistrictOf(pipes[i].ID)
+	// Cut the shard regions in group order.
+	shardRows := make([][]int32, k)
+	for i, id := range ids {
+		d, _ := DistrictOf(id)
 		g := groupOf[d]
-		shardPipes[g] = append(shardPipes[g], pipes[i])
-		pipeGroup[pipes[i].ID] = g
+		shardRows[g] = append(shardRows[g], int32(i))
 	}
-	shardFails := make([][]Failure, k)
-	for _, f := range n.Failures() {
-		if g, ok := pipeGroup[f.PipeID]; ok {
-			shardFails[g] = append(shardFails[g], f)
-		}
-	}
-	out := make([]*Network, k)
-	for g := 0; g < k; g++ {
-		region := fmt.Sprintf("%s/s%02d", n.Region, g+1)
-		out[g] = NewNetwork(region, n.ObservedFrom, n.ObservedTo, shardPipes[g], shardFails[g])
+	out := make([]*Columns, k)
+	for g := range out {
+		out[g] = c.selectRows(fmt.Sprintf("%s/s%02d", c.Region, g+1), shardRows[g])
 	}
 	return out, nil
 }

@@ -36,7 +36,7 @@ func TestDistrictOf(t *testing.T) {
 // districtNetwork builds a network whose pipes live in contiguous
 // district blocks with the given per-district pipe counts, plus one
 // failure on the first pipe of every district.
-func districtNetwork(t *testing.T, counts []int) *Network {
+func districtNetwork(t *testing.T, counts []int) *Columns {
 	t.Helper()
 	var pipes []Pipe
 	var fails []Failure
@@ -54,7 +54,7 @@ func districtNetwork(t *testing.T, counts []int) *Network {
 			seq++
 		}
 	}
-	return NewNetwork("R", 2000, 2009, pipes, fails)
+	return mustRows("R", 2000, 2009, pipes, fails)
 }
 
 func TestSplitDistrictsPartitions(t *testing.T) {
@@ -144,7 +144,7 @@ func TestSplitDistrictsErrors(t *testing.T) {
 		t.Errorf("k > districts: err %v", err)
 	}
 
-	plain := NewNetwork("P", 2000, 2009, []Pipe{{
+	plain := mustRows("P", 2000, 2009, []Pipe{{
 		ID: "P123", Class: ReticulationMain, Material: CICL, Coating: CoatingNone,
 		DiameterMM: 100, LengthM: 10, LaidYear: 1960, Segments: 1,
 	}}, nil)

@@ -2,7 +2,7 @@ package dataset
 
 import "fmt"
 
-// Split is a temporal train/test partition of a network's observation
+// Split is a temporal train/test partition of a region's observation
 // window: the model sees failures from TrainFrom..TrainTo and is evaluated
 // on predicting failures in TestYear, exactly as a utility would run the
 // model at the end of TrainTo to plan the next year's inspections.
@@ -12,9 +12,9 @@ type Split struct {
 	TestYear  int
 }
 
-// NewSplit validates the window arithmetic against the network's
+// NewSplit validates the window arithmetic against the region's
 // observation span and returns the split.
-func NewSplit(n *Network, trainFrom, trainTo, testYear int) (Split, error) {
+func NewSplit(n *Columns, trainFrom, trainTo, testYear int) (Split, error) {
 	switch {
 	case trainFrom > trainTo:
 		return Split{}, fmt.Errorf("dataset: train window [%d, %d] inverted", trainFrom, trainTo)
@@ -30,7 +30,7 @@ func NewSplit(n *Network, trainFrom, trainTo, testYear int) (Split, error) {
 
 // PaperSplit reproduces the paper's protocol: all observed history except
 // the final year for training, the final year held out for testing.
-func PaperSplit(n *Network) (Split, error) {
+func PaperSplit(n *Columns) (Split, error) {
 	return NewSplit(n, n.ObservedFrom, n.ObservedTo-1, n.ObservedTo)
 }
 
@@ -38,7 +38,7 @@ func PaperSplit(n *Network) (Split, error) {
 // [firstTest, n.ObservedTo], train on [n.ObservedFrom, testYear-1].
 // It is the protocol behind the significance tests, which need multiple
 // paired observations per method.
-func RollingSplits(n *Network, firstTest int) ([]Split, error) {
+func RollingSplits(n *Columns, firstTest int) ([]Split, error) {
 	if firstTest <= n.ObservedFrom {
 		return nil, fmt.Errorf("dataset: first test year %d must leave at least one training year after %d",
 			firstTest, n.ObservedFrom)
@@ -57,10 +57,10 @@ func RollingSplits(n *Network, firstTest int) ([]Split, error) {
 	return out, nil
 }
 
-// WindowSplit trains on the w years immediately preceding the network's
+// WindowSplit trains on the w years immediately preceding the region's
 // final observed year and tests on that final year. It is the protocol of
 // the training-history-length experiment.
-func WindowSplit(n *Network, w int) (Split, error) {
+func WindowSplit(n *Columns, w int) (Split, error) {
 	if w < 1 {
 		return Split{}, fmt.Errorf("dataset: window %d must be >= 1", w)
 	}

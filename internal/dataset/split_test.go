@@ -32,9 +32,8 @@ func TestNewSplitValidation(t *testing.T) {
 // columnar form the feature builder reads: failures counted over the
 // inclusive train window and the per-pipe test-year label.
 func TestTrainFailuresAndTestLabels(t *testing.T) {
-	n := testNetwork()
-	c := n.Columns()
-	s, err := NewSplit(n, 1998, 2004, 2005)
+	c := testNetwork()
+	s, err := NewSplit(c, 1998, 2004, 2005)
 	if err != nil {
 		t.Fatal(err)
 	}

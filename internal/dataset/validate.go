@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// ValidationError aggregates every integrity problem found in a Network so
+// ValidationError aggregates every integrity problem found in a region so
 // a data-loading pipeline can report them all at once instead of failing on
 // the first.
 type ValidationError struct {
@@ -27,43 +27,6 @@ func (e *ValidationError) Error() string {
 		msg += fmt.Sprintf("; and %d more", n-show)
 	}
 	return msg
-}
-
-// Validate checks the structural integrity of the network: unique pipe IDs,
-// physically plausible attributes, and failures that reference existing
-// pipes, valid segments, and the observation window. It returns nil when
-// the network is clean, or a *ValidationError listing every problem.
-// Columns.Validate applies the same rules to a columnar registry.
-func (n *Network) Validate() error {
-	var probs problems
-	if n.ObservedFrom > n.ObservedTo {
-		probs.add("observation window [%d, %d] is inverted", n.ObservedFrom, n.ObservedTo)
-	}
-
-	seen := make(map[string]bool, len(n.pipes))
-	for i := range n.pipes {
-		p := &n.pipes[i]
-		if p.ID == "" {
-			probs.add("pipe %d has empty ID", i)
-			continue
-		}
-		if seen[p.ID] {
-			probs.add("duplicate pipe ID %q", p.ID)
-		}
-		seen[p.ID] = true
-		probs.checkPipe(p, n.ObservedTo)
-	}
-
-	for i := range n.failures {
-		f := &n.failures[i]
-		p, ok := n.PipeByID(f.PipeID)
-		if !ok {
-			probs.add("failure %d references unknown pipe %q", i, f.PipeID)
-			continue
-		}
-		probs.checkFailure(i, f, p, n.ObservedFrom, n.ObservedTo)
-	}
-	return probs.err()
 }
 
 // problems accumulates validation findings; the zero value is empty and

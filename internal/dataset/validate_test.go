@@ -30,8 +30,7 @@ func TestValidateCatchesEveryProblemKind(t *testing.T) {
 		{PipeID: "D", Segment: 0, Year: 2000, Day: 0},     // bad day
 		{PipeID: "B4", Segment: 0, Year: 2000, Day: 1},    // predates laid year
 	}
-	n := NewNetwork("BAD", 1998, 2009, pipes, fails)
-	err := n.Validate()
+	_, err := FromRows("BAD", 1998, 2009, pipes, fails)
 	if err == nil {
 		t.Fatal("validation must fail")
 	}
@@ -55,8 +54,7 @@ func TestValidateCatchesEveryProblemKind(t *testing.T) {
 }
 
 func TestValidateInvertedWindow(t *testing.T) {
-	n := NewNetwork("W", 2009, 1998, nil, nil)
-	if n.Validate() == nil {
+	if _, err := FromRows("W", 2009, 1998, nil, nil); err == nil {
 		t.Fatal("inverted window must fail")
 	}
 }

@@ -1,10 +1,7 @@
 package eval
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -77,40 +74,6 @@ func (t *Table) String() string {
 		line(row)
 	}
 	return b.String()
-}
-
-// WriteCSV writes the table (header + rows, no title) as CSV, for
-// downstream analysis of experiment outputs.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.header); err != nil {
-		return fmt.Errorf("eval: write table header: %w", err)
-	}
-	for i, row := range t.rows {
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("eval: write table row %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteJSON writes the table as a JSON array of header-keyed objects.
-func (t *Table) WriteJSON(w io.Writer) error {
-	out := make([]map[string]string, 0, len(t.rows))
-	for _, row := range t.rows {
-		m := make(map[string]string, len(t.header))
-		for i, h := range t.header {
-			m[h] = row[i]
-		}
-		out = append(out, m)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		return fmt.Errorf("eval: encode table: %w", err)
-	}
-	return nil
 }
 
 // FormatPercent renders a fraction as a percentage with two decimals,

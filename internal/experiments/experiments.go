@@ -103,7 +103,7 @@ func NewRegistry(seed int64, esGenerations int) *core.Registry {
 }
 
 // GenerateRegion builds the named region at the configured scale and seed.
-func GenerateRegion(name string, opts Options) (*dataset.Network, *synthetic.Truth, error) {
+func GenerateRegion(name string, opts Options) (*dataset.Columns, *synthetic.Truth, error) {
 	opts = opts.withDefaults()
 	cfg, err := synthetic.Preset(name, opts.Seed)
 	if err != nil {
@@ -142,8 +142,8 @@ type ModelEval struct {
 // the bounded worker pool in internal/parallel; every model is independent
 // and deterministic, so results do not depend on the worker count
 // (wall-clock timings aside). Results come back in the order of names.
-func EvaluateSplit(net *dataset.Network, split dataset.Split, reg *core.Registry, names []string, groups feature.Groups) ([]ModelEval, error) {
-	b, err := feature.NewBuilder(net.Columns(), feature.Options{Groups: groups, Standardize: true})
+func EvaluateSplit(net *dataset.Columns, split dataset.Split, reg *core.Registry, names []string, groups feature.Groups) ([]ModelEval, error) {
+	b, err := feature.NewBuilder(net, feature.Options{Groups: groups, Standardize: true})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
@@ -174,7 +174,7 @@ func EvaluateSplit(net *dataset.Network, split dataset.Split, reg *core.Registry
 // evaluation is timed twice for observability: the whole train+score
 // pass into `experiments.eval_seconds.<region>.<model>`, and the fit
 // alone into the shared per-model `core.fit_seconds.<model>` histogram.
-func evalOne(net *dataset.Network, reg *core.Registry, name string, train, test *feature.Set) (ModelEval, error) {
+func evalOne(net *dataset.Columns, reg *core.Registry, name string, train, test *feature.Set) (ModelEval, error) {
 	m, err := reg.New(name)
 	if err != nil {
 		return ModelEval{}, err
@@ -209,7 +209,7 @@ func evalOne(net *dataset.Network, reg *core.Registry, name string, train, test 
 // RegionResult bundles a region's network with its model evaluations.
 type RegionResult struct {
 	Region string
-	Net    *dataset.Network
+	Net    *dataset.Columns
 	Evals  []ModelEval
 }
 
@@ -217,7 +217,7 @@ type RegionResult struct {
 // evaluates the configured models — the shared engine behind T2, T3 and F1.
 func RunRegions(opts Options) ([]RegionResult, error) {
 	opts = opts.withDefaults()
-	var nets []*dataset.Network
+	var nets []*dataset.Columns
 	for _, name := range opts.Regions {
 		net, _, err := GenerateRegion(name, opts)
 		if err != nil {
@@ -228,12 +228,12 @@ func RunRegions(opts Options) ([]RegionResult, error) {
 	return RunNetworks(opts, nets)
 }
 
-// RunNetworks is RunRegions over already-loaded networks (e.g. datasets
-// read from disk by pipeeval -data): each network gets the paper split and
+// RunNetworks is RunRegions over already-loaded regions (e.g. datasets
+// read from disk by pipeeval -data): each region gets the paper split and
 // the configured model suite. Only experiments that need nothing beyond
 // the observed data (T2, T3, F1) can be driven this way — sweeps that
-// regenerate or perturb a region need a synthetic.Config, not a Network.
-func RunNetworks(opts Options, nets []*dataset.Network) ([]RegionResult, error) {
+// regenerate or perturb a region need a synthetic.Config, not loaded data.
+func RunNetworks(opts Options, nets []*dataset.Columns) ([]RegionResult, error) {
 	opts = opts.withDefaults()
 	reg := NewRegistry(opts.Seed, opts.ESGenerations)
 	var out []RegionResult

@@ -109,14 +109,13 @@ func TestT0Cohorts(t *testing.T) {
 			t.Fatalf("T0 missing %q:\n%s", want, s)
 		}
 	}
-	// The oldest materials (CI) must show a higher rate than PVC on an
-	// ageing network: verify via CSV export round trip.
-	var buf bytes.Buffer
-	if err := tb.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
+	// The header leads with the region and cohort columns, and every
+	// region contributes material, age and diameter rows.
+	if !strings.Contains(s, "region  cohort") {
+		t.Fatalf("T0 header missing:\n%s", s)
 	}
-	if !strings.Contains(buf.String(), "region,cohort") {
-		t.Fatalf("csv header missing:\n%s", buf.String())
+	if tb.NumRows() < 3*len(fastOpts().Regions) {
+		t.Fatalf("T0 has %d rows:\n%s", tb.NumRows(), s)
 	}
 }
 

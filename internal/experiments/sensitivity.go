@@ -27,7 +27,7 @@ func T8Sensitivity(opts Options, region string, k int) (*eval.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := feature.NewBuilder(net.Columns(), feature.Options{})
+	b, err := feature.NewBuilder(net, feature.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func F6Staleness(opts Options, region string, trainYears int) (*eval.Table, erro
 	// One builder/training per model; each later year gets its own test
 	// set built against the same frozen training window.
 	for _, name := range opts.Models {
-		b, err := feature.NewBuilder(net.Columns(), feature.Options{})
+		b, err := feature.NewBuilder(net, feature.Options{})
 		if err != nil {
 			return nil, err
 		}

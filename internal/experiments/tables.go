@@ -162,7 +162,7 @@ func T6ClassBreakdown(opts Options) (*eval.Table, error) {
 		}
 		scopes := []struct {
 			label string
-			net   *dataset.Network
+			net   *dataset.Columns
 		}{
 			{"All", net},
 			{"CWM", net.SubsetByClass(dataset.CriticalMain)},

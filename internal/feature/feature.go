@@ -104,7 +104,7 @@ type Set struct {
 	Age []float64
 	// LengthM is the pipe length (for length-weighted evaluation).
 	LengthM []float64
-	// PipeIdx is the index of the pipe in Network.Pipes().
+	// PipeIdx is the pipe's registry row.
 	PipeIdx []int
 	// Year is the instance year.
 	Year []int
@@ -197,8 +197,7 @@ func max(a, b int) int {
 }
 
 // Builder encodes a registry's pipes into Sets. A Builder reads one
-// columnar registry (dataset.Columns: a decoded PCOL file, or
-// Network.Columns); categorical vocabularies are collected from the full
+// columnar region (dataset.Columns); categorical vocabularies are collected from the full
 // registry (attributes are known for all pipes up front — only labels are
 // temporal), while numeric scaling statistics are fitted on the training
 // set alone. The columns must not be mutated while the Builder is in use.
@@ -231,9 +230,8 @@ type Builder struct {
 	ageCol, historyCol int
 }
 
-// NewBuilder returns a Builder over the columns; a network reaches it
-// through Network.Columns. Zero-valued Options get the full feature set
-// with standardization enabled.
+// NewBuilder returns a Builder over the columns. Zero-valued Options get
+// the full feature set with standardization enabled.
 func NewBuilder(cols *dataset.Columns, opts Options) (*Builder, error) {
 	if cols == nil {
 		return nil, fmt.Errorf("feature: nil columns")
@@ -254,7 +252,7 @@ func NewBuilder(cols *dataset.Columns, opts Options) (*Builder, error) {
 // collectVocabularies scans the registry for the categorical levels present,
 // in sorted order for stable column layouts.
 func (b *Builder) collectVocabularies() {
-	c := &b.cols.Pipes
+	c := &b.cols.Registry
 	b.materials = levels(c.Material)
 	b.coatings = levels(c.Coating)
 	b.soilCorr = levels(c.SoilCorrosivity)
@@ -401,7 +399,7 @@ func boolTo01(v bool) float64 {
 // instead of TrainSet.
 func (b *Builder) Fit(split dataset.Split) error {
 	from, to := split.TrainFrom, split.TrainTo
-	laid := b.cols.Pipes.LaidYear
+	laid := b.cols.Registry.LaidYear
 	rows, minLaid := 0, to+1
 	for _, l := range laid {
 		if int(l) <= to {
@@ -541,7 +539,7 @@ func (b *Builder) TrainSet(split dataset.Split) (*Set, error) {
 		}
 	}
 	from, to := split.TrainFrom, split.TrainTo
-	laid := b.cols.Pipes.LaidYear
+	laid := b.cols.Registry.LaidYear
 	years := to - from + 1
 	// next[k] first counts the pipes entering service in year from+k,
 	// then becomes that year's next free row. The stack buffer keeps the
@@ -610,7 +608,7 @@ func (b *Builder) TestSet(split dataset.Split) (*Set, error) {
 	if !b.fitted {
 		return nil, fmt.Errorf("feature: TestSet called before Fit or TrainSet")
 	}
-	laid := b.cols.Pipes.LaidYear
+	laid := b.cols.Registry.LaidYear
 	y := split.TestYear
 	rows := 0
 	for _, l := range laid {

@@ -10,7 +10,7 @@ import (
 
 // buildNet constructs a deterministic 4-pipe network with failures placed
 // so history/label logic can be verified by hand.
-func buildNet() *dataset.Network {
+func buildNet() *dataset.Columns {
 	pipes := []dataset.Pipe{
 		{ID: "P0", Class: dataset.CriticalMain, Material: dataset.CICL,
 			Coating: dataset.CoatingNone, DiameterMM: 375, LengthM: 400,
@@ -35,10 +35,14 @@ func buildNet() *dataset.Network {
 		{PipeID: "P0", Segment: 0, Year: 2005, Day: 99, Mode: dataset.ModeLeak},
 		{PipeID: "P2", Segment: 3, Year: 2009, Day: 200, Mode: dataset.ModeBreak},
 	}
-	return dataset.NewNetwork("F", 1998, 2009, pipes, fails)
+	net, err := dataset.FromRows("F", 1998, 2009, pipes, fails)
+	if err != nil {
+		panic(err)
+	}
+	return net
 }
 
-func mustSplit(t *testing.T, n *dataset.Network) dataset.Split {
+func mustSplit(t *testing.T, n *dataset.Columns) dataset.Split {
 	t.Helper()
 	s, err := dataset.PaperSplit(n)
 	if err != nil {
@@ -48,7 +52,7 @@ func mustSplit(t *testing.T, n *dataset.Network) dataset.Split {
 }
 
 func TestBuilderDefaultsToAllGroups(t *testing.T) {
-	b, err := NewBuilder(buildNet().Columns(), Options{})
+	b, err := NewBuilder(buildNet(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func TestNilNetworkRejected(t *testing.T) {
 
 func TestTrainSetShapeAndLaidFilter(t *testing.T) {
 	net := buildNet()
-	b, err := NewBuilder(net.Columns(), Options{})
+	b, err := NewBuilder(net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +113,7 @@ func TestTrainSetShapeAndLaidFilter(t *testing.T) {
 
 func TestTestSetShape(t *testing.T) {
 	net := buildNet()
-	b, err := NewBuilder(net.Columns(), Options{})
+	b, err := NewBuilder(net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +142,7 @@ func TestTestSetShape(t *testing.T) {
 
 func TestHistoryFeatureNoLeakage(t *testing.T) {
 	net := buildNet()
-	b, err := NewBuilder(net.Columns(), Options{Groups: Groups{History: true}})
+	b, err := NewBuilder(net, Options{Groups: Groups{History: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +188,7 @@ func TestHistoryFeatureNoLeakage(t *testing.T) {
 
 func TestStandardizationTrainStats(t *testing.T) {
 	net := buildNet()
-	b, err := NewBuilder(net.Columns(), Options{Groups: Groups{Age: true, Geometry: true}, Standardize: true})
+	b, err := NewBuilder(net, Options{Groups: Groups{Age: true, Geometry: true}, Standardize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +220,7 @@ func TestStandardizationTrainStats(t *testing.T) {
 
 func TestOneHotExactlyOnePerFactor(t *testing.T) {
 	net := buildNet()
-	b, err := NewBuilder(net.Columns(), Options{Groups: Groups{Material: true, Soil: true}})
+	b, err := NewBuilder(net, Options{Groups: Groups{Material: true, Soil: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +268,7 @@ func TestGroupsWithout(t *testing.T) {
 
 func TestSetMatrix(t *testing.T) {
 	net := buildNet()
-	b, err := NewBuilder(net.Columns(), Options{Groups: Groups{Age: true}})
+	b, err := NewBuilder(net, Options{Groups: Groups{Age: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +288,7 @@ func TestSetMatrix(t *testing.T) {
 
 func TestAblationChangesDim(t *testing.T) {
 	net := buildNet()
-	full, err := NewBuilder(net.Columns(), Options{Groups: AllGroups()})
+	full, err := NewBuilder(net, Options{Groups: AllGroups()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +296,7 @@ func TestAblationChangesDim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := NewBuilder(net.Columns(), Options{Groups: noSoil})
+	reduced, err := NewBuilder(net, Options{Groups: noSoil})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // flatTestNet builds a small deterministic network for layout tests.
-func flatTestNet(t *testing.T) (*dataset.Network, dataset.Split) {
+func flatTestNet(t *testing.T) (*dataset.Columns, dataset.Split) {
 	t.Helper()
 	net := buildNet()
 	return net, mustSplit(t, net)
@@ -15,7 +15,7 @@ func flatTestNet(t *testing.T) (*dataset.Network, dataset.Split) {
 
 func TestBuilderSetsAreDense(t *testing.T) {
 	net, split := flatTestNet(t)
-	b, err := NewBuilder(net.Columns(), Options{})
+	b, err := NewBuilder(net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFlatNilForViewSets(t *testing.T) {
 
 func TestMatrixMemcpyMatchesRowCopy(t *testing.T) {
 	net, split := flatTestNet(t)
-	b, err := NewBuilder(net.Columns(), Options{})
+	b, err := NewBuilder(net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // column's statistics accumulated in its own pass over the rows.
 func referenceTrainSet(b *Builder, split dataset.Split) *Set {
 	rows := 0
-	laid := b.cols.Pipes.LaidYear
+	laid := b.cols.Registry.LaidYear
 	for y := split.TrainFrom; y <= split.TrainTo; y++ {
 		for _, l := range laid {
 			if int(l) <= y {
@@ -87,7 +87,7 @@ func TestTrainSetMatchesReference(t *testing.T) {
 		{Groups: noAge, Standardize: true},
 		{Groups: noHistory, Standardize: true},
 	} {
-		b, err := NewBuilder(net.Columns(), opts)
+		b, err := NewBuilder(net, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestTrainSetMatchesReference(t *testing.T) {
 func TestFitThenTestSetMatchesTrainSetPath(t *testing.T) {
 	net := buildNet()
 	split := mustSplit(t, net)
-	fitOnly, err := NewBuilder(net.Columns(), Options{})
+	fitOnly, err := NewBuilder(net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFitThenTestSetMatchesTrainSetPath(t *testing.T) {
 	if &fitOnly.mean[0] != fittedMean {
 		t.Fatal("TrainSet after Fit on the same window fitted again")
 	}
-	full, err := NewBuilder(net.Columns(), Options{})
+	full, err := NewBuilder(net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

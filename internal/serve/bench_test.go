@@ -206,8 +206,8 @@ func benchEventsIngest(b *testing.B, sync wal.SyncPolicy) {
 		b.Fatal(err)
 	}
 	b.Cleanup(s.closeEventLogs)
-	pipes := s.def.net.Pipes()
-	year := s.def.net.ObservedTo + 1
+	pipes := s.def.data.Pipes()
+	year := s.def.data.ObservedTo + 1
 	// One checked warmup so a broken handler fails loudly instead of
 	// benchmarking an error path.
 	rec := httptest.NewRecorder()
@@ -244,8 +244,8 @@ func BenchmarkEventsIngestBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(s.closeEventLogs)
-	pipes := s.def.net.Pipes()
-	year := s.def.net.ObservedTo + 1
+	pipes := s.def.data.Pipes()
+	year := s.def.data.ObservedTo + 1
 	w := &nopWriter{h: make(http.Header)}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -96,14 +96,14 @@ func TestDriftGaugesMatchRescan(t *testing.T) {
 		t.Fatalf("train status %d", code)
 	}
 	reg := obs.Default()
-	pipes := s.def.net.Pipes()
+	pipes := s.def.data.Pipes()
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 6; round++ {
 		for i := 0; i < 40; i++ {
 			body := map[string]any{
 				"id":      fmt.Sprintf("dg-%d-%d", round, i),
 				"pipe_id": pipes[rng.Intn(len(pipes))].ID,
-				"year":    s.def.net.ObservedTo - 1 + rng.Intn(3),
+				"year":    s.def.data.ObservedTo - 1 + rng.Intn(3),
 				"day":     1 + rng.Intn(366),
 			}
 			if code := postJSON(t, ts.URL+"/api/events", body, nil); code != http.StatusOK {
@@ -146,8 +146,8 @@ func TestEventsAllocsFlatWithHistory(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	s, _ := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncNever})
-	pipes := s.def.net.Pipes()
-	year := s.def.net.ObservedTo + 1
+	pipes := s.def.data.Pipes()
+	year := s.def.data.ObservedTo + 1
 	w := &nopWriter{h: make(http.Header)}
 	n := 0
 	post := func(prefix string, k int) {

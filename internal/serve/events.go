@@ -12,11 +12,13 @@ package serve
 // (rebuilt from the log on every boot) absorbs the duplicate, so every
 // acknowledged event is applied exactly once across any crash schedule.
 //
-// Determinism: the training network is rebuilt via dataset.ExtendLive,
-// whose output depends only on the *set* of applied events (failures are
-// stably sorted by (Year, Day, PipeID); renewals take the max year per
-// pipe) — so a crash-recovered replay retrains to a bit-identical
-// snapshot ETag as a no-crash run over the same acknowledged events.
+// Determinism: a retrain extends the shard's base columns with the
+// applied events (Columns.ExtendLive) and rebuilds the feature sets. The
+// builder only counts each pipe's failures per year and renewals take the
+// max year per pipe, so the retrained model depends on the *set* of
+// applied events, not their arrival order — a crash-recovered replay
+// retrains to a bit-identical snapshot ETag as a no-crash run over the
+// same acknowledged events.
 //
 // Drift: each shard tracks a rolling temporal window (window_days wide,
 // anchored at the newest live event) and exports gauges comparing the
@@ -79,7 +81,7 @@ type ingestState struct {
 	// seen is the event-ID dedup set, rebuilt from the log on boot.
 	seen map[string]struct{}
 	// failures/renewals are the live overlays ExtendLive folds into the
-	// training network. Append-only under mu.
+	// training region. Append-only under mu.
 	failures []dataset.Failure
 	renewals []pipefail.Renewal
 
@@ -115,7 +117,7 @@ type ingestState struct {
 	driftSnap *modelSnapshot
 
 	// livePipe memoizes the extended pipeline built at livePipeSeq, so
-	// rebuilds of several models at one seq extend the network once, not
+	// rebuilds of several models at one seq extend the region once, not
 	// per model.
 	pipeMu      sync.Mutex
 	livePipe    *pipefail.Pipeline
@@ -300,7 +302,7 @@ func (ev *walEvent) normalize() {
 }
 
 // eventYearSlack is how far past the newest evidence a reported event
-// year may reach. Years must be bounded above: dataset.ExtendLive moves
+// year may reach. Years must be bounded above: Columns.ExtendLive moves
 // ObservedTo to the newest failure year and feature.Builder.TrainSet
 // allocates rows for pipes × every year in the window, so one absurd
 // year (a typo like 20266 on an unauthenticated endpoint) would make
@@ -315,7 +317,7 @@ const eventYearSlack = 1
 // applied live events, or the wall clock — plus eventYearSlack. It only
 // ever grows, so an event accepted live is also accepted on replay.
 func (sh *shard) maxEventYear() int {
-	max := sh.net.ObservedTo
+	max := sh.data.ObservedTo
 	if y := time.Now().Year(); y > max {
 		max = y
 	}
@@ -339,17 +341,18 @@ func (sh *shard) checkEvent(ev *walEvent) error {
 	if len(ev.ID) > 128 {
 		return fmt.Errorf("event id longer than 128 bytes")
 	}
-	p, ok := sh.net.PipeByID(ev.PipeID)
+	row, ok := sh.data.RowOf(ev.PipeID)
 	if !ok {
 		return fmt.Errorf("unknown pipe %q", ev.PipeID)
 	}
+	laid, segments := int(sh.data.Registry.LaidYear[row]), int(sh.data.Registry.Segments[row])
 	switch ev.Type {
 	case "failure":
-		if ev.Year < sh.net.ObservedFrom {
-			return fmt.Errorf("failure year %d precedes observation window start %d", ev.Year, sh.net.ObservedFrom)
+		if ev.Year < sh.data.ObservedFrom {
+			return fmt.Errorf("failure year %d precedes observation window start %d", ev.Year, sh.data.ObservedFrom)
 		}
-		if ev.Year < p.LaidYear {
-			return fmt.Errorf("failure year %d precedes pipe %s laid year %d", ev.Year, p.ID, p.LaidYear)
+		if ev.Year < laid {
+			return fmt.Errorf("failure year %d precedes pipe %s laid year %d", ev.Year, ev.PipeID, laid)
 		}
 		if max := sh.maxEventYear(); ev.Year > max {
 			return fmt.Errorf("failure year %d beyond acceptance horizon %d", ev.Year, max)
@@ -357,8 +360,8 @@ func (sh *shard) checkEvent(ev *walEvent) error {
 		if ev.Day < 1 || ev.Day > 366 {
 			return fmt.Errorf("day %d out of range [1,366]", ev.Day)
 		}
-		if ev.Segment < 0 || ev.Segment >= p.Segments {
-			return fmt.Errorf("segment %d out of range [0,%d) for pipe %s", ev.Segment, p.Segments, p.ID)
+		if ev.Segment < 0 || ev.Segment >= segments {
+			return fmt.Errorf("segment %d out of range [0,%d) for pipe %s", ev.Segment, segments, ev.PipeID)
 		}
 		switch dataset.FailureMode(ev.Mode) {
 		case dataset.ModeBreak, dataset.ModeLeak, dataset.ModeBlockage:
@@ -442,9 +445,9 @@ func (sh *shard) eventSeqNow() int64 {
 
 // trainPipeline returns the pipeline training should run against — the
 // base pipeline when no live events exist, otherwise one rebuilt over
-// the event-extended network — plus the event seq it reflects. The
+// the event-extended region — plus the event seq it reflects. The
 // extended pipeline is memoized per seq so rebuilds of several models
-// at one seq extend the network once, not once per model.
+// at one seq extend the region once, not once per model.
 func (sh *shard) trainPipeline() (*pipefail.Pipeline, int64, error) {
 	ing := sh.ingest
 	if ing == nil {
@@ -468,8 +471,7 @@ func (sh *shard) trainPipeline() (*pipefail.Pipeline, int64, error) {
 	// Let the superseded pipeline go before building its successor, so
 	// the memo never pins two at once.
 	ing.livePipe = nil
-	net := sh.net.ExtendLive(failures, renewals)
-	p, err := pipefail.NewPipeline(net, sh.opts...)
+	p, err := pipefail.NewPipelineData(sh.data.ExtendLive(failures, renewals), sh.opts...)
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: region %q: extend pipeline at seq %d: %w", sh.region, seq, err)
 	}

@@ -26,12 +26,12 @@ import (
 // chaosEvent builds the i-th event of the fixed chaos sequence against
 // sh's registry: distinct IDs, rotating pipes, distinct days.
 func chaosEvent(sh *shard, i int) map[string]any {
-	pipes := sh.net.Pipes()
+	pipes := sh.data.Pipes()
 	p := pipes[i%len(pipes)]
 	return map[string]any{
 		"id":      fmt.Sprintf("chaos-%d", i),
 		"pipe_id": p.ID,
-		"year":    sh.net.ObservedTo + 1,
+		"year":    sh.data.ObservedTo + 1,
 		"day":     i + 1,
 		"mode":    "BREAK",
 	}
@@ -152,12 +152,12 @@ func TestChaosIngestStormDuringRebuilds(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pipes := s.def.net.Pipes()
+			pipes := s.def.data.Pipes()
 			for i := 0; i < perWorker; i++ {
 				body := map[string]any{
 					"id":      fmt.Sprintf("storm-%d-%d", w, i),
 					"pipe_id": pipes[(w*perWorker+i)%len(pipes)].ID,
-					"year":    s.def.net.ObservedTo + 1,
+					"year":    s.def.data.ObservedTo + 1,
 					"day":     (w*perWorker+i)%366 + 1,
 				}
 				if code := postJSON(t, ts.URL+"/api/events", body, nil); code != 200 {

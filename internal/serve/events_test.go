@@ -11,6 +11,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -45,11 +46,11 @@ func newEventServer(t *testing.T, dir string, cfg EventLogConfig) (*Server, *htt
 // eventBody builds one valid failure event against the shard's first
 // pipe, in the first post-observation year.
 func eventBody(sh *shard, id string) map[string]any {
-	p := sh.net.Pipes()[0]
+	p := sh.data.Pipes()[0]
 	return map[string]any{
 		"id":      id,
 		"pipe_id": p.ID,
-		"year":    sh.net.ObservedTo + 1,
+		"year":    sh.data.ObservedTo + 1,
 		"day":     100,
 		"mode":    "BREAK",
 	}
@@ -101,8 +102,8 @@ func TestEventsSingleAcceptAndDedup(t *testing.T) {
 
 func TestEventsNDJSONBatch(t *testing.T) {
 	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
-	p := s.def.net.Pipes()[0]
-	year := s.def.net.ObservedTo + 1
+	p := s.def.data.Pipes()[0]
+	year := s.def.data.ObservedTo + 1
 	var b strings.Builder
 	for i := 0; i < 5; i++ {
 		fmt.Fprintf(&b, "{\"id\":\"b-%d\",\"pipe_id\":%q,\"year\":%d,\"day\":%d}\n", i, p.ID, year, i+1)
@@ -129,8 +130,8 @@ func TestEventsNDJSONBatch(t *testing.T) {
 
 func TestEventsValidationRejectsWholeBatch(t *testing.T) {
 	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
-	p := s.def.net.Pipes()[0]
-	year := s.def.net.ObservedTo + 1
+	p := s.def.data.Pipes()[0]
+	year := s.def.data.ObservedTo + 1
 	cases := []struct {
 		name string
 		body map[string]any
@@ -181,7 +182,7 @@ func TestEventsValidationRejectsWholeBatch(t *testing.T) {
 // thousands of years per pipe.
 func TestEventsYearHorizonRatchets(t *testing.T) {
 	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
-	p := s.def.net.Pipes()[0]
+	p := s.def.data.Pipes()[0]
 	// The generated network's window ends well in the past, so the wall
 	// clock dominates the initial horizon.
 	horizon := time.Now().Year() + eventYearSlack
@@ -214,7 +215,7 @@ func TestEventsYearHorizonRatchets(t *testing.T) {
 func TestEventsReplaySkipsPoisonedYears(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newEventServer(t, dir, EventLogConfig{Sync: wal.SyncAlways})
-	p := s1.def.net.Pipes()[0]
+	p := s1.def.data.Pipes()[0]
 	if code := postJSON(t, ts1.URL+"/api/events", eventBody(s1.def, "ok-1"), nil); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -253,11 +254,11 @@ func TestEventsReplaySkipsPoisonedYears(t *testing.T) {
 
 func TestEventsNDJSONRejectsUnknownFields(t *testing.T) {
 	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
-	p := s.def.net.Pipes()[0]
+	p := s.def.data.Pipes()[0]
 	// "regon" misspells "region": it must be a 400 like on the single-
 	// object path, not a silently dropped key that routes the event to
 	// the default shard.
-	nd := fmt.Sprintf("{\"id\":\"u-1\",\"pipe_id\":%q,\"year\":%d,\"day\":1,\"regon\":\"B\"}\n", p.ID, s.def.net.ObservedTo+1)
+	nd := fmt.Sprintf("{\"id\":\"u-1\",\"pipe_id\":%q,\"year\":%d,\"day\":1,\"regon\":\"B\"}\n", p.ID, s.def.data.ObservedTo+1)
 	resp, err := http.Post(ts.URL+"/api/events", "application/x-ndjson", strings.NewReader(nd))
 	if err != nil {
 		t.Fatal(err)
@@ -303,8 +304,8 @@ func TestEventsBackpressureDrainRecovers(t *testing.T) {
 
 func TestEventsRenewal(t *testing.T) {
 	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
-	p := s.def.net.Pipes()[0]
-	body := map[string]any{"id": "r-1", "type": "renewal", "pipe_id": p.ID, "year": s.def.net.ObservedTo}
+	p := s.def.data.Pipes()[0]
+	body := map[string]any{"id": "r-1", "type": "renewal", "pipe_id": p.ID, "year": s.def.data.ObservedTo}
 	var resp eventsResponse
 	if code := postJSON(t, ts.URL+"/api/events", body, &resp); code != http.StatusOK || resp.Accepted != 1 {
 		t.Fatalf("renewal rejected: code %d resp %+v", code, resp)
@@ -319,6 +320,49 @@ func TestEventsRenewal(t *testing.T) {
 	}
 }
 
+// TestEventsArrivalOrderSameETag posts one event set (failures, and
+// renewals that name one pipe twice) to two servers in opposite orders:
+// the retrained default-model snapshots must carry equal ranking ETags,
+// since a rebuild depends only on the set of applied events.
+func TestEventsArrivalOrderSameETag(t *testing.T) {
+	var etags [2]string
+	for k := range etags {
+		s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncNever})
+		d := s.def.data
+		year := d.ObservedTo - 1
+		var events []map[string]any
+		for i := 0; len(events) < 16 && i < d.NumPipes(); i += 7 {
+			if int(d.Registry.LaidYear[i]) < year-2 {
+				events = append(events, map[string]any{"id": fmt.Sprintf("f-%d", i), "pipe_id": d.Registry.ID[i],
+					"year": year, "day": 1 + i%365, "mode": "BREAK"})
+			}
+		}
+		renewed := events[0]["pipe_id"]
+		events = append(events,
+			map[string]any{"id": "r-1", "type": "renewal", "pipe_id": renewed, "year": year - 2},
+			map[string]any{"id": "r-2", "type": "renewal", "pipe_id": renewed, "year": year - 1},
+			map[string]any{"id": "r-3", "type": "renewal", "pipe_id": events[1]["pipe_id"], "year": year})
+		if k == 1 {
+			slices.Reverse(events)
+		}
+		for _, ev := range events {
+			var resp eventsResponse
+			if code := postJSON(t, ts.URL+"/api/events", ev, &resp); code != http.StatusOK || resp.Accepted != 1 {
+				t.Fatalf("event %v: code %d resp %+v", ev["id"], code, resp)
+			}
+		}
+		rebuildAll(s, []rebuildTarget{{sh: s.def, name: s.defaultModel}})
+		tm := (*s.def.models.Load())[s.defaultModel]
+		if tm == nil || tm.eventSeq != int64(len(events)) {
+			t.Fatalf("order %d: no snapshot at seq %d", k, len(events))
+		}
+		etags[k] = tm.etag
+	}
+	if etags[0] != etags[1] {
+		t.Fatalf("arrival order changed the ranking ETag: %s vs %s", etags[0], etags[1])
+	}
+}
+
 func TestEventsBackpressure429(t *testing.T) {
 	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncNever, MaxBacklogBytes: 1})
 	// First request admits (backlog 0), and under SyncNever its bytes
@@ -327,7 +371,7 @@ func TestEventsBackpressure429(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/api/events", eventBody(s.def, "bp-1"), &resp); code != http.StatusOK {
 		t.Fatalf("first status %d", code)
 	}
-	req, _ := http.NewRequest("POST", ts.URL+"/api/events", strings.NewReader(`{"id":"bp-2","pipe_id":"`+s.def.net.Pipes()[0].ID+`","year":`+fmt.Sprint(s.def.net.ObservedTo+1)+`,"day":1}`))
+	req, _ := http.NewRequest("POST", ts.URL+"/api/events", strings.NewReader(`{"id":"bp-2","pipe_id":"`+s.def.data.Pipes()[0].ID+`","year":`+fmt.Sprint(s.def.data.ObservedTo+1)+`,"day":1}`))
 	req.Header.Set("Content-Type", "application/json")
 	r2, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -345,8 +389,8 @@ func TestEventsBackpressure429(t *testing.T) {
 func TestEventsReplayOnBoot(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newEventServer(t, dir, EventLogConfig{Sync: wal.SyncAlways})
-	p := s1.def.net.Pipes()[0]
-	year := s1.def.net.ObservedTo + 1
+	p := s1.def.data.Pipes()[0]
+	year := s1.def.data.ObservedTo + 1
 	for i := 0; i < 4; i++ {
 		var resp eventsResponse
 		body := map[string]any{"id": fmt.Sprintf("rp-%d", i), "pipe_id": p.ID, "year": year, "day": i + 1}
@@ -516,9 +560,9 @@ func TestEventsClosedLog503(t *testing.T) {
 // logs and applies nothing. A trailing newline is still accepted.
 func TestEventsRejectTrailingData(t *testing.T) {
 	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
-	p := s.def.net.Pipes()[0]
+	p := s.def.data.Pipes()[0]
 	ev := func(id string) string {
-		return fmt.Sprintf(`{"id":%q,"pipe_id":%q,"year":%d,"day":1}`, id, p.ID, s.def.net.ObservedTo+1)
+		return fmt.Sprintf(`{"id":%q,"pipe_id":%q,"year":%d,"day":1}`, id, p.ID, s.def.data.ObservedTo+1)
 	}
 	logged := s.def.ingest.wal.SizeBytes()
 	for _, tc := range []struct {
@@ -561,14 +605,14 @@ func TestEventsRejectTrailingData(t *testing.T) {
 // text on both paths, whether one value or the whole body is too long.
 func TestEventsOversizedBody413(t *testing.T) {
 	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
-	p := s.def.net.Pipes()[0]
+	p := s.def.data.Pipes()[0]
 	over := maxEventBody + 1
 	for _, tc := range []struct {
 		name, ctype, body string
 	}{
 		{"huge object", "application/json", `{"id":"` + strings.Repeat("a", over) + `"}`},
 		{"object then padding", "application/json",
-			fmt.Sprintf(`{"id":"o-1","pipe_id":%q,"year":%d,"day":1}`, p.ID, s.def.net.ObservedTo+1) + strings.Repeat(" ", over)},
+			fmt.Sprintf(`{"id":"o-1","pipe_id":%q,"year":%d,"day":1}`, p.ID, s.def.data.ObservedTo+1) + strings.Repeat(" ", over)},
 		{"ndjson long line", "application/x-ndjson", strings.Repeat(" ", over)},
 		{"ndjson many lines", "application/x-ndjson", strings.Repeat("\n", over)},
 	} {

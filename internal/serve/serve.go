@@ -239,14 +239,14 @@ type trainJob struct {
 	waiters int
 }
 
-// New builds a single-shard Server around one network. Options mirror
-// pipefail.NewPipeline; logger may be nil (logs are discarded into the
+// New builds a single-shard Server around one region. Options mirror
+// pipefail.NewPipelineData; logger may be nil (logs are discarded into the
 // default logger then).
-func New(net *pipefail.Network, logger *log.Logger, opts ...pipefail.PipelineOption) (*Server, error) {
-	return NewMulti([]*pipefail.Network{net}, logger, opts...)
+func New(data *pipefail.Data, logger *log.Logger, opts ...pipefail.PipelineOption) (*Server, error) {
+	return NewMulti([]*pipefail.Data{data}, logger, opts...)
 }
 
-// NewMulti builds a Server with one shard per network, in the given
+// NewMulti builds a Server with one shard per region, in the given
 // (deterministic) fan-out order. Duplicate region names are a
 // configuration error and fail construction — a silent last-write-wins
 // registry would serve one region's data under another's name. So are
@@ -254,7 +254,7 @@ func New(net *pipefail.Network, logger *log.Logger, opts ...pipefail.PipelineOpt
 // the token names each shard's metric series, WAL directory and state
 // directory, so those regions would share them. The response-cache
 // budget is partitioned equally across the shards.
-func NewMulti(nets []*pipefail.Network, logger *log.Logger, opts ...pipefail.PipelineOption) (*Server, error) {
+func NewMulti(nets []*pipefail.Data, logger *log.Logger, opts ...pipefail.PipelineOption) (*Server, error) {
 	if len(nets) == 0 {
 		return nil, errors.New("serve: no networks given")
 	}
@@ -707,13 +707,13 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 	}
 	split := sh.pipe.Split()
 	resp := map[string]any{
-		"region":     sh.net.Region,
-		"pipes":      sh.net.NumPipes(),
-		"failures":   sh.net.NumFailures(),
-		"observed":   []int{sh.net.ObservedFrom, sh.net.ObservedTo},
+		"region":     sh.data.Region,
+		"pipes":      sh.data.NumPipes(),
+		"failures":   sh.data.NumFailures(),
+		"observed":   []int{sh.data.ObservedFrom, sh.data.ObservedTo},
 		"train":      []int{split.TrainFrom, split.TrainTo},
 		"test_year":  split.TestYear,
-		"network_km": sh.net.TotalLengthM() / 1000,
+		"network_km": sh.data.TotalLengthM() / 1000,
 	}
 	// The multi-shard body additionally lists the fleet; a single-shard
 	// server keeps the exact pre-shard shape. Live-event counts appear
@@ -943,17 +943,18 @@ func (s *Server) handleRanking(w http.ResponseWriter, r *http.Request) {
 // findPipe locates a pipe ID across the shards: an explicit shard
 // first, otherwise every shard in fan-out order (pipe IDs are globally
 // unique in district-structured datasets, so the first hit is the hit).
-func (s *Server) findPipe(sh *shard, id string) (*shard, *pipefail.Pipe, bool) {
+// It returns the pipe's registry row in that shard.
+func (s *Server) findPipe(sh *shard, id string) (*shard, int, bool) {
 	if sh != nil {
-		p, ok := sh.net.PipeByID(id)
-		return sh, p, ok
+		row, ok := sh.data.RowOf(id)
+		return sh, row, ok
 	}
 	for _, o := range s.shards {
-		if p, ok := o.net.PipeByID(id); ok {
-			return o, p, true
+		if row, ok := o.data.RowOf(id); ok {
+			return o, row, true
 		}
 	}
-	return nil, nil, false
+	return nil, 0, false
 }
 
 func (s *Server) handlePipe(w http.ResponseWriter, r *http.Request) {
@@ -968,11 +969,14 @@ func (s *Server) handlePipe(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sh, p, ok := s.findPipe(want, id)
+	sh, row, ok := s.findPipe(want, id)
 	if !ok {
 		s.writeErr(w, http.StatusNotFound, "unknown pipe %q", id)
 		return
 	}
+	d := sh.data
+	var p pipefail.Pipe
+	d.PipeAt(row, &p)
 	resp := map[string]any{
 		"id":             p.ID,
 		"region":         sh.region,
@@ -984,7 +988,7 @@ func (s *Server) handlePipe(w http.ResponseWriter, r *http.Request) {
 		"laid_year":      p.LaidYear,
 		"soil":           map[string]string{"corrosivity": p.SoilCorrosivity, "expansivity": p.SoilExpansivity, "geology": p.SoilGeology, "map": p.SoilMap},
 		"dist_traffic_m": p.DistToTrafficM,
-		"failures":       len(sh.net.FailuresOf(id)),
+		"failures":       d.FailureCount(row, d.ObservedFrom, d.ObservedTo),
 	}
 	scores := map[string]float64{}
 	for name, tm := range *sh.models.Load() {
@@ -1015,11 +1019,11 @@ func (s *Server) handleCohorts(w http.ResponseWriter, r *http.Request) {
 	var fill func() (any, error)
 	switch by {
 	case "", "material":
-		fill = func() (any, error) { return sh.net.CohortByMaterial(), nil }
+		fill = func() (any, error) { return sh.data.CohortByMaterial(), nil }
 	case "age":
-		fill = func() (any, error) { return sh.net.CohortByAgeBand(10) }
+		fill = func() (any, error) { return sh.data.CohortByAgeBand(10) }
 	case "diameter":
-		fill = func() (any, error) { return sh.net.CohortByDiameterBand([]float64{100, 200, 300, 450}) }
+		fill = func() (any, error) { return sh.data.CohortByDiameterBand([]float64{100, 200, 300, 450}) }
 	default:
 		s.writeErr(w, http.StatusBadRequest, "unknown cohort dimension %q (want material, age or diameter)", by)
 		return
@@ -1084,7 +1088,7 @@ func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
 	key = strconv.AppendInt(key, int64(min), 10)
 	e, ok := sh.cache.Get(key)
 	if !ok {
-		if e, err = hashedEntry(sh.net.SegmentHotspots(min)); err == nil {
+		if e, err = hashedEntry(sh.data.SegmentHotspots(min)); err == nil {
 			sh.cache.Add(key, e)
 		}
 	}

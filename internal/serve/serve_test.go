@@ -178,7 +178,7 @@ func TestRankingEndpoint(t *testing.T) {
 
 func TestPipeEndpoint(t *testing.T) {
 	s, ts := newTestServer(t)
-	id := s.def.net.Pipes()[0].ID
+	id := s.def.data.Pipes()[0].ID
 	var pipe map[string]any
 	if code := getJSON(t, ts.URL+"/api/pipes/"+id, &pipe); code != 200 {
 		t.Fatalf("pipe status %d", code)

@@ -1,7 +1,7 @@
 package serve
 
 // Region shards: the unit of isolation in the multi-region registry.
-// Each shard owns one network, its pipeline, its copy-on-write snapshot
+// Each shard owns one region's data, its pipeline, its copy-on-write snapshot
 // map, its train singleflight table and its own respcache carved out of
 // the global byte budget — so a hot region's cache evictions and train
 // storms cannot degrade its neighbours. The Server holds the shards in
@@ -28,7 +28,7 @@ import (
 // guarded by mu.
 type shard struct {
 	region string
-	net    *pipefail.Network
+	data   *pipefail.Data // the loaded region; live rebuilds extend it
 	pipe   *pipefail.Pipeline
 
 	// opts are the pipeline options the shard was built with, kept so
@@ -66,16 +66,16 @@ type shard struct {
 
 // newShard builds one region's serving state; the caller installs its
 // response cache.
-func newShard(n *pipefail.Network, opts ...pipefail.PipelineOption) (*shard, error) {
-	p, err := pipefail.NewPipeline(n, opts...)
+func newShard(d *pipefail.Data, opts ...pipefail.PipelineOption) (*shard, error) {
+	p, err := pipefail.NewPipelineData(d, opts...)
 	if err != nil {
-		return nil, fmt.Errorf("serve: region %q: %w", n.Region, err)
+		return nil, fmt.Errorf("serve: region %q: %w", d.Region, err)
 	}
 	reg := obs.Default()
-	token := obs.SanitizeMetricName(n.Region)
+	token := obs.SanitizeMetricName(d.Region)
 	sh := &shard{
-		region:          n.Region,
-		net:             n,
+		region:          d.Region,
+		data:            d,
 		pipe:            p,
 		opts:            opts,
 		pending:         make(map[string]*trainJob),
@@ -208,9 +208,9 @@ func (s *Server) handleRegions(w http.ResponseWriter, _ *http.Request) {
 	for i, sh := range s.shards {
 		out[i] = regionStatus{
 			Region:        sh.region,
-			Pipes:         sh.net.NumPipes(),
-			Failures:      sh.net.NumFailures(),
-			NetworkKM:     sh.net.TotalLengthM() / 1000,
+			Pipes:         sh.data.NumPipes(),
+			Failures:      sh.data.NumFailures(),
+			NetworkKM:     sh.data.TotalLengthM() / 1000,
 			ModelsTrained: len(*sh.models.Load()),
 			CacheBytes:    sh.cache.SizeBytes(),
 			CacheEntries:  sh.cache.Len(),

@@ -139,7 +139,7 @@ func TestRegionsEndpoint(t *testing.T) {
 	if len(rows) != 2 || rows[0].Region != "A" || rows[1].Region != "B" {
 		t.Fatalf("regions rows %+v, want A then B in fan-out order", rows)
 	}
-	if rows[0].Pipes != s.def.net.NumPipes() || rows[1].Pipes != s.byRegion["B"].net.NumPipes() {
+	if rows[0].Pipes != s.def.data.NumPipes() || rows[1].Pipes != s.byRegion["B"].data.NumPipes() {
 		t.Fatalf("pipe counts %d/%d", rows[0].Pipes, rows[1].Pipes)
 	}
 	if rows[0].ModelsTrained != 0 || rows[1].ModelsTrained != 1 {

@@ -36,7 +36,7 @@ func (r Renewal) fillDefaults() Renewal {
 // This is the counterfactual engine behind the renewal-impact experiment:
 // because the simulator's hazard is the ground truth, the measured
 // difference between replacement policies is exact, not model-estimated.
-func SimulateFuture(cfg Config, net *dataset.Network, truth *Truth, years int,
+func SimulateFuture(cfg Config, net *dataset.Columns, truth *Truth, years int,
 	replaced map[string]bool, renewal Renewal, seed int64) ([]int, error) {
 	if years < 1 {
 		return nil, fmt.Errorf("synthetic: years %d must be >= 1", years)

@@ -13,8 +13,8 @@ import (
 // and diagnostics use it to check that learned rankings correlate with the
 // true hazard.
 type Truth struct {
-	// Frailty is the per-pipe lognormal frailty multiplier, indexed like
-	// Network.Pipes().
+	// Frailty is the per-pipe lognormal frailty multiplier, indexed by
+	// registry row.
 	Frailty []float64
 	// FinalYearRate is each pipe's true expected failure count in the last
 	// observed year.
@@ -30,7 +30,7 @@ type Truth struct {
 
 // Generate builds a network plus its ground truth from the configuration.
 // The same Config (including Seed) always produces identical output.
-func Generate(cfg Config) (*dataset.Network, *Truth, error) {
+func Generate(cfg Config) (*dataset.Columns, *Truth, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -57,15 +57,15 @@ func Generate(cfg Config) (*dataset.Network, *Truth, error) {
 	truth.TrueFailures = trueFailures
 	truth.CalibratedHazard = hz
 
-	net := dataset.NewNetwork(cfg.Region, cfg.ObservedFrom, cfg.ObservedTo, pipes, failures)
-	if err := net.Validate(); err != nil {
+	net, err := dataset.FromRows(cfg.Region, cfg.ObservedFrom, cfg.ObservedTo, pipes, failures)
+	if err != nil {
 		return nil, nil, fmt.Errorf("synthetic: generated network invalid: %w", err)
 	}
 	return net, truth, nil
 }
 
 // StreamSummary is what GenerateStream can report without ever holding the
-// network: the aggregate rows Network.Summarize would produce, plus the
+// network: the aggregate rows Columns.Summarize would produce, plus the
 // ground-truth counters a caller needs for logging.
 type StreamSummary struct {
 	// TrueFailures counts failures generated before recording noise.
@@ -75,8 +75,8 @@ type StreamSummary struct {
 	RecordedFailures int
 	// CalibratedHazard is the hazard actually used for sampling.
 	CalibratedHazard HazardParams
-	// Rows matches Network.Summarize() on the equivalent materialized
-	// network: All first, then CWM and RWM where present.
+	// Rows matches Columns.Summarize() on the equivalent generated
+	// region: All first, then CWM and RWM where present.
 	Rows []dataset.Summary
 }
 

@@ -96,10 +96,9 @@ func TestClassMixAndImbalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := net.Columns()
 	failed := 0
-	for i := 0; i < cols.NumPipes(); i++ {
-		if cols.FailedInYear(i, split.TestYear) {
+	for i := 0; i < net.NumPipes(); i++ {
+		if net.FailedInYear(i, split.TestYear) {
 			failed++
 		}
 	}
@@ -134,8 +133,8 @@ func TestOlderPipesFailMore(t *testing.T) {
 	}
 	med := stats.Median(years)
 	oldF, newF := 0, 0
-	for _, p := range net.Pipes() {
-		c := net.FailureCount(p.ID, net.ObservedFrom, net.ObservedTo)
+	for i, p := range net.Pipes() {
+		c := net.FailureCount(i, net.ObservedFrom, net.ObservedTo)
 		if float64(p.LaidYear) <= med {
 			oldF += c
 		} else {
@@ -153,8 +152,8 @@ func TestTruthRateCorrelatesWithObservedFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := make([]float64, net.NumPipes())
-	for i, p := range net.Pipes() {
-		counts[i] = float64(net.FailureCount(p.ID, net.ObservedFrom, net.ObservedTo))
+	for i := range counts {
+		counts[i] = float64(net.FailureCount(i, net.ObservedFrom, net.ObservedTo))
 	}
 	rho := stats.Spearman(truth.FinalYearRate, counts)
 	if rho < 0.2 {
@@ -175,7 +174,7 @@ func TestLaidSkewShiftsAges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meanYear := func(n *dataset.Network) float64 {
+	meanYear := func(n *dataset.Columns) float64 {
 		s := 0.0
 		for _, p := range n.Pipes() {
 			s += float64(p.LaidYear)

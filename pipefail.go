@@ -3,8 +3,8 @@
 // 2013): a ranking-based data-mining toolkit for water-pipe failure
 // prediction.
 //
-// The typical flow is: obtain a network (load a utility export with
-// LoadNetwork, or simulate one with GenerateRegion), build a Pipeline for a
+// The typical flow is: obtain a region's data (load a utility export with
+// OpenData, or simulate one with GenerateRegion), build a Pipeline for a
 // temporal split, train any registered model, and consume the resulting
 // Ranking — the ordered list of pipes to inspect — or the evaluation
 // metrics against the held-out year.
@@ -33,8 +33,8 @@ import (
 	"repro/internal/tune"
 )
 
-// Network is a region's pipe registry plus failure log.
-type Network = dataset.Network
+// Network is Data under its former name, kept for existing callers.
+type Network = dataset.Columns
 
 // Pipe is one water main with its attributes and environmental factors.
 type Pipe = dataset.Pipe
@@ -46,7 +46,7 @@ type Failure = dataset.Failure
 type Split = dataset.Split
 
 // Renewal is a live registry update (pipe replaced in Year); see
-// Network.ExtendLive and the streaming-ingest path in internal/serve.
+// Data.ExtendLive and the streaming-ingest path in internal/serve.
 type Renewal = dataset.Renewal
 
 // Model is the interface every ranker and baseline implements.
@@ -60,8 +60,8 @@ func Models() []string { return experiments.StandardModelNames() }
 
 // GenerateRegion simulates one of the calibrated metropolitan region
 // presets ("A", "B" or "C") at the given scale (1 = full size, ~12-18k
-// pipes). The same (name, seed, scale) always yields the same network.
-func GenerateRegion(name string, seed int64, scale float64) (*Network, error) {
+// pipes). The same (name, seed, scale) always yields the same data.
+func GenerateRegion(name string, seed int64, scale float64) (*Data, error) {
 	cfg, err := synthetic.Preset(name, seed)
 	if err != nil {
 		return nil, err
@@ -74,33 +74,31 @@ func GenerateRegion(name string, seed int64, scale float64) (*Network, error) {
 	return net, err
 }
 
-// LoadNetwork reads a network from a dataset path in either on-disk format
-// — the PCOL columnar file (a bare .col file, or a directory holding
-// dataset.col) or the CSV trio written by SaveNetwork — and validates it.
-// The result is always a materialized row-oriented network; datasets that
-// only need training should go through OpenData instead, which keeps the
-// registry in columnar form. Both paths reject the same invalid data.
-func LoadNetwork(dir string) (*Network, error) { return colfmt.OpenNetwork(dir) }
+// LoadNetwork is OpenData under its former name.
+func LoadNetwork(path string) (*Data, error) { return OpenData(path) }
 
-// SaveNetwork writes a network to a directory as CSV.
-func SaveNetwork(net *Network, dir string) error { return dataset.SaveDir(net, dir) }
+// SaveNetwork writes a region to a directory as the CSV trio.
+func SaveNetwork(data *Data, dir string) error { return dataset.SaveDir(data, dir) }
 
-// Data is a region in columnar form, the one input of the feature
-// pipeline: its column arrays feed the design matrices without ever
+// Data is one region, its pipe registry and failure log, in columnar
+// form: the one in-memory form of a dataset and the one input of the
+// feature pipeline, whose column arrays feed the design matrices without
 // materializing per-pipe structs. Region, ObservedFrom and ObservedTo are
-// plain fields; Network materializes the row-oriented view.
+// plain fields; Pipes and Failures materialize rows.
 type Data = dataset.Columns
 
 // OpenData loads and validates the dataset at path with format sniffing:
 // a regular file is read as PCOL columnar, a directory prefers dataset.col
-// over the CSV trio. It rejects exactly what LoadNetwork rejects. Pair it
-// with NewPipelineData for the one-pass training path.
+// over the CSV trio written by SaveNetwork. Both formats are checked by the
+// same rules. A PCOL load keeps the file's event order and builds no
+// pipe-ID index, so OpenData followed by NewPipelineData is the one-pass
+// training path.
 func OpenData(path string) (*Data, error) {
 	d, _, err := colfmt.Open(path)
 	return d, err
 }
 
-// Pipeline binds a network to a temporal split and a fitted feature
+// Pipeline binds a region to a temporal split and a fitted feature
 // encoding, and trains models against it.
 //
 // A Pipeline holds the fitted feature builder (the standardization
@@ -157,20 +155,15 @@ func WithFeatureGroups(g feature.Groups) PipelineOption {
 // FeatureGroups re-exports the feature-group selector for WithFeatureGroups.
 type FeatureGroups = feature.Groups
 
-// NewPipeline prepares the feature sets for the network under the paper's
-// protocol (or the split given via WithSplit).
-func NewPipeline(net *Network, opts ...PipelineOption) (*Pipeline, error) {
-	if net == nil {
-		return nil, fmt.Errorf("pipefail: nil network")
-	}
-	return NewPipelineData(net.Columns(), opts...)
+// NewPipeline is NewPipelineData under its former name.
+func NewPipeline(data *Data, opts ...PipelineOption) (*Pipeline, error) {
+	return NewPipelineData(data, opts...)
 }
 
-// NewPipelineData is NewPipeline over columnar data, as OpenData returns
-// it or Network.Columns builds it: the feature matrices fill straight from
-// the column arrays with no intermediate per-pipe structs. The default
-// split follows the paper's protocol (all observed years but the last for
-// training).
+// NewPipelineData prepares the feature sets for the region under the
+// paper's protocol (all observed years but the last for training) or the
+// split given via WithSplit. The feature matrices fill straight from the
+// column arrays with no intermediate per-pipe structs.
 func NewPipelineData(data *Data, opts ...PipelineOption) (*Pipeline, error) {
 	if data == nil {
 		return nil, fmt.Errorf("pipefail: nil data")
@@ -201,7 +194,7 @@ func NewPipelineData(data *Data, opts ...PipelineOption) (*Pipeline, error) {
 		return nil, fmt.Errorf("pipefail: %w", err)
 	}
 	return &Pipeline{
-		ids: data.Pipes.ID, split: split, seed: cfg.seed,
+		ids: data.Registry.ID, split: split, seed: cfg.seed,
 		b: b, test: test,
 		reg: experiments.NewRegistry(cfg.seed, cfg.esGens),
 	}, nil

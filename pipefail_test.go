@@ -89,7 +89,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 			t.Fatal("duplicate pipe in top list")
 		}
 		seen[id] = true
-		if _, ok := net.PipeByID(id); !ok {
+		if _, ok := net.RowOf(id); !ok {
 			t.Fatalf("unknown pipe %s in ranking", id)
 		}
 	}
@@ -293,7 +293,7 @@ func TestHeuristicsSkipTrainingSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := feature.NewBuilder(net.Columns(), feature.Options{})
+	b, err := feature.NewBuilder(net, feature.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
