@@ -152,6 +152,16 @@ func TestCLIColumnarEndToEnd(t *testing.T) {
 	csvDir := filepath.Join(work, "csvA")
 	colDir := filepath.Join(work, "colA")
 
+	// An unknown format is refused before anything is created.
+	badDir := filepath.Join(work, "bad")
+	cmd := exec.Command(bins["pipegen"], "-format", "xyz", "-out", badDir)
+	if msg, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(msg), `unknown -format "xyz"`) {
+		t.Fatalf("pipegen -format xyz should fail: err=%v\n%s", err, msg)
+	}
+	if _, err := os.Stat(badDir); !os.IsNotExist(err) {
+		t.Fatalf("pipegen -format xyz left %s behind (stat err %v)", badDir, err)
+	}
+
 	// The same region in both formats.
 	runCmd(t, bins["pipegen"], "-region", "A", "-seed", "3", "-scale", "0.04", "-out", csvDir)
 	out := runCmd(t, bins["pipegen"], "-region", "A", "-seed", "3", "-scale", "0.04",
@@ -220,7 +230,7 @@ func TestCLIColumnarEndToEnd(t *testing.T) {
 	if !strings.Contains(out, "T2:") || !strings.Contains(out, "region A") {
 		t.Fatalf("pipeeval -data output:\n%s", out)
 	}
-	cmd := exec.Command(bins["pipeeval"], "-data", csvDir, "-exp", "T5")
+	cmd = exec.Command(bins["pipeeval"], "-data", csvDir, "-exp", "T5")
 	if msg, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(msg), "cannot run on loaded datasets") {
 		t.Fatalf("pipeeval -data -exp T5 should refuse: err=%v\n%s", err, msg)
 	}

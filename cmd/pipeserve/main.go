@@ -205,8 +205,9 @@ func run() int {
 		log.Print(err)
 		return 1
 	}
-	// After SetStateDir so warm-restored snapshots count as freshly
-	// built and the first pass does not immediately retrain them.
+	// After SetStateDir, so the first pass sees the warm-restored
+	// snapshots. A model file records no event seq, so each restored
+	// snapshot claims seq -1 and that first pass retrains it.
 	s.StartRebuildScheduler(*rebuildInterval, *rebuildWorkers)
 	handler := s.Handler()
 	if !*metrics {

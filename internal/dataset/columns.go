@@ -90,15 +90,10 @@ type Columns struct {
 }
 
 // FromRows builds a region from row-form pipes and failures, as the CSV
-// loader and the simulator produce them, and validates it. Failures are
-// sorted in place by (Year, Day, PipeID), the order Failures returns, and
-// may arrive in any order. The error is a *ValidationError listing every
-// problem Validate finds, plus each failure that names no registry pipe.
+// loader produces them, and validates it like FromRegistry.
 func FromRows(region string, observedFrom, observedTo int, pipes []Pipe, failures []Failure) (*Columns, error) {
-	sortFailures(failures)
-	c := &Columns{Region: region, ObservedFrom: observedFrom, ObservedTo: observedTo}
-	np, nf := len(pipes), len(failures)
-	c.Registry = PipeColumns{
+	np := len(pipes)
+	reg := PipeColumns{
 		ID:              make([]string, 0, np),
 		Class:           make([]PipeClass, 0, np),
 		Material:        make([]Material, 0, np),
@@ -116,8 +111,21 @@ func FromRows(region string, observedFrom, observedTo int, pipes []Pipe, failure
 		Segments:        make([]int32, 0, np),
 	}
 	for i := range pipes {
-		c.Registry.Append(&pipes[i])
+		reg.Append(&pipes[i])
 	}
+	return FromRegistry(region, observedFrom, observedTo, reg, failures)
+}
+
+// FromRegistry builds a region from a pipe registry already in columns,
+// as the simulator fills it, and a row-form failure log, and validates
+// it. The region takes over reg's arrays. Failures are sorted in place by
+// (Year, Day, PipeID), the order Failures returns, and may arrive in any
+// order. The error is a *ValidationError listing every problem Validate
+// finds, plus each failure that names no registry pipe.
+func FromRegistry(region string, observedFrom, observedTo int, reg PipeColumns, failures []Failure) (*Columns, error) {
+	sortFailures(failures)
+	c := &Columns{Region: region, ObservedFrom: observedFrom, ObservedTo: observedTo, Registry: reg}
+	nf := len(failures)
 	e := &c.Events
 	*e = EventColumns{
 		Pipe:    make([]uint32, 0, nf),

@@ -23,66 +23,45 @@ var pipeHeader = []string{
 
 var failureHeader = []string{"pipe_id", "segment", "year", "day", "mode"}
 
-// PipeWriter streams pipe rows to a CSV table one at a time, so callers
-// generating large registries never hold them in memory. The byte output
-// is identical to WritePipes on the same rows.
-type PipeWriter struct {
-	cw  *csv.Writer
-	rec [15]string
-}
-
-// NewPipeWriter writes the header and returns a row writer.
-func NewPipeWriter(w io.Writer) (*PipeWriter, error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(pipeHeader); err != nil {
-		return nil, fmt.Errorf("dataset: write pipe header: %w", err)
-	}
-	return &PipeWriter{cw: cw}, nil
-}
-
-// Write appends one pipe row.
-func (pw *PipeWriter) Write(p *Pipe) error {
-	pw.rec = [15]string{
-		p.ID,
-		p.Class.String(),
-		string(p.Material),
-		string(p.Coating),
-		formatFloat(p.DiameterMM),
-		formatFloat(p.LengthM),
-		strconv.Itoa(p.LaidYear),
-		p.SoilCorrosivity,
-		p.SoilExpansivity,
-		p.SoilGeology,
-		p.SoilMap,
-		formatFloat(p.DistToTrafficM),
-		formatFloat(p.X),
-		formatFloat(p.Y),
-		strconv.Itoa(p.Segments),
-	}
-	if err := pw.cw.Write(pw.rec[:]); err != nil {
-		return fmt.Errorf("dataset: write pipe %q: %w", p.ID, err)
-	}
-	return nil
-}
-
-// Flush completes the table; call it exactly once after the last row.
-func (pw *PipeWriter) Flush() error {
-	pw.cw.Flush()
-	return pw.cw.Error()
-}
-
 // WritePipes writes the pipe table as CSV.
 func WritePipes(w io.Writer, pipes []Pipe) error {
-	pw, err := NewPipeWriter(w)
-	if err != nil {
-		return err
+	return writePipes(w, len(pipes), func(i int, p *Pipe) { *p = pipes[i] })
+}
+
+// writePipes writes n pipe rows as CSV, assembling row i with at, so a
+// caller holding columns never materializes the rows.
+func writePipes(w io.Writer, n int, at func(i int, p *Pipe)) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(pipeHeader); err != nil {
+		return fmt.Errorf("dataset: write pipe header: %w", err)
 	}
-	for i := range pipes {
-		if err := pw.Write(&pipes[i]); err != nil {
-			return err
+	var p Pipe
+	var rec [15]string
+	for i := 0; i < n; i++ {
+		at(i, &p)
+		rec = [15]string{
+			p.ID,
+			p.Class.String(),
+			string(p.Material),
+			string(p.Coating),
+			formatFloat(p.DiameterMM),
+			formatFloat(p.LengthM),
+			strconv.Itoa(p.LaidYear),
+			p.SoilCorrosivity,
+			p.SoilExpansivity,
+			p.SoilGeology,
+			p.SoilMap,
+			formatFloat(p.DistToTrafficM),
+			formatFloat(p.X),
+			formatFloat(p.Y),
+			strconv.Itoa(p.Segments),
+		}
+		if err := cw.Write(rec[:]); err != nil {
+			return fmt.Errorf("dataset: write pipe %q: %w", p.ID, err)
 		}
 	}
-	return pw.Flush()
+	cw.Flush()
+	return cw.Error()
 }
 
 // intern deduplicates the low-cardinality string fields (class levels,
@@ -184,57 +163,28 @@ func parsePipe(rec []string, tab intern) (Pipe, error) {
 	return p, nil
 }
 
-// FailureWriter streams failure rows to a CSV log one at a time; the byte
-// output is identical to WriteFailures on the same rows.
-type FailureWriter struct {
-	cw  *csv.Writer
-	n   int
-	rec [5]string
-}
-
-// NewFailureWriter writes the header and returns a row writer.
-func NewFailureWriter(w io.Writer) (*FailureWriter, error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(failureHeader); err != nil {
-		return nil, fmt.Errorf("dataset: write failure header: %w", err)
-	}
-	return &FailureWriter{cw: cw}, nil
-}
-
-// Write appends one failure row.
-func (fw *FailureWriter) Write(f *Failure) error {
-	fw.rec = [5]string{
-		f.PipeID,
-		strconv.Itoa(f.Segment),
-		strconv.Itoa(f.Year),
-		strconv.Itoa(f.Day),
-		string(f.Mode),
-	}
-	if err := fw.cw.Write(fw.rec[:]); err != nil {
-		return fmt.Errorf("dataset: write failure %d: %w", fw.n, err)
-	}
-	fw.n++
-	return nil
-}
-
-// Flush completes the log; call it exactly once after the last row.
-func (fw *FailureWriter) Flush() error {
-	fw.cw.Flush()
-	return fw.cw.Error()
-}
-
 // WriteFailures writes the failure log as CSV.
 func WriteFailures(w io.Writer, failures []Failure) error {
-	fw, err := NewFailureWriter(w)
-	if err != nil {
-		return err
+	cw := csv.NewWriter(w)
+	if err := cw.Write(failureHeader); err != nil {
+		return fmt.Errorf("dataset: write failure header: %w", err)
 	}
+	var rec [5]string
 	for i := range failures {
-		if err := fw.Write(&failures[i]); err != nil {
-			return err
+		f := &failures[i]
+		rec = [5]string{
+			f.PipeID,
+			strconv.Itoa(f.Segment),
+			strconv.Itoa(f.Year),
+			strconv.Itoa(f.Day),
+			string(f.Mode),
+		}
+		if err := cw.Write(rec[:]); err != nil {
+			return fmt.Errorf("dataset: write failure %d: %w", i, err)
 		}
 	}
-	return fw.Flush()
+	cw.Flush()
+	return cw.Error()
 }
 
 // ReadFailures parses a failure log written by WriteFailures.
@@ -286,7 +236,7 @@ func SaveDir(c *Columns, dir string) error {
 		return fmt.Errorf("dataset: create %s: %w", dir, err)
 	}
 	if err := writeFile(filepath.Join(dir, "pipes.csv"), func(w io.Writer) error {
-		return WritePipes(w, c.Pipes())
+		return writePipes(w, c.NumPipes(), c.PipeAt)
 	}); err != nil {
 		return err
 	}
@@ -296,13 +246,13 @@ func SaveDir(c *Columns, dir string) error {
 		return err
 	}
 	return writeFile(filepath.Join(dir, "meta.csv"), func(w io.Writer) error {
-		return WriteMeta(w, c.Region, c.ObservedFrom, c.ObservedTo)
+		return writeMeta(w, c.Region, c.ObservedFrom, c.ObservedTo)
 	})
 }
 
-// WriteMeta writes the meta.csv table (region and observation window) in
+// writeMeta writes the meta.csv table (region and observation window) in
 // the format SaveDir emits and LoadDir expects.
-func WriteMeta(w io.Writer, region string, observedFrom, observedTo int) error {
+func writeMeta(w io.Writer, region string, observedFrom, observedTo int) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"region", "observed_from", "observed_to"}); err != nil {
 		return err

@@ -166,7 +166,7 @@ func TestLoadDirRejectsInvalidNetwork(t *testing.T) {
 	for name, write := range map[string]func(io.Writer) error{
 		"pipes.csv":    func(w io.Writer) error { return WritePipes(w, pipes) },
 		"failures.csv": func(w io.Writer) error { return WriteFailures(w, fails) },
-		"meta.csv":     func(w io.Writer) error { return WriteMeta(w, "bad", 1998, 2009) },
+		"meta.csv":     func(w io.Writer) error { return writeMeta(w, "bad", 1998, 2009) },
 	} {
 		if err := writeFile(filepath.Join(dir, name), write); err != nil {
 			t.Fatal(err)

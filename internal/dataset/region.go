@@ -79,28 +79,60 @@ type Summary struct {
 }
 
 // Summarize produces summary rows for the whole region and for each pipe
-// class present, in a stable order (All, CWM, RWM).
+// class present, in a stable order (All, CWM, RWM), from one pass over
+// the registry and one over the failure log. Lengths are summed in
+// registry order, so each TotalKM has the bits of TotalLengthM over the
+// matching SubsetByClass.
 func (c *Columns) Summarize() []Summary {
-	rows := []Summary{c.summaryRow("All", c)}
-	for _, class := range []PipeClass{CriticalMain, ReticulationMain} {
-		if sub := c.SubsetByClass(class); sub.NumPipes() > 0 {
-			rows = append(rows, c.summaryRow(class.String(), sub))
+	type agg struct {
+		pipes, failures  int
+		laidFrom, laidTo int32
+		lengthM          float64
+	}
+	add := func(a *agg, laid int32, lengthM float64) {
+		if a.pipes == 0 || laid < a.laidFrom {
+			a.laidFrom = laid
+		}
+		if a.pipes == 0 || laid > a.laidTo {
+			a.laidTo = laid
+		}
+		a.pipes++
+		a.lengthM += lengthM
+	}
+	reg := &c.Registry
+	var all agg
+	var byClass [2]agg // indexed by CriticalMain, ReticulationMain
+	for i, class := range reg.Class {
+		add(&all, reg.LaidYear[i], reg.LengthM[i])
+		if class == CriticalMain || class == ReticulationMain {
+			add(&byClass[class], reg.LaidYear[i], reg.LengthM[i])
+		}
+	}
+	all.failures = c.NumFailures()
+	for _, pipe := range c.Events.Pipe {
+		if class := reg.Class[pipe]; class == CriticalMain || class == ReticulationMain {
+			byClass[class].failures++
+		}
+	}
+	row := func(scope string, a *agg) Summary {
+		return Summary{
+			Region:       c.Region,
+			Scope:        scope,
+			NumPipes:     a.pipes,
+			NumFailures:  a.failures,
+			LaidFrom:     int(a.laidFrom),
+			LaidTo:       int(a.laidTo),
+			ObservedFrom: c.ObservedFrom,
+			ObservedTo:   c.ObservedTo,
+			TotalKM:      a.lengthM / 1000,
+		}
+	}
+	rows := make([]Summary, 0, 1+len(byClass))
+	rows = append(rows, row("All", &all))
+	for class := range byClass {
+		if a := &byClass[class]; a.pipes > 0 {
+			rows = append(rows, row(PipeClass(class).String(), a))
 		}
 	}
 	return rows
-}
-
-func (c *Columns) summaryRow(scope string, sub *Columns) Summary {
-	laidFrom, laidTo := sub.LaidYearRange()
-	return Summary{
-		Region:       c.Region,
-		Scope:        scope,
-		NumPipes:     sub.NumPipes(),
-		NumFailures:  sub.NumFailures(),
-		LaidFrom:     laidFrom,
-		LaidTo:       laidTo,
-		ObservedFrom: c.ObservedFrom,
-		ObservedTo:   c.ObservedTo,
-		TotalKM:      sub.TotalLengthM() / 1000,
-	}
 }

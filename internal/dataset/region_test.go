@@ -1,6 +1,9 @@
 package dataset
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -157,6 +160,82 @@ func TestSummarize(t *testing.T) {
 	}
 	if rows[1].Scope != "CWM" || rows[1].NumPipes != 2 {
 		t.Fatalf("CWM row: %+v", rows[1])
+	}
+}
+
+// randomRegion returns n pipes whose class is CWM with probability
+// cwmShare, with random laid years and lengths, and about 2n failures on
+// random pipes. Only the fields Summarize reads are filled.
+func randomRegion(seed int64, n int, cwmShare float64) *Columns {
+	rng := rand.New(rand.NewSource(seed))
+	c := &Columns{Region: "R", ObservedFrom: 1998, ObservedTo: 2009}
+	for i := 0; i < n; i++ {
+		p := Pipe{ID: fmt.Sprint(i), Class: ReticulationMain, LaidYear: 1880 + rng.Intn(125), LengthM: 10 + 900*rng.Float64()}
+		if rng.Float64() < cwmShare {
+			p.Class = CriticalMain
+		}
+		c.Registry.Append(&p)
+	}
+	for e := 0; n > 0 && e < 2*n; e++ {
+		c.Events.Pipe = append(c.Events.Pipe, uint32(rng.Intn(n)))
+		c.Events.Segment = append(c.Events.Segment, 0)
+		c.Events.Year = append(c.Events.Year, 2000)
+		c.Events.Day = append(c.Events.Day, 1)
+		c.Events.Mode = append(c.Events.Mode, ModeBreak)
+	}
+	c.IndexEvents()
+	return c
+}
+
+// summarizeBySubsets is the oracle for Summarize: one row per scope,
+// each counted and summed over a SubsetByClass copy.
+func summarizeBySubsets(c *Columns) []Summary {
+	row := func(scope string, sub *Columns) Summary {
+		from, to := sub.LaidYearRange()
+		return Summary{
+			Region: c.Region, Scope: scope,
+			NumPipes: sub.NumPipes(), NumFailures: sub.NumFailures(),
+			LaidFrom: from, LaidTo: to,
+			ObservedFrom: c.ObservedFrom, ObservedTo: c.ObservedTo,
+			TotalKM: sub.TotalLengthM() / 1000,
+		}
+	}
+	rows := []Summary{row("All", c)}
+	for _, class := range []PipeClass{CriticalMain, ReticulationMain} {
+		if sub := c.SubsetByClass(class); sub.NumPipes() > 0 {
+			rows = append(rows, row(class.String(), sub))
+		}
+	}
+	return rows
+}
+
+func TestSummarizeMatchesSubsets(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, share := range []float64{0, 0.1, 0.5, 0.9, 1} {
+			for _, n := range []int{0, 1, 2, 7, 300} {
+				c := randomRegion(seed, n, share)
+				got, want := c.Summarize(), summarizeBySubsets(c)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d share %v n %d: %d rows, want %d", seed, share, n, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] || math.Float64bits(got[i].TotalKM) != math.Float64bits(want[i].TotalKM) {
+						t.Fatalf("seed %d share %v n %d row %d:\n got %+v\nwant %+v", seed, share, n, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSummarizeAllocsFlat checks that Summarize counts in place: its
+// allocations must not grow with the registry.
+func TestSummarizeAllocsFlat(t *testing.T) {
+	small, large := randomRegion(1, 1_000, 0.3), randomRegion(1, 50_000, 0.3)
+	a := testing.AllocsPerRun(5, func() { small.Summarize() })
+	b := testing.AllocsPerRun(5, func() { large.Summarize() })
+	if a != b {
+		t.Fatalf("Summarize allocates %v times at 1k pipes and %v at 50k", a, b)
 	}
 }
 

@@ -30,150 +30,8 @@ type Truth struct {
 
 // Generate builds a network plus its ground truth from the configuration.
 // The same Config (including Seed) always produces identical output.
-func Generate(cfg Config) (*dataset.Columns, *Truth, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	truth := &Truth{
-		Frailty:       make([]float64, cfg.NumPipes),
-		FinalYearRate: make([]float64, cfg.NumPipes),
-	}
-	pipes := make([]dataset.Pipe, 0, cfg.NumPipes)
-	var failures []dataset.Failure
-	hz, trueFailures, err := generateCore(cfg,
-		func(i int, p *dataset.Pipe, frailty, finalRate float64) error {
-			pipes = append(pipes, *p)
-			truth.Frailty[i] = frailty
-			truth.FinalYearRate[i] = finalRate
-			return nil
-		},
-		func(f *dataset.Failure) error {
-			failures = append(failures, *f)
-			return nil
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	truth.TrueFailures = trueFailures
-	truth.CalibratedHazard = hz
-
-	net, err := dataset.FromRows(cfg.Region, cfg.ObservedFrom, cfg.ObservedTo, pipes, failures)
-	if err != nil {
-		return nil, nil, fmt.Errorf("synthetic: generated network invalid: %w", err)
-	}
-	return net, truth, nil
-}
-
-// StreamSummary is what GenerateStream can report without ever holding the
-// network: the aggregate rows Columns.Summarize would produce, plus the
-// ground-truth counters a caller needs for logging.
-type StreamSummary struct {
-	// TrueFailures counts failures generated before recording noise.
-	TrueFailures int
-	// RecordedFailures counts failures that survived recording noise (the
-	// rows actually emitted).
-	RecordedFailures int
-	// CalibratedHazard is the hazard actually used for sampling.
-	CalibratedHazard HazardParams
-	// Rows matches Columns.Summarize() on the equivalent generated
-	// region: All first, then CWM and RWM where present.
-	Rows []dataset.Summary
-}
-
-// GenerateStream is Generate without materialization: pipes and failures
-// are handed to the callbacks in deterministic order (each pipe in registry
-// order, immediately followed by its recorded failures) and never collected
-// into slices, so memory stays flat regardless of NumPipes. The emitted
-// rows are bit-identical to Generate's for the same Config — Generate is a
-// thin collector over the same core (see TestGenerateStreamMatchesGenerate).
-// onFailure may be nil when the caller only needs pipes.
-func GenerateStream(cfg Config, onPipe func(*dataset.Pipe) error, onFailure func(*dataset.Failure) error) (*StreamSummary, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	type agg struct {
-		pipes, fails     int
-		laidFrom, laidTo int
-		lenM             float64
-	}
-	add := func(a *agg, p *dataset.Pipe) {
-		if a.pipes == 0 || p.LaidYear < a.laidFrom {
-			a.laidFrom = p.LaidYear
-		}
-		if a.pipes == 0 || p.LaidYear > a.laidTo {
-			a.laidTo = p.LaidYear
-		}
-		a.pipes++
-		a.lenM += p.LengthM
-	}
-	var all, cwm, rwm agg
-	var curClass dataset.PipeClass
-	recorded := 0
-	hz, trueFailures, err := generateCore(cfg,
-		func(i int, p *dataset.Pipe, _, _ float64) error {
-			curClass = p.Class
-			add(&all, p)
-			if p.Class == dataset.CriticalMain {
-				add(&cwm, p)
-			} else {
-				add(&rwm, p)
-			}
-			if onPipe != nil {
-				return onPipe(p)
-			}
-			return nil
-		},
-		func(f *dataset.Failure) error {
-			recorded++
-			all.fails++
-			// Failures follow their pipe in emission order, so curClass is
-			// the class of the failed pipe.
-			if curClass == dataset.CriticalMain {
-				cwm.fails++
-			} else {
-				rwm.fails++
-			}
-			if onFailure != nil {
-				return onFailure(f)
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	sum := &StreamSummary{
-		TrueFailures:     trueFailures,
-		RecordedFailures: recorded,
-		CalibratedHazard: hz,
-	}
-	row := func(scope string, a agg) dataset.Summary {
-		return dataset.Summary{
-			Region:       cfg.Region,
-			Scope:        scope,
-			NumPipes:     a.pipes,
-			NumFailures:  a.fails,
-			LaidFrom:     a.laidFrom,
-			LaidTo:       a.laidTo,
-			ObservedFrom: cfg.ObservedFrom,
-			ObservedTo:   cfg.ObservedTo,
-			TotalKM:      a.lenM / 1000,
-		}
-	}
-	sum.Rows = append(sum.Rows, row("All", all))
-	if cwm.pipes > 0 {
-		sum.Rows = append(sum.Rows, row(dataset.CriticalMain.String(), cwm))
-	}
-	if rwm.pipes > 0 {
-		sum.Rows = append(sum.Rows, row(dataset.ReticulationMain.String(), rwm))
-	}
-	return sum, nil
-}
-
-// generateCore is the single generation engine behind Generate and
-// GenerateStream. It calls onPipe once per pipe in registry order (with the
-// pipe's frailty and true final-year rate), then onFailure for each of that
-// pipe's recorded failures in sampling order, and returns the calibrated
-// hazard plus the pre-noise failure count.
+// Each pipe goes straight into the registry columns; the region is then
+// validated and its failures sorted by dataset.FromRegistry.
 //
 // Determinism contract: each randomness consumer draws from its own split
 // RNG stream (pipe attributes, frailties, failure sampling, recording
@@ -181,12 +39,9 @@ func GenerateStream(cfg Config, onPipe func(*dataset.Pipe) error, onFailure func
 // sequences the original collect-then-sample implementation produced. The
 // calibration pass replays the pipe and frailty streams from fresh
 // identically-seeded RNGs instead of keeping pipes in memory.
-func generateCore(cfg Config,
-	onPipe func(i int, p *dataset.Pipe, frailty, finalYearRate float64) error,
-	onFailure func(f *dataset.Failure) error,
-) (HazardParams, int, error) {
+func Generate(cfg Config) (*dataset.Columns, *Truth, error) {
 	if err := cfg.Validate(); err != nil {
-		return HazardParams{}, 0, err
+		return nil, nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	pipeRNG := rng.Split()
@@ -212,32 +67,53 @@ func generateCore(cfg Config,
 			for year := firstActiveYear(&p, cfg); year <= cfg.ObservedTo; year++ {
 				r, err := cfg.Hazard.AnnualRate(&p, year, frailty)
 				if err != nil {
-					return HazardParams{}, 0, err
+					return nil, nil, err
 				}
 				expected += r
 			}
 		}
 		expected *= 1 - cfg.MissProb
 		if expected <= 0 {
-			return HazardParams{}, 0, fmt.Errorf("synthetic: zero expected failures; cannot calibrate to %d", cfg.TargetFailures)
+			return nil, nil, fmt.Errorf("synthetic: zero expected failures; cannot calibrate to %d", cfg.TargetFailures)
 		}
 		hz.GlobalRate *= float64(cfg.TargetFailures) / expected
 	}
 
-	trueFailures := 0
-	var buf []dataset.Failure // per-pipe scratch, reused across pipes
+	truth := &Truth{
+		Frailty:          make([]float64, cfg.NumPipes),
+		FinalYearRate:    make([]float64, cfg.NumPipes),
+		CalibratedHazard: hz,
+	}
+	// Sized up front: grown by append, the registry's columns would
+	// overshoot and copy, and the region keeps these arrays.
+	reg := dataset.PipeColumns{
+		ID:              make([]string, 0, cfg.NumPipes),
+		Class:           make([]dataset.PipeClass, 0, cfg.NumPipes),
+		Material:        make([]dataset.Material, 0, cfg.NumPipes),
+		Coating:         make([]dataset.Coating, 0, cfg.NumPipes),
+		DiameterMM:      make([]float64, 0, cfg.NumPipes),
+		LengthM:         make([]float64, 0, cfg.NumPipes),
+		LaidYear:        make([]int32, 0, cfg.NumPipes),
+		SoilCorrosivity: make([]string, 0, cfg.NumPipes),
+		SoilExpansivity: make([]string, 0, cfg.NumPipes),
+		SoilGeology:     make([]string, 0, cfg.NumPipes),
+		SoilMap:         make([]string, 0, cfg.NumPipes),
+		DistToTrafficM:  make([]float64, 0, cfg.NumPipes),
+		X:               make([]float64, 0, cfg.NumPipes),
+		Y:               make([]float64, 0, cfg.NumPipes),
+		Segments:        make([]int32, 0, cfg.NumPipes),
+	}
+	var failures []dataset.Failure
 	for i := 0; i < cfg.NumPipes; i++ {
 		p := genPipe(cfg, pipeRNG, zones, sideM, i)
 		frailty := frailtyRNG.LogNormal(0, cfg.Hazard.FrailtySigma)
-		finalRate := 0.0
-		buf = buf[:0]
 		for year := firstActiveYear(&p, cfg); year <= cfg.ObservedTo; year++ {
 			rate, err := hz.AnnualRate(&p, year, frailty)
 			if err != nil {
-				return HazardParams{}, 0, err
+				return nil, nil, err
 			}
 			if year == cfg.ObservedTo {
-				finalRate = rate
+				truth.FinalYearRate[i] = rate
 			}
 			// Cap pathological rates: no pipe plausibly averages more than
 			// one event per segment per year.
@@ -246,7 +122,7 @@ func generateCore(cfg Config,
 			}
 			n := failRNG.Poisson(rate)
 			for e := 0; e < n; e++ {
-				trueFailures++
+				truth.TrueFailures++
 				if noiseRNG.Bernoulli(cfg.MissProb) {
 					continue // event happened but was never recorded
 				}
@@ -254,7 +130,7 @@ func generateCore(cfg Config,
 				if failRNG.Bernoulli(0.3) {
 					mode = dataset.ModeLeak
 				}
-				buf = append(buf, dataset.Failure{
+				failures = append(failures, dataset.Failure{
 					PipeID:  p.ID,
 					Segment: failRNG.Intn(p.Segments),
 					Year:    year,
@@ -263,16 +139,15 @@ func generateCore(cfg Config,
 				})
 			}
 		}
-		if err := onPipe(i, &p, frailty, finalRate); err != nil {
-			return HazardParams{}, 0, err
-		}
-		for e := range buf {
-			if err := onFailure(&buf[e]); err != nil {
-				return HazardParams{}, 0, err
-			}
-		}
+		reg.Append(&p)
+		truth.Frailty[i] = frailty
 	}
-	return hz, trueFailures, nil
+
+	net, err := dataset.FromRegistry(cfg.Region, cfg.ObservedFrom, cfg.ObservedTo, reg, failures)
+	if err != nil {
+		return nil, nil, fmt.Errorf("synthetic: generated network invalid: %w", err)
+	}
+	return net, truth, nil
 }
 
 func firstActiveYear(p *dataset.Pipe, cfg Config) int {

@@ -1,9 +1,13 @@
 package synthetic
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/colfmt"
 	"repro/internal/dataset"
 	"repro/internal/stats"
 )
@@ -361,5 +365,35 @@ func TestAnnualRateCovariateDirections(t *testing.T) {
 	}
 	if math.Abs(frail/r0-2) > 1e-9 {
 		t.Fatal("frailty must scale the rate linearly")
+	}
+}
+
+// TestGenerateDigests pins the PCOL bytes Generate produces for a flat
+// and a hierarchical preset, so the generator's output, which every
+// golden table rests on, cannot move silently. A deliberate change to
+// the generator must update these digests.
+func TestGenerateDigests(t *testing.T) {
+	for _, tc := range []struct {
+		preset string
+		scale  float64
+		sha256 string
+	}{
+		{"A", 0.04, "e5859be01b0e00e06b0e466b0a7137c84da3402efaa96123578b568e28533ddb"},
+		{"B", 0.04, "bbac75338fd92aff61c48048fca52f85b3728a91b2d5f78923fc3f385e378d00"},
+		{"metro", 0.004, "30b4d3524a0d200cfda45bbc36c3295aa1b890747bfebad7f2f7e19d877ec557"},
+	} {
+		t.Run(tc.preset, func(t *testing.T) {
+			net, _, err := Generate(scaledPreset(t, tc.preset, 77, tc.scale))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := colfmt.Write(&buf, net); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.sha256 {
+				t.Fatalf("PCOL digest %s, want %s", got, tc.sha256)
+			}
+		})
 	}
 }

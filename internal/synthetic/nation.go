@@ -38,8 +38,8 @@ func Metro(seed int64) Config {
 
 // Nation returns a ~1M-pipe national preset — the full-scale stress
 // fixture for the columnar data plane (160 districts, 12x12 climate
-// zones). Generation is streaming-friendly: pipegen with this preset keeps
-// memory flat via GenerateStream.
+// zones). Generate holds the whole region in its columns, so pipegen at
+// this preset peaks at about 440 MiB resident.
 func Nation(seed int64) Config {
 	h := DefaultHazard()
 	return Config{

@@ -29,7 +29,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/feature"
 	"repro/internal/obs"
-	"repro/internal/synthetic"
 	"repro/internal/tune"
 )
 
@@ -61,16 +60,12 @@ func Models() []string { return experiments.StandardModelNames() }
 // GenerateRegion simulates one of the calibrated metropolitan region
 // presets ("A", "B" or "C") at the given scale (1 = full size, ~12-18k
 // pipes). The same (name, seed, scale) always yields the same data.
+// A scale outside (0, 1] is an error.
 func GenerateRegion(name string, seed int64, scale float64) (*Data, error) {
-	cfg, err := synthetic.Preset(name, seed)
-	if err != nil {
-		return nil, err
+	if scale <= 0 {
+		return nil, fmt.Errorf("pipefail: scale factor %v out of (0,1]", scale)
 	}
-	cfg, err = cfg.Scaled(scale)
-	if err != nil {
-		return nil, err
-	}
-	net, _, err := synthetic.Generate(cfg)
+	net, _, err := experiments.GenerateRegion(name, experiments.Options{Seed: seed, Scale: scale})
 	return net, err
 }
 
