@@ -22,7 +22,8 @@ loc:
 # cached-response resolver and raw-body request memo, the response
 # cache and the experiment fan-out), the kerneltest differential
 # harness (Dot, MatVec and the AUC kernel bitwise vs naive oracles),
-# the allocation-regression gates on the AUC kernel, the ES's
+# the allocation-regression gates on the AUC kernel (below and above
+# its radix-sort cutoff), the ES's
 # per-generation negative resample, the serve
 # ranking/plan/bulk-rank/bulk-plan cached paths and the request-body
 # memo hit, the flat per-event ingest allocation count
@@ -34,7 +35,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/dataset/... ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/respcache/... ./internal/experiments/... ./internal/wal/...
 	$(GO) test ./internal/kerneltest -count=1
-	$(GO) test ./internal/eval -run='^TestAUCKernelZeroAlloc$$' -count=1
+	$(GO) test ./internal/eval -run='^(TestAUCKernelZeroAlloc|TestAUCKernelRadixPathZeroAlloc)$$' -count=1
 	$(GO) test ./internal/core -run='^TestFitnessBatchResampleZeroAlloc$$' -count=1
 	$(GO) test ./internal/serve -run='^(TestRankingCacheHitZeroAlloc|TestPlanCacheHitZeroAlloc|TestBodyMemoHitZeroAlloc|TestBulkRankCacheHitZeroAlloc|TestBulkPlanCacheHitZeroAlloc|TestEventsAllocsFlatWithHistory)$$' -count=1
 	$(GO) test ./internal/colfmt -run='^(TestReadAllocsRowIndependent|TestIngestAllocsRowIndependent)$$' -count=1
@@ -69,7 +70,9 @@ bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
 # bench-json records the training/serving hot-path benchmarks (the ES
-# fitness kernel, scoring, the RankBoost and Weibull fits, AUC, top-k and
+# fitness kernel, at ~1,000 positives and at the full-scale region-A
+# batch shape, both matched by the BenchmarkFitnessEval prefix; scoring,
+# the RankBoost and Weibull fits, AUC, top-k and
 # the linalg kernels; the serve handlers and the response cache) as JSON so
 # perf can be diffed commit to commit (BENCH_core.json and
 # BENCH_serve.json are checked in). Each benchmark runs long enough for

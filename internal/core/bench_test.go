@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/feature"
 	"repro/internal/parallel"
 )
 
@@ -12,7 +13,19 @@ import (
 // the defaults). Shape mirrors a realistic pipe-year set: 20k rows, 5%
 // positives, 4x negative sub-sampling, 32 features.
 func BenchmarkFitnessEval(b *testing.B) {
-	set := gaussianSet(1, 20000, 0.05, 1.5, 32)
+	benchFitnessEval(b, gaussianSet(1, 20000, 0.05, 1.5, 32))
+}
+
+// BenchmarkFitnessEvalFullScale is BenchmarkFitnessEval at the batch
+// shape of a full-scale region-A fit: 17,305 rows (every positive plus
+// 4x as many sampled negatives, here the whole negative side), 20 %
+// positives, 35 features. Its ~3,500 positives put the AUC kernel on its
+// radix-sort path, which the smaller benchmark's ~1,000 do not reach.
+func BenchmarkFitnessEvalFullScale(b *testing.B) {
+	benchFitnessEval(b, gaussianSet(5, 17305, 0.2, 1.5, 35))
+}
+
+func benchFitnessEval(b *testing.B, set *feature.Set) {
 	pos, neg := splitByLabel(set)
 	batchNeg := 4 * len(pos)
 	if batchNeg > len(neg) {

@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/eval"
 	"repro/internal/feature"
 )
 
@@ -132,12 +131,4 @@ func splitByLabel(s *feature.Set) (pos, neg []int) {
 		}
 	}
 	return pos, neg
-}
-
-// exactAUC computes the empirical AUC of scores against labels using the
-// rank-statistic formulation (ties counted half), in O(n log n). It is the
-// shared eval kernel; hot loops that call it repeatedly hold their own
-// eval.AUCKernel instead to reuse sort scratch across calls.
-func exactAUC(scores []float64, labels []bool) float64 {
-	return eval.AUC(scores, labels)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/eval"
 	"repro/internal/feature"
 	"repro/internal/parallel"
 	"repro/internal/stats"
@@ -65,23 +66,23 @@ func viewCopy(s *feature.Set) *feature.Set {
 
 func TestExactAUCKnownValues(t *testing.T) {
 	// Perfect separation.
-	if got := exactAUC([]float64{1, 2, 3, 4}, []bool{false, false, true, true}); got != 1 {
+	if got := eval.AUC([]float64{1, 2, 3, 4}, []bool{false, false, true, true}); got != 1 {
 		t.Fatalf("perfect AUC = %v", got)
 	}
 	// Perfectly wrong.
-	if got := exactAUC([]float64{4, 3, 2, 1}, []bool{false, false, true, true}); got != 0 {
+	if got := eval.AUC([]float64{4, 3, 2, 1}, []bool{false, false, true, true}); got != 0 {
 		t.Fatalf("inverted AUC = %v", got)
 	}
 	// All ties → 0.5.
-	if got := exactAUC([]float64{7, 7, 7, 7}, []bool{true, false, true, false}); got != 0.5 {
+	if got := eval.AUC([]float64{7, 7, 7, 7}, []bool{true, false, true, false}); got != 0.5 {
 		t.Fatalf("tied AUC = %v", got)
 	}
 	// Hand-computed: scores 1,2,3 labels F,T,F → pairs (2>1)=1, (2<3)=0 → 0.5.
-	if got := exactAUC([]float64{1, 2, 3}, []bool{false, true, false}); got != 0.5 {
+	if got := eval.AUC([]float64{1, 2, 3}, []bool{false, true, false}); got != 0.5 {
 		t.Fatalf("AUC = %v", got)
 	}
 	// Single class degenerates to 0.5.
-	if got := exactAUC([]float64{1, 2}, []bool{true, true}); got != 0.5 {
+	if got := eval.AUC([]float64{1, 2}, []bool{true, true}); got != 0.5 {
 		t.Fatalf("single class AUC = %v", got)
 	}
 }
@@ -97,12 +98,12 @@ func TestExactAUCMonotoneInvariance(t *testing.T) {
 			scores[i] = rng.Normal(0, 2)
 			labels[i] = rng.Bernoulli(0.3)
 		}
-		a1 := exactAUC(scores, labels)
+		a1 := eval.AUC(scores, labels)
 		warped := make([]float64, n)
 		for i, s := range scores {
 			warped[i] = math.Exp(s/3) + 100
 		}
-		a2 := exactAUC(warped, labels)
+		a2 := eval.AUC(warped, labels)
 		return almostEqual(a1, a2, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -134,7 +135,7 @@ func TestExactAUCComplementProperty(t *testing.T) {
 		for i, s := range scores {
 			neg[i] = -s
 		}
-		return almostEqual(exactAUC(scores, labels)+exactAUC(neg, labels), 1, 1e-12)
+		return almostEqual(eval.AUC(scores, labels)+eval.AUC(neg, labels), 1, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -202,7 +203,7 @@ func TestDirectAUCLearnsSeparableData(t *testing.T) {
 	test := gaussianSet(2, 400, 0.15, 2.5, 6)
 	m := NewDirectAUC(DirectAUCConfig{Seed: 3, Generations: 60})
 	scores := fitAndScore(t, m, train, test)
-	auc := exactAUC(scores, test.Label)
+	auc := eval.AUC(scores, test.Label)
 	if auc < 0.9 {
 		t.Fatalf("DirectAUC test AUC = %v, want >= 0.9", auc)
 	}
@@ -305,7 +306,7 @@ func TestRankSVMLearnsSeparableData(t *testing.T) {
 	test := gaussianSet(12, 400, 0.15, 2.5, 6)
 	m := NewRankSVM(RankSVMConfig{Seed: 13})
 	scores := fitAndScore(t, m, train, test)
-	if auc := exactAUC(scores, test.Label); auc < 0.9 {
+	if auc := eval.AUC(scores, test.Label); auc < 0.9 {
 		t.Fatalf("RankSVM test AUC = %v", auc)
 	}
 }
@@ -342,7 +343,7 @@ func TestRankBoostLearnsSeparableData(t *testing.T) {
 	test := gaussianSet(32, 400, 0.15, 2.5, 6)
 	m := NewRankBoost(RankBoostConfig{Rounds: 50})
 	scores := fitAndScore(t, m, train, test)
-	if auc := exactAUC(scores, test.Label); auc < 0.85 {
+	if auc := eval.AUC(scores, test.Label); auc < 0.85 {
 		t.Fatalf("RankBoost test AUC = %v", auc)
 	}
 	if m.Rounds() == 0 {
@@ -375,7 +376,7 @@ func TestRankBoostHandlesNonMonotoneDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auc := exactAUC(scores, s.Label); auc < 0.9 {
+	if auc := eval.AUC(scores, s.Label); auc < 0.9 {
 		t.Fatalf("inverted-direction AUC = %v", auc)
 	}
 }

@@ -357,9 +357,7 @@ type fitnessBatch struct {
 	labels   []bool
 	sub      []float64 // dense row-major gather of rows, len(rows) x stride
 	stride   int
-	scores   []float64      // scratch for the serial auc() convenience
-	kernel   eval.AUCKernel // ditto
-	sampler  stats.Sampler  // resample's index scratch, kept across generations
+	sampler  stats.Sampler // resample's index scratch, kept across generations
 }
 
 func newFitnessBatch(s *feature.Set, pos, neg []int, batchNeg int) *fitnessBatch {
@@ -377,7 +375,6 @@ func newFitnessBatch(s *feature.Set, pos, neg []int, batchNeg int) *fitnessBatch
 	}
 	b.sub = make([]float64, len(b.rows)*b.stride)
 	b.gather(0, len(b.rows))
-	b.scores = make([]float64, len(b.rows))
 	return b
 }
 
@@ -397,12 +394,9 @@ func (b *fitnessBatch) resample(rng *stats.RNG) {
 	b.gather(len(b.pos), len(b.rows))
 }
 
-func (b *fitnessBatch) auc(w []float64) float64 {
-	return b.aucInto(w, b.scores, &b.kernel)
-}
-
-// aucInto is auc with caller-owned score and sort scratch (one pair per
-// worker), so concurrent evaluations never share state.
+// aucInto returns the batch AUC of weights w, using caller-owned score
+// and kernel scratch (one pair per worker), so concurrent evaluations
+// never share state.
 func (b *fitnessBatch) aucInto(w, scores []float64, k *eval.AUCKernel) float64 {
 	linalg.MatVec(scores, b.sub, b.stride, w)
 	return k.Compute(scores, b.labels)

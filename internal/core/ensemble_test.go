@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/feature"
 )
 
@@ -18,7 +19,7 @@ func TestEnsembleFusesRankers(t *testing.T) {
 		t.Fatal("name")
 	}
 	scores := fitAndScore(t, e, train, test)
-	eAUC := exactAUC(scores, test.Label)
+	eAUC := eval.AUC(scores, test.Label)
 	if eAUC < 0.9 {
 		t.Fatalf("ensemble AUC = %v", eAUC)
 	}
@@ -30,7 +31,7 @@ func TestEnsembleFusesRankers(t *testing.T) {
 	}
 	// The ensemble should be at least close to its best member.
 	svm := NewRankSVM(RankSVMConfig{Seed: 1})
-	svmAUC := exactAUC(fitAndScore(t, svm, train, test), test.Label)
+	svmAUC := eval.AUC(fitAndScore(t, svm, train, test), test.Label)
 	if eAUC < svmAUC-0.05 {
 		t.Fatalf("ensemble (%v) far below best member (%v)", eAUC, svmAUC)
 	}
@@ -47,7 +48,7 @@ func TestEnsembleRobustToBadMember(t *testing.T) {
 	bad := NewRankSVM(RankSVMConfig{Seed: 4, Epochs: 1, PairsPerEpoch: 1}) // nearly random
 	e := NewEnsemble(nil, good1, good2, good3, bad)
 	scores := fitAndScore(t, e, train, test)
-	if auc := exactAUC(scores, test.Label); auc < 0.85 {
+	if auc := eval.AUC(scores, test.Label); auc < 0.85 {
 		t.Fatalf("ensemble with one weak member collapsed: AUC %v", auc)
 	}
 }
@@ -62,7 +63,7 @@ func TestEnsembleWeights(t *testing.T) {
 
 	solo := NewRankSVM(RankSVMConfig{Seed: 1})
 	soloScores := fitAndScore(t, solo, train, train)
-	if exactAUC(scores, train.Label) != exactAUC(soloScores, train.Label) {
+	if eval.AUC(scores, train.Label) != eval.AUC(soloScores, train.Label) {
 		t.Fatal("zero-weighted member changed the ranking")
 	}
 }

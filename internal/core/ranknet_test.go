@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/feature"
 	"repro/internal/stats"
 )
@@ -12,7 +13,7 @@ func TestRankNetLearnsSeparableData(t *testing.T) {
 	test := gaussianSet(62, 400, 0.15, 2.5, 6)
 	m := NewRankNet(RankNetConfig{Seed: 63})
 	scores := fitAndScore(t, m, train, test)
-	if auc := exactAUC(scores, test.Label); auc < 0.9 {
+	if auc := eval.AUC(scores, test.Label); auc < 0.9 {
 		t.Fatalf("RankNet test AUC = %v", auc)
 	}
 }
@@ -41,11 +42,11 @@ func TestRankNetBeatsLinearOnNonlinearData(t *testing.T) {
 
 	nn := NewRankNet(RankNetConfig{Seed: 73, Hidden: 16, Epochs: 40})
 	nnScores := fitAndScore(t, nn, train, test)
-	nnAUC := exactAUC(nnScores, test.Label)
+	nnAUC := eval.AUC(nnScores, test.Label)
 
 	lin := NewRankSVM(RankSVMConfig{Seed: 74})
 	linScores := fitAndScore(t, lin, train, test)
-	linAUC := exactAUC(linScores, test.Label)
+	linAUC := eval.AUC(linScores, test.Label)
 
 	if nnAUC < 0.75 {
 		t.Fatalf("RankNet circle AUC = %v", nnAUC)

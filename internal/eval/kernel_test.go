@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -105,6 +106,70 @@ func TestAUCKernelZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("AUCKernel.Compute allocates %v per run in steady state, want 0", allocs)
+	}
+}
+
+// TestAUCKernelRadixPathZeroAlloc is TestAUCKernelZeroAlloc with enough
+// positives to take the radix sort, whose ping-pong buffer and digit
+// histograms must also be reused across calls.
+func TestAUCKernelRadixPathZeroAlloc(t *testing.T) {
+	rng := stats.NewRNG(5)
+	n := 17305
+	scores := make([]float64, n)
+	labels := make([]bool, n)
+	for i := range scores {
+		scores[i] = rng.Norm()
+		labels[i] = rng.Bernoulli(0.2)
+	}
+	var k AUCKernel
+	allocs := testing.AllocsPerRun(20, func() {
+		if a := k.Compute(scores, labels); a < 0 || a > 1 {
+			t.Fatalf("AUC out of range: %v", a)
+		}
+	})
+	if len(k.posKey) < radixSortMin {
+		t.Fatalf("%d positives do not reach the radix path (%d)", len(k.posKey), radixSortMin)
+	}
+	if allocs != 0 {
+		t.Fatalf("AUCKernel.Compute allocates %v per run on the radix path, want 0", allocs)
+	}
+}
+
+// TestRadixSortKeysMatchesSort holds the radix sort to slices.Sort at the
+// digit-boundary sizes (one bucket's worth of keys and either side of it)
+// and on key sets where some or all passes are skipped: all-equal keys,
+// keys that differ only in their lowest or only in their highest byte,
+// and keys of special floats (both infinities, subnormals, both zeros).
+func TestRadixSortKeysMatchesSort(t *testing.T) {
+	rng := stats.NewRNG(31)
+	specials := []float64{math.Inf(1), math.Inf(-1), 0, 5e-324, -5e-324,
+		math.SmallestNonzeroFloat64 * 1000, -math.MaxFloat64, math.MaxFloat64, 1, -1}
+	patterns := []struct {
+		name string
+		gen  func(i int) uint64
+	}{
+		{"random", func(int) uint64 { return uint64(rng.Int63())<<1 ^ uint64(rng.Int63()) }},
+		{"all-equal", func(int) uint64 { return 0x9e3779b97f4a7c15 }},
+		{"low-byte", func(int) uint64 { return 0xc000000000000000 | uint64(rng.Intn(256)) }},
+		{"high-byte", func(int) uint64 { return uint64(rng.Intn(256))<<56 | 0x42 }},
+		{"normal-scores", func(int) uint64 { return floatOrdKey(rng.Norm() + 0.0) }},
+		{"int-scores", func(int) uint64 { return floatOrdKey(float64(rng.Intn(9)-4) + 0.0) }},
+		{"specials", func(int) uint64 { return floatOrdKey(specials[rng.Intn(len(specials))] + 0.0) }},
+	}
+	var cnt radixCounts
+	for _, n := range []int{1, 2, 255, 256, 257, 4096} {
+		for _, p := range patterns {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = p.gen(i)
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			got := radixSortKeys(keys, make([]uint64, n), &cnt)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s n=%d: radix order differs from slices.Sort", p.name, n)
+			}
+		}
 	}
 }
 

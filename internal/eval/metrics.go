@@ -14,9 +14,10 @@ import (
 
 // AUC returns the empirical area under the ROC curve of scores against
 // labels, computed with the rank-statistic formulation (ties counted half)
-// in O(n log n). Degenerate single-class inputs return 0.5. This is the
-// one-shot convenience wrapper; callers on hot loops hold an AUCKernel
-// (see kernel.go) to amortize the sort scratch.
+// in O(P + N log P) for P positives and N negatives (see
+// AUCKernel.Compute). Degenerate single-class inputs return 0.5. This is
+// the one-shot convenience wrapper; callers on hot loops hold an
+// AUCKernel (see kernel.go) to amortize the sort scratch.
 func AUC(scores []float64, labels []bool) float64 {
 	var k AUCKernel
 	return k.Compute(scores, labels)

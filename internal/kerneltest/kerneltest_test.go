@@ -123,6 +123,58 @@ func TestAUCKernelParallelBitIdentical(t *testing.T) {
 	}
 }
 
+// TestAUCKernelPositiveCounts crosses positive counts at the positive
+// sort's boundaries — one 8-bit radix digit's worth of keys and either
+// side of it, either side of the radix cutoff, and 4096 — with score
+// shapes that make the radix sort
+// skip some or all of its passes: all-equal, tie-heavy integers, mixed
+// signed zeros, infinities and subnormals. Each case has 2P+1 negatives,
+// so the largest reaches the pooled counting pass; the serial kernel,
+// a pooled kernel and both oracles must agree bitwise. One kernel of each
+// kind is reused across every case, so scratch that grows and shrinks
+// between calls is covered too.
+func TestAUCKernelPositiveCounts(t *testing.T) {
+	rng := stats.NewRNG(17)
+	shapes := []struct {
+		name string
+		gen  func() float64
+	}{
+		{"continuous", func() float64 { return rng.Uniform(-3, 3) }},
+		{"all-equal", func() float64 { return -0.5 }},
+		{"integer-ties", func() float64 { return float64(rng.Intn(9) - 4) }},
+		{"signed-zeros", func() float64 {
+			return []float64{0, math.Copysign(0, -1), 1e-300, -1e-300}[rng.Intn(4)]
+		}},
+		{"infinities", func() float64 {
+			return []float64{math.Inf(1), math.Inf(-1), rng.Norm()}[rng.Intn(3)]
+		}},
+		{"subnormals", func() float64 { return float64(rng.Intn(201)-100) * 5e-324 }},
+	}
+	var serial eval.AUCKernel
+	pooled := eval.AUCKernel{Pool: parallel.New(2)}
+	for _, p := range []int{1, 2, 255, 256, 257, 1023, 1024, 1025, 4096} {
+		for _, sh := range shapes {
+			n := 3*p + 1
+			scores := make([]float64, n)
+			labels := make([]bool, n)
+			for i := range scores {
+				scores[i] = sh.gen()
+				labels[i] = i < p
+			}
+			rng.Shuffle(n, func(i, j int) { labels[i], labels[j] = labels[j], labels[i] })
+			want := AUCOracleSort(scores, labels)
+			if pw := AUCOraclePairwise(scores, labels); math.Float64bits(pw) != math.Float64bits(want) {
+				t.Fatalf("P=%d %s: pairwise oracle %v != sort oracle %v", p, sh.name, pw, want)
+			}
+			for name, k := range map[string]*eval.AUCKernel{"serial": &serial, "pooled": &pooled} {
+				if got := k.Compute(scores, labels); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("P=%d %s, %s kernel: %v != oracle %v", p, sh.name, name, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestDotExactBitIdentical pins the inner product to the naive
 // sequential oracle over every remainder-lane length and value pattern.
 func TestDotExactBitIdentical(t *testing.T) {

@@ -64,8 +64,12 @@ func Generate(cfg Config) (*dataset.Columns, *Truth, error) {
 		for i := 0; i < cfg.NumPipes; i++ {
 			p := genPipe(cfg, cPipeRNG, zones, sideM, i)
 			frailty := cFrailtyRNG.LogNormal(0, cfg.Hazard.FrailtySigma)
+			ph, err := cfg.Hazard.forPipe(&p)
+			if err != nil {
+				return nil, nil, err
+			}
 			for year := firstActiveYear(&p, cfg); year <= cfg.ObservedTo; year++ {
-				r, err := cfg.Hazard.AnnualRate(&p, year, frailty)
+				r, err := ph.annualRate(&p, year, frailty)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -107,8 +111,12 @@ func Generate(cfg Config) (*dataset.Columns, *Truth, error) {
 	for i := 0; i < cfg.NumPipes; i++ {
 		p := genPipe(cfg, pipeRNG, zones, sideM, i)
 		frailty := frailtyRNG.LogNormal(0, cfg.Hazard.FrailtySigma)
+		ph, err := hz.forPipe(&p)
+		if err != nil {
+			return nil, nil, err
+		}
 		for year := firstActiveYear(&p, cfg); year <= cfg.ObservedTo; year++ {
-			rate, err := hz.AnnualRate(&p, year, frailty)
+			rate, err := ph.annualRate(&p, year, frailty)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -3,6 +3,7 @@ package synthetic
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -393,6 +394,46 @@ func TestGenerateDigests(t *testing.T) {
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.sha256 {
 				t.Fatalf("PCOL digest %s, want %s", got, tc.sha256)
+			}
+		})
+	}
+}
+
+// TestGenerateTruthDigests pins the ground truth Generate reports for
+// the configurations of TestGenerateDigests: the calibrated GlobalRate,
+// which sums every pipe-year rate of the calibration pass, then each
+// pipe's final-year rate from the sampling pass and its frailty. The
+// sampled failures only see a rate through a Poisson draw, so a rate
+// that moves by one ulp can leave the PCOL digest unchanged; these
+// digests move with it.
+func TestGenerateTruthDigests(t *testing.T) {
+	for _, tc := range []struct {
+		preset string
+		scale  float64
+		sha256 string
+	}{
+		{"A", 0.04, "900375db26fff6a66f9b6ecd375baebc9f5d0153f9b78634366959bb93d30268"},
+		{"B", 0.04, "9815f45ab47aa0a0b312faa862011cff8d728a2de57c31f45e956823bd3cac21"},
+		{"metro", 0.004, "1c3b1dfec03e8ee76a221b42b232f41ba14864aac64694d1cd0d88c5dc9e2696"},
+	} {
+		t.Run(tc.preset, func(t *testing.T) {
+			_, truth, err := Generate(scaledPreset(t, tc.preset, 77, tc.scale))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			var b [8]byte
+			put := func(v float64) {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+			put(truth.CalibratedHazard.GlobalRate)
+			for i := range truth.FinalYearRate {
+				put(truth.FinalYearRate[i])
+				put(truth.Frailty[i])
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.sha256 {
+				t.Fatalf("truth digest %s, want %s", got, tc.sha256)
 			}
 		})
 	}

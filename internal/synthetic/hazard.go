@@ -121,35 +121,84 @@ func (h HazardParams) AgingFactor(m dataset.Material, age float64) (float64, err
 	if !ok {
 		return 0, fmt.Errorf("synthetic: no hazard parameters for material %q", m)
 	}
+	return mh.aging(mh.refHazard(), age), nil
+}
+
+// refHazard is the material's unnormalized hazard at half its
+// characteristic life, AgingFactor's divisor.
+func (mh MaterialHazard) refHazard() float64 {
+	ref := mh.ScaleYears / 2
+	return math.Pow(ref/mh.ScaleYears, mh.Shape-1)
+}
+
+// aging is AgingFactor given the material's refHazard.
+func (mh MaterialHazard) aging(hzRef, age float64) float64 {
 	if age < 0.5 {
 		age = 0.5 // avoid the singularity of shape<1 hazards at zero age
 	}
-	ref := mh.ScaleYears / 2
-	hz := math.Pow(age/mh.ScaleYears, mh.Shape-1)
-	hzRef := math.Pow(ref/mh.ScaleYears, mh.Shape-1)
-	return hz / hzRef, nil
+	return math.Pow(age/mh.ScaleYears, mh.Shape-1) / hzRef
 }
 
 // AnnualRate returns the ground-truth expected number of failures of the
 // pipe in the calendar year, given its frailty multiplier.
 func (h HazardParams) AnnualRate(p *dataset.Pipe, year int, frailty float64) (float64, error) {
-	age := p.AgeAt(year)
-	aging, err := h.AgingFactor(p.Material, age)
+	ph, err := h.forPipe(p)
 	if err != nil {
 		return 0, err
 	}
-	mh := h.Materials[p.Material]
-	rate := h.GlobalRate * mh.Base * aging
-	rate *= math.Pow(p.DiameterMM/300, h.DiameterExp)
-	rate *= math.Pow(p.LengthM/100, h.LengthExp)
-	rate *= lookupOr(h.SoilCorrosivity, p.SoilCorrosivity, 1)
-	rate *= lookupOr(h.SoilExpansivity, p.SoilExpansivity, 1)
-	rate *= lookupOr(h.SoilGeology, p.SoilGeology, 1)
-	rate *= lookupOr(h.SoilMap, p.SoilMap, 1)
-	if c, ok := h.Coating[p.Coating]; ok {
-		rate *= c
+	return ph.annualRate(p, year, frailty)
+}
+
+// pipeHazard holds the factors of one pipe's annual rate that do not
+// depend on the year, so a loop over the pipe's years pays one math.Pow
+// per year in place of three, a math.Exp and five map lookups.
+type pipeHazard struct {
+	mh    MaterialHazard
+	hzRef float64
+	// base is GlobalRate times the material base, the rate's first
+	// product.
+	base float64
+	// factors are the diameter, length, four soil, coating and traffic
+	// multipliers, in the order the rate applies them. An absent
+	// coating is 1, and multiplying by 1 is exact.
+	factors [8]float64
+}
+
+// forPipe computes the year-independent factors of the pipe's rate.
+func (h HazardParams) forPipe(p *dataset.Pipe) (pipeHazard, error) {
+	mh, ok := h.Materials[p.Material]
+	if !ok {
+		return pipeHazard{}, fmt.Errorf("synthetic: no hazard parameters for material %q", p.Material)
 	}
-	rate *= 1 + h.TrafficBoost*math.Exp(-p.DistToTrafficM/h.TrafficScaleM)
+	coating, ok := h.Coating[p.Coating]
+	if !ok {
+		coating = 1
+	}
+	return pipeHazard{
+		mh:    mh,
+		hzRef: mh.refHazard(),
+		base:  h.GlobalRate * mh.Base,
+		factors: [8]float64{
+			math.Pow(p.DiameterMM/300, h.DiameterExp),
+			math.Pow(p.LengthM/100, h.LengthExp),
+			lookupOr(h.SoilCorrosivity, p.SoilCorrosivity, 1),
+			lookupOr(h.SoilExpansivity, p.SoilExpansivity, 1),
+			lookupOr(h.SoilGeology, p.SoilGeology, 1),
+			lookupOr(h.SoilMap, p.SoilMap, 1),
+			coating,
+			1 + h.TrafficBoost*math.Exp(-p.DistToTrafficM/h.TrafficScaleM),
+		},
+	}, nil
+}
+
+// annualRate is AnnualRate for the pipe whose factors ph holds. The
+// products run in the order of the hazard formula, one at a time, so
+// the rate keeps its bits whether or not the factors were hoisted.
+func (ph *pipeHazard) annualRate(p *dataset.Pipe, year int, frailty float64) (float64, error) {
+	rate := ph.base * ph.mh.aging(ph.hzRef, p.AgeAt(year))
+	for _, f := range ph.factors {
+		rate *= f
+	}
 	rate *= frailty
 	if math.IsNaN(rate) || rate < 0 {
 		return 0, fmt.Errorf("synthetic: degenerate rate for pipe %q year %d", p.ID, year)
