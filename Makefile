@@ -69,6 +69,20 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
+# The benchmark suites, each defined once: bench-json, bench-data and
+# bench-ingest record them into BENCH_*.json, and bench-check reruns the
+# same commands against those files.
+BENCH_CORE = { $(GO) test -run='^$$' -bench='BenchmarkFitnessEval|BenchmarkScoreAllFlat|BenchmarkRankBoostFit' ./internal/core/; \
+	$(GO) test -run='^$$' -bench='BenchmarkWeibullFit' ./internal/baseline/; \
+	$(GO) test -run='^$$' -bench='BenchmarkAUCKernel|BenchmarkTopK' ./internal/eval/; \
+	$(GO) test -run='^$$' -bench='BenchmarkMatVec|BenchmarkDot' ./internal/linalg/; }
+BENCH_SERVE = { $(GO) test -run='^$$' -bench='BenchmarkRankingHandler|BenchmarkPlanHandler|BenchmarkBulkRank|BenchmarkShardRebuild' ./internal/serve/; \
+	$(GO) test -run='^$$' -bench='BenchmarkRespCache' ./internal/respcache/; }
+BENCH_DATA = { BENCH_FULL=1 $(GO) test -run='^$$' -bench='BenchmarkColRead|BenchmarkColWrite|BenchmarkConvertCSVToCol|BenchmarkIngest|BenchmarkLiveRebuild' -timeout 60m ./internal/colfmt/; \
+	$(GO) test -run='^$$' -bench='BenchmarkReadPipes|BenchmarkReadFailures' ./internal/dataset/; }
+BENCH_INGEST = { $(GO) test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALReplay' ./internal/wal/; \
+	$(GO) test -run='^$$' -bench='BenchmarkEventsIngest' ./internal/serve/; }
+
 # bench-json records the training/serving hot-path benchmarks (the ES
 # fitness kernel, at ~1,000 positives and at the full-scale region-A
 # batch shape, both matched by the BenchmarkFitnessEval prefix; scoring,
@@ -80,53 +94,33 @@ bench:
 # shrinks toward zero as iteration counts grow, so treat allocs/op (not
 # B/op) as the regression signal.
 bench-json:
-	{ $(GO) test -run='^$$' -bench='BenchmarkFitnessEval|BenchmarkScoreAllFlat|BenchmarkRankBoostFit' ./internal/core/; \
-	  $(GO) test -run='^$$' -bench='BenchmarkWeibullFit' ./internal/baseline/; \
-	  $(GO) test -run='^$$' -bench='BenchmarkAUCKernel|BenchmarkTopK' ./internal/eval/; \
-	  $(GO) test -run='^$$' -bench='BenchmarkMatVec|BenchmarkDot' ./internal/linalg/; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_core.json
-	{ $(GO) test -run='^$$' -bench='BenchmarkRankingHandler|BenchmarkPlanHandler|BenchmarkBulkRank|BenchmarkShardRebuild' ./internal/serve/; \
-	  $(GO) test -run='^$$' -bench='BenchmarkRespCache' ./internal/respcache/; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_serve.json
+	$(BENCH_CORE) | $(GO) run ./cmd/benchjson -o BENCH_core.json
+	$(BENCH_SERVE) | $(GO) run ./cmd/benchjson -o BENCH_serve.json
 
-# bench-check is the pre-release perf gate (NOT part of verify —
-# wall-clock numbers are too machine-sensitive for a merge gate): rerun
-# the core, data, ingest and serve hot-path benchmarks and fail if any is
-# more than BENCH_TOL slower than its checked-in BENCH_*.json, if its
-# allocs/op grew at all, or if a recorded benchmark disappeared. Refresh
-# the core and serve baselines with bench-json.
 # bench-data records the columnar data-plane benchmarks (streaming decode,
 # encode, CSV->columnar conversion, feature ingest, live rebuild) at
 # 10k/100k/1M rows into BENCH_data.json. BENCH_FULL=1 unlocks the
 # 1M-pipe fixture, which takes about a minute of synthesis before
 # measurement starts.
 bench-data:
-	{ BENCH_FULL=1 $(GO) test -run='^$$' -bench='BenchmarkColRead|BenchmarkColWrite|BenchmarkConvertCSVToCol|BenchmarkIngest|BenchmarkLiveRebuild' -timeout 60m ./internal/colfmt/; \
-	  $(GO) test -run='^$$' -bench='BenchmarkReadPipes|BenchmarkReadFailures' ./internal/dataset/; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_data.json
+	$(BENCH_DATA) | $(GO) run ./cmd/benchjson -o BENCH_data.json
 
 # bench-ingest records the streaming-ingest data plane into
 # BENCH_ingest.json: raw WAL append latency per fsync policy (the
 # group-commit parallel case included), replay throughput, and the
 # /api/events handler end to end.
 bench-ingest:
-	{ $(GO) test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALReplay' ./internal/wal/; \
-	  $(GO) test -run='^$$' -bench='BenchmarkEventsIngest' ./internal/serve/; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_ingest.json
+	$(BENCH_INGEST) | $(GO) run ./cmd/benchjson -o BENCH_ingest.json
 
+# bench-check is the pre-release perf gate (NOT part of verify —
+# wall-clock numbers are too machine-sensitive for a merge gate): rerun
+# the core, data, ingest and serve hot-path benchmarks and fail if any is
+# more than BENCH_TOL slower than its checked-in BENCH_*.json, if its
+# allocs/op grew at all, or if a recorded benchmark disappeared. Refresh
+# the baselines with bench-json, bench-data and bench-ingest.
 BENCH_TOL ?= 0.30
 bench-check:
-	{ $(GO) test -run='^$$' -bench='BenchmarkFitnessEval|BenchmarkScoreAllFlat|BenchmarkRankBoostFit' ./internal/core/; \
-	  $(GO) test -run='^$$' -bench='BenchmarkWeibullFit' ./internal/baseline/; \
-	  $(GO) test -run='^$$' -bench='BenchmarkAUCKernel|BenchmarkTopK' ./internal/eval/; \
-	  $(GO) test -run='^$$' -bench='BenchmarkMatVec|BenchmarkDot' ./internal/linalg/; } \
-	| $(GO) run ./cmd/benchjson -check BENCH_core.json -tol $(BENCH_TOL)
-	{ BENCH_FULL=1 $(GO) test -run='^$$' -bench='BenchmarkColRead|BenchmarkColWrite|BenchmarkConvertCSVToCol|BenchmarkIngest|BenchmarkLiveRebuild' -timeout 60m ./internal/colfmt/; \
-	  $(GO) test -run='^$$' -bench='BenchmarkReadPipes|BenchmarkReadFailures' ./internal/dataset/; } \
-	| $(GO) run ./cmd/benchjson -check BENCH_data.json -tol $(BENCH_TOL)
-	{ $(GO) test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALReplay' ./internal/wal/; \
-	  $(GO) test -run='^$$' -bench='BenchmarkEventsIngest' ./internal/serve/; } \
-	| $(GO) run ./cmd/benchjson -check BENCH_ingest.json -tol $(BENCH_TOL)
-	{ $(GO) test -run='^$$' -bench='BenchmarkRankingHandler|BenchmarkPlanHandler|BenchmarkBulkRank|BenchmarkShardRebuild' ./internal/serve/; \
-	  $(GO) test -run='^$$' -bench='BenchmarkRespCache' ./internal/respcache/; } \
-	| $(GO) run ./cmd/benchjson -check BENCH_serve.json -tol $(BENCH_TOL)
+	$(BENCH_CORE) | $(GO) run ./cmd/benchjson -check BENCH_core.json -tol $(BENCH_TOL)
+	$(BENCH_DATA) | $(GO) run ./cmd/benchjson -check BENCH_data.json -tol $(BENCH_TOL)
+	$(BENCH_INGEST) | $(GO) run ./cmd/benchjson -check BENCH_ingest.json -tol $(BENCH_TOL)
+	$(BENCH_SERVE) | $(GO) run ./cmd/benchjson -check BENCH_serve.json -tol $(BENCH_TOL)

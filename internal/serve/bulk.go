@@ -72,6 +72,7 @@ func (r *bulkRequest) memoBytes() int {
 type bulkSeg struct {
 	sh     *shard
 	pipeID string // points into the memoized request; empty for region segments
+	row    int    // the pipe's registry row in sh, for per-pipe segments
 	tm     *modelSnapshot
 	entry  respcache.Entry
 	errMsg string
@@ -151,9 +152,7 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 	if model == "" {
 		model = s.defaultModel
 	}
-	// Published-on-def is the allocation-free common case; knownModel
-	// (which walks the registry) only runs for models nobody trained yet.
-	if _, ok := (*s.def.models.Load())[model]; !ok && !knownModel(model) {
+	if s.def.slot(model) == nil {
 		s.writeErr(w, http.StatusBadRequest, "unknown model %q", model)
 		return
 	}
@@ -176,12 +175,12 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 			sc.segs = append(sc.segs, bulkSeg{sh: sh})
 		}
 		for _, id := range req.PipeIDs {
-			sh, _, ok := s.findPipe(nil, id)
+			sh, row, ok := s.findPipe(nil, id)
 			if !ok {
 				s.writeErr(w, http.StatusNotFound, "unknown pipe %q", id)
 				return
 			}
-			sc.segs = append(sc.segs, bulkSeg{sh: sh, pipeID: id})
+			sc.segs = append(sc.segs, bulkSeg{sh: sh, pipeID: id, row: row})
 		}
 	}
 
@@ -190,8 +189,8 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 	var miss []int
 	for i := range sc.segs {
 		seg := &sc.segs[i]
-		tm, ok := (*seg.sh.models.Load())[model]
-		if !ok {
+		tm := seg.sh.slot(model).snap.Load()
+		if tm == nil {
 			seg.ready = make(chan struct{})
 			miss = append(miss, i)
 			continue
@@ -292,8 +291,8 @@ func (s *Server) appendBulkLine(line []byte, seg *bulkSeg, model string, isPlan 
 	return append(line, '}', '\n')
 }
 
-// appendPipeLine renders one per-pipe line off the snapshot's rank
-// index: two array reads, no scan, no encoder.
+// appendPipeLine renders one per-pipe line off the snapshot's
+// registry-row ranks: two array reads, no scan, no encoder.
 func (s *Server) appendPipeLine(line []byte, seg *bulkSeg, model string) []byte {
 	line = append(line, `{"pipe_id":`...)
 	line = writeJSONString(line, seg.pipeID)
@@ -303,8 +302,7 @@ func (s *Server) appendPipeLine(line []byte, seg *bulkSeg, model string) []byte 
 	line = writeJSONString(line, model)
 	errMsg := seg.errMsg
 	if errMsg == "" {
-		if row, ok := seg.tm.rankIdx[seg.pipeID]; ok {
-			e := &seg.tm.entries[seg.tm.rankOf[row]-1]
+		if e := seg.tm.entryOf(seg.row); e != nil {
 			line = append(line, `,"rank":`...)
 			line = strconv.AppendInt(line, int64(e.Rank), 10)
 			line = append(line, `,"score":`...)

@@ -16,10 +16,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro"
+	"repro/internal/wal"
 )
 
 // bulkLine is the decoded NDJSON line shape shared by both bulk
@@ -411,5 +416,136 @@ func TestBulkPlanCacheHitZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("cached bulk plan allocated %.1f times per request, want 0", allocs)
+	}
+}
+
+// TestPipeLookupsMatchEntryScan is the differential test for the
+// registry-row rank lookups: for every pipe in the region, the scores of
+// GET /api/pipes/{id} and the bulk per-pipe lines must equal a
+// brute-force scan of each published snapshot's entries. The region
+// holds a pipe laid after the test year, and a live renewal moves
+// another past it; both must be unranked under the snapshots that
+// exclude them.
+func TestPipeLookupsMatchEntryScan(t *testing.T) {
+	d, err := pipefail.GenerateRegion("A", 5, 0.04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the last observed year out of the split so a pipe can be laid
+	// after the test year and still be valid data.
+	to := d.ObservedTo
+	split := pipefail.Split{TrainFrom: d.ObservedFrom, TrainTo: to - 2, TestYear: to - 1}
+	var late, renewed string
+	for row, id := range d.Registry.ID {
+		if d.FailureCount(row, d.ObservedFrom, to) > 0 || int(d.Registry.LaidYear[row]) >= split.TestYear {
+			continue
+		}
+		if late == "" {
+			late = id
+			d.Registry.LaidYear[row] = int32(to)
+		} else {
+			renewed = id
+			break
+		}
+	}
+	s, err := New(d, log.New(io.Discard, "", 0), pipefail.WithESGenerations(4), pipefail.WithSplit(split))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetEventLog(EventLogConfig{Dir: t.TempDir(), Sync: wal.SyncNever}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(s.BeginShutdown)
+
+	models := []string{"Heuristic-Age", "Logistic"}
+	for _, name := range models {
+		if _, err := s.get(context.Background(), name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	renewal := map[string]any{"id": "move-past", "type": "renewal", "pipe_id": renewed, "year": to}
+	if code := postJSON(t, ts.URL+"/api/events", renewal, nil); code != http.StatusOK {
+		t.Fatalf("renewal status %d", code)
+	}
+	// Only Heuristic-Age retrains past the renewal; Logistic keeps the
+	// snapshot that still ranks the renewed pipe.
+	rebuildAll(s, []rebuildTarget{{sh: s.def, name: "Heuristic-Age"}})
+
+	scan := func(tm *modelSnapshot, id string) *rankedPipe {
+		for i := range tm.entries {
+			if tm.entries[i].PipeID == id {
+				return &tm.entries[i]
+			}
+		}
+		return nil
+	}
+	snaps := map[string]*modelSnapshot{}
+	for _, name := range models {
+		snaps[name] = s.def.snapshot(name)
+	}
+	if scan(snaps["Heuristic-Age"], renewed) != nil || scan(snaps["Logistic"], renewed) == nil {
+		t.Fatal("the renewal did not move the pipe out of the rebuilt snapshot only")
+	}
+	for _, name := range models {
+		if scan(snaps[name], late) != nil {
+			t.Fatalf("%s ranks the pipe laid after the test year", name)
+		}
+	}
+
+	ids := d.Registry.ID
+	for _, id := range ids {
+		var got struct {
+			Scores map[string]float64 `json:"scores"`
+		}
+		if code := getJSON(t, ts.URL+"/api/pipes/"+id, &got); code != http.StatusOK {
+			t.Fatalf("pipe %s status %d", id, code)
+		}
+		want := map[string]float64{}
+		for name, tm := range snaps {
+			if e := scan(tm, id); e != nil {
+				want[name] = e.Score
+			}
+		}
+		if len(got.Scores) != len(want) {
+			t.Fatalf("pipe %s scores %v, scan %v", id, got.Scores, want)
+		}
+		for name, v := range want {
+			if g, ok := got.Scores[name]; !ok || g != v {
+				t.Fatalf("pipe %s scores %v, scan %v", id, got.Scores, want)
+			}
+		}
+	}
+
+	body, err := json.Marshal(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range models {
+		tm := snaps[name]
+		code, raw, _ := postBulk(t, ts.URL+"/api/bulk/rank", `{"model":"`+name+`","pipe_ids":`+string(body)+`}`)
+		if code != http.StatusOK {
+			t.Fatalf("%s bulk status %d: %s", name, code, raw)
+		}
+		lines := bulkLines(t, raw)
+		if len(lines) != len(ids) {
+			t.Fatalf("%s: %d bulk lines for %d pipes", name, len(lines), len(ids))
+		}
+		for i, l := range lines {
+			want := bulkLine{PipeID: ids[i], Region: "A", Model: name}
+			if e := scan(tm, ids[i]); e == nil {
+				want.Error = "pipe has no rank under this model"
+			} else {
+				want.Rank, want.Score = e.Rank, e.Score
+				if tm.calibrator != nil {
+					want.FailProb = e.FailProb
+				}
+			}
+			if l.PipeID != want.PipeID || l.Region != want.Region || l.Model != want.Model ||
+				l.Error != want.Error || l.Rank != want.Rank || l.Score != want.Score || l.FailProb != want.FailProb {
+				t.Fatalf("%s line %d: %+v, scan %+v", name, i, l, want)
+			}
+		}
 	}
 }

@@ -150,7 +150,7 @@ func TestChaosServerSurvives(t *testing.T) {
 
 	// Every published snapshot is fully formed (a torn publish would
 	// leave nil fields that panic the read path).
-	for name, tm := range *s.def.models.Load() {
+	for name, tm := range publishedModels(s.def) {
 		if tm == nil || tm.ranking == nil {
 			t.Fatalf("torn snapshot published for %s", name)
 		}
@@ -162,16 +162,12 @@ func TestChaosServerSurvives(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/readyz", nil); code != 503 {
 		t.Fatal("readyz not draining after BeginShutdown")
 	}
-	waitFor(t, func() bool {
-		s.def.mu.Lock()
-		defer s.def.mu.Unlock()
-		return len(s.def.pending) == 0
-	})
+	waitFor(t, func() bool { return inflightFits(s.def) == 0 })
 }
 
 // TestChaosSingleflightUnderCancellation hammers one model with waves
 // of short-deadline requests against a hanging trainer, then asserts
-// the pending map converges to empty and a clean train still works —
+// in-flight fits converge to none and a clean train still works —
 // the refcounted abandon path never leaks a job or a goroutine.
 func TestChaosSingleflightUnderCancellation(t *testing.T) {
 	s, _ := newTestServer(t)
@@ -199,11 +195,7 @@ func TestChaosSingleflightUnderCancellation(t *testing.T) {
 		wg.Wait()
 	}
 
-	waitFor(t, func() bool {
-		s.def.mu.Lock()
-		defer s.def.mu.Unlock()
-		return len(s.def.pending) == 0
-	})
+	waitFor(t, func() bool { return inflightFits(s.def) == 0 })
 	if hangs.Load() == 0 {
 		t.Fatal("hanging trainer never ran")
 	}

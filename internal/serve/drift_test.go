@@ -45,18 +45,20 @@ func TestDriftWindowMatchesRescan(t *testing.T) {
 	for _, windowDays := range []int{1, 30, 366, 1000} {
 		ing := &ingestState{
 			seen:          map[string]struct{}{},
-			inWindow:      map[string]int{},
+			inWindow:      make([]int32, 15),
 			windowDays:    windowDays,
 			gLiveEvents:   new(obs.Gauge),
 			gWindowEvents: new(obs.Gauge),
 		}
 		for i := 0; i < 600; i++ {
+			row := rng.Intn(15)
 			ev := walEvent{
 				ID:     fmt.Sprintf("w%d-%d", windowDays, i),
 				Type:   "failure",
-				PipeID: fmt.Sprintf("P%d", rng.Intn(15)),
+				PipeID: fmt.Sprintf("P%d", row),
 				Year:   2000 + rng.Intn(4),
 				Day:    1 + rng.Intn(366),
+				row:    row,
 			}
 			if rng.Intn(6) == 0 {
 				ev.Type = "renewal"
@@ -65,15 +67,13 @@ func TestDriftWindowMatchesRescan(t *testing.T) {
 
 			want := rescanWindow(ing)
 			total := 0
-			for pipe, n := range want {
-				total += n
-				if ing.inWindow[pipe] != n {
+			for row, n := range ing.inWindow {
+				pipe := fmt.Sprintf("P%d", row)
+				total += want[pipe]
+				if int(n) != want[pipe] {
 					t.Fatalf("window %d, event %d: pipe %s has %d in-window failures, rescan %d",
-						windowDays, i, pipe, ing.inWindow[pipe], n)
+						windowDays, i, pipe, n, want[pipe])
 				}
-			}
-			if len(ing.inWindow) != len(want) {
-				t.Fatalf("window %d, event %d: %d pipes in window, rescan %d", windowDays, i, len(ing.inWindow), len(want))
 			}
 			if len(ing.window) != total || ing.gWindowEvents.Value() != float64(total) {
 				t.Fatalf("window %d, event %d: window_events %d (gauge %v), rescan %d",
@@ -120,7 +120,7 @@ func TestDriftGaugesMatchRescan(t *testing.T) {
 		resp.Body.Close()
 
 		ing := s.def.ingest
-		tm := (*s.def.models.Load())[def]
+		tm := s.def.snapshot(def)
 		window := rescanWindow(ing)
 		labels := make([]bool, len(tm.ranking.PipeIDs))
 		for i, id := range tm.ranking.PipeIDs {

@@ -96,19 +96,15 @@ type ingestState struct {
 	// at most one in flight.
 	drainPending atomic.Bool
 
-	// defModel names the model the drift gauges evaluate (the server's
-	// default model), resolved once at SetEventLog time.
-	defModel string
-
 	// windowDays and maxDayIdx define the rolling drift window:
 	// (maxDayIdx-windowDays, maxDayIdx] in year*366+day space. window
-	// holds the in-window failures as a min-heap on day index and
-	// inWindow counts them per pipe; applyLocked keeps both current,
+	// holds the in-window failures as a min-heap on day index, inWindow
+	// counts them per registry row, and applyLocked keeps both current,
 	// popping failures as the window's start passes them. Guarded by mu.
 	windowDays int
 	maxDayIdx  int
 	window     windowHeap
-	inWindow   map[string]int
+	inWindow   []int32
 
 	// driftSeq and driftSnap are the event seq and default snapshot the
 	// drift AUC pair was last computed at (see refreshDrift).
@@ -128,10 +124,10 @@ type ingestState struct {
 	gLiveAUC, gTrainAUC, gDriftSeq, gWindowEvents, gLiveEvents *obs.Gauge
 }
 
-// windowEntry is one in-window failure: its year*366+day index and pipe.
+// windowEntry is one in-window failure: its year*366+day index and the
+// pipe's registry row.
 type windowEntry struct {
-	idx  int
-	pipe string
+	idx, row int
 }
 
 // windowHeap is a binary min-heap of windowEntry on idx. It is hand
@@ -197,20 +193,16 @@ func (s *Server) SetEventLog(cfg EventLogConfig) error {
 	}
 	reg := obs.Default()
 	for _, sh := range s.shards {
-		dir := cfg.Dir
-		walName := "serve.wal"
-		if len(s.shards) > 1 {
-			token := obs.SanitizeMetricName(sh.region)
-			dir = filepath.Join(cfg.Dir, token)
-			walName = "serve.wal." + token
-		}
 		token := obs.SanitizeMetricName(sh.region)
+		dir, walName := cfg.Dir, "serve.wal"
+		if len(s.shards) > 1 {
+			dir, walName = filepath.Join(cfg.Dir, token), "serve.wal."+token
+		}
 		ing := &ingestState{
 			seen:          make(map[string]struct{}),
 			maxBacklog:    cfg.MaxBacklogBytes,
 			windowDays:    cfg.WindowDays,
-			inWindow:      make(map[string]int),
-			defModel:      string(s.defaultModel),
+			inWindow:      make([]int32, sh.data.NumPipes()),
 			gLiveAUC:      reg.Gauge("serve.shard." + token + ".drift.live_auc"),
 			gTrainAUC:     reg.Gauge("serve.shard." + token + ".drift.train_auc"),
 			gDriftSeq:     reg.Gauge("serve.shard." + token + ".drift.seq"),
@@ -283,6 +275,7 @@ type walEvent struct {
 	Year    int    `json:"year"`
 	Day     int    `json:"day,omitempty"`
 	Mode    string `json:"mode,omitempty"`
+	row     int    // PipeID's registry row, set by checkEvent; not logged
 }
 
 // normalize fills schema defaults in place so the logged record is
@@ -345,6 +338,7 @@ func (sh *shard) checkEvent(ev *walEvent) error {
 	if !ok {
 		return fmt.Errorf("unknown pipe %q", ev.PipeID)
 	}
+	ev.row = row
 	laid, segments := int(sh.data.Registry.LaidYear[row]), int(sh.data.Registry.Segments[row])
 	switch ev.Type {
 	case "failure":
@@ -381,7 +375,7 @@ func (sh *shard) checkEvent(ev *walEvent) error {
 	return nil
 }
 
-// applyLocked folds one validated, deduplicated event into the overlays.
+// applyLocked folds one checked, deduplicated event into the overlays.
 // Callers hold ing.mu (or have exclusive access during replay).
 func (ing *ingestState) applyLocked(ev *walEvent) {
 	ing.seen[ev.ID] = struct{}{}
@@ -394,7 +388,7 @@ func (ing *ingestState) applyLocked(ev *walEvent) {
 			Day:     ev.Day,
 			Mode:    dataset.FailureMode(ev.Mode),
 		})
-		ing.advanceWindow(ev.Year*366+ev.Day, ev.PipeID)
+		ing.advanceWindow(ev.Year*366+ev.Day, ev.row)
 	case "renewal":
 		ing.renewals = append(ing.renewals, pipefail.Renewal{PipeID: ev.PipeID, Year: ev.Year})
 	}
@@ -407,22 +401,17 @@ func (ing *ingestState) applyLocked(ev *walEvent) {
 // every failure the window's start has passed. A failure that is
 // already older than the window never enters it; the start only moves
 // forward, so it never could. Callers hold ing.mu.
-func (ing *ingestState) advanceWindow(idx int, pipe string) {
+func (ing *ingestState) advanceWindow(idx, row int) {
 	if idx > ing.maxDayIdx {
 		ing.maxDayIdx = idx
 	}
 	cutoff := ing.maxDayIdx - ing.windowDays
 	if idx > cutoff {
-		ing.window.push(windowEntry{idx, pipe})
-		ing.inWindow[pipe]++
+		ing.window.push(windowEntry{idx, row})
+		ing.inWindow[row]++
 	}
 	for len(ing.window) > 0 && ing.window[0].idx <= cutoff {
-		e := ing.window.pop()
-		if n := ing.inWindow[e.pipe] - 1; n > 0 {
-			ing.inWindow[e.pipe] = n
-		} else {
-			delete(ing.inWindow, e.pipe)
-		}
+		ing.inWindow[ing.window.pop().row]--
 	}
 }
 
@@ -479,16 +468,17 @@ func (sh *shard) trainPipeline() (*pipefail.Pipeline, int64, error) {
 	return p, seq, nil
 }
 
-// refreshDrift recomputes the shard's live-vs-train AUC gauges, and
-// stamps drift.seq with the event seq they reflect, when the event seq
-// or the published default snapshot moved since the last computation.
+// refreshDrift recomputes the shard's live-vs-train AUC gauges for the
+// default model, whose slot is def, and stamps drift.seq with the event
+// seq they reflect, when the event seq or the published default snapshot
+// moved since the last computation.
 // The pair is left as it was while the default model is unpublished or
 // the live window is degenerate (no failed or no intact pipe — AUC is
 // undefined then, and a NaN gauge would be worse than a stale one).
-func (ing *ingestState) refreshDrift(sh *shard) {
+func (ing *ingestState) refreshDrift(def *modelSlot) {
 	ing.driftMu.Lock()
 	defer ing.driftMu.Unlock()
-	tm := (*sh.models.Load())[ing.defModel]
+	tm := def.snap.Load()
 	ing.mu.Lock()
 	seq := ing.seq.Load()
 	if tm == nil || (tm == ing.driftSnap && seq == ing.driftSeq) {
@@ -496,14 +486,14 @@ func (ing *ingestState) refreshDrift(sh *shard) {
 		return
 	}
 	ing.driftSnap, ing.driftSeq = tm, seq
-	if len(ing.inWindow) == 0 {
+	if len(ing.window) == 0 {
 		ing.mu.Unlock()
 		return
 	}
-	labels := make([]bool, len(tm.ranking.PipeIDs))
+	labels := make([]bool, len(tm.ranking.Rows))
 	pos := 0
-	for i, id := range tm.ranking.PipeIDs {
-		if ing.inWindow[id] > 0 {
+	for i, row := range tm.ranking.Rows {
+		if ing.inWindow[row] > 0 {
 			labels[i] = true
 			pos++
 		}
@@ -513,7 +503,7 @@ func (ing *ingestState) refreshDrift(sh *shard) {
 		return
 	}
 	ing.gLiveAUC.Set(eval.AUC(tm.ranking.Scores, labels))
-	ing.gTrainAUC.Set(tm.ranking.AUC())
+	ing.gTrainAUC.Set(tm.auc)
 	ing.gDriftSeq.Set(float64(seq))
 }
 
@@ -557,14 +547,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	order := make([]*shard, 0, 1)
 	for i := range events {
 		ev := &events[i]
-		sh := s.def
-		if ev.Region != "" {
-			var ok bool
-			if sh, ok = s.byRegion[ev.Region]; !ok {
-				s.metrics.eventsRejected.Inc()
-				s.writeErr(w, http.StatusBadRequest, "event %d: unknown region %q", i, ev.Region)
-				return
-			}
+		sh, err := s.shardNamed(ev.Region, s.def)
+		if err != nil {
+			s.metrics.eventsRejected.Inc()
+			s.writeErr(w, http.StatusBadRequest, "event %d: %v", i, err)
+			return
 		}
 		if err := sh.checkEvent(ev); err != nil {
 			s.metrics.eventsRejected.Inc()

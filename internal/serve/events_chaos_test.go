@@ -183,7 +183,7 @@ func TestChaosIngestStormDuringRebuilds(t *testing.T) {
 	// One more pass now that ingest has quiesced: the published snapshot
 	// must catch up to the final seq.
 	rebuildAll(s, []rebuildTarget{{sh: s.def, name: def}})
-	tm := (*s.def.models.Load())[def]
+	tm := s.def.snapshot(def)
 	if tm.eventSeq != int64(workers*perWorker) {
 		t.Fatalf("final snapshot trained at seq %d, want %d", tm.eventSeq, workers*perWorker)
 	}

@@ -352,7 +352,7 @@ func TestEventsArrivalOrderSameETag(t *testing.T) {
 			}
 		}
 		rebuildAll(s, []rebuildTarget{{sh: s.def, name: s.defaultModel}})
-		tm := (*s.def.models.Load())[s.defaultModel]
+		tm := s.def.snapshot(s.defaultModel)
 		if tm == nil || tm.eventSeq != int64(len(events)) {
 			t.Fatalf("order %d: no snapshot at seq %d", k, len(events))
 		}
@@ -424,7 +424,7 @@ func TestEventsMarkModelsStaleAndDriftGauges(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/api/models/"+def+"/train", nil, nil); code != http.StatusOK {
 		t.Fatalf("train status %d", code)
 	}
-	tm0 := (*s.def.models.Load())[def]
+	tm0 := s.def.snapshot(def)
 	if tm0.eventSeq != 0 {
 		t.Fatalf("base snapshot eventSeq %d, want 0", tm0.eventSeq)
 	}
@@ -463,7 +463,7 @@ func TestEventsMarkModelsStaleAndDriftGauges(t *testing.T) {
 
 	// A rebuild retrains on the event-extended window and stamps the seq.
 	rebuildAll(s, []rebuildTarget{{sh: s.def, name: def}})
-	tm1 := (*s.def.models.Load())[def]
+	tm1 := s.def.snapshot(def)
 	if tm1.eventSeq != 1 {
 		t.Fatalf("rebuilt snapshot eventSeq %d, want 1", tm1.eventSeq)
 	}
@@ -495,7 +495,7 @@ func TestEventsRepublishRotatesCachedResponses(t *testing.T) {
 		t.Fatalf("event status %d", code)
 	}
 	rebuildAll(s, []rebuildTarget{{sh: s.def, name: def}})
-	tm := (*s.def.models.Load())[def]
+	tm := s.def.snapshot(def)
 
 	after := fetchRankingETag(t, url)
 	if after != tm.etag {

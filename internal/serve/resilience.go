@@ -91,16 +91,12 @@ func (s *Server) deadlined(h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	trained := 0
 	for _, sh := range s.shards {
-		trained += len(*sh.models.Load())
+		trained += sh.published()
 	}
+	status, code := "ready", http.StatusOK
 	if s.draining.Load() {
 		w.Header()["Retry-After"] = retryAfter1s
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "draining", "models_trained": trained,
-		})
-		return
+		status, code = "draining", http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ready", "models_trained": trained,
-	})
+	s.writeJSON(w, code, map[string]any{"status": status, "models_trained": trained})
 }

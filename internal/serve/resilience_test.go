@@ -245,7 +245,7 @@ func TestLastWaiterOutCancelsTraining(t *testing.T) {
 	waitFor(t, func() bool {
 		s.def.mu.Lock()
 		defer s.def.mu.Unlock()
-		job := s.def.pending["Heuristic-Age"]
+		job := s.def.slot("Heuristic-Age").job
 		return job != nil && job.waiters == 2
 	})
 

@@ -13,24 +13,25 @@ package serve
 // one slot busy while a fast one (Heuristic-Age) republishes on every
 // tick through the others; a target that finds every slot busy is
 // counted deferred and retried on the next tick, ahead of every target
-// that republished since (see staleTargets). Rebuilds run through
-// the exact same per-shard singleflight, cancellation and atomic-publish
-// machinery as request-triggered training, so:
+// that republished since (see staleTargets). Rebuilds start through
+// the same helper as request-triggered training (startFitLocked), so
+// they share its per-shard singleflight, cancellation and atomic
+// publish:
 //
-//   - readers never block: the published copy-on-write map keeps
-//     serving the old snapshot until the new one swaps in atomically
-//     (with its ETag re-derived — deterministic training reproduces the
-//     same validator, so client caches stay warm across rebuilds);
+//   - readers never block: the model's slot keeps serving the old
+//     snapshot until the new one swaps in atomically (with its ETag
+//     re-derived — deterministic training reproduces the same
+//     validator, so client caches stay warm across rebuilds);
 //   - a scheduled rebuild and a request-triggered train of the same
-//     model collapse into one run (whoever gets the pending slot first
-//     wins, the other joins or skips);
-//   - BeginShutdown cancels every dispatched rebuild via the lifecycle
-//     context and waits for their goroutines before it returns.
+//     model collapse into one run (whoever installs the slot's job
+//     first wins, the other joins or skips);
+//   - BeginShutdown cancels every fit via the lifecycle context and
+//     waits for their goroutines before it returns.
 
 import (
-	"context"
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -91,8 +92,8 @@ type rebuildTarget struct {
 // staleTargets lists what a tick rebuilds: each shard's unbuilt default
 // model and every published snapshot trained before the shard's latest
 // live event, oldest first — unbuilt targets, then by the event seq the
-// snapshot trained at, ties broken by (region, model) so the order does
-// not depend on map iteration. Oldest first is what bounds staleness
+// snapshot trained at, ties in (shard, model slot) order. Oldest first
+// is what bounds staleness
 // under steady ingest: a target that found every slot busy keeps its old
 // seq and so takes the first free slot on a later tick, while a target
 // that just republished moves behind every target still waiting.
@@ -100,47 +101,37 @@ func (s *Server) staleTargets() []rebuildTarget {
 	def := s.defaultModel
 	var targets []rebuildTarget
 	for _, sh := range s.shards {
-		models := *sh.models.Load()
-		if _, ok := models[def]; !ok {
+		if sh.slot(def).snap.Load() == nil {
 			targets = append(targets, rebuildTarget{sh, def, -1})
 		}
 		// A snapshot is stale when live events have been ingested past
 		// the seq it trained at; training is deterministic in the data,
 		// so retraining anything else would reproduce the same snapshot.
 		seqNow := sh.eventSeqNow()
-		for name, tm := range models {
-			if tm.eventSeq < seqNow {
-				targets = append(targets, rebuildTarget{sh, name, tm.eventSeq})
+		for i := range sh.models {
+			sl := &sh.models[i]
+			if tm := sl.snap.Load(); tm != nil && tm.eventSeq < seqNow {
+				targets = append(targets, rebuildTarget{sh, sl.name, tm.eventSeq})
 			}
 		}
 	}
-	sort.Slice(targets, func(i, j int) bool {
-		a, b := targets[i], targets[j]
-		if a.seq != b.seq {
-			return a.seq < b.seq
-		}
-		if a.sh.region != b.sh.region {
-			return a.sh.region < b.sh.region
-		}
-		return a.name < b.name
-	})
+	slices.SortStableFunc(targets, func(a, b rebuildTarget) int { return cmp.Compare(a.seq, b.seq) })
 	return targets
 }
 
-// dispatch starts one rebuild goroutine per target that is not already
-// in flight (a request or an earlier tick is training it: the rebuild is
-// already happening), as long as a worker slot is free. Targets that
-// find every slot busy are returned as deferred, and counted, for the
-// next tick. wait blocks until every rebuild this call started has
-// published or failed. Once BeginShutdown has begun, dispatch starts
-// nothing.
+// dispatch starts one rebuild per target that is not already in flight
+// (a request or an earlier tick is training it: the rebuild is already
+// happening), as long as a worker slot is free. Targets that find every
+// slot busy are returned as deferred, and counted, for the next tick.
+// wait blocks until every rebuild this call started has published or
+// failed. Once BeginShutdown has begun, dispatch starts nothing.
 func (s *Server) dispatch(targets []rebuildTarget) (deferred []rebuildTarget, wait func()) {
 	var started sync.WaitGroup
 	slots := s.rebuildSlots
 	for _, t := range targets {
-		sh := t.sh
+		sh, sl := t.sh, t.sh.slot(t.name)
 		sh.mu.Lock()
-		if _, inflight := sh.pending[t.name]; inflight {
+		if sl.job != nil {
 			sh.mu.Unlock()
 			continue
 		}
@@ -152,35 +143,27 @@ func (s *Server) dispatch(targets []rebuildTarget) (deferred []rebuildTarget, wa
 			deferred = append(deferred, t)
 			continue
 		}
-		// rebuildMu orders this Add against BeginShutdown's Wait.
-		s.rebuildMu.Lock()
-		if s.lifecycle.Err() != nil {
-			s.rebuildMu.Unlock()
-			sh.mu.Unlock()
-			<-slots
-			break
-		}
-		s.rebuilding.Add(1)
-		s.rebuildMu.Unlock()
-		tctx, cancel := context.WithCancel(s.lifecycle)
-		job := &trainJob{done: make(chan struct{}), cancel: cancel, waiters: 1}
-		sh.pending[t.name] = job
-		sh.mu.Unlock()
-
-		s.metrics.schedRebuilds.Inc()
-		sh.rebuilds.Inc()
 		started.Add(1)
-		go func(sh *shard, name string) {
-			defer s.rebuilding.Done()
-			defer started.Done()
-			defer func() { <-slots }()
-			s.runTrain(tctx, sh, name, job)
+		job := s.startFitLocked(sh, sl, func(job *trainJob) {
 			if job.err != nil {
 				s.metrics.schedFailures.Inc()
 				sh.rebuildFailures.Inc()
-				s.log.Printf("serve: scheduled rebuild of %s/%s failed: %v", sh.region, name, job.err)
+				s.log.Printf("serve: scheduled rebuild of %s/%s failed: %v", sh.region, sl.name, job.err)
 			}
-		}(sh, t.name)
+			<-slots
+			started.Done()
+		})
+		if job == nil {
+			sh.mu.Unlock()
+			started.Done()
+			<-slots
+			break
+		}
+		// Counted under sh.mu, which the fit takes to publish: whoever
+		// sees the new snapshot also sees the rebuild counted.
+		s.metrics.schedRebuilds.Inc()
+		sh.rebuilds.Inc()
+		sh.mu.Unlock()
 	}
 	return deferred, started.Wait
 }

@@ -9,6 +9,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -28,12 +29,45 @@ func rebuildAll(s *Server, targets []rebuildTarget) {
 	}
 }
 
+// snapshot returns the published snapshot of the named model, nil when
+// the model is unknown or not yet published.
+func (sh *shard) snapshot(name string) *modelSnapshot {
+	if sl := sh.slot(name); sl != nil {
+		return sl.snap.Load()
+	}
+	return nil
+}
+
+// publishedModels maps each model published on sh to its snapshot.
+func publishedModels(sh *shard) map[string]*modelSnapshot {
+	out := map[string]*modelSnapshot{}
+	for i := range sh.models {
+		if tm := sh.models[i].snap.Load(); tm != nil {
+			out[sh.models[i].name] = tm
+		}
+	}
+	return out
+}
+
+// inflightFits counts the fits in flight on sh.
+func inflightFits(sh *shard) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	n := 0
+	for i := range sh.models {
+		if sh.models[i].job != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // forcedTargets is every shard's default model plus every published
 // snapshot, stale or not.
 func forcedTargets(s *Server) []rebuildTarget {
 	var out []rebuildTarget
 	for _, sh := range s.shards {
-		models := *sh.models.Load()
+		models := publishedModels(sh)
 		if _, ok := models[s.defaultModel]; !ok {
 			out = append(out, rebuildTarget{sh: sh, name: s.defaultModel})
 		}
@@ -54,7 +88,7 @@ func TestSchedulerTrainsUnbuiltShards(t *testing.T) {
 	def := string(s.defaultModel)
 	waitFor(t, func() bool {
 		for _, sh := range s.shards {
-			if _, ok := (*sh.models.Load())[def]; !ok {
+			if sh.snapshot(def) == nil {
 				return false
 			}
 		}
@@ -87,8 +121,8 @@ func TestSchedulerRebuildAtomicIdentical(t *testing.T) {
 	// Nothing is stale (no events); only a forced dispatch rebuilds.
 	rebuildAll(s, forcedTargets(s))
 
-	after, ok := (*s.def.models.Load())["Heuristic-Age"]
-	if !ok {
+	after := s.def.snapshot("Heuristic-Age")
+	if after == nil {
 		t.Fatal("model vanished across a rebuild")
 	}
 	if after == before {
@@ -113,11 +147,11 @@ func TestSchedulerSkipsInflightTraining(t *testing.T) {
 	s, _ := newTestServer(t)
 	job := &trainJob{done: make(chan struct{})}
 	s.def.mu.Lock()
-	s.def.pending["Heuristic-Age"] = job
+	s.def.slot("Heuristic-Age").job = job
 	s.def.mu.Unlock()
 	defer func() {
 		s.def.mu.Lock()
-		delete(s.def.pending, "Heuristic-Age")
+		s.def.slot("Heuristic-Age").job = nil
 		s.def.mu.Unlock()
 	}()
 
@@ -158,7 +192,7 @@ func TestSchedulerRebuildsOnlyOnEvents(t *testing.T) {
 	if _, err := s.get(context.Background(), "Heuristic-Age"); err != nil {
 		t.Fatal(err)
 	}
-	published := len(*s.def.models.Load())
+	published := s.def.published()
 	if published != 2 {
 		t.Fatalf("published %d models, want %s and Heuristic-Age", published, def)
 	}
@@ -177,7 +211,7 @@ func TestSchedulerRebuildsOnlyOnEvents(t *testing.T) {
 	if got := s.metrics.schedRebuilds.Value() - rebuildsBefore; got != int64(published) {
 		t.Fatalf("dispatch after one event started %d rebuilds, want %d (one per stale model)", got, published)
 	}
-	for name, tm := range *s.def.models.Load() {
+	for name, tm := range publishedModels(s.def) {
 		if tm.eventSeq != 1 {
 			t.Fatalf("%s rebuilt at event seq %d, want 1", name, tm.eventSeq)
 		}
@@ -214,15 +248,15 @@ func TestSchedulerSlowFitDoesNotHoldBackFastModel(t *testing.T) {
 		if i == 1 {
 			<-slowStarted
 		}
-		waitFor(t, func() bool { return (*s.def.models.Load())["Heuristic-Age"].eventSeq == int64(i) })
+		waitFor(t, func() bool { return s.def.snapshot("Heuristic-Age").eventSeq == int64(i) })
 	}
 	s.def.mu.Lock()
-	_, slowInflight := s.def.pending[def]
+	slowInflight := s.def.slot(def).job != nil
 	s.def.mu.Unlock()
 	if !slowInflight {
 		t.Fatal("the blocked default-model rebuild is no longer in flight")
 	}
-	if got := (*s.def.models.Load())[def].eventSeq; got != 0 {
+	if got := s.def.snapshot(def).eventSeq; got != 0 {
 		t.Fatalf("blocked model republished at seq %d", got)
 	}
 }
@@ -250,10 +284,7 @@ func TestShutdownWaitsForDispatchedRebuilds(t *testing.T) {
 	if n := running.Load(); n != 0 {
 		t.Fatalf("%d trainers still running after BeginShutdown", n)
 	}
-	s.def.mu.Lock()
-	pending := len(s.def.pending)
-	s.def.mu.Unlock()
-	if pending != 0 {
+	if pending := inflightFits(s.def); pending != 0 {
 		t.Fatalf("%d singleflight slots held after BeginShutdown", pending)
 	}
 	if n := len(s.rebuildSlots); n != 0 {
@@ -267,6 +298,48 @@ func TestShutdownWaitsForDispatchedRebuilds(t *testing.T) {
 	}
 	if got := s.metrics.schedRebuilds.Value() - rebuildsBefore; got != 0 {
 		t.Fatalf("dispatch after shutdown started %d rebuilds", got)
+	}
+}
+
+// TestShutdownWaitsForRequestStartedFits: a fit started by a request,
+// not the scheduler, is cancelled by BeginShutdown too, and
+// BeginShutdown returns only after it has exited — even when the trainer
+// lingers after its context is cancelled.
+func TestShutdownWaitsForRequestStartedFits(t *testing.T) {
+	s, ts := newTestServer(t)
+	started := make(chan struct{})
+	var running atomic.Int32
+	s.trainFn = func(ctx context.Context, sh *shard, name string) (*modelSnapshot, error) {
+		running.Add(1)
+		defer running.Add(-1)
+		close(started)
+		<-ctx.Done()
+		time.Sleep(50 * time.Millisecond) // a fit winding down after cancellation
+		return nil, ctx.Err()
+	}
+	code := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/api/models/Heuristic-Age/train", "application/json", nil)
+		if err != nil {
+			code <- 0
+			return
+		}
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}()
+	<-started
+	s.BeginShutdown()
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d request-started trainers still running after BeginShutdown", n)
+	}
+	if n := inflightFits(s.def); n != 0 {
+		t.Fatalf("%d fits in flight after BeginShutdown", n)
+	}
+	if c := <-code; c != http.StatusServiceUnavailable {
+		t.Fatalf("train request cut by shutdown answered %d, want 503", c)
+	}
+	if _, err := s.get(context.Background(), "Heuristic-Age"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("get after shutdown: %v, want a cancellation error", err)
 	}
 }
 
@@ -294,7 +367,7 @@ func TestSchedulerStaleTargetsDoNotStarve(t *testing.T) {
 		if tick < n {
 			continue
 		}
-		published := *s.def.models.Load()
+		published := publishedModels(s.def)
 		for _, name := range models {
 			if seq := published[name].eventSeq; seq <= int64(tick-n) {
 				t.Fatalf("tick %d: %s last republished at seq %d, more than %d ticks ago", tick, name, seq, n)

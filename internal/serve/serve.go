@@ -43,10 +43,9 @@ const DefaultCacheBytes = 32 << 20
 // concurrent requests for the same model block on the in-flight run and
 // share its outcome instead of being refused.
 //
-// The read path is lock-free: each shard's trained models live in an
-// immutable copy-on-write map behind an atomic pointer (published under
-// the shard mutex, read with a single atomic load), each pointing at a
-// frozen modelSnapshot (see snapshot.go). Encoded
+// The read path is lock-free: each shard keeps one slot per model whose
+// atomic pointer (published under the shard mutex, read with a single
+// atomic load) points at a frozen modelSnapshot (see snapshot.go). Encoded
 // ranking/cohort/hotspot responses are replayed from per-shard
 // size-bounded respcache LRUs, with 304 Not-Modified served off the
 // snapshot ETag.
@@ -115,14 +114,16 @@ type Server struct {
 	eventsOn bool
 
 	// Rebuild scheduler state (see sched.go). rebuildSlots bounds the
-	// concurrently running scheduled rebuilds; rebuilding counts their
-	// goroutines so BeginShutdown can wait them out, and rebuildMu orders
-	// its Adds against that Wait.
+	// concurrently running scheduled rebuilds.
 	schedOn       atomic.Bool
 	schedInterval time.Duration
 	rebuildSlots  chan struct{}
-	rebuildMu     sync.Mutex
-	rebuilding    sync.WaitGroup
+
+	// fits counts the goroutines of every fit in flight, request-started
+	// or scheduled, so BeginShutdown can wait them out; fitMu orders
+	// their Adds against that Wait (see startFitLocked).
+	fitMu sync.Mutex
+	fits  sync.WaitGroup
 }
 
 // routeSpec is one registered route: its mux pattern, its metric name,
@@ -226,11 +227,11 @@ func (m *serveMetrics) refreshRuntime() {
 	}
 }
 
-// trainJob is the singleflight slot for one model name: done is closed
-// when the training run finishes, after tm and err are set. waiters
-// (guarded by Server.mu) counts the requests blocked on the run; when the
-// last one abandons it — client disconnect or request deadline — cancel
-// fires and the run aborts instead of burning CPU for nobody.
+// trainJob is one fit in flight, held in its model's slot: done is
+// closed when the training run finishes, after tm and err are set.
+// waiters (guarded by shard.mu) counts the requests blocked on the run;
+// when the last one abandons it — client disconnect or request deadline
+// — cancel fires and the run aborts instead of burning CPU for nobody.
 type trainJob struct {
 	done    chan struct{}
 	tm      *modelSnapshot
@@ -328,17 +329,18 @@ func (s *Server) SetRequestTimeout(d time.Duration) {
 // BeginShutdown transitions the server into draining: /readyz flips to
 // 503 so load balancers stop routing, new requests on sheddable routes
 // are refused with 503 + Retry-After, and every in-flight training run is
-// cancelled via its context; it returns once the scheduler's cancelled
-// rebuilds have exited. In-flight requests finish their responses — pair
-// this with http.Server.Shutdown, which drains connections. Idempotent.
+// cancelled via its context; it returns once every cancelled fit,
+// request-started or scheduled, has exited. In-flight requests finish
+// their responses — pair this with http.Server.Shutdown, which drains
+// connections. Idempotent.
 func (s *Server) BeginShutdown() {
 	if s.draining.CompareAndSwap(false, true) {
 		s.log.Printf("serve: draining: refusing new work, cancelling in-flight training")
 	}
-	s.rebuildMu.Lock()
+	s.fitMu.Lock()
 	s.cancelLifecycle()
-	s.rebuildMu.Unlock()
-	s.rebuilding.Wait()
+	s.fitMu.Unlock()
+	s.fits.Wait()
 	// Seal the event logs after the drain flag flips: new ingest is
 	// already refused, and stragglers get ErrClosed → 503, never a lost
 	// acknowledgment.
@@ -589,53 +591,60 @@ type entryQuery struct {
 // snapshotEntry resolves the cached ranking or plan body for one
 // published snapshot — the single path behind GET /ranking, POST /plan
 // and every bulk region segment, so their cache entries (and bytes)
-// always coincide. It builds the canonical key in pooled scratch and
-// replays a hit without allocating; on a miss it builds the body and
-// Adds it only on success, so failures are never cached. Concurrent
-// misses on one key each build the same immutable bytes, and the cache
-// keeps whichever Add lands first. The status accompanies a non-nil
-// error and is what the failure maps to: 409 for a plan against a model
-// without a calibrator, 400 for a plan that fails validation, 500 for an
-// encode failure.
+// always coincide. It keys the entry canonically and replays a hit
+// without allocating (see cachedEntry). Concurrent misses on one key
+// each build the same immutable bytes, and the cache keeps whichever Add
+// lands first. The status accompanies a non-nil error and is what the
+// failure maps to: 409 for a plan against a model without a calibrator,
+// 400 for a plan that fails validation, 500 for an encode failure.
 func (s *Server) snapshotEntry(sh *shard, tm *modelSnapshot, model string, q entryQuery) (respcache.Entry, int, error) {
 	isPlan := q.top == 0
 	if isPlan && tm.calibrator == nil {
 		return respcache.Entry{}, http.StatusConflict, fmt.Errorf("model %q has no calibrator; cannot price a plan", model)
 	}
-	kp := keyPool.Get().(*[]byte)
-	key := (*kp)[:0]
-	if isPlan {
-		key = appendPlanKey(key, model, tm.etag, q.cm, q.b)
-	} else {
+	var status int
+	e, hit, err := cachedEntry(sh.cache, func(key []byte) []byte {
+		if isPlan {
+			return appendPlanKey(key, model, tm.etag, q.cm, q.b)
+		}
 		// Canonical count: the clamped, re-rendered length, so top=050
 		// and any top beyond the ranking length share one entry.
-		key = appendRankingKey(key, model, tm.etag, len(tm.topEntries(q.top)))
-	}
-	e, hit := sh.cache.Get(key)
-	var (
-		status int
-		err    error
-	)
-	switch {
-	case hit && isPlan:
-		s.metrics.planCacheHits.Inc()
-	case isPlan:
-		s.metrics.planCacheMisses.Inc()
-		e, status, err = s.buildPlanBody(tm, model, q.cm, q.b)
-	case !hit:
-		var body []byte
-		if body, err = encodeBody(tm.topEntries(q.top)); err != nil {
-			s.log.Printf("serve: encode ranking for %s: %v", model, err)
-			status, err = http.StatusInternalServerError, errors.New("encoding ranking failed")
+		return appendRankingKey(key, model, tm.etag, len(tm.topEntries(q.top)))
+	}, func() (e respcache.Entry, err error) {
+		if isPlan {
+			s.metrics.planCacheMisses.Inc()
+			e, status, err = s.buildPlanBody(tm, model, q.cm, q.b)
+			return e, err
 		}
-		e = respcache.Entry{Body: body, ETag: tm.etag}
+		body, err := encodeBody(tm.topEntries(q.top))
+		if err != nil {
+			s.log.Printf("serve: encode ranking for %s: %v", model, err)
+			status = http.StatusInternalServerError
+			return e, errors.New("encoding ranking failed")
+		}
+		return respcache.Entry{Body: body, ETag: tm.etag}, nil
+	})
+	if hit && isPlan {
+		s.metrics.planCacheHits.Inc()
 	}
-	if !hit && err == nil {
-		sh.cache.Add(key, e)
+	return e, status, err
+}
+
+// cachedEntry returns the entry c holds under the key appendKey renders
+// into pooled scratch. On a miss it builds the entry with fill and Adds
+// it only when fill succeeds, so failures are never cached. A hit
+// allocates nothing.
+func cachedEntry(c *respcache.Cache, appendKey func(key []byte) []byte, fill func() (respcache.Entry, error)) (e respcache.Entry, hit bool, err error) {
+	kp := keyPool.Get().(*[]byte)
+	key := appendKey((*kp)[:0])
+	if e, hit = c.Get(key); !hit {
+		if e, err = fill(); err == nil {
+			c.Add(key, e)
+		}
 	}
 	*kp = key
 	keyPool.Put(kp)
-	return e, status, err
+	return e, hit, err
 }
 
 type apiError struct {
@@ -678,6 +687,20 @@ func queryParam(rawQuery, key string) (string, bool, error) {
 	return "", false, nil
 }
 
+// countParam parses the optional positive count parameter key, def when
+// absent or empty.
+func countParam(rawQuery, key string, def int) (int, error) {
+	q, _, err := queryParam(rawQuery, key)
+	if err != nil || q == "" {
+		return def, err
+	}
+	n, err := strconv.Atoi(q)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("bad %s parameter %q", key, q)
+	}
+	return n, nil
+}
+
 // handleMetrics serves a JSON snapshot of the default obs registry:
 // per-endpoint request/latency/error series, the training singleflight
 // counters, the response-cache hit/miss/eviction counters, per-model
@@ -688,7 +711,7 @@ func queryParam(rawQuery, key string) (string, bool, error) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, sh := range s.shards {
 		if sh.ingest != nil {
-			sh.ingest.refreshDrift(sh)
+			sh.ingest.refreshDrift(sh.slot(s.defaultModel))
 		}
 	}
 	s.metrics.refreshRuntime()
@@ -700,7 +723,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
-	sh, err := s.shardFromQuery(r.URL.RawQuery)
+	sh, err := s.shardFromQuery(r.URL.RawQuery, s.def)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -735,34 +758,25 @@ type modelStatus struct {
 	FitSeconds float64 `json:"fit_seconds,omitempty"`
 }
 
+// status reports a published snapshot as one GET /api/models row.
+func (tm *modelSnapshot) status(name string) modelStatus {
+	return modelStatus{Name: name, Trained: true, AUC: tm.auc, Det1: tm.det1, FitSeconds: tm.fitSeconds}
+}
+
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	sh, err := s.shardFromQuery(r.URL.RawQuery)
+	sh, err := s.shardFromQuery(r.URL.RawQuery, s.def)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	models := *sh.models.Load()
-	var out []modelStatus
-	for _, name := range pipefail.Models() {
-		st := modelStatus{Name: name}
-		if tm, ok := models[name]; ok {
-			st.Trained = true
-			st.AUC = tm.ranking.AUC()
-			st.Det1 = tm.ranking.DetectionAt(0.01)
-			st.FitSeconds = tm.fitSeconds
+	out := make([]modelStatus, len(sh.models))
+	for i := range sh.models {
+		out[i] = modelStatus{Name: sh.models[i].name}
+		if tm := sh.models[i].snap.Load(); tm != nil {
+			out[i] = tm.status(out[i].Name)
 		}
-		out = append(out, st)
 	}
 	s.writeJSON(w, http.StatusOK, out)
-}
-
-func knownModel(name string) bool {
-	for _, m := range pipefail.Models() {
-		if m == name {
-			return true
-		}
-	}
-	return false
 }
 
 // errUnknownModel distinguishes a client naming error (400) from
@@ -780,17 +794,19 @@ func (s *Server) abandon(sh *shard, job *trainJob) {
 	sh.mu.Unlock()
 }
 
-// runTrain executes one training run on its own goroutine, containing
-// panics into recorded failures: a panicking trainer must never take the
-// process down, it becomes an error every waiter sees while the server
-// keeps serving (the next request for the model retrains from scratch).
-func (s *Server) runTrain(ctx context.Context, sh *shard, name string, job *trainJob) {
+// runTrain executes one training run on its own goroutine (see
+// startFitLocked), containing panics into recorded failures: a panicking
+// trainer must never take the process down, it becomes an error every
+// waiter sees while the server keeps serving (the next request for the
+// model retrains from scratch).
+func (s *Server) runTrain(ctx context.Context, sh *shard, sl *modelSlot, job *trainJob, after func(*trainJob)) {
+	defer s.fits.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.trainPanics.Inc()
 			job.tm = nil
-			job.err = fmt.Errorf("training %q panicked: %v", name, r)
-			s.log.Printf("serve: training %s panicked (contained): %v", name, r)
+			job.err = fmt.Errorf("training %q panicked: %v", sl.name, r)
+			s.log.Printf("serve: training %s panicked (contained): %v", sl.name, r)
 		}
 		if job.err != nil {
 			s.metrics.trainFailures.Inc()
@@ -799,19 +815,22 @@ func (s *Server) runTrain(ctx context.Context, sh *shard, name string, job *trai
 			}
 		}
 		sh.mu.Lock()
-		delete(sh.pending, name)
+		sl.job = nil
 		if job.err == nil {
-			sh.publishLocked(name, job.tm)
+			sl.snap.Store(job.tm)
 		}
 		sh.mu.Unlock()
 		job.cancel() // release the context's resources
 		close(job.done)
+		if after != nil {
+			after(job)
+		}
 	}()
-	job.tm, job.err = s.trainFn(ctx, sh, name)
+	job.tm, job.err = s.trainFn(ctx, sh, sl.name)
 }
 
 // train runs one full training pass for name on one shard and assembles
-// the frozen snapshot (see snapshot.go). It does not touch shard maps.
+// the frozen snapshot (see snapshot.go). It does not publish it.
 // Cancelling ctx aborts the fit at its next generation/round/epoch
 // boundary; a successful pass is persisted to the state dir when one is
 // configured.
@@ -834,7 +853,7 @@ func (s *Server) train(ctx context.Context, sh *shard, name string) (*modelSnaps
 	if err != nil {
 		return nil, err
 	}
-	s.log.Printf("serve: trained %s in %.2fs (AUC %.4f)", name, snap.fitSeconds, snap.ranking.AUC())
+	s.log.Printf("serve: trained %s in %.2fs (AUC %.4f)", name, snap.fitSeconds, snap.auc)
 	s.saveModel(sh, name, m)
 	return snap, nil
 }
@@ -858,7 +877,7 @@ func (s *Server) snapshotModel(sh *shard, pipe *pipefail.Pipeline, seq int64, na
 	} else {
 		calibrator = cal
 	}
-	tm := newModelSnapshot(name, ranking, calibrator, fitSeconds)
+	tm := newModelSnapshot(name, ranking, sh.data.NumPipes(), calibrator, fitSeconds)
 	tm.eventSeq = seq
 	return tm, nil
 }
@@ -876,24 +895,27 @@ func (s *Server) writeGetErr(w http.ResponseWriter, err error) {
 	s.writeErr(w, http.StatusServiceUnavailable, "%v", err)
 }
 
-func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
+// requestSnapshot resolves the request's ?region= shard and the model
+// named in its path, training it on first use. On failure it has
+// written the error response and returns a nil snapshot.
+func (s *Server) requestSnapshot(w http.ResponseWriter, r *http.Request) (*shard, string, *modelSnapshot) {
 	name := r.PathValue("name")
-	sh, err := s.shardFromQuery(r.URL.RawQuery)
+	sh, err := s.shardFromQuery(r.URL.RawQuery, s.def)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, name, nil
 	}
 	tm, err := s.getShard(r.Context(), sh, name)
 	if err != nil {
 		s.writeGetErr(w, err)
-		return
 	}
-	s.writeJSON(w, http.StatusOK, modelStatus{
-		Name: name, Trained: true,
-		AUC:        tm.ranking.AUC(),
-		Det1:       tm.ranking.DetectionAt(0.01),
-		FitSeconds: tm.fitSeconds,
-	})
+	return sh, name, tm
+}
+
+func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
+	if _, name, tm := s.requestSnapshot(w, r); tm != nil {
+		s.writeJSON(w, http.StatusOK, tm.status(name))
+	}
 }
 
 type rankedPipe struct {
@@ -904,33 +926,18 @@ type rankedPipe struct {
 }
 
 // handleRanking serves the top-N inspection worklist. Steady state is a
-// pure replay: one atomic map load for the snapshot, a pooled key build,
+// pure replay: one atomic slot load for the snapshot, a pooled key build,
 // one LRU lookup, and a single body write (or a 304 when the client
 // already holds the snapshot's ETag) — zero heap allocations.
 func (s *Server) handleRanking(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	sh, err := s.shardFromQuery(r.URL.RawQuery)
+	sh, name, tm := s.requestSnapshot(w, r)
+	if tm == nil {
+		return
+	}
+	top, err := countParam(r.URL.RawQuery, "top", 50)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	tm, err := s.getShard(r.Context(), sh, name)
-	if err != nil {
-		s.writeGetErr(w, err)
-		return
-	}
-	top := 50
-	q, _, qerr := queryParam(r.URL.RawQuery, "top")
-	if qerr != nil {
-		s.writeErr(w, http.StatusBadRequest, "%v", qerr)
-		return
-	}
-	if q != "" {
-		top, err = strconv.Atoi(q)
-		if err != nil || top < 1 {
-			s.writeErr(w, http.StatusBadRequest, "bad top parameter %q", q)
-			return
-		}
 	}
 	e, status, err := s.snapshotEntry(sh, tm, name, entryQuery{top: top})
 	if err != nil {
@@ -959,15 +966,10 @@ func (s *Server) findPipe(sh *shard, id string) (*shard, int, bool) {
 
 func (s *Server) handlePipe(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var want *shard
-	if region, ok, err := queryParam(r.URL.RawQuery, "region"); err != nil {
+	want, err := s.shardFromQuery(r.URL.RawQuery, nil)
+	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
-	} else if ok && region != "" {
-		if want, ok = s.byRegion[region]; !ok {
-			s.writeErr(w, http.StatusBadRequest, "unknown region %q", region)
-			return
-		}
 	}
 	sh, row, ok := s.findPipe(want, id)
 	if !ok {
@@ -991,9 +993,10 @@ func (s *Server) handlePipe(w http.ResponseWriter, r *http.Request) {
 		"failures":       d.FailureCount(row, d.ObservedFrom, d.ObservedTo),
 	}
 	scores := map[string]float64{}
-	for name, tm := range *sh.models.Load() {
-		if i, ok := tm.rankIdx[id]; ok {
-			scores[name] = tm.ranking.Scores[i]
+	for i := range sh.models {
+		sl := &sh.models[i]
+		if tm := sl.snap.Load(); tm != nil && tm.entryOf(row) != nil {
+			scores[sl.name] = tm.entryOf(row).Score
 		}
 	}
 	if len(scores) > 0 {
@@ -1006,7 +1009,7 @@ func (s *Server) handlePipe(w http.ResponseWriter, r *http.Request) {
 // network is immutable for the life of the server, so each dimension is
 // computed and encoded exactly once, with a body-hash ETag.
 func (s *Server) handleCohorts(w http.ResponseWriter, r *http.Request) {
-	sh, err := s.shardFromQuery(r.URL.RawQuery)
+	sh, err := s.shardFromQuery(r.URL.RawQuery, s.def)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1031,21 +1034,15 @@ func (s *Server) handleCohorts(w http.ResponseWriter, r *http.Request) {
 	if by == "" {
 		by = "material" // canonical: default and explicit share an entry
 	}
-	kp := keyPool.Get().(*[]byte)
-	key := append((*kp)[:0], "cohorts\x00"...)
-	key = append(key, by...)
-	e, ok := sh.cache.Get(key)
-	if !ok {
-		var rows any
-		if rows, err = fill(); err == nil {
-			e, err = hashedEntry(rows)
+	e, _, err := cachedEntry(sh.cache, func(key []byte) []byte {
+		return append(append(key, "cohorts\x00"...), by...)
+	}, func() (respcache.Entry, error) {
+		rows, err := fill()
+		if err != nil {
+			return respcache.Entry{}, err
 		}
-		if err == nil {
-			sh.cache.Add(key, e)
-		}
-	}
-	*kp = key
-	keyPool.Put(kp)
+		return hashedEntry(rows)
+	})
 	if err != nil {
 		s.writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -1064,36 +1061,21 @@ func hashedEntry(v any) (respcache.Entry, error) {
 }
 
 func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
-	sh, err := s.shardFromQuery(r.URL.RawQuery)
+	sh, err := s.shardFromQuery(r.URL.RawQuery, s.def)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	min := 2
-	q, _, qerr := queryParam(r.URL.RawQuery, "min")
-	if qerr != nil {
-		s.writeErr(w, http.StatusBadRequest, "%v", qerr)
+	min, err := countParam(r.URL.RawQuery, "min", 2)
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if q != "" {
-		var err error
-		min, err = strconv.Atoi(q)
-		if err != nil || min < 1 {
-			s.writeErr(w, http.StatusBadRequest, "bad min parameter %q", q)
-			return
-		}
-	}
-	kp := keyPool.Get().(*[]byte)
-	key := append((*kp)[:0], "hotspots\x00"...)
-	key = strconv.AppendInt(key, int64(min), 10)
-	e, ok := sh.cache.Get(key)
-	if !ok {
-		if e, err = hashedEntry(sh.data.SegmentHotspots(min)); err == nil {
-			sh.cache.Add(key, e)
-		}
-	}
-	*kp = key
-	keyPool.Put(kp)
+	e, _, err := cachedEntry(sh.cache, func(key []byte) []byte {
+		return strconv.AppendInt(append(key, "hotspots\x00"...), int64(min), 10)
+	}, func() (respcache.Entry, error) {
+		return hashedEntry(sh.data.SegmentHotspots(min))
+	})
 	if err != nil {
 		s.writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -1135,7 +1117,7 @@ const (
 // handlePlan prices a budget-constrained inspection plan. Steady state
 // is a pure replay, symmetric with handleRanking: the body is read into
 // a pooled buffer and resolved to its decoded request by the raw-body
-// memo, the snapshot comes from one atomic map load, the canonical cache
+// memo, the snapshot comes from one atomic slot load, the canonical cache
 // key (model, rendered budget dimensions, cost parameters) is assembled
 // in pooled scratch, and a respcache hit is served with prebuilt headers
 // — or a 304 against the body ETag — without touching the heap. A miss
@@ -1167,13 +1149,10 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, buf *bytes.Bu
 		return
 	}
 
-	sh := s.def
-	if req.Region != "" {
-		var ok bool
-		if sh, ok = s.byRegion[req.Region]; !ok {
-			s.writeErr(w, http.StatusBadRequest, "unknown region %q", req.Region)
-			return
-		}
+	sh, err := s.shardNamed(req.Region, s.def)
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	model := req.Model
 	if model == "" {

@@ -49,6 +49,12 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// get is getShard on the default shard, the single-region entry point
+// the tests drive.
+func (s *Server) get(ctx context.Context, name string) (*modelSnapshot, error) {
+	return s.getShard(ctx, s.def, name)
+}
+
 func getJSON(t *testing.T, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -147,6 +153,48 @@ func TestModelListAndTraining(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("Cox not marked trained")
+	}
+}
+
+// TestModelsAllocsFlatWithRegionSize: GET /api/models reads each
+// snapshot's test-year AUC and detection rate stored at publish, so it
+// allocates the same, in count and in bytes, whatever the region's size.
+func TestModelsAllocsFlatWithRegionSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	measure := func(scale float64) (allocs float64, bytes uint64) {
+		d, err := pipefail.GenerateRegion("A", 5, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(d, log.New(io.Discard, "", 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"Heuristic-Age", "Heuristic-Length"} {
+			if _, err := s.get(context.Background(), name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w := &nopWriter{h: make(http.Header)}
+		r := httptest.NewRequest("GET", "/api/models", nil)
+		get := func() { s.handleModels(w, r) }
+		allocs = testing.AllocsPerRun(50, get)
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			get()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := measure(0.04)
+	largeAllocs, largeBytes := measure(0.5)
+	if largeAllocs != smallAllocs || largeBytes > smallBytes+512 {
+		t.Fatalf("GET /api/models: %v allocs, %d B at scale 0.5; %v allocs, %d B at scale 0.04",
+			largeAllocs, largeBytes, smallAllocs, smallBytes)
 	}
 }
 

@@ -1,13 +1,13 @@
 package serve
 
 // Region shards: the unit of isolation in the multi-region registry.
-// Each shard owns one region's data, its pipeline, its copy-on-write snapshot
-// map, its train singleflight table and its own respcache carved out of
-// the global byte budget — so a hot region's cache evictions and train
-// storms cannot degrade its neighbours. The Server holds the shards in
-// a fixed slice (deterministic fan-out order) plus a region-name index;
-// both are immutable after construction, so request paths read them
-// without locks.
+// Each shard owns one region's data, its pipeline, one slot per model
+// (the published snapshot and the fit in flight) and its own respcache
+// carved out of the global byte budget — so a hot region's cache
+// evictions and train storms cannot degrade its neighbours. The Server
+// holds the shards in a fixed slice (deterministic fan-out order) plus a
+// region-name index; both are immutable after construction, so request
+// paths read them without locks.
 
 import (
 	"context"
@@ -22,10 +22,9 @@ import (
 )
 
 // shard is one region's serving state. All fields are set at
-// construction except models/pending, which follow the same
-// discipline they did on the single-region Server: models is
-// copy-on-write behind an atomic pointer, pending and publication are
-// guarded by mu.
+// construction except the model slots' contents: each slot's snapshot
+// is an atomic pointer readers load without locking, and its in-flight
+// fit is guarded by mu.
 type shard struct {
 	region string
 	data   *pipefail.Data // the loaded region; live rebuilds extend it
@@ -51,18 +50,36 @@ type shard struct {
 	// the single-region server always used).
 	stateDir string
 
-	// models is the copy-on-write name → snapshot map: readers Load once
-	// and never lock; writers clone-and-swap under mu.
-	models atomic.Pointer[map[string]*modelSnapshot]
+	// models holds one slot per servable model (see modelSlots).
+	models []modelSlot
 
-	mu      sync.Mutex // guards pending, job waiter counts, and models publication
-	pending map[string]*trainJob
+	mu sync.Mutex // guards each slot's job, job waiter counts, and publication
 
 	// Scheduler outcome counters, per shard so operators can see which
 	// region is churning: serve.shard.<region>.rebuilds / .rebuild_failures.
 	rebuilds        *obs.Counter
 	rebuildFailures *obs.Counter
 }
+
+// modelSlot is one model's serving state on one shard: the published
+// snapshot (nil until the first fit or restore lands) and the fit in
+// flight, if any (the train singleflight; guarded by shard.mu).
+type modelSlot struct {
+	name string
+	snap atomic.Pointer[modelSnapshot]
+	job  *trainJob
+}
+
+// modelSlots maps each servable model to its slot: its index in
+// pipefail.Models(). It is built once, so resolving a name allocates
+// nothing.
+var modelSlots = func() map[string]int {
+	m := map[string]int{}
+	for i, name := range pipefail.Models() {
+		m[name] = i
+	}
+	return m
+}()
 
 // newShard builds one region's serving state; the caller installs its
 // response cache.
@@ -78,26 +95,34 @@ func newShard(d *pipefail.Data, opts ...pipefail.PipelineOption) (*shard, error)
 		data:            d,
 		pipe:            p,
 		opts:            opts,
-		pending:         make(map[string]*trainJob),
+		models:          make([]modelSlot, len(modelSlots)),
 		rebuilds:        reg.Counter("serve.shard." + token + ".rebuilds"),
 		rebuildFailures: reg.Counter("serve.shard." + token + ".rebuild_failures"),
 	}
-	empty := make(map[string]*modelSnapshot)
-	sh.models.Store(&empty)
+	for name, i := range modelSlots {
+		sh.models[i].name = name
+	}
 	return sh, nil
 }
 
-// publishLocked swaps in a new copy-on-write map containing tm. Callers
-// hold sh.mu, so concurrent publishes never lose entries; readers see
-// either the old or the new complete map, never a partial write.
-func (sh *shard) publishLocked(name string, tm *modelSnapshot) {
-	old := *sh.models.Load()
-	next := make(map[string]*modelSnapshot, len(old)+1)
-	for k, v := range old {
-		next[k] = v
+// slot returns the shard's slot for the named model, nil when no such
+// model exists.
+func (sh *shard) slot(name string) *modelSlot {
+	if i, ok := modelSlots[name]; ok {
+		return &sh.models[i]
 	}
-	next[name] = tm
-	sh.models.Store(&next)
+	return nil
+}
+
+// published counts the shard's published snapshots.
+func (sh *shard) published() int {
+	n := 0
+	for i := range sh.models {
+		if sh.models[i].snap.Load() != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Regions returns the shard region names in serving (fan-out) order.
@@ -110,63 +135,69 @@ func (s *Server) Regions() []string {
 }
 
 // shardFromQuery resolves the optional ?region= selector; absent or
-// empty selects the default (first) shard, which keeps every
-// single-region request byte-identical to the pre-shard server.
-func (s *Server) shardFromQuery(rawQuery string) (*shard, error) {
-	region, ok, err := queryParam(rawQuery, "region")
+// empty selects def — the default (first) shard for every route but the
+// pipe lookup, which keeps every single-region request byte-identical
+// to the pre-shard server.
+func (s *Server) shardFromQuery(rawQuery string, def *shard) (*shard, error) {
+	region, _, err := queryParam(rawQuery, "region")
 	if err != nil {
 		return nil, err
 	}
-	if !ok || region == "" {
-		return s.def, nil
+	return s.shardNamed(region, def)
+}
+
+// shardNamed resolves a region name, def when the name is empty.
+func (s *Server) shardNamed(region string, def *shard) (*shard, error) {
+	if region == "" {
+		return def, nil
 	}
-	sh, found := s.byRegion[region]
-	if !found {
+	sh, ok := s.byRegion[region]
+	if !ok {
 		return nil, fmt.Errorf("unknown region %q", region)
 	}
 	return sh, nil
 }
 
 // getShard returns the trained model snapshot for one shard, training
-// it on first use. The fast path is one atomic load of the shard's
-// copy-on-write map — no lock. Exactly one goroutine trains any given
-// (shard, model) pair; concurrent callers block on the in-flight job's
-// done channel and share its result, so the HTTP layer degrades to
-// queueing (not errors) under concurrent load. A failed run is not
-// published: its waiters all receive the error, and the next request
-// starts a fresh attempt.
+// it on first use. The fast path is one atomic load of the model's slot
+// — no lock. Exactly one goroutine trains any given (shard, model) pair;
+// concurrent callers block on the in-flight job's done channel and share
+// its result, so the HTTP layer degrades to queueing (not errors) under
+// concurrent load. A failed run is not published: its waiters all
+// receive the error, and the next request starts a fresh attempt.
 //
-// Training runs on its own goroutine under a context derived from the
-// server lifecycle, so BeginShutdown aborts it. Each waiter watches its
-// own request context: a waiter whose client disconnects (or whose
-// deadline fires) abandons the job, and when the last waiter leaves the
-// run itself is cancelled — nobody is left training for an empty room.
+// Training runs on its own goroutine (see startFitLocked), so
+// BeginShutdown aborts it and waits for it. Each waiter watches its own
+// request context: a waiter whose client disconnects (or whose deadline
+// fires) abandons the job, and when the last waiter leaves the run
+// itself is cancelled — nobody is left training for an empty room.
 func (s *Server) getShard(ctx context.Context, sh *shard, name string) (*modelSnapshot, error) {
-	if tm, ok := (*sh.models.Load())[name]; ok {
+	sl := sh.slot(name)
+	if sl == nil {
+		return nil, fmt.Errorf("%w %q", errUnknownModel, name)
+	}
+	if tm := sl.snap.Load(); tm != nil {
 		s.metrics.sfCached.Inc()
 		return tm, nil
 	}
-	if !knownModel(name) {
-		return nil, fmt.Errorf("%w %q", errUnknownModel, name)
-	}
 	sh.mu.Lock()
-	if tm, ok := (*sh.models.Load())[name]; ok {
+	if tm := sl.snap.Load(); tm != nil {
 		sh.mu.Unlock()
 		s.metrics.sfCached.Inc()
 		return tm, nil
 	}
-	job, ok := sh.pending[name]
-	if ok {
+	job := sl.job
+	if job != nil {
 		job.waiters++
 		sh.mu.Unlock()
 		s.metrics.sfHits.Inc()
 	} else {
-		tctx, cancel := context.WithCancel(s.lifecycle)
-		job = &trainJob{done: make(chan struct{}), cancel: cancel, waiters: 1}
-		sh.pending[name] = job
+		job = s.startFitLocked(sh, sl, nil)
 		sh.mu.Unlock()
+		if job == nil {
+			return nil, fmt.Errorf("training %q: server shutting down: %w", name, context.Canceled)
+		}
 		s.metrics.sfMisses.Inc()
-		go s.runTrain(tctx, sh, name, job)
 	}
 
 	select {
@@ -178,10 +209,25 @@ func (s *Server) getShard(ctx context.Context, sh *shard, name string) (*modelSn
 	}
 }
 
-// get is getShard on the default shard — the single-region entry point
-// every pre-shard call site (and test seam) still uses.
-func (s *Server) get(ctx context.Context, name string) (*modelSnapshot, error) {
-	return s.getShard(ctx, s.def, name)
+// startFitLocked installs a new fit as sl's job and starts it on its own
+// goroutine under the server lifecycle, counted in s.fits so that
+// BeginShutdown cancels it and waits for it; after, when non-nil, runs on
+// that goroutine once the job is done. Once BeginShutdown has begun it
+// starts nothing and returns nil. Callers hold sh.mu.
+func (s *Server) startFitLocked(sh *shard, sl *modelSlot, after func(*trainJob)) *trainJob {
+	// fitMu orders this Add against BeginShutdown's Wait.
+	s.fitMu.Lock()
+	if s.lifecycle.Err() != nil {
+		s.fitMu.Unlock()
+		return nil
+	}
+	s.fits.Add(1)
+	s.fitMu.Unlock()
+	ctx, cancel := context.WithCancel(s.lifecycle)
+	job := &trainJob{done: make(chan struct{}), cancel: cancel, waiters: 1}
+	sl.job = job
+	go s.runTrain(ctx, sh, sl, job, after)
+	return job
 }
 
 // regionStatus is one row of GET /api/regions: the fleet-operator view
@@ -211,7 +257,7 @@ func (s *Server) handleRegions(w http.ResponseWriter, _ *http.Request) {
 			Pipes:         sh.data.NumPipes(),
 			Failures:      sh.data.NumFailures(),
 			NetworkKM:     sh.data.TotalLengthM() / 1000,
-			ModelsTrained: len(*sh.models.Load()),
+			ModelsTrained: sh.published(),
 			CacheBytes:    sh.cache.SizeBytes(),
 			CacheEntries:  sh.cache.Len(),
 		}

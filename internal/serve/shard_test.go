@@ -119,10 +119,10 @@ func TestRegionQueryRouting(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/api/models/Heuristic-Age/train?region=B", nil, nil); code != 200 {
 		t.Fatalf("train on B status %d", code)
 	}
-	if n := len(*s.byRegion["B"].models.Load()); n != 1 {
+	if n := s.byRegion["B"].published(); n != 1 {
 		t.Fatalf("shard B has %d trained models, want 1", n)
 	}
-	if n := len(*s.def.models.Load()); n != 0 {
+	if n := s.def.published(); n != 0 {
 		t.Fatalf("shard A has %d trained models, want 0", n)
 	}
 }

@@ -3,8 +3,9 @@ package serve
 // Model snapshots: the immutable, fully materialized serving view built
 // once when a training run completes. Everything a read handler needs is
 // precomputed here — the ranked entry list with calibrated probabilities,
-// the plan candidate slice, the pipe-ID index and the content ETag — so
-// the request path is slicing and encoding, never recomputation.
+// each registry row's rank, the plan candidate slice, the test-year
+// scores and the content ETag — so the request path is slicing and
+// encoding, never recomputation.
 //
 // Invariant: a *modelSnapshot and everything reachable from it is
 // read-only after newModelSnapshot returns — with one internally
@@ -12,8 +13,8 @@ package serve
 // structures keyed by cost model, which handlers fill lazily for
 // non-default cost models. Each Prefix is itself immutable once built.
 // Handlers may share one snapshot across any number of goroutines; the
-// only other mutable state is the Server's copy-on-write map of name →
-// snapshot (see Server.publish).
+// only other mutable state is the shard's per-model slot that points at
+// the published snapshot (see shard.go).
 
 import (
 	"encoding/binary"
@@ -24,6 +25,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
@@ -34,18 +36,18 @@ type modelSnapshot struct {
 	calibrator core.Calibrator
 	fitSeconds float64
 
-	// rankIdx maps pipe ID → row in ranking, built once at train time so
-	// per-request handlers never scan PipeIDs.
-	rankIdx map[string]int
+	// auc and det1 are the ranking's test-year AUC and detection at 1 %
+	// of pipes, computed once at publish (see status).
+	auc, det1 float64
 
 	// entries is the full ranking in rank order (score descending, ties
-	// by row) with FailProb calibrated once; handleRanking serves
+	// by ranking row) with FailProb calibrated once; handleRanking serves
 	// entries[:top] directly.
 	entries []rankedPipe
 
-	// rankOf maps a ranking row (the rankIdx value space) to its
-	// 1-based rank, so the bulk per-pipe path answers "what rank is
-	// this pipe" with two array reads instead of a scan.
+	// rankOf maps a registry row to its 1-based rank, 0 for a pipe the
+	// ranking does not hold (laid after the test year), so a pipe lookup
+	// is two array reads (see entryOf).
 	rankOf []int32
 
 	// cands is the prebuilt plan.Candidate slice in ranking row order —
@@ -115,19 +117,17 @@ func (tm *modelSnapshot) prefixFor(cm plan.CostModel, builds *obs.Counter) (*pla
 	return px, nil
 }
 
-// newModelSnapshot freezes a trained model. calibrator may be nil (plans
-// are refused for the model, rankings omit fail_prob); everything else
-// is mandatory.
-func newModelSnapshot(name string, ranking *pipefail.Ranking, calibrator core.Calibrator, fitSeconds float64) *modelSnapshot {
+// newModelSnapshot freezes a trained model; pipes is the region's
+// registry size. calibrator may be nil (plans are refused for the model,
+// rankings omit fail_prob); everything else is mandatory.
+func newModelSnapshot(name string, ranking *pipefail.Ranking, pipes int, calibrator core.Calibrator, fitSeconds float64) *modelSnapshot {
 	tm := &modelSnapshot{
 		ranking:    ranking,
 		calibrator: calibrator,
 		fitSeconds: fitSeconds,
-		rankIdx:    make(map[string]int, ranking.Len()),
+		auc:        ranking.AUC(),
+		det1:       ranking.DetectionAt(0.01),
 		etag:       rankingETag(name, ranking.Scores),
-	}
-	for i, id := range ranking.PipeIDs {
-		tm.rankIdx[id] = i
 	}
 
 	var probs []float64
@@ -150,32 +150,35 @@ func newModelSnapshot(name string, ranking *pipefail.Ranking, calibrator core.Ca
 		}
 	}
 
-	ids := ranking.TopIDs(ranking.Len())
-	tm.entries = make([]rankedPipe, len(ids))
-	tm.rankOf = make([]int32, ranking.Len())
-	for i, id := range ids {
-		row := tm.rankIdx[id]
-		e := rankedPipe{Rank: i + 1, PipeID: id, Score: ranking.Scores[row]}
+	order := eval.TopK(ranking.Scores, ranking.Len())
+	tm.entries = make([]rankedPipe, len(order))
+	tm.rankOf = make([]int32, pipes)
+	for i, row := range order {
+		e := rankedPipe{Rank: i + 1, PipeID: ranking.PipeIDs[row], Score: ranking.Scores[row]}
 		if probs != nil {
 			e.FailProb = probs[row]
 		}
 		tm.entries[i] = e
-		tm.rankOf[row] = int32(i + 1)
+		tm.rankOf[ranking.Rows[row]] = int32(i + 1)
 	}
 	return tm
+}
+
+// entryOf returns the ranked entry of the pipe at registry row, nil when
+// the ranking does not hold the pipe. The entry aliases the snapshot and
+// must not be mutated.
+func (tm *modelSnapshot) entryOf(row int) *rankedPipe {
+	if r := tm.rankOf[row]; r > 0 {
+		return &tm.entries[r-1]
+	}
+	return nil
 }
 
 // topEntries returns the highest-risk prefix of the precomputed ranking,
 // clamping top to the ranking length. The returned slice aliases the
 // snapshot and must not be mutated.
 func (tm *modelSnapshot) topEntries(top int) []rankedPipe {
-	if top > len(tm.entries) {
-		top = len(tm.entries)
-	}
-	if top < 0 {
-		top = 0
-	}
-	return tm.entries[:top]
+	return tm.entries[:min(top, len(tm.entries))]
 }
 
 // rankingETag hashes the model name and every score's bit pattern into a

@@ -98,10 +98,14 @@ func TestRankingByteIdentityWithPerRequestPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rowOf := make(map[string]int, tm.ranking.Len())
+		for i, id := range tm.ranking.PipeIDs {
+			rowOf[id] = i
+		}
 		ids := tm.ranking.TopIDs(top)
 		legacy := make([]rankedPipe, 0, len(ids))
 		for i, id := range ids {
-			rp := rankedPipe{Rank: i + 1, PipeID: id, Score: tm.ranking.Scores[tm.rankIdx[id]]}
+			rp := rankedPipe{Rank: i + 1, PipeID: id, Score: tm.ranking.Scores[rowOf[id]]}
 			if tm.calibrator != nil {
 				rp.FailProb = tm.calibrator.Prob(rp.Score)
 			}
@@ -478,7 +482,7 @@ func TestFailedTrainPopulatesNothing(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
-	if _, ok := (*s.def.models.Load())["RankBoost"]; ok {
+	if s.def.snapshot("RankBoost") != nil {
 		t.Fatal("failed train published a model snapshot")
 	}
 	for _, k := range s.def.cache.Keys() {

@@ -42,7 +42,7 @@ func (sh *shard) statePath(name string) string {
 
 // SetStateDir enables warm-restart persistence rooted at dir (created if
 // absent) and immediately restores any previously saved models into the
-// per-shard serving snapshot maps. Call before serving traffic. Restore
+// shards' model slots. Call before serving traffic. Restore
 // problems quarantine the offending file and keep going; only an
 // unusable directory is reported as an error.
 func (s *Server) SetStateDir(dir string) error {
@@ -130,7 +130,7 @@ func (s *Server) writeModelFile(sh *shard, name string, m pipefail.Model) error 
 }
 
 // restoreState loads every *.model.json in the shard's state dir into
-// its serving snapshot map. Each restored model is re-ranked against the
+// its model slots. Each restored model is re-ranked against the
 // shard pipeline's held-out set — scoring is deterministic, so the
 // rebuilt snapshot carries the same scores and ETag the original
 // training run produced — and published exactly as a fresh training run
@@ -170,7 +170,8 @@ func (s *Server) restoreModelFile(sh *shard, path, name string) error {
 	if sm.Kind != name {
 		return fmt.Errorf("file %s holds model kind %q", filepath.Base(path), sm.Kind)
 	}
-	if !knownModel(name) {
+	sl := sh.slot(name)
+	if sl == nil {
 		return fmt.Errorf("unknown model kind %q", name)
 	}
 	// Rank against the live pipeline (base + any WAL-replayed events) so
@@ -197,10 +198,10 @@ func (s *Server) restoreModelFile(sh *shard, path, name string) error {
 		return err
 	}
 	sh.mu.Lock()
-	sh.publishLocked(name, snap)
+	sl.snap.Store(snap)
 	sh.mu.Unlock()
 	s.metrics.stateRestored.Inc()
-	s.log.Printf("serve: restored %s from %s (AUC %.4f)", name, path, snap.ranking.AUC())
+	s.log.Printf("serve: restored %s from %s (AUC %.4f)", name, path, snap.auc)
 	return nil
 }
 

@@ -195,12 +195,12 @@ func TestRestoredSnapshotRebuiltOnce(t *testing.T) {
 		t.Fatal("train failed")
 	}
 	s2, _ := stateTestServer(t, dir)
-	restored := (*s2.def.models.Load())["DirectAUC-ES"]
+	restored := s2.def.snapshot("DirectAUC-ES")
 	if restored == nil || restored.eventSeq != -1 {
 		t.Fatalf("restored snapshot %+v, want eventSeq -1", restored)
 	}
 	rebuildAll(s2, s2.staleTargets())
-	rebuilt := (*s2.def.models.Load())["DirectAUC-ES"]
+	rebuilt := s2.def.snapshot("DirectAUC-ES")
 	if rebuilt == restored || rebuilt.eventSeq != 0 {
 		t.Fatalf("first pass left the restored snapshot in place (eventSeq %d)", rebuilt.eventSeq)
 	}

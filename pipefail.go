@@ -272,11 +272,12 @@ func (p *Pipeline) rankingFromScores(model string, scores []float64) *Ranking {
 	n := p.test.Len()
 	r := &Ranking{
 		Model: model, TestYear: p.split.TestYear,
-		PipeIDs: make([]string, 0, n), Scores: make([]float64, 0, n),
+		PipeIDs: make([]string, 0, n), Rows: make([]int, 0, n), Scores: make([]float64, 0, n),
 		Failed: make([]bool, 0, n), LengthM: make([]float64, 0, n),
 	}
 	for row, idx := range p.test.PipeIdx {
 		r.PipeIDs = append(r.PipeIDs, p.ids[idx])
+		r.Rows = append(r.Rows, idx)
 		r.Scores = append(r.Scores, scores[row])
 		r.Failed = append(r.Failed, p.test.Label[row])
 		r.LengthM = append(r.LengthM, p.test.LengthM[row])
@@ -327,6 +328,7 @@ type Ranking struct {
 	Model    string
 	TestYear int
 	PipeIDs  []string
+	Rows     []int // registry rows (Data.RowOf of each ID)
 	Scores   []float64
 	// Failed is the test-year ground truth (available because rankings are
 	// built on held-out historical data; a production deployment would
