@@ -18,22 +18,22 @@ loc:
 # the race detector on the concurrency-bearing packages (live extension
 # of one shared region, the parallel training engine, the pool-fanned
 # eval kernels, the kernel-conformance harness, the metrics registry,
-# the train-singleflight + snapshot HTTP layer with its single
-# cached-response resolver and raw-body request memo, the response
-# cache and the experiment fan-out), the kerneltest differential
+# the train-singleflight + snapshot HTTP layer with its once-encoded
+# bodies and raw-body request memo, and the experiment fan-out), the
+# kerneltest differential
 # harness (Dot, MatVec and the AUC kernel bitwise vs naive oracles),
 # the allocation-regression gates on the AUC kernel (below and above
 # its radix-sort cutoff), the ES's
 # per-generation negative resample, the serve
-# ranking/plan/bulk-rank/bulk-plan cached paths and the request-body
+# ranking/plan/bulk-rank/bulk-plan repeat paths and the request-body
 # memo hit, the flat per-event ingest allocation count
 # (run without -race, which inflates allocation counts), the chaos
-# suite, and a short fuzz pass over the CSV parsers
-# and the AUC kernel differential.
+# suite, and a short fuzz pass over the CSV parsers, the AUC kernel
+# differential and the serve JSON writers.
 verify:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
-	$(GO) test -race ./internal/dataset/... ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/respcache/... ./internal/experiments/... ./internal/wal/...
+	$(GO) test -race ./internal/dataset/... ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/experiments/... ./internal/wal/...
 	$(GO) test ./internal/kerneltest -count=1
 	$(GO) test ./internal/eval -run='^(TestAUCKernelZeroAlloc|TestAUCKernelRadixPathZeroAlloc)$$' -count=1
 	$(GO) test ./internal/core -run='^TestFitnessBatchResampleZeroAlloc$$' -count=1
@@ -58,6 +58,8 @@ chaos:
 # the gate. FuzzAUCKernelVsNaive is the kernel differential: arbitrary
 # score/label bytes must produce bitwise-identical AUCs from the
 # counting-rank kernel, the legacy sort kernel and the pairwise oracle.
+# FuzzJSONWritersMatchStdlib holds the serve layer's hand-written JSON
+# string and float writers to json.Marshal.
 fuzz-smoke:
 	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadPipes$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadFailures$$' -fuzztime=$(FUZZTIME)
@@ -65,6 +67,7 @@ fuzz-smoke:
 	$(GO) test ./internal/colfmt -run='^$$' -fuzz='^FuzzReadDataset$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzFrameDecode$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzJSONWritersMatchStdlib$$' -fuzztime=$(FUZZTIME)
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
@@ -76,8 +79,7 @@ BENCH_CORE = { $(GO) test -run='^$$' -bench='BenchmarkFitnessEval|BenchmarkScore
 	$(GO) test -run='^$$' -bench='BenchmarkWeibullFit' ./internal/baseline/; \
 	$(GO) test -run='^$$' -bench='BenchmarkAUCKernel|BenchmarkTopK' ./internal/eval/; \
 	$(GO) test -run='^$$' -bench='BenchmarkMatVec|BenchmarkDot' ./internal/linalg/; }
-BENCH_SERVE = { $(GO) test -run='^$$' -bench='BenchmarkRankingHandler|BenchmarkPlanHandler|BenchmarkBulkRank|BenchmarkShardRebuild' ./internal/serve/; \
-	$(GO) test -run='^$$' -bench='BenchmarkRespCache' ./internal/respcache/; }
+BENCH_SERVE = { $(GO) test -run='^$$' -bench='BenchmarkRankingHandler|BenchmarkPlanHandler|BenchmarkBulkRank|BenchmarkShardRebuild' ./internal/serve/; }
 BENCH_DATA = { BENCH_FULL=1 $(GO) test -run='^$$' -bench='BenchmarkColRead|BenchmarkColWrite|BenchmarkConvertCSVToCol|BenchmarkIngest|BenchmarkLiveRebuild' -timeout 60m ./internal/colfmt/; \
 	$(GO) test -run='^$$' -bench='BenchmarkReadPipes|BenchmarkReadFailures' ./internal/dataset/; }
 BENCH_INGEST = { $(GO) test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALReplay' ./internal/wal/; \
@@ -87,7 +89,7 @@ BENCH_INGEST = { $(GO) test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALRe
 # fitness kernel, at ~1,000 positives and at the full-scale region-A
 # batch shape, both matched by the BenchmarkFitnessEval prefix; scoring,
 # the RankBoost and Weibull fits, AUC, top-k and
-# the linalg kernels; the serve handlers and the response cache) as JSON so
+# the linalg kernels; the serve handlers) as JSON so
 # perf can be diffed commit to commit (BENCH_core.json and
 # BENCH_serve.json are checked in). Each benchmark runs long enough for
 # ns/op to stabilize; steady-state B/op for the scratch-reusing kernels

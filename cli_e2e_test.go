@@ -408,7 +408,7 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("ranking: status %d body %s", status, body)
 	}
 
-	// Snapshot + response cache contract: repeated rankings replay
+	// Snapshot contract: repeated rankings replay
 	// byte-identical bodies with a strong ETag and explicit
 	// Content-Length, and a conditional request short-circuits to 304.
 	resp1, err := http.Get(base + "/api/models/Logistic/ranking?top=5")
@@ -418,7 +418,7 @@ func TestServeEndToEnd(t *testing.T) {
 	replay, _ := io.ReadAll(resp1.Body)
 	resp1.Body.Close()
 	if !bytes.Equal(replay, body) {
-		t.Fatalf("cached ranking replay differs:\n%s\nvs\n%s", replay, body)
+		t.Fatalf("ranking replay differs:\n%s\nvs\n%s", replay, body)
 	}
 	etag := resp1.Header.Get("Etag")
 	if etag == "" || !strings.HasPrefix(etag, `"`) {
@@ -523,14 +523,28 @@ func TestServeEndToEnd(t *testing.T) {
 	if snap.Counters["serve.errors.ranking"] < 1 || snap.Counters["serve.errors.plan"] < 1 {
 		t.Errorf("error counters did not move: %+v", snap.Counters)
 	}
-	// The replayed + conditional rankings above must have hit the
-	// response cache, and the first encoding was its one miss.
-	if snap.Counters["respcache.serve.hits"] < 2 {
-		t.Errorf("response cache hits = %d, want >= 2: %+v",
-			snap.Counters["respcache.serve.hits"], snap.Counters)
+	// Rankings are cut from the snapshot's own encoding: a stale
+	// validator gets the replayed bytes under the same ETag, and no
+	// response-cache series exists.
+	staleReq, err := http.NewRequest("GET", base+"/api/models/Logistic/ranking?top=5", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if snap.Counters["respcache.serve.misses"] < 1 {
-		t.Errorf("response cache misses missing: %+v", snap.Counters)
+	staleReq.Header.Set("If-None-Match", `"r-stale"`)
+	staleResp, err := http.DefaultClient.Do(staleReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staleBody, _ := io.ReadAll(staleResp.Body)
+	staleResp.Body.Close()
+	if staleResp.StatusCode != http.StatusOK || !bytes.Equal(staleBody, replay) || staleResp.Header.Get("Etag") != etag {
+		t.Errorf("stale-validator ranking: status %d, ETag %q, body %.80s; want 200, %q and the replayed body",
+			staleResp.StatusCode, staleResp.Header.Get("Etag"), staleBody, etag)
+	}
+	for name := range snap.Counters {
+		if strings.Contains(name, "cache") && name != "serve.train.cached_hits" {
+			t.Errorf("response-cache series %s still exported", name)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@
 // -data accepts any dataset layout the loader sniffs: a CSV directory, a
 // columnar directory (dataset.col), or a bare .col file. It is
 // repeatable: each path becomes an isolated region shard with its own
-// models and response cache. Alternatively -shards N splits a single
+// models. Alternatively -shards N splits a single
 // district-structured dataset into N contiguous-district region shards.
 // Duplicate region names across inputs are a startup error.
 //
@@ -51,10 +51,11 @@
 // Region-scoped GET endpoints take ?region=NAME; without it the first
 // shard answers, so single-region deployments are unchanged.
 //
-// Ranking, cohort and hotspot responses are served from an in-memory
-// encoded-response cache (global budget via -cache-mb, partitioned
-// across shards) with strong ETags; clients sending If-None-Match get
-// 304 Not-Modified.
+// Each published model encodes its ranking once, as far as reads ask
+// for it, and each shard its cohort tables and hotspot list, so a
+// ranking, cohort or hotspot response is a slice of those bytes; plans
+// are encoded per request off the model's plan prefix. Every response carries a strong ETag, and
+// clients sending If-None-Match get 304 Not-Modified.
 //
 // -rebuild-interval starts the background rebuild scheduler: each
 // interval, every shard with no trained default model and every
@@ -119,7 +120,6 @@ func run() int {
 	scale := flag.Float64("scale", 0.25, "synthetic region scale")
 	addr := flag.String("addr", ":8080", "listen address (use :0 for an ephemeral port)")
 	metrics := flag.Bool("metrics", true, "expose the GET /metrics observability endpoint")
-	cacheMB := flag.Int64("cache-mb", serve.DefaultCacheBytes>>20, "response cache budget in MiB (encoded ranking/cohort/hotspot bodies)")
 	stateDir := flag.String("state-dir", "", "persist trained linear models here for warm restarts (empty = off)")
 	walDir := flag.String("wal-dir", "", "durable write-ahead event log root enabling POST /api/events (empty = off)")
 	walSync := flag.String("wal-sync", "always", "event log fsync policy: always (fsync before ack), interval, or never")
@@ -131,10 +131,6 @@ func run() int {
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline on API routes, e.g. 30s (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for open connections to finish")
 	flag.Parse()
-	if *cacheMB < 1 {
-		log.Printf("-cache-mb must be >= 1, got %d", *cacheMB)
-		return 1
-	}
 
 	var networks []*pipefail.Data
 	if len(data) > 0 {
@@ -177,7 +173,6 @@ func run() int {
 		log.Print(err)
 		return 1
 	}
-	s.SetResponseCacheBytes(*cacheMB << 20)
 	s.SetMaxInflight(*maxInflight)
 	s.SetRequestTimeout(*requestTimeout)
 	// The event log opens (and replays) before the state dir restores, so

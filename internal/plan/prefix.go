@@ -152,13 +152,46 @@ func (px *Prefix) CostModel() CostModel { return px.cm }
 // Len returns the number of candidates behind the prefix.
 func (px *Prefix) Len() int { return len(px.cands) }
 
+// Order returns the candidates in greedy selection order, the order
+// Select's indices refer to. Callers must not mutate it.
+func (px *Prefix) Order() []Candidate { return px.cands }
+
+// Selection is a greedy plan given as positions in Order — the first K
+// candidates, then the ones at the Tail indices — with its Selected
+// left nil.
+type Selection struct {
+	K    int
+	Tail []int
+	Plan
+}
+
 // Plan produces the plan Greedy would build for b — byte-identical
 // selection, order and economics — in O(log n + tail) instead of
 // O(n log n). The returned Plan's Selected slice may alias the prefix's
 // internal (immutable) candidate array; callers must not mutate it.
 func (px *Prefix) Plan(b Budget) (*Plan, error) {
+	sel, err := px.Select(b, nil)
+	if err != nil {
+		return nil, err
+	}
+	p := &sel.Plan
+	// Full-capacity slice: a tail append copies instead of writing into
+	// the shared array.
+	selected := px.cands[:sel.K:sel.K]
+	for _, i := range sel.Tail {
+		selected = append(selected, px.cands[i])
+	}
+	if len(selected) > 0 {
+		p.Selected = selected
+	}
+	return p, nil
+}
+
+// Select is Plan's selection without its allocations: the tail indices
+// are appended to tail[:0], scratch the caller may reuse.
+func (px *Prefix) Select(b Budget, tail []int) (Selection, error) {
 	if b.MaxLengthM <= 0 && b.MaxCount <= 0 && b.MaxSpend <= 0 {
-		return nil, ErrNoBudget
+		return Selection{}, ErrNoBudget
 	}
 
 	// The longest all-selected prefix: every item before k passes all
@@ -181,14 +214,11 @@ func (px *Prefix) Plan(b Budget) (*Plan, error) {
 		}
 	}
 
-	p := &Plan{
+	sel := Selection{K: k, Tail: tail[:0], Plan: Plan{
 		TotalLengthM:      px.cumLen[k],
 		InspectionCost:    px.cumCost[k],
 		ExpectedPrevented: px.cumPrev[k],
-	}
-	// Full-capacity slice: a tail append copies instead of writing into
-	// the shared array.
-	selected := px.cands[:k:k]
+	}}
 
 	// The prefix ended on the net-benefit horizon or the count cap only
 	// if k reached them: Greedy selects nothing further in either case.
@@ -196,35 +226,30 @@ func (px *Prefix) Plan(b Budget) (*Plan, error) {
 	// scanning — replay its loop body exactly from there (the running
 	// totals here equal its accumulators bit for bit).
 	if k < px.pos && (b.MaxCount <= 0 || k < b.MaxCount) {
-		totalLen, totalCost, prevSum := p.TotalLengthM, p.InspectionCost, p.ExpectedPrevented
 		for i := k; i < px.pos; i++ {
 			// Early exit: no remaining item fits the exhausted dimension.
-			if (b.MaxLengthM > 0 && totalLen+px.minLenFrom[i] > b.MaxLengthM) ||
-				(b.MaxSpend > 0 && totalCost+px.minCostFrom[i] > b.MaxSpend) {
+			if (b.MaxLengthM > 0 && sel.TotalLengthM+px.minLenFrom[i] > b.MaxLengthM) ||
+				(b.MaxSpend > 0 && sel.InspectionCost+px.minCostFrom[i] > b.MaxSpend) {
 				break
 			}
 			c := px.cands[i]
-			if b.MaxLengthM > 0 && totalLen+c.LengthM > b.MaxLengthM {
+			if b.MaxLengthM > 0 && sel.TotalLengthM+c.LengthM > b.MaxLengthM {
 				continue
 			}
-			if b.MaxCount > 0 && len(selected) >= b.MaxCount {
+			if b.MaxCount > 0 && k+len(sel.Tail) >= b.MaxCount {
 				break
 			}
-			if b.MaxSpend > 0 && totalCost+px.items[i].cost > b.MaxSpend {
+			if b.MaxSpend > 0 && sel.InspectionCost+px.items[i].cost > b.MaxSpend {
 				continue
 			}
-			selected = append(selected, c)
-			totalLen += c.LengthM
-			totalCost += px.items[i].cost
-			prevSum += c.FailProb * px.prev
+			sel.Tail = append(sel.Tail, i)
+			sel.TotalLengthM += c.LengthM
+			sel.InspectionCost += px.items[i].cost
+			sel.ExpectedPrevented += c.FailProb * px.prev
 		}
-		p.TotalLengthM, p.InspectionCost, p.ExpectedPrevented = totalLen, totalCost, prevSum
 	}
 
-	if len(selected) > 0 {
-		p.Selected = selected
-	}
-	p.ExpectedBenefit = p.ExpectedPrevented * px.cm.FailureCost
-	p.ExpectedNet = p.ExpectedBenefit - p.InspectionCost
-	return p, nil
+	sel.ExpectedBenefit = sel.ExpectedPrevented * px.cm.FailureCost
+	sel.ExpectedNet = sel.ExpectedBenefit - sel.InspectionCost
+	return sel, nil
 }

@@ -79,30 +79,34 @@ func planBenchRequest() (*http.Request, *replayBody) {
 	return req, rb
 }
 
-// BenchmarkPlanHandlerCold measures a full plan computation per request
-// (parse, prefix binary search, encode) with response caching defeated
-// by a 1-byte cache budget — the miss-path cost.
+// BenchmarkPlanHandlerCold measures a first plan request: the body is
+// memoized, but nothing of its last response is, so every request
+// encodes its totals and hashes its body for its ETag and
+// Content-Length.
 func BenchmarkPlanHandlerCold(b *testing.B) {
 	s := benchServer(b)
-	s.SetResponseCacheBytes(1) // every body is oversized: nothing caches
 	req, rb := planBenchRequest()
 	w := &nopWriter{h: make(http.Header)}
+	s.handlePlan(w, req) // memoize the decoded body
+	memo := s.planBodies.m[`{"model":"Heuristic-Age","budget_km":10}`]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		memo.last.Store(nil)
 		rb.rewind()
 		s.handlePlan(w, req)
 	}
 }
 
-// BenchmarkPlanHandlerCached measures the steady state: the encoded
-// response replayed from the cache with zero allocations.
+// BenchmarkPlanHandlerCached measures the steady state: the plan's pipe
+// list cut from the snapshot's prefix, followed by its memoized totals
+// under its memoized headers, with zero allocations.
 func BenchmarkPlanHandlerCached(b *testing.B) {
 	s := benchServer(b)
 	req, rb := planBenchRequest()
 	w := &nopWriter{h: make(http.Header)}
 	rb.rewind()
-	s.handlePlan(w, req) // warm the cache
+	s.handlePlan(w, req) // memoize the body and its headers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -119,31 +123,37 @@ func bulkBenchRequest(body string) (*http.Request, *replayBody) {
 	return req, rb
 }
 
-// BenchmarkBulkRankCold measures the bulk miss path: the published
-// snapshot is hot but the response cache is defeated, so every request
-// pays the fan-out, the encode and the stream assembly.
+// BenchmarkBulkRankCold measures a first bulk rank request against a
+// published snapshot: the snapshot's encoded ranking is dropped before
+// every request, so each one encodes the entries it serves.
 func BenchmarkBulkRankCold(b *testing.B) {
 	s := benchServer(b)
-	s.SetResponseCacheBytes(1) // every body is oversized: nothing caches
+	tm, err := s.get(context.Background(), "Heuristic-Age")
+	if err != nil {
+		b.Fatal(err)
+	}
 	req, rb := bulkBenchRequest(`{"model":"Heuristic-Age","top":100}`)
 	w := &nopWriter{h: make(http.Header)}
+	rb.rewind()
+	s.handleBulkRank(w, req) // size the pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		tm.rank.Store(nil)
 		rb.rewind()
 		s.handleBulkRank(w, req)
 	}
 }
 
 // BenchmarkBulkRankCached measures the steady state the alloc gate
-// locks: phase 1 resolves every segment off the cache and the writer
-// splices the stored bytes — no goroutines, no channels, no heap.
+// locks: phase 1 resolves every segment inline and the writer splices
+// the snapshot's encoded bytes — no goroutines, no channels, no heap.
 func BenchmarkBulkRankCached(b *testing.B) {
 	s := benchServer(b)
 	req, rb := bulkBenchRequest(`{"model":"Heuristic-Age","top":100}`)
 	w := &nopWriter{h: make(http.Header)}
 	rb.rewind()
-	s.handleBulkRank(w, req) // warm the cache
+	s.handleBulkRank(w, req) // size the pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,7 +4,7 @@ package serve
 // Decoding is a pure function of the body bytes, so the decoded request
 // can be memoized by those bytes with no invalidation: a repeated body
 // is one map lookup under a read lock and allocates nothing, which keeps
-// the cached plan and bulk paths allocation-free. A miss decodes with
+// the repeat plan and bulk paths allocation-free. A miss decodes with
 // decodeOne (one value and only whitespace after it, last duplicate key
 // wins, stdlib error text) and stores the result under a copied key.
 // Rejected bodies are never stored, and the memo is cleared whenever an

@@ -5,18 +5,19 @@ package serve
 // stream one NDJSON line per segment back, flushed as each resolves.
 //
 // The design goal is that bulk is a framing layer, never a second
-// implementation: region segments resolve through snapshotEntry, the
-// same resolver the single-region handlers use, so a bulk line's
+// implementation: a region line splices the body the single-region
+// handler serves, cut from the same snapshot encoding (rankings) or
+// encoded by the same code from the same plan prefix (plans), so its
 // payload is byte-identical to the corresponding single call's body.
 // Resolution runs in three phases:
 //
 //  1. serial: every segment whose model is published resolves inline
-//     through snapshotEntry (a cache hit, or a fill-then-Add on a miss)
-//     — the all-cached path touches no goroutines, channels or heap;
+//     (resolveSeg) — the all-published path touches no goroutines,
+//     channels or heap;
 //  2. fan-out: segments whose model must train first run getShard
 //     concurrently on the server's worker pool (joining the shard's
-//     training singleflight), then resolve through snapshotEntry, each
-//     closing a ready channel;
+//     training singleflight), then resolve, each closing a ready
+//     channel;
 //  3. ordered writer: lines stream in request order, waiting on each
 //     segment's ready channel, flushing per line — so early segments
 //     reach the client while late ones still train.
@@ -26,12 +27,12 @@ package serve
 
 import (
 	"bytes"
-	"math"
+	"errors"
 	"net/http"
 	"strconv"
 	"sync"
 
-	"repro/internal/respcache"
+	"repro/internal/plan"
 )
 
 // ndjsonCT is the streamed bulk Content-Type, preallocated like jsonCT.
@@ -65,37 +66,73 @@ func (r *bulkRequest) memoBytes() int {
 	return n
 }
 
+// segQuery is what a bulk request asks of each region segment: the
+// top-N ranking when top > 0, otherwise the plan priced by cm under b.
+type segQuery struct {
+	top int
+	cm  plan.CostModel
+	b   plan.Budget
+}
+
 // bulkSeg is one output line in flight: a region segment (pipeID empty)
 // or a per-pipe segment. ready is nil when phase 1 resolved the segment
-// inline; otherwise the training fan-out closes it once tm/entry/errMsg
+// inline; otherwise the training fan-out closes it once tm/rank/px/errMsg
 // are final.
 type bulkSeg struct {
 	sh     *shard
 	pipeID string // points into the memoized request; empty for region segments
 	row    int    // the pipe's registry row in sh, for per-pipe segments
 	tm     *modelSnapshot
-	entry  respcache.Entry
+	rank   []byte      // ranking segments: the ranking body the line splices
+	px     *planPrefix // plan segments: the prefix the plan is cut from
 	errMsg string
 	ready  chan struct{}
 }
 
-// bulkScratch bundles the per-request scratch state so the steady state
-// recycles one pool object instead of two slices.
-type bulkScratch struct {
+// reqScratch bundles the per-request scratch of the plan and bulk
+// handlers — bulk segments and line, a plan's body and selection tail —
+// so the steady state recycles one pool object.
+type reqScratch struct {
 	segs []bulkSeg
 	line []byte
+	body []byte
+	tail []int
+}
+
+// planBody selects the plan for b off pp and encodes its response body
+// into the scratch, returning it and where its totals start (see
+// appendPlanTotals); the status accompanies a non-nil error. totals,
+// when not nil, is that tail of an earlier body for the same prefix and
+// budget, copied instead of encoded again.
+func (sc *reqScratch) planBody(pp *planPrefix, model string, b plan.Budget, totals []byte) ([]byte, int, int, error) {
+	sel, err := pp.Select(b, sc.tail)
+	if err != nil {
+		return nil, 0, http.StatusBadRequest, err
+	}
+	sc.tail = sel.Tail
+	sc.body = pp.appendPlanPipes(sc.body[:0], model, sel)
+	cut := len(sc.body)
+	if totals != nil {
+		sc.body = append(sc.body, totals...)
+		return sc.body, cut, 0, nil
+	}
+	var ok bool
+	if sc.body, ok = appendPlanTotals(sc.body, sel); !ok {
+		return nil, 0, http.StatusInternalServerError, errors.New("encoding plan failed")
+	}
+	return sc.body, cut, 0, nil
 }
 
 // release drops references into the request and snapshots while keeping
 // slice capacity for the next request.
-func (sc *bulkScratch) release() {
+func (sc *reqScratch) release() {
 	for i := range sc.segs {
 		sc.segs[i] = bulkSeg{}
 	}
 	sc.segs = sc.segs[:0]
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(bulkScratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(reqScratch) }}
 
 func (s *Server) handleBulkRank(w http.ResponseWriter, r *http.Request) {
 	s.serveBulk(w, r, false)
@@ -108,7 +145,7 @@ func (s *Server) handleBulkPlan(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveBulk(w http.ResponseWriter, r *http.Request, isPlan bool) {
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	sc := scratchPool.Get().(*bulkScratch)
+	sc := scratchPool.Get().(*reqScratch)
 	s.streamBulk(w, r, buf, sc, isPlan)
 	// streamBulk has waited out every phase-2 segment before returning,
 	// so nothing concurrent still references the segments.
@@ -119,7 +156,7 @@ func (s *Server) serveBulk(w http.ResponseWriter, r *http.Request, isPlan bool) 
 	}
 }
 
-func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, sc *bulkScratch, isPlan bool) {
+func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, sc *reqScratch, isPlan bool) {
 	if !s.readBody(w, r, buf) {
 		return
 	}
@@ -129,7 +166,7 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 		return
 	}
 
-	q := entryQuery{top: 50}
+	q := segQuery{top: 50}
 	if req.Top != nil {
 		if *req.Top < 1 {
 			s.writeErr(w, http.StatusBadRequest, "bad top %d", *req.Top)
@@ -146,7 +183,7 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 			s.writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		q.top = 0 // selects the plan (see entryQuery)
+		q.top = 0 // selects the plan (see segQuery)
 	}
 	model := req.Model
 	if model == "" {
@@ -230,7 +267,7 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 		if dead {
 			continue
 		}
-		line = s.appendBulkLine(line[:0], seg, model, isPlan)
+		line = s.appendBulkLine(line[:0], sc, seg, model, q)
 		if _, err := w.Write(line); err != nil {
 			s.log.Printf("serve: bulk write: %v", err)
 			dead = true
@@ -245,16 +282,20 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 }
 
 // resolveSeg settles one segment off its model snapshot: pipe segments
-// render straight off tm, region segments take their body from
-// snapshotEntry. A training failure (err) or a resolver failure becomes
-// the segment's error line.
-func (s *Server) resolveSeg(seg *bulkSeg, tm *modelSnapshot, err error, model string, q entryQuery) {
+// render straight off tm, ranking segments clamp their entry count and
+// plan segments take their snapshot's plan prefix. A training failure
+// (err) or a resolver failure becomes the segment's error line.
+func (s *Server) resolveSeg(seg *bulkSeg, tm *modelSnapshot, err error, model string, q segQuery) {
 	if err == nil {
 		seg.tm = tm
-		if seg.pipeID != "" {
+		switch {
+		case seg.pipeID != "":
 			return
+		case q.top > 0:
+			seg.rank, _, err = tm.rankPrefix(q.top)
+		default:
+			seg.px, _, err = tm.prefixFor(model, q.cm, s.metrics.planPrefixBuilds)
 		}
-		seg.entry, _, err = s.snapshotEntry(seg.sh, tm, model, q)
 	}
 	if err != nil {
 		seg.errMsg = err.Error()
@@ -262,10 +303,11 @@ func (s *Server) resolveSeg(seg *bulkSeg, tm *modelSnapshot, err error, model st
 	}
 }
 
-// appendBulkLine renders one NDJSON line. Region lines splice the
-// cached single-call body verbatim (minus its trailing newline), so the
-// payload is byte-identical to the standalone endpoint's response.
-func (s *Server) appendBulkLine(line []byte, seg *bulkSeg, model string, isPlan bool) []byte {
+// appendBulkLine renders one NDJSON line. A region line splices the
+// single-call body (minus its trailing newline) with its ETag: the
+// snapshot's for a ranking, the body hash for a plan, so the payload is
+// byte-identical to the standalone endpoint's response.
+func (s *Server) appendBulkLine(line []byte, sc *reqScratch, seg *bulkSeg, model string, q segQuery) []byte {
 	if seg.pipeID != "" {
 		return s.appendPipeLine(line, seg, model)
 	}
@@ -273,22 +315,26 @@ func (s *Server) appendBulkLine(line []byte, seg *bulkSeg, model string, isPlan 
 	line = writeJSONString(line, seg.sh.region)
 	line = append(line, `,"model":`...)
 	line = writeJSONString(line, model)
+	if seg.errMsg == "" && seg.px != nil {
+		body, _, _, err := sc.planBody(seg.px, model, q.b, nil)
+		if err == nil {
+			line = appendBodyETag(append(line, `,"etag":`...), fnv64a(body))
+			line = append(append(line, `,"plan":`...), body[:len(body)-1]...) // minus its newline
+			return append(line, '}', '\n')
+		}
+		seg.errMsg = err.Error()
+		s.metrics.bulkSegErrs.Inc()
+	}
 	if seg.errMsg != "" {
 		line = append(line, `,"error":`...)
 		line = writeJSONString(line, seg.errMsg)
 		return append(line, '}', '\n')
 	}
-	// The stored ETag is already a quoted strong validator, so it is
+	// The snapshot ETag is already a quoted strong validator, so it is
 	// spliced raw as a JSON string.
-	line = append(line, `,"etag":`...)
-	line = append(line, seg.entry.ETag...)
-	if isPlan {
-		line = append(line, `,"plan":`...)
-	} else {
-		line = append(line, `,"ranking":`...)
-	}
-	line = append(line, trimNL(seg.entry.Body)...)
-	return append(line, '}', '\n')
+	line = append(append(line, `,"etag":`...), seg.tm.etag...)
+	line = append(append(line, `,"ranking":`...), seg.rank...)
+	return append(line, ']', '}', '\n')
 }
 
 // appendPipeLine renders one per-pipe line off the snapshot's
@@ -321,67 +367,4 @@ func (s *Server) appendPipeLine(line []byte, seg *bulkSeg, model string) []byte 
 	line = append(line, `,"error":`...)
 	line = writeJSONString(line, errMsg)
 	return append(line, '}', '\n')
-}
-
-// trimNL strips the trailing newline json.Encoder leaves on cached
-// bodies so they splice mid-object.
-func trimNL(b []byte) []byte {
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		return b[:n-1]
-	}
-	return b
-}
-
-const hexDigits = "0123456789abcdef"
-
-// writeJSONString appends s as a JSON string, matching encoding/json's
-// default escaping (including the HTML-safe <, >, & escapes) so
-// hand-built lines compare byte-equal to stdlib output. Inputs here are
-// region names, model names, pipe IDs and error texts — all ASCII, so
-// the stdlib's invalid-UTF-8 and U+2028/U+2029 handling is not
-// replicated.
-func writeJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-			continue
-		}
-		dst = append(dst, s[start:i]...)
-		switch c {
-		case '"', '\\':
-			dst = append(dst, '\\', c)
-		case '\n':
-			dst = append(dst, '\\', 'n')
-		case '\r':
-			dst = append(dst, '\\', 'r')
-		case '\t':
-			dst = append(dst, '\\', 't')
-		default:
-			dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-		}
-		start = i + 1
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
-
-// writeJSONFloat appends f exactly as encoding/json renders a float64:
-// shortest representation, 'f' form except for very small/large
-// magnitudes, which use 'e' form with a cleaned-up exponent.
-func writeJSONFloat(dst []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
 }

@@ -5,6 +5,7 @@ package serve
 // replay on boot, and the scheduler-staleness / drift-gauge wiring.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,6 +19,7 @@ import (
 
 	"repro"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/wal"
 )
 
@@ -473,11 +475,10 @@ func TestEventsMarkModelsStaleAndDriftGauges(t *testing.T) {
 }
 
 // TestEventsRepublishRotatesCachedResponses is the regression test for
-// the stale-response-cache bug: ranking/plan cache keys include the
-// published snapshot's content ETag, so a live-event retrain that
-// changes the ranking must rotate what /ranking serves — the old cached
-// body becomes unreachable the moment the new snapshot lands, instead
-// of being replayed until LRU eviction.
+// the stale-response bug: a live-event retrain that changes the ranking
+// must rotate what /ranking serves. Bodies are cut from the published
+// snapshot's own encoding, so the new bytes and ETag are served the
+// moment the new snapshot lands.
 func TestEventsRepublishRotatesCachedResponses(t *testing.T) {
 	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
 	def := string(s.defaultModel)
@@ -485,7 +486,7 @@ func TestEventsRepublishRotatesCachedResponses(t *testing.T) {
 		t.Fatalf("train status %d", code)
 	}
 	url := ts.URL + "/api/models/" + def + "/ranking?top=5"
-	before := fetchRankingETag(t, url) // warms the response cache
+	before := fetchRankingETag(t, url)
 	if again := fetchRankingETag(t, url); again != before {
 		t.Fatalf("cached replay changed ETag %s -> %s", before, again)
 	}
@@ -503,6 +504,80 @@ func TestEventsRepublishRotatesCachedResponses(t *testing.T) {
 	}
 	if after == before {
 		t.Fatalf("retrain on the event-extended window left the ranking ETag unchanged (%s)", before)
+	}
+}
+
+// TestCalibrationOnlyRetrainRotatesETag: Heuristic-Age scores depend
+// only on pipe ages, so failure events in the test year leave every
+// score as it was, but the calibrator refitted on the test-year labels
+// moves the fail_prob values the ranking body carries. The republished
+// snapshot must carry a new ETag, serve its own encoding, and answer a
+// client holding the old ETag with the full body.
+func TestCalibrationOnlyRetrainRotatesETag(t *testing.T) {
+	s, ts := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
+	const model, top = "Heuristic-Age", 2000
+	url := fmt.Sprintf("%s/api/models/%s/ranking?top=%d", ts.URL, model, top)
+	before := fetchRankingETag(t, url)
+	// A repeated plan request keeps its last totals: they must not
+	// outlive the snapshot they were encoded from.
+	postPlan := func() (*http.Response, []byte) {
+		resp, err := http.Post(ts.URL+"/api/plan", "application/json", strings.NewReader(`{"model":"Heuristic-Age","budget_km":1e4}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp, body
+	}
+	postPlan()
+	_, planBefore := postPlan()
+	d := s.def.data
+	posted := 0
+	for i := 0; i < d.NumPipes() && posted < 20; i++ {
+		if int(d.Registry.LaidYear[i]) > d.ObservedTo || d.FailedInYear(i, d.ObservedTo) {
+			continue
+		}
+		ev := map[string]any{"id": fmt.Sprintf("cal-%d", i), "pipe_id": d.Registry.ID[i],
+			"year": d.ObservedTo, "day": 100, "mode": "BREAK"}
+		var resp eventsResponse
+		if code := postJSON(t, ts.URL+"/api/events", ev, &resp); code != http.StatusOK {
+			t.Fatalf("event status %d", code)
+		}
+		posted++
+	}
+	rebuildAll(s, []rebuildTarget{{sh: s.def, name: model}})
+	tm := s.def.snapshot(model)
+
+	req, _ := http.NewRequest("GET", url, nil)
+	req.Header.Set("If-None-Match", before)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("old ETag %s: status %d, want 200 with the republished body", before, resp.StatusCode)
+	}
+	if etag := resp.Header.Get("Etag"); etag == before || etag != tm.etag {
+		t.Fatalf("ETag %s after the retrain (before %s), want the new snapshot's %s", etag, before, tm.etag)
+	}
+	want, err := encodeBody(tm.entries[:min(top, len(tm.entries))])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("served body is not the new snapshot's encoding\ngot:  %.200s\nwant: %.200s", body, want)
+	}
+
+	resp, body = postPlan()
+	want = greedyPlanBody(t, tm, model, defaultCostModel, plan.Budget{MaxLengthM: 1e7})
+	if bytes.Equal(want, planBefore) {
+		t.Fatal("the retrain left the plan body as it was")
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) || resp.Header.Get("Etag") != fnvETag(want) {
+		t.Fatalf("plan after the retrain: status %d ETag %s body %.200s\nwant ETag %s body %.200s",
+			resp.StatusCode, resp.Header.Get("Etag"), body, fnvETag(want), want)
 	}
 }
 

@@ -69,7 +69,7 @@ func (s *Server) shed(h http.HandlerFunc) http.HandlerFunc {
 
 // deadlined bounds the request's context with the configured timeout.
 // With no timeout configured it is a passthrough — no context allocation
-// on the hot path, which keeps the cached-ranking zero-alloc guarantee.
+// on the hot path, which keeps the ranking zero-alloc guarantee.
 func (s *Server) deadlined(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.requestTimeout <= 0 {

@@ -30,12 +30,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/plan"
-	"repro/internal/respcache"
 )
-
-// DefaultCacheBytes is the response-cache budget a new Server starts
-// with; cmd/pipeserve overrides it via the -cache-mb flag.
-const DefaultCacheBytes = 32 << 20
 
 // Server wires one or more regional networks into an http.Handler.
 // All handlers are safe for concurrent use; model training is
@@ -45,10 +40,10 @@ const DefaultCacheBytes = 32 << 20
 //
 // The read path is lock-free: each shard keeps one slot per model whose
 // atomic pointer (published under the shard mutex, read with a single
-// atomic load) points at a frozen modelSnapshot (see snapshot.go). Encoded
-// ranking/cohort/hotspot responses are replayed from per-shard
-// size-bounded respcache LRUs, with 304 Not-Modified served off the
-// snapshot ETag.
+// atomic load) points at a frozen modelSnapshot (see snapshot.go), which
+// encodes its ranking once, as reads ask for it; cohort and hotspot
+// bodies are encoded once per shard, and 304 Not-Modified is served off
+// the ETags (see encode.go).
 //
 // Every route is wrapped in metrics middleware (request counter, latency
 // histogram, error counter, in-flight gauge) recording into the default
@@ -148,8 +143,6 @@ type serveMetrics struct {
 	handlerPanics        *obs.Counter // handler panics recovered into 500s
 	shedCapacity         *obs.Counter // 503s from the in-flight cap
 	shedDraining         *obs.Counter // 503s issued while draining
-	planCacheHits        *obs.Counter // /api/plan responses replayed from cache
-	planCacheMisses      *obs.Counter // /api/plan responses computed and cached
 	planPrefixBuilds     *obs.Counter // plan.BuildPrefix runs for non-default cost models
 	stateSaved           *obs.Counter // models persisted to the state dir
 	stateRestored        *obs.Counter // models reloaded on warm restart
@@ -185,8 +178,6 @@ func newServeMetrics() serveMetrics {
 		handlerPanics:        reg.Counter("serve.panics.recovered"),
 		shedCapacity:         reg.Counter("serve.shed.capacity"),
 		shedDraining:         reg.Counter("serve.shed.draining"),
-		planCacheHits:        reg.Counter("serve.plan.cache_hits"),
-		planCacheMisses:      reg.Counter("serve.plan.cache_misses"),
 		planPrefixBuilds:     reg.Counter("serve.plan.prefix_builds"),
 		stateSaved:           reg.Counter("serve.state.saved"),
 		stateRestored:        reg.Counter("serve.state.restored"),
@@ -253,8 +244,7 @@ func New(data *pipefail.Data, logger *log.Logger, opts ...pipefail.PipelineOptio
 // registry would serve one region's data under another's name. So are
 // distinct names that sanitize to one metric token (North and north):
 // the token names each shard's metric series, WAL directory and state
-// directory, so those regions would share them. The response-cache
-// budget is partitioned equally across the shards.
+// directory, so those regions would share them.
 func NewMulti(nets []*pipefail.Data, logger *log.Logger, opts ...pipefail.PipelineOption) (*Server, error) {
 	if len(nets) == 0 {
 		return nil, errors.New("serve: no networks given")
@@ -291,18 +281,7 @@ func NewMulti(nets []*pipefail.Data, logger *log.Logger, opts ...pipefail.Pipeli
 	}
 	s.def = s.shards[0]
 	s.trainFn = s.train
-	s.SetResponseCacheBytes(DefaultCacheBytes)
 	return s, nil
-}
-
-// cacheNameFor keeps the single-shard cache under the historical
-// "serve" metric prefix (respcache.serve.*); multi-shard deployments
-// get one series per region (respcache.serve.<region>.*).
-func (s *Server) cacheNameFor(region string) string {
-	if len(s.shards) == 1 {
-		return "serve"
-	}
-	return "serve." + obs.SanitizeMetricName(region)
 }
 
 // SetMaxInflight caps the number of concurrently served requests on the
@@ -345,17 +324,6 @@ func (s *Server) BeginShutdown() {
 	// already refused, and stragglers get ErrClosed → 503, never a lost
 	// acknowledgment.
 	s.closeEventLogs()
-}
-
-// SetResponseCacheBytes replaces every shard's response cache with one
-// carved from a global budget of maxBytes (equal shares, remainder to
-// the first shard). Call before serving traffic (it is not synchronized
-// with in-flight requests).
-func (s *Server) SetResponseCacheBytes(maxBytes int64) {
-	budgets := respcache.PartitionBudget(maxBytes, len(s.shards))
-	for i, sh := range s.shards {
-		sh.cache = respcache.New(s.cacheNameFor(sh.region), budgets[i], nil)
-	}
 }
 
 // Handler returns the routed http.Handler. Every route, including
@@ -467,56 +435,12 @@ func (w *statusWriter) Flush() {
 // assign it into the header map without building a fresh slice.
 var jsonCT = []string{"application/json"}
 
-// bufPool recycles the encode buffers behind writeJSON and the cache
-// fills. Buffers that grew past bufPoolMax are dropped instead of
+// bufPool recycles the buffers behind writeJSON and the plan and bulk
+// request bodies. Buffers that grew past bufPoolMax are dropped instead of
 // pooled, so one giant response cannot pin memory forever.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const bufPoolMax = 1 << 20
-
-// keyPool recycles response-cache key scratch; keys are rebuilt per
-// request from (route, model, canonical params).
-var keyPool = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }}
-
-// appendRankingKey renders the canonical ranking cache key: route,
-// model, snapshot ETag, clamped entry count. Shared by the single and
-// bulk rank paths so their cache entries always collide — a bulk
-// segment replays the exact bytes a single /ranking call cached, and
-// vice versa. The snapshot's content ETag is part of the key because a
-// live-event retrain can republish the same model name with different
-// content: keying on identity makes the stale entry unreachable the
-// moment the new snapshot lands, while the bit-identical rebuilds the
-// scheduler normally produces keep the same key and stay warm.
-func appendRankingKey(key []byte, model, etag string, entries int) []byte {
-	key = append(key, "ranking\x00"...)
-	key = append(key, model...)
-	key = append(key, 0)
-	key = append(key, etag...)
-	key = append(key, 0)
-	return strconv.AppendInt(key, int64(entries), 10)
-}
-
-// appendPlanKey renders the canonical plan cache key over decoded
-// values, so textual aliases of one request share an entry; shared by
-// the single and bulk plan paths. Like appendRankingKey, the snapshot
-// ETag keys the entry to the published content, not just the name.
-func appendPlanKey(key []byte, model, etag string, cm plan.CostModel, b plan.Budget) []byte {
-	key = append(key, "plan\x00"...)
-	key = append(key, model...)
-	key = append(key, 0)
-	key = append(key, etag...)
-	key = append(key, 0)
-	key = respcache.AppendKeyFloat(key, b.MaxLengthM)
-	key = append(key, 0)
-	key = strconv.AppendInt(key, int64(b.MaxCount), 10)
-	key = append(key, 0)
-	key = respcache.AppendKeyFloat(key, b.MaxSpend)
-	key = append(key, 0)
-	key = respcache.AppendKeyFloat(key, cm.InspectionPerKM)
-	key = append(key, 0)
-	key = respcache.AppendKeyFloat(key, cm.FailureCost)
-	return key
-}
 
 // writeJSON encodes v into a pooled buffer, then writes it with
 // Content-Type and an explicit Content-Length — a single non-chunked
@@ -544,107 +468,26 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// encodeBody marshals v into a fresh exactly-sized byte slice (via a
-// pooled scratch buffer) for insertion into the response cache.
-func encodeBody(v any) ([]byte, error) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		bufPool.Put(buf)
-		return nil, err
-	}
-	body := make([]byte, buf.Len())
-	copy(body, buf.Bytes())
-	if buf.Cap() <= bufPoolMax {
-		bufPool.Put(buf)
-	}
-	return body, nil
-}
-
-// writeCached serves one cache entry: 304 Not-Modified when the client
-// already holds the entry's ETag, otherwise the full body with ETag and
-// Content-Length from the entry's prebuilt header slices. The steady
-// state (cache hit, reused connection) allocates nothing.
-func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, e respcache.Entry) {
+// writeEncoded serves one encoded body: 304 Not-Modified when the client
+// already holds its ETag, otherwise the body with ETag and
+// Content-Length from prebuilt header values. It allocates nothing.
+func (s *Server) writeEncoded(w http.ResponseWriter, r *http.Request, e encoded) {
 	h := w.Header()
-	if e.ETag != "" && r.Header.Get("If-None-Match") == e.ETag {
-		e.SetHeaders(h) // 304 still carries the validator
-		w.WriteHeader(http.StatusNotModified)
+	h["Etag"] = e.etag
+	h["Content-Length"] = e.length
+	if r.Header.Get("If-None-Match") == e.etag[0] {
+		w.WriteHeader(http.StatusNotModified) // 304 still carries the validator
 		return
 	}
 	h["Content-Type"] = jsonCT
-	e.SetHeaders(h)
 	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(e.Body); err != nil {
-		s.log.Printf("serve: write cached response: %v", err)
+	_, err := w.Write(e.head)
+	if err == nil && e.tail != nil {
+		_, err = w.Write(e.tail)
 	}
-}
-
-// entryQuery names one cacheable response off a model snapshot: the
-// top-N ranking when top > 0, otherwise the plan priced by cm under b.
-type entryQuery struct {
-	top int
-	cm  plan.CostModel
-	b   plan.Budget
-}
-
-// snapshotEntry resolves the cached ranking or plan body for one
-// published snapshot — the single path behind GET /ranking, POST /plan
-// and every bulk region segment, so their cache entries (and bytes)
-// always coincide. It keys the entry canonically and replays a hit
-// without allocating (see cachedEntry). Concurrent misses on one key
-// each build the same immutable bytes, and the cache keeps whichever Add
-// lands first. The status accompanies a non-nil error and is what the
-// failure maps to: 409 for a plan against a model without a calibrator,
-// 400 for a plan that fails validation, 500 for an encode failure.
-func (s *Server) snapshotEntry(sh *shard, tm *modelSnapshot, model string, q entryQuery) (respcache.Entry, int, error) {
-	isPlan := q.top == 0
-	if isPlan && tm.calibrator == nil {
-		return respcache.Entry{}, http.StatusConflict, fmt.Errorf("model %q has no calibrator; cannot price a plan", model)
+	if err != nil {
+		s.log.Printf("serve: write response: %v", err)
 	}
-	var status int
-	e, hit, err := cachedEntry(sh.cache, func(key []byte) []byte {
-		if isPlan {
-			return appendPlanKey(key, model, tm.etag, q.cm, q.b)
-		}
-		// Canonical count: the clamped, re-rendered length, so top=050
-		// and any top beyond the ranking length share one entry.
-		return appendRankingKey(key, model, tm.etag, len(tm.topEntries(q.top)))
-	}, func() (e respcache.Entry, err error) {
-		if isPlan {
-			s.metrics.planCacheMisses.Inc()
-			e, status, err = s.buildPlanBody(tm, model, q.cm, q.b)
-			return e, err
-		}
-		body, err := encodeBody(tm.topEntries(q.top))
-		if err != nil {
-			s.log.Printf("serve: encode ranking for %s: %v", model, err)
-			status = http.StatusInternalServerError
-			return e, errors.New("encoding ranking failed")
-		}
-		return respcache.Entry{Body: body, ETag: tm.etag}, nil
-	})
-	if hit && isPlan {
-		s.metrics.planCacheHits.Inc()
-	}
-	return e, status, err
-}
-
-// cachedEntry returns the entry c holds under the key appendKey renders
-// into pooled scratch. On a miss it builds the entry with fill and Adds
-// it only when fill succeeds, so failures are never cached. A hit
-// allocates nothing.
-func cachedEntry(c *respcache.Cache, appendKey func(key []byte) []byte, fill func() (respcache.Entry, error)) (e respcache.Entry, hit bool, err error) {
-	kp := keyPool.Get().(*[]byte)
-	key := appendKey((*kp)[:0])
-	if e, hit = c.Get(key); !hit {
-		if e, err = fill(); err == nil {
-			c.Add(key, e)
-		}
-	}
-	*kp = key
-	keyPool.Put(kp)
-	return e, hit, err
 }
 
 type apiError struct {
@@ -703,7 +546,7 @@ func countParam(rawQuery, key string, def int) (int, error) {
 
 // handleMetrics serves a JSON snapshot of the default obs registry:
 // per-endpoint request/latency/error series, the training singleflight
-// counters, the response-cache hit/miss/eviction counters, per-model
+// counters, per-model
 // fit-duration histograms, the worker-pool task counters and the
 // process's heap and GC gauges (see DESIGN.md for the catalog). Each
 // shard's drift AUC gauges and the proc.* gauges are brought up to date
@@ -817,6 +660,7 @@ func (s *Server) runTrain(ctx context.Context, sh *shard, sl *modelSlot, job *tr
 		sh.mu.Lock()
 		sl.job = nil
 		if job.err == nil {
+			job.tm.inherit(sl.snap.Load())
 			sl.snap.Store(job.tm)
 		}
 		sh.mu.Unlock()
@@ -898,22 +742,22 @@ func (s *Server) writeGetErr(w http.ResponseWriter, err error) {
 // requestSnapshot resolves the request's ?region= shard and the model
 // named in its path, training it on first use. On failure it has
 // written the error response and returns a nil snapshot.
-func (s *Server) requestSnapshot(w http.ResponseWriter, r *http.Request) (*shard, string, *modelSnapshot) {
+func (s *Server) requestSnapshot(w http.ResponseWriter, r *http.Request) (string, *modelSnapshot) {
 	name := r.PathValue("name")
 	sh, err := s.shardFromQuery(r.URL.RawQuery, s.def)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
-		return nil, name, nil
+		return name, nil
 	}
 	tm, err := s.getShard(r.Context(), sh, name)
 	if err != nil {
 		s.writeGetErr(w, err)
 	}
-	return sh, name, tm
+	return name, tm
 }
 
 func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	if _, name, tm := s.requestSnapshot(w, r); tm != nil {
+	if name, tm := s.requestSnapshot(w, r); tm != nil {
 		s.writeJSON(w, http.StatusOK, tm.status(name))
 	}
 }
@@ -925,12 +769,12 @@ type rankedPipe struct {
 	FailProb float64 `json:"fail_prob,omitempty"`
 }
 
-// handleRanking serves the top-N inspection worklist. Steady state is a
-// pure replay: one atomic slot load for the snapshot, a pooled key build,
-// one LRU lookup, and a single body write (or a 304 when the client
-// already holds the snapshot's ETag) — zero heap allocations.
+// handleRanking serves the top-N inspection worklist: one atomic slot
+// load for the snapshot, then a prefix of its encoded ranking written
+// with prebuilt headers (or a 304 when the client already holds the
+// snapshot's ETag) — zero heap allocations.
 func (s *Server) handleRanking(w http.ResponseWriter, r *http.Request) {
-	sh, name, tm := s.requestSnapshot(w, r)
+	_, tm := s.requestSnapshot(w, r)
 	if tm == nil {
 		return
 	}
@@ -939,12 +783,12 @@ func (s *Server) handleRanking(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	e, status, err := s.snapshotEntry(sh, tm, name, entryQuery{top: top})
+	body, length, err := tm.rankPrefix(top)
 	if err != nil {
-		s.writeErr(w, status, "%v", err)
+		s.writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.writeCached(w, r, e)
+	s.writeEncoded(w, r, encoded{head: body, tail: listClose, etag: tm.etagHdr, length: length})
 }
 
 // findPipe locates a pipe ID across the shards: an explicit shard
@@ -1005,9 +849,8 @@ func (s *Server) handlePipe(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleCohorts replays cohort tables from the response cache — the
-// network is immutable for the life of the server, so each dimension is
-// computed and encoded exactly once, with a body-hash ETag.
+// handleCohorts serves one of the shard's cohort tables, each encoded
+// once with a body-hash ETag (see shard.go).
 func (s *Server) handleCohorts(w http.ResponseWriter, r *http.Request) {
 	sh, err := s.shardFromQuery(r.URL.RawQuery, s.def)
 	if err != nil {
@@ -1019,75 +862,43 @@ func (s *Server) handleCohorts(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, "%v", qerr)
 		return
 	}
-	var fill func() (any, error)
-	switch by {
-	case "", "material":
-		fill = func() (any, error) { return sh.data.CohortByMaterial(), nil }
-	case "age":
-		fill = func() (any, error) { return sh.data.CohortByAgeBand(10) }
-	case "diameter":
-		fill = func() (any, error) { return sh.data.CohortByDiameterBand([]float64{100, 200, 300, 450}) }
-	default:
+	if by == "" {
+		by = "material"
+	}
+	e, ok := sh.cohorts[by]
+	if !ok {
 		s.writeErr(w, http.StatusBadRequest, "unknown cohort dimension %q (want material, age or diameter)", by)
 		return
 	}
-	if by == "" {
-		by = "material" // canonical: default and explicit share an entry
-	}
-	e, _, err := cachedEntry(sh.cache, func(key []byte) []byte {
-		return append(append(key, "cohorts\x00"...), by...)
-	}, func() (respcache.Entry, error) {
-		rows, err := fill()
-		if err != nil {
-			return respcache.Entry{}, err
-		}
-		return hashedEntry(rows)
-	})
-	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, "%v", err)
+	if e.err != nil {
+		s.writeErr(w, http.StatusInternalServerError, "%v", e.err)
 		return
 	}
-	s.writeCached(w, r, e)
+	s.writeEncoded(w, r, e)
 }
 
-// hashedEntry encodes v into a response entry tagged with its body hash,
-// for bodies with no snapshot ETag: plans, cohort and hotspot tables.
-func hashedEntry(v any) (respcache.Entry, error) {
-	body, err := encodeBody(v)
-	if err != nil {
-		return respcache.Entry{}, err
-	}
-	return respcache.Entry{Body: body, ETag: respcache.BodyETag(body)}, nil
-}
-
+// handleHotspots serves the shard's hotspot list for ?min= off its
+// encoding (see shard.go).
 func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
 	sh, err := s.shardFromQuery(r.URL.RawQuery, s.def)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	min, err := countParam(r.URL.RawQuery, "min", 2)
+	m, err := countParam(r.URL.RawQuery, "min", 2)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	e, _, err := cachedEntry(sh.cache, func(key []byte) []byte {
-		return strconv.AppendInt(append(key, "hotspots\x00"...), int64(min), 10)
-	}, func() (respcache.Entry, error) {
-		return hashedEntry(sh.data.SegmentHotspots(min))
-	})
-	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.writeCached(w, r, e)
+	s.writeEncoded(w, r, sh.hotspots[min(m, len(sh.hotspots))-1])
 }
 
 // planRequest is the decoded POST /api/plan body. The priced
 // parameters are pointers so "absent" (use the default) and "explicitly
 // zero" (a client bug — zero-cost inspections, free failures or a zero
 // spend cap price every plan nonsensically) are distinguishable. Values
-// come out of s.planBodies and are shared, so handlers never mutate one.
+// come out of s.planBodies and are shared, so handlers never mutate one
+// beyond swapping last.
 type planRequest struct {
 	Model           string   `json:"model"`
 	Region          string   `json:"region"`
@@ -1096,44 +907,49 @@ type planRequest struct {
 	InspectionPerKM *float64 `json:"inspection_per_km"`
 	FailureCost     *float64 `json:"failure_cost"`
 	MaxSpend        *float64 `json:"max_spend"`
+
+	// last holds the ETag and Content-Length of the last response to
+	// this body and its encoded totals, valid while the snapshot ETag is
+	// last.snap: the request and the snapshot determine the body.
+	last atomic.Pointer[planHeaders]
 }
 
-func (r *planRequest) memoBytes() int { return len(r.Model) + len(r.Region) }
-
-type planResponse struct {
-	Model             string   `json:"model"`
-	Pipes             []string `json:"pipes"`
-	TotalKM           float64  `json:"total_km"`
-	InspectionCost    float64  `json:"inspection_cost"`
-	ExpectedPrevented float64  `json:"expected_prevented"`
-	ExpectedNet       float64  `json:"expected_net"`
+// planHeaders is what a memoized plan request keeps of its last
+// response: its header values and the tail from the totals on (at most
+// about 170 bytes), never the pipe list.
+type planHeaders struct {
+	snap         string
+	etag, length []string
+	totals       []byte
 }
+
+// memoBytes charges the strings and, at 256 bytes, the last headers and
+// totals.
+func (r *planRequest) memoBytes() int { return len(r.Model) + len(r.Region) + 256 }
 
 const (
 	defaultInspectionPerKM = 8000
 	defaultFailureCost     = 150000
 )
 
-// handlePlan prices a budget-constrained inspection plan. Steady state
-// is a pure replay, symmetric with handleRanking: the body is read into
-// a pooled buffer and resolved to its decoded request by the raw-body
-// memo, the snapshot comes from one atomic slot load, the canonical cache
-// key (model, rendered budget dimensions, cost parameters) is assembled
-// in pooled scratch, and a respcache hit is served with prebuilt headers
-// — or a 304 against the body ETag — without touching the heap. A miss
-// runs a binary search over the snapshot's precomputed plan prefix
-// (plan.BuildPrefix, paid once per cost model) instead of re-sorting
-// all candidates, then caches the encoded response.
+// handlePlan prices a budget-constrained inspection plan: the raw-body
+// memo decodes the request, the snapshot's plan prefix for the cost
+// model selects by binary search, and the plan is encoded from the
+// prefix's pre-quoted IDs into pooled scratch. A repeat request takes
+// its totals and headers from the memoized request, so it allocates
+// nothing.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	s.servePlan(w, r, buf)
+	sc := scratchPool.Get().(*reqScratch)
+	s.servePlan(w, r, buf, sc)
+	scratchPool.Put(sc)
 	if buf.Cap() <= bufPoolMax {
 		bufPool.Put(buf)
 	}
 }
 
-func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) {
+func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, sc *reqScratch) {
 	if !s.readBody(w, r, buf) {
 		return
 	}
@@ -1163,19 +979,33 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, buf *bytes.Bu
 		s.writeGetErr(w, err)
 		return
 	}
-	e, status, err := s.snapshotEntry(sh, tm, model, entryQuery{cm: cm, b: b})
-	if err != nil {
-		s.writeErr(w, status, "%v", err)
-		return
+	pp, status, err := tm.prefixFor(model, cm, s.metrics.planPrefixBuilds)
+	if err == nil {
+		hdr := req.last.Load()
+		var totals []byte
+		if hdr != nil && hdr.snap == tm.etag {
+			totals = hdr.totals
+		}
+		var body []byte
+		var cut int
+		if body, cut, status, err = sc.planBody(pp, model, b, totals); err == nil {
+			if totals == nil {
+				e := newEncoded(body, nil)
+				hdr = &planHeaders{snap: tm.etag, etag: e.etag, length: e.length, totals: bytes.Clone(body[cut:])}
+				req.last.Store(hdr)
+			}
+			s.writeEncoded(w, r, encoded{head: body, etag: hdr.etag, length: hdr.length})
+			return
+		}
 	}
-	s.writeCached(w, r, e)
+	s.writeErr(w, status, "%v", err)
 }
 
 // readBody reads a plan or bulk request body into buf, answering 413
 // (and returning false) once it passes bufPoolMax bytes and 400 on a
 // read error. It reads into buf's spare capacity directly because
 // http.MaxBytesReader or an io.LimitedReader would allocate on every
-// request, and the cached plan and bulk paths allocate nothing.
+// request, and the repeat plan and bulk paths allocate nothing.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
 	for r.ContentLength <= bufPoolMax && buf.Len() <= bufPoolMax {
 		buf.Grow(bytes.MinRead)
@@ -1264,35 +1094,4 @@ func planParams(budgetKM float64, maxPipes int, inspPerKM, failCost, maxSpend *f
 		return plan.CostModel{}, plan.Budget{}, plan.ErrNoBudget
 	}
 	return cm, b, nil
-}
-
-// buildPlanBody prices one plan against a snapshot and encodes the
-// response body — snapshotEntry's plan miss path. The status is 400 for
-// a plan that fails validation and 500 for an encode failure; the
-// caller owns caching.
-func (s *Server) buildPlanBody(tm *modelSnapshot, model string, cm plan.CostModel, b plan.Budget) (respcache.Entry, int, error) {
-	px, err := tm.prefixFor(cm, s.metrics.planPrefixBuilds)
-	if err != nil {
-		return respcache.Entry{}, http.StatusBadRequest, err
-	}
-	p, err := px.Plan(b)
-	if err != nil {
-		return respcache.Entry{}, http.StatusBadRequest, err
-	}
-	resp := planResponse{
-		Model:             model,
-		TotalKM:           p.TotalLengthM / 1000,
-		InspectionCost:    p.InspectionCost,
-		ExpectedPrevented: p.ExpectedPrevented,
-		ExpectedNet:       p.ExpectedNet,
-	}
-	if len(p.Selected) > 0 {
-		resp.Pipes = p.IDs()
-	}
-	e, err := hashedEntry(resp)
-	if err != nil {
-		s.log.Printf("serve: encode plan for %s: %v", model, err)
-		return respcache.Entry{}, http.StatusInternalServerError, errors.New("encoding plan failed")
-	}
-	return e, 0, nil
 }

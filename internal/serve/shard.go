@@ -2,23 +2,24 @@ package serve
 
 // Region shards: the unit of isolation in the multi-region registry.
 // Each shard owns one region's data, its pipeline, one slot per model
-// (the published snapshot and the fit in flight) and its own respcache
-// carved out of the global byte budget — so a hot region's cache
-// evictions and train storms cannot degrade its neighbours. The Server
+// (the published snapshot and the fit in flight) and its cohort and
+// hotspot bodies, encoded once — so a hot region's train storms cannot
+// degrade its neighbours. The Server
 // holds the shards in a fixed slice (deterministic fan-out order) plus a
 // region-name index; both are immutable after construction, so request
 // paths read them without locks.
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro"
 	"repro/internal/obs"
-	"repro/internal/respcache"
 )
 
 // shard is one region's serving state. All fields are set at
@@ -40,9 +41,11 @@ type shard struct {
 	// drift gauges); nil until Server.SetEventLog wires it. See events.go.
 	ingest *ingestState
 
-	// cache holds this shard's encoded responses under its slice of the
-	// global budget (see Server.SetResponseCacheBytes).
-	cache *respcache.Cache
+	// cohorts holds the cohort table bodies by dimension, and hotspots
+	// the hotspot list bodies by ?min= (see hotspotBodies); both read
+	// only the base region, so they are encoded once.
+	cohorts  map[string]encoded
+	hotspots []encoded
 
 	// stateDir is this shard's warm-restart directory (a per-region
 	// subdirectory of the server's -state-dir when multiple shards
@@ -81,8 +84,7 @@ var modelSlots = func() map[string]int {
 	return m
 }()
 
-// newShard builds one region's serving state; the caller installs its
-// response cache.
+// newShard builds one region's serving state.
 func newShard(d *pipefail.Data, opts ...pipefail.PipelineOption) (*shard, error) {
 	p, err := pipefail.NewPipelineData(d, opts...)
 	if err != nil {
@@ -91,11 +93,17 @@ func newShard(d *pipefail.Data, opts ...pipefail.PipelineOption) (*shard, error)
 	reg := obs.Default()
 	token := obs.SanitizeMetricName(d.Region)
 	sh := &shard{
-		region:          d.Region,
-		data:            d,
-		pipe:            p,
-		opts:            opts,
-		models:          make([]modelSlot, len(modelSlots)),
+		region: d.Region,
+		data:   d,
+		pipe:   p,
+		opts:   opts,
+		models: make([]modelSlot, len(modelSlots)),
+		cohorts: map[string]encoded{
+			"material": encodeFixed(d.CohortByMaterial(), nil),
+			"age":      encodeFixed(d.CohortByAgeBand(10)),
+			"diameter": encodeFixed(d.CohortByDiameterBand([]float64{100, 200, 300, 450})),
+		},
+		hotspots:        hotspotBodies(d),
 		rebuilds:        reg.Counter("serve.shard." + token + ".rebuilds"),
 		rebuildFailures: reg.Counter("serve.shard." + token + ".rebuild_failures"),
 	}
@@ -103,6 +111,31 @@ func newShard(d *pipefail.Data, opts ...pipefail.PipelineOption) (*shard, error)
 		sh.models[i].name = name
 	}
 	return sh, nil
+}
+
+// hotspotBodies encodes the region's hotspot list once. SegmentHotspots
+// sorts by failure count, so the list for min=m is a prefix of the list
+// for min=1: element m-1 of the result serves min=m, and the last, an
+// empty list, every larger min. Mins with the same cut share one body.
+func hotspotBodies(d *pipefail.Data) []encoded {
+	hot := d.SegmentHotspots(1)
+	list, _ := emptyList.extend(len(hot), 64*len(hot), func(dst []byte, i int) ([]byte, bool) {
+		b, _ := json.Marshal(hot[i]) // a string and ints: cannot fail
+		return append(dst, b...), true
+	})
+	var out []encoded
+	for m, prev := 1, -1; ; m++ {
+		k := sort.Search(len(hot), func(i int) bool { return hot[i].Failures < m })
+		switch {
+		case k == 0:
+			return append(out, newEncoded([]byte("null\n"), nil))
+		case k == prev:
+			out = append(out, out[m-2])
+		default:
+			out = append(out, newEncoded(list.body[:list.end[k]], listClose))
+		}
+		prev = k
+	}
 }
 
 // slot returns the shard's slot for the named model, nil when no such
@@ -238,8 +271,6 @@ type regionStatus struct {
 	Failures      int     `json:"failures"`
 	NetworkKM     float64 `json:"network_km"`
 	ModelsTrained int     `json:"models_trained"`
-	CacheBytes    int64   `json:"cache_bytes"`
-	CacheEntries  int     `json:"cache_entries"`
 	// Streaming-ingest fields, present only when an event log is wired.
 	LiveEvents  int64 `json:"live_events,omitempty"`
 	WalSegments int   `json:"wal_segments,omitempty"`
@@ -247,8 +278,7 @@ type regionStatus struct {
 }
 
 // handleRegions reports per-shard serving state: which regions this
-// process holds, how warm each one is, and how much of its cache slice
-// is in use.
+// process holds and how warm each one is.
 func (s *Server) handleRegions(w http.ResponseWriter, _ *http.Request) {
 	out := make([]regionStatus, len(s.shards))
 	for i, sh := range s.shards {
@@ -258,8 +288,6 @@ func (s *Server) handleRegions(w http.ResponseWriter, _ *http.Request) {
 			Failures:      sh.data.NumFailures(),
 			NetworkKM:     sh.data.TotalLengthM() / 1000,
 			ModelsTrained: sh.published(),
-			CacheBytes:    sh.cache.SizeBytes(),
-			CacheEntries:  sh.cache.Len(),
 		}
 		if ing := sh.ingest; ing != nil {
 			out[i].LiveEvents = sh.eventSeqNow()

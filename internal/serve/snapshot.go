@@ -4,22 +4,28 @@ package serve
 // once when a training run completes. Everything a read handler needs is
 // precomputed here — the ranked entry list with calibrated probabilities,
 // each registry row's rank, the plan candidate slice, the test-year
-// scores and the content ETag — so the request path is slicing and
-// encoding, never recomputation.
+// scores, the encoded ranking body and the content ETag — so the request
+// path is slicing, never recomputation.
 //
 // Invariant: a *modelSnapshot and everything reachable from it is
-// read-only after newModelSnapshot returns — with one internally
-// synchronized exception: planMemo, a bounded sync.Map of plan.Prefix
-// structures keyed by cost model, which handlers fill lazily for
-// non-default cost models. Each Prefix is itself immutable once built.
+// read-only after newModelSnapshot returns — with two internally
+// synchronized exceptions: the ranking body, encoded as far as reads
+// have asked for it, and planMemo, a bounded sync.Map of plan prefixes
+// keyed by cost model, which handlers fill lazily for non-default cost
+// models. Each encoded ranking prefix and each plan prefix is itself
+// immutable once built.
 // Handlers may share one snapshot across any number of goroutines; the
 // only other mutable state is the shard's per-model slot that points at
 // the published snapshot (see shard.go).
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -45,6 +51,14 @@ type modelSnapshot struct {
 	// entries[:top] directly.
 	entries []rankedPipe
 
+	// rank is the ranking body encoded so far, nil before the first
+	// ranking read (see rankPrefix); rankMu serializes its extensions.
+	// Encoding on read keeps it off the publish path, out of memory for
+	// snapshots nobody reads, and a small top from paying for the whole
+	// ranking.
+	rankMu sync.Mutex
+	rank   atomic.Pointer[rankBody]
+
 	// rankOf maps a registry row to its 1-based rank, 0 for a pipe the
 	// ranking does not hold (laid after the test year), so a pipe lookup
 	// is two array reads (see entryOf).
@@ -60,7 +74,7 @@ type modelSnapshot struct {
 	// first /api/plan request already binary-searches instead of sorting.
 	// Nil when the model has no calibrator or the candidates fail plan
 	// validation (the per-request path reports the error).
-	planDefault *plan.Prefix
+	planDefault *planPrefix
 
 	// planMemo lazily memoizes prefixes for non-default cost models,
 	// keyed by the plan.CostModel value. Bounded at planMemoMax distinct
@@ -70,10 +84,11 @@ type modelSnapshot struct {
 	planMemo  sync.Map
 	planMemoN atomic.Int32
 
-	// etag is the strong HTTP validator (quoted, as sent on the wire)
-	// derived from the model name and score bytes: any change to the
-	// ranking changes the tag, and re-training the same data reproduces it.
-	etag string
+	// etag is the strong HTTP validator (quoted, as sent on the wire;
+	// etagHdr as a header value) derived from everything the served bytes
+	// depend on (see rankingETag); re-training the same data reproduces it.
+	etag    string
+	etagHdr []string
 
 	// eventSeq is the shard's live-event sequence this snapshot trained
 	// at (0 = base network only, -1 = restored from disk at an unknown
@@ -93,28 +108,32 @@ var defaultCostModel = plan.CostModel{
 	FailureCost:     defaultFailureCost,
 }
 
-// prefixFor returns the plan prefix structure for cm, building and
-// memoizing it on first use. builds counts actual BuildPrefix runs (the
-// serve.plan.prefix_builds metric). Errors are plan validation errors —
-// exactly what plan.Greedy would report for the same inputs.
-func (tm *modelSnapshot) prefixFor(cm plan.CostModel, builds *obs.Counter) (*plan.Prefix, error) {
+// prefixFor returns the plan prefix for cm, building and memoizing it on
+// first use. builds counts actual builds (the serve.plan.prefix_builds
+// metric). The status accompanies a non-nil error: 409 for a model
+// without a calibrator, 400 for the plan validation errors plan.Greedy
+// would report for the same inputs.
+func (tm *modelSnapshot) prefixFor(model string, cm plan.CostModel, builds *obs.Counter) (*planPrefix, int, error) {
+	if tm.calibrator == nil {
+		return nil, http.StatusConflict, fmt.Errorf("model %q has no calibrator; cannot price a plan", model)
+	}
 	if cm == defaultCostModel && tm.planDefault != nil {
-		return tm.planDefault, nil
+		return tm.planDefault, 0, nil
 	}
 	if px, ok := tm.planMemo.Load(cm); ok {
-		return px.(*plan.Prefix), nil
+		return px.(*planPrefix), 0, nil
 	}
 	builds.Inc()
-	px, err := plan.BuildPrefix(tm.cands, cm)
+	px, err := newPlanPrefix(tm.cands, cm)
 	if err != nil {
-		return nil, err
+		return nil, http.StatusBadRequest, err
 	}
 	if tm.planMemoN.Load() < planMemoMax {
 		if _, loaded := tm.planMemo.LoadOrStore(cm, px); !loaded {
 			tm.planMemoN.Add(1)
 		}
 	}
-	return px, nil
+	return px, 0, nil
 }
 
 // newModelSnapshot freezes a trained model; pipes is the region's
@@ -127,7 +146,6 @@ func newModelSnapshot(name string, ranking *pipefail.Ranking, pipes int, calibra
 		fitSeconds: fitSeconds,
 		auc:        ranking.AUC(),
 		det1:       ranking.DetectionAt(0.01),
-		etag:       rankingETag(name, ranking.Scores),
 	}
 
 	var probs []float64
@@ -145,10 +163,12 @@ func newModelSnapshot(name string, ranking *pipefail.Ranking, pipes int, calibra
 		// model. A build error (out-of-range probability, zero length) is
 		// deliberately not fatal: planDefault stays nil and the request
 		// path rebuilds per call, surfacing the same 400 Greedy would.
-		if px, err := plan.BuildPrefix(tm.cands, defaultCostModel); err == nil {
+		if px, err := newPlanPrefix(tm.cands, defaultCostModel); err == nil {
 			tm.planDefault = px
 		}
 	}
+	tm.etag = rankingETag(name, ranking, probs)
+	tm.etagHdr = []string{tm.etag}
 
 	order := eval.TopK(ranking.Scores, ranking.Len())
 	tm.entries = make([]rankedPipe, len(order))
@@ -164,6 +184,82 @@ func newModelSnapshot(name string, ranking *pipefail.Ranking, pipes int, calibra
 	return tm
 }
 
+// rankBody is a ranking's first len(end)-1 entries encoded: top=k
+// serves body[:end[k]] and listClose, with Content-Length lens[k]. done
+// marks an encoding that can grow no further: it holds every entry, or
+// every entry before the first with a score or probability JSON cannot
+// encode.
+type rankBody struct {
+	encodedList
+	lens []string
+	done bool
+}
+
+// rankPrefix returns the top=top ranking body up to its closing
+// listClose, clamped to the ranking length, and its Content-Length
+// header value, or an error when the body would reach an entry JSON
+// cannot encode (a 500). A read that needs entries nobody encoded yet
+// extends the encoding to at least twice its length, so a small top
+// pays for its own entries and the whole ranking is encoded about twice
+// at most.
+func (tm *modelSnapshot) rankPrefix(top int) ([]byte, []string, error) {
+	k := min(top, len(tm.entries))
+	rb := tm.rank.Load()
+	if rb == nil || k >= len(rb.end) && !rb.done {
+		rb = tm.encodeRanking(k)
+	}
+	if k >= len(rb.end) {
+		return nil, nil, errors.New("encoding ranking failed")
+	}
+	return rb.body[:rb.end[k]], rb.lens[k : k+1 : k+1], nil
+}
+
+// encodeRanking extends the encoded ranking to hold at least k entries
+// where it can, and publishes the longer encoding.
+func (tm *modelSnapshot) encodeRanking(k int) *rankBody {
+	tm.rankMu.Lock()
+	defer tm.rankMu.Unlock()
+	rb := rankBody{encodedList: emptyList}
+	if prev := tm.rank.Load(); prev != nil {
+		if k < len(prev.end) || prev.done {
+			return prev
+		}
+		rb = *prev
+	}
+	n := min(max(k, 2*(len(rb.end)-1)), len(tm.entries))
+	list, ok := rb.extend(n, 96*(n+1-len(rb.end)), tm.appendEntry)
+	next := &rankBody{list, list.appendLengths(rb.lens), !ok || n == len(tm.entries)}
+	tm.rank.Store(next)
+	return next
+}
+
+// appendEntry appends entry i of the ranking body, reporting false for
+// a score or probability JSON cannot encode.
+func (tm *modelSnapshot) appendEntry(dst []byte, i int) ([]byte, bool) {
+	e := &tm.entries[i]
+	if !finite(e.Score) || !finite(e.FailProb) {
+		return dst, false
+	}
+	dst = strconv.AppendInt(append(dst, `{"rank":`...), int64(e.Rank), 10)
+	dst = writeJSONString(append(dst, `,"pipe_id":`...), e.PipeID)
+	dst = writeJSONFloat(append(dst, `,"score":`...), e.Score)
+	if e.FailProb != 0 { // omitempty
+		dst = writeJSONFloat(append(dst, `,"fail_prob":`...), e.FailProb)
+	}
+	return append(dst, '}'), true
+}
+
+// inherit gives tm the ranking old has encoded when the two serve the
+// same bytes (equal ETags), so a bit-identical rebuild does not encode
+// its ranking again.
+func (tm *modelSnapshot) inherit(old *modelSnapshot) {
+	if old != nil && old != tm && old.etag == tm.etag {
+		tm.rank.CompareAndSwap(nil, old.rank.Load())
+	}
+}
+
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
 // entryOf returns the ranked entry of the pipe at registry row, nil when
 // the ranking does not hold the pipe. The entry aliases the snapshot and
 // must not be mutated.
@@ -174,32 +270,22 @@ func (tm *modelSnapshot) entryOf(row int) *rankedPipe {
 	return nil
 }
 
-// topEntries returns the highest-risk prefix of the precomputed ranking,
-// clamping top to the ranking length. The returned slice aliases the
-// snapshot and must not be mutated.
-func (tm *modelSnapshot) topEntries(top int) []rankedPipe {
-	return tm.entries[:min(top, len(tm.entries))]
-}
-
-// rankingETag hashes the model name and every score's bit pattern into a
-// quoted strong validator. Scores determine the served ranking bytes
-// (order, probabilities and IDs all derive from them for a fixed
-// network), so equal tags imply equal representations.
-func rankingETag(name string, scores []float64) string {
+// rankingETag hashes the model name and, per ranking row, the score's
+// bit pattern, the registry row and the calibrated probability (probs is
+// nil without a calibrator) into a quoted strong validator. Those
+// determine every served ranking and plan byte for a fixed network, so
+// equal tags imply equal representations.
+func rankingETag(name string, r *pipefail.Ranking, probs []float64) string {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	var buf [8]byte
-	for _, s := range scores {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(s))
-		h.Write(buf[:])
+	var buf [24]byte
+	for i, s := range r.Scores {
+		b := binary.LittleEndian.AppendUint64(buf[:0], math.Float64bits(s))
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Rows[i]))
+		if probs != nil {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(probs[i]))
+		}
+		h.Write(b)
 	}
-	binary.LittleEndian.PutUint64(buf[:], h.Sum64())
-	const hex = "0123456789abcdef"
-	out := make([]byte, 0, 20)
-	out = append(out, '"', 'r', '-')
-	for _, b := range buf {
-		out = append(out, hex[b>>4], hex[b&0xf])
-	}
-	out = append(out, '"')
-	return string(out)
+	return fmt.Sprintf(`"r-%016x"`, h.Sum64())
 }
