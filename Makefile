@@ -16,7 +16,8 @@ loc:
 
 # verify is the pre-submit gate: gofmt cleanliness and static checks,
 # the race detector on the concurrency-bearing packages (live extension
-# of one shared region, the parallel training engine, the pool-fanned
+# of one shared region, the feature builder that concurrent fits gather
+# their rows from, the parallel training engine, the pool-fanned
 # eval kernels, the kernel-conformance harness, the metrics registry,
 # the train-singleflight + snapshot HTTP layer with its once-encoded
 # bodies and raw-body request memo, and the experiment fan-out), the
@@ -26,18 +27,19 @@ loc:
 # its radix-sort cutoff), the ES's
 # per-generation negative resample, the serve
 # ranking/plan/bulk-rank/bulk-plan repeat paths and the request-body
-# memo hit, the flat per-event ingest allocation count
+# memo hit, the flat per-event ingest allocation count, the exact
+# allocation count of four serial shard retrains
 # (run without -race, which inflates allocation counts), the chaos
 # suite, and a short fuzz pass over the CSV parsers, the AUC kernel
 # differential and the serve JSON writers.
 verify:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
-	$(GO) test -race ./internal/dataset/... ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/experiments/... ./internal/wal/...
+	$(GO) test -race ./internal/dataset/... ./internal/feature/... ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/experiments/... ./internal/wal/...
 	$(GO) test ./internal/kerneltest -count=1
 	$(GO) test ./internal/eval -run='^(TestAUCKernelZeroAlloc|TestAUCKernelRadixPathZeroAlloc)$$' -count=1
 	$(GO) test ./internal/core -run='^TestFitnessBatchResampleZeroAlloc$$' -count=1
-	$(GO) test ./internal/serve -run='^(TestRankingCacheHitZeroAlloc|TestPlanCacheHitZeroAlloc|TestBodyMemoHitZeroAlloc|TestBulkRankCacheHitZeroAlloc|TestBulkPlanCacheHitZeroAlloc|TestEventsAllocsFlatWithHistory)$$' -count=1
+	$(GO) test ./internal/serve -run='^(TestRankingCacheHitZeroAlloc|TestPlanCacheHitZeroAlloc|TestBodyMemoHitZeroAlloc|TestBulkRankCacheHitZeroAlloc|TestBulkPlanCacheHitZeroAlloc|TestEventsAllocsFlatWithHistory|TestShardRebuildSerialAllocs)$$' -count=1
 	$(GO) test ./internal/colfmt -run='^(TestReadAllocsRowIndependent|TestIngestAllocsRowIndependent)$$' -count=1
 	$(MAKE) chaos
 	$(MAKE) fuzz-smoke
@@ -75,7 +77,7 @@ bench:
 # The benchmark suites, each defined once: bench-json, bench-data and
 # bench-ingest record them into BENCH_*.json, and bench-check reruns the
 # same commands against those files.
-BENCH_CORE = { $(GO) test -run='^$$' -bench='BenchmarkFitnessEval|BenchmarkScoreAllFlat|BenchmarkRankBoostFit' ./internal/core/; \
+BENCH_CORE = { $(GO) test -run='^$$' -bench='BenchmarkFitnessEval|BenchmarkScoreAllFlat|BenchmarkRankBoostFit|BenchmarkDirectAUCFit' ./internal/core/; \
 	$(GO) test -run='^$$' -bench='BenchmarkWeibullFit' ./internal/baseline/; \
 	$(GO) test -run='^$$' -bench='BenchmarkAUCKernel|BenchmarkTopK' ./internal/eval/; \
 	$(GO) test -run='^$$' -bench='BenchmarkMatVec|BenchmarkDot' ./internal/linalg/; }
@@ -87,7 +89,8 @@ BENCH_INGEST = { $(GO) test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALRe
 
 # bench-json records the training/serving hot-path benchmarks (the ES
 # fitness kernel, at ~1,000 positives and at the full-scale region-A
-# batch shape, both matched by the BenchmarkFitnessEval prefix; scoring,
+# batch shape, both matched by the BenchmarkFitnessEval prefix; a whole
+# full-scale region-A ES fit with its set build; scoring,
 # the RankBoost and Weibull fits, AUC, top-k and
 # the linalg kernels; the serve handlers) as JSON so
 # perf can be diffed commit to commit (BENCH_core.json and

@@ -3,9 +3,11 @@ package core
 import (
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/feature"
 	"repro/internal/parallel"
+	"repro/internal/synthetic"
 )
 
 // BenchmarkFitnessEval measures one ES fitness evaluation — the unit the
@@ -43,6 +45,44 @@ func benchFitnessEval(b *testing.B, set *feature.Set) {
 	for i := 0; i < b.N; i++ {
 		if a := batch.aucInto(w, scores, &k); a < 0 || a > 1 {
 			b.Fatalf("AUC %v", a)
+		}
+	}
+}
+
+// BenchmarkDirectAUCFit measures one whole DirectAUC-ES fit as a
+// pipeline runs it: build the training set of full-scale region A (seed
+// 1, paper split) from the fitted builder, then fit with the default
+// configuration (120 generations, RankSVM warm start, exact final pass)
+// on every CPU.
+func BenchmarkDirectAUCFit(b *testing.B) {
+	cfg, err := synthetic.Preset("A", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cols, _, err := synthetic.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	split, err := dataset.PaperSplit(cols)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fb, err := feature.NewBuilder(cols, feature.Options{Standardize: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := fb.Fit(split); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		train, err := fb.FactoredTrainSet(split)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := NewDirectAUC(DefaultDirectAUCConfig(1)).Fit(train); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -123,6 +123,8 @@ func validateFitInputs(train *feature.Set) error {
 
 // splitByLabel returns the row indices of positive and negative instances.
 func splitByLabel(s *feature.Set) (pos, neg []int) {
+	p := s.Positives()
+	pos, neg = make([]int, 0, p), make([]int, 0, len(s.Label)-p)
 	for i, v := range s.Label {
 		if v {
 			pos = append(pos, i)

@@ -258,16 +258,17 @@ func (d *DirectAUC) FitContext(ctx context.Context, train *feature.Set) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%s: cancelled before final selection: %w", d.Name(), err)
 	}
-	// The full-set passes reuse one pool-fanned kernel: scratch persists
-	// across the µ re-rankings, and the counting pass itself fans out over
-	// the same pool as scoring (per-worker count slabs keep the result
-	// bit-identical to a serial pass).
+	// The full-set passes reuse one score buffer and one pool-fanned
+	// kernel: scratch persists across the µ re-rankings, and the counting
+	// pass itself fans out over the same pool as scoring (per-worker count
+	// slabs keep the result bit-identical to a serial pass).
 	finalKernel := eval.AUCKernel{Pool: pool}
+	scores := make([]float64, train.Len())
 	best := parents[0]
 	if d.cfg.ExactFinal {
 		bestAUC := math.Inf(-1)
 		for _, p := range parents {
-			scores := scoreAllPar(train, p.w, pool)
+			scoreInto(scores, train, p.w, pool)
 			a := finalKernel.Compute(scores, train.Label)
 			if a > bestAUC {
 				bestAUC = a
@@ -277,7 +278,8 @@ func (d *DirectAUC) FitContext(ctx context.Context, train *feature.Set) error {
 		}
 		d.TrainAUC = bestAUC
 	} else {
-		d.TrainAUC = finalKernel.Compute(scoreAllPar(train, best.w, pool), train.Label)
+		scoreInto(scores, train, best.w, pool)
+		d.TrainAUC = finalKernel.Compute(scores, train.Label)
 	}
 	d.W = linalg.Clone(best.w)
 	return nil
@@ -298,35 +300,44 @@ func scoreAll(s *feature.Set, w []float64) []float64 {
 	return scoreAllPar(s, w, parallel.Pool{})
 }
 
-// scoreAllPar is scoreAll with the row loop fanned out across the pool;
-// each row writes only its own output slot, so the result is identical
-// for any worker count. Sets with a flat backing (everything the feature
-// builder produces) take the contiguous MatVec path; hand-assembled view
-// sets fall back to per-row dots with identical results, since MatVec is
-// defined as Dot per row.
+// scoreAllPar is scoreAll with the row loop fanned out across the pool.
 func scoreAllPar(s *feature.Set, w []float64, pool parallel.Pool) []float64 {
 	out := make([]float64, s.Len())
+	scoreInto(out, s, w, pool)
+	return out
+}
+
+// scoreInto writes the score of every row of s into out, fanned out
+// across the pool; each row writes only its own slot, so any worker
+// count gives the same result. Dense sets take the contiguous MatVec
+// path, factored and view sets per-row dots: the same bits, since
+// MatVec is defined as Dot per row.
+func scoreInto(out []float64, s *feature.Set, w []float64, pool parallel.Pool) {
 	flat, stride := s.Flat()
-	pool.Run(s.Len(), func(_, lo, hi int) {
+	var bufs []float64 // Row scratch, one row per worker
+	if flat == nil {
+		bufs = make([]float64, pool.Workers()*len(w))
+	}
+	pool.Run(s.Len(), func(worker, lo, hi int) {
 		if flat != nil {
 			linalg.MatVec(out[lo:hi], flat[lo*stride:hi*stride], stride, w)
 			return
 		}
+		buf := bufs[worker*len(w) : (worker+1)*len(w)]
 		for i := lo; i < hi; i++ {
-			out[i] = linalg.Dot(s.X[i], w)
+			out[i] = linalg.Dot(s.Row(i, buf), w)
 		}
 	})
-	return out
 }
 
 func classMeanDiff(s *feature.Set, pos, neg []int) []float64 {
 	d := s.Dim()
-	mp, mn := make([]float64, d), make([]float64, d)
+	mp, mn, buf := make([]float64, d), make([]float64, d), make([]float64, d)
 	for _, i := range pos {
-		linalg.Axpy(1, s.X[i], mp)
+		linalg.Axpy(1, s.Row(i, buf), mp)
 	}
 	for _, i := range neg {
-		linalg.Axpy(1, s.X[i], mn)
+		linalg.Axpy(1, s.Row(i, buf), mn)
 	}
 	linalg.Scale(1/float64(len(pos)), mp)
 	linalg.Scale(1/float64(len(neg)), mn)
@@ -345,10 +356,9 @@ func sortByFitnessDesc(all []esIndividual) {
 
 // fitnessBatch evaluates sampled-pair AUC: all positives against a
 // refreshed subsample of negatives. The batch rows are gathered into a
-// dense contiguous sub-matrix (sub) once per resample, so each of the
-// µ+λ fitness evaluations per generation is a single sequential MatVec
-// over the gathered block instead of a pointer-chased pass over row
-// views.
+// dense contiguous sub-matrix (sub) once per resample, from a dense or a
+// factored set alike, so each of the µ+λ fitness evaluations per
+// generation is a single sequential MatVec over the gathered block.
 type fitnessBatch struct {
 	set      *feature.Set
 	pos, neg []int
@@ -382,9 +392,7 @@ func newFitnessBatch(s *feature.Set, pos, neg []int, batchNeg int) *fitnessBatch
 // Positives occupy the leading block and never change, so resample only
 // re-gathers the negative tail.
 func (b *fitnessBatch) gather(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		copy(b.sub[i*b.stride:(i+1)*b.stride], b.set.X[b.rows[i]])
-	}
+	b.set.Gather(b.sub[lo*b.stride:hi*b.stride], b.rows[lo:hi])
 }
 
 func (b *fitnessBatch) resample(rng *stats.RNG) {

@@ -31,6 +31,12 @@ var esBitsCases = []struct {
 // generated region.
 func esTrainSet(t *testing.T, region string) *feature.Set {
 	t.Helper()
+	return esTrainSetWith(t, region, (*feature.Builder).TrainSet)
+}
+
+// esTrainSetWith is esTrainSet with the set built by build.
+func esTrainSetWith(t *testing.T, region string, build func(*feature.Builder, dataset.Split) (*feature.Set, error)) *feature.Set {
+	t.Helper()
 	cfg, err := synthetic.Preset(region, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +56,7 @@ func esTrainSet(t *testing.T, region string) *feature.Set {
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, err := b.TrainSet(split)
+	train, err := build(b, split)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +117,40 @@ func TestDirectAUCBitsPinned(t *testing.T) {
 				}
 				if got[i] != c.digest {
 					t.Errorf("concurrent fit %d: digest %s, want %s", i, got[i], c.digest)
+				}
+			}
+		})
+	}
+}
+
+// TestDirectAUCFactoredBitsPinned fits the pinned cases from factored
+// sets, whose rows the ES gathers instead of reading a matrix: one and
+// two workers, fitting one shared set at the same time, must both match
+// the dense fits' digests.
+func TestDirectAUCFactoredBitsPinned(t *testing.T) {
+	for _, c := range esBitsCases {
+		t.Run(c.region, func(t *testing.T) {
+			train := esTrainSetWith(t, c.region, (*feature.Builder).FactoredTrainSet)
+			if train.X != nil {
+				t.Fatal("set is not factored")
+			}
+			var wg sync.WaitGroup
+			got := make([]string, 2)
+			errs := make([]error, 2)
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i], errs[i] = esDigest(train, i+1)
+				}()
+			}
+			wg.Wait()
+			for i := range got {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				if got[i] != c.digest {
+					t.Errorf("workers=%d: digest %s, want %s", i+1, got[i], c.digest)
 				}
 			}
 		})

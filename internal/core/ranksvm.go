@@ -81,6 +81,7 @@ func (m *RankSVM) FitContext(ctx context.Context, train *feature.Set) error {
 
 	w := make([]float64, train.Dim())
 	diff := make([]float64, train.Dim())
+	bufI, bufJ := make([]float64, train.Dim()), make([]float64, train.Dim())
 	t := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
@@ -88,8 +89,8 @@ func (m *RankSVM) FitContext(ctx context.Context, train *feature.Set) error {
 		}
 		for k := 0; k < cfg.PairsPerEpoch; k++ {
 			t++
-			xi := train.X[pos[rng.Intn(len(pos))]]
-			xj := train.X[neg[rng.Intn(len(neg))]]
+			xi := train.Row(pos[rng.Intn(len(pos))], bufI)
+			xj := train.Row(neg[rng.Intn(len(neg))], bufJ)
 			for d := range diff {
 				diff[d] = xi[d] - xj[d]
 			}

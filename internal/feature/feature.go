@@ -90,6 +90,10 @@ type Options struct {
 // assembled by hand (or row-subset views such as the CV fold splitter's)
 // may populate X alone; Flat then reports no backing and callers fall
 // back to the row views.
+//
+// A factored set (Builder.FactoredTrainSet) keeps Label and, in place of
+// X and the other per-row columns, a template row per pipe and a key per
+// row; only fitters that read rows through Row or Gather accept it.
 type Set struct {
 	// Names are the expanded column names of X.
 	Names []string
@@ -113,7 +117,22 @@ type Set struct {
 	// when the set is dense, nil otherwise.
 	flat   []float64
 	stride int
+	// fac holds a factored set's templates, nil for every other set.
+	fac *factored
 }
+
+// factored is a factored set's row store: one template per registry
+// pipe, one key per row, and a copy of the builder that encoded them,
+// which a later Fit of the original on another window leaves alone.
+type factored struct {
+	b    Builder
+	tmpl []float64
+	keys []rowKey
+}
+
+// rowKey is what a row needs beyond its pipe's template: the pipe, its
+// age in the row's year and its failures in the window before that year.
+type rowKey struct{ pipe, age, prior int32 }
 
 // NewDense returns a Set with rows x dim dense storage: a single
 // contiguous backing array with X's rows as capacity-clamped views into
@@ -153,14 +172,64 @@ func (s *Set) Flat() ([]float64, int) {
 }
 
 // Len returns the number of instances.
-func (s *Set) Len() int { return len(s.X) }
+func (s *Set) Len() int {
+	if s.fac != nil {
+		return len(s.Label)
+	}
+	return len(s.X)
+}
 
 // Dim returns the feature dimensionality (0 for an empty set).
 func (s *Set) Dim() int {
+	if s.fac != nil {
+		return s.fac.b.Dim()
+	}
 	if len(s.X) == 0 {
 		return 0
 	}
 	return len(s.X[0])
+}
+
+// Row returns row r. A factored set writes it into buf, whose length
+// must be Dim, and returns buf; any other set returns its row of X, a
+// view that must not be mutated, and leaves buf alone.
+func (s *Set) Row(r int, buf []float64) []float64 {
+	f := s.fac
+	if f == nil {
+		return s.X[r]
+	}
+	k, d := f.keys[r], len(buf)
+	copy(buf, f.tmpl[int(k.pipe)*d:][:d])
+	f.b.setYear(buf, int(k.age), int(k.prior))
+	return buf
+}
+
+// Gather writes the rows into dst one after another, as Row returns
+// them. A factored set takes 256 rows at a time in three passes (keys,
+// templates, year slots) whose loads do not wait on each other, which
+// gathers random rows faster than the dense matrix can.
+func (s *Set) Gather(dst []float64, rows []int) {
+	d, f := s.Dim(), s.fac
+	if f == nil {
+		for i, r := range rows {
+			copy(dst[i*d:(i+1)*d], s.X[r])
+		}
+		return
+	}
+	var buf [256]rowKey
+	for len(rows) > 0 {
+		keys := buf[:min(len(buf), len(rows))]
+		for i := range keys {
+			keys[i] = f.keys[rows[i]]
+		}
+		for i, k := range keys {
+			copy(dst[i*d:(i+1)*d], f.tmpl[int(k.pipe)*d:][:d])
+		}
+		for i, k := range keys {
+			f.b.setYear(dst[i*d:(i+1)*d], int(k.age), int(k.prior))
+		}
+		rows, dst = rows[len(keys):], dst[len(keys)*d:]
+	}
 }
 
 // Positives returns the number of positive labels.
@@ -227,7 +296,9 @@ type Builder struct {
 	numeric []int
 	// ageCol and historyCol are the first of the age and history column
 	// pairs, -1 when the group is off: the year-dependent slots of a row.
+	// yearCols lists those slots.
 	ageCol, historyCol int
+	yearCols           []int
 }
 
 // NewBuilder returns a Builder over the columns. Zero-valued Options get
@@ -321,6 +392,11 @@ func (b *Builder) buildNames() {
 		b.historyCol = len(names)
 		addNum("prior_failures")
 		addNum("had_failure")
+	}
+	for _, at := range [2]int{b.ageCol, b.historyCol} {
+		if at >= 0 {
+			b.yearCols = append(b.yearCols, at, at+1)
+		}
 	}
 	b.names = names
 	b.numeric = numeric
@@ -460,7 +536,7 @@ func (b *Builder) Fit(split dataset.Split) error {
 			for i, l := range laid {
 				if int(l) <= y {
 					v := vals[i*k : (i+1)*k]
-					b.yearSlots(v, ageAt, histAt, i, y-int(l), from, y-1)
+					b.yearSlots(v, ageAt, histAt, y-int(l), b.cols.FailureCount(i, from, y-1))
 					visit(v)
 				}
 			}
@@ -493,20 +569,19 @@ func (b *Builder) Fit(split dataset.Split) error {
 	return nil
 }
 
-// yearSlots writes the year-dependent values of pipe i's instance at
-// the given age into v, whose age and history column pairs start at
-// ageAt and histAt (-1 when the group is off); the history features
-// count failures in [historyFrom, historyTo]. The values equal what
-// rowInto encodes for that instance.
-func (b *Builder) yearSlots(v []float64, ageAt, histAt, i, age, historyFrom, historyTo int) {
+// yearSlots writes the year-dependent values of an instance at the
+// given age with prior failures in the window before its year into v,
+// whose age and history column pairs start at ageAt and histAt (-1 when
+// the group is off). The values equal what rowInto encodes for that
+// instance.
+func (b *Builder) yearSlots(v []float64, ageAt, histAt, age, prior int) {
 	if ageAt >= 0 {
 		v[ageAt] = float64(age)
 		v[ageAt+1] = b.logAge[age]
 	}
 	if histAt >= 0 {
-		n := b.cols.FailureCount(i, historyFrom, historyTo)
-		v[histAt] = float64(n)
-		v[histAt+1] = boolTo01(n > 0)
+		v[histAt] = float64(prior)
+		v[histAt+1] = boolTo01(prior > 0)
 	}
 }
 
@@ -521,6 +596,14 @@ func (b *Builder) standardize(x []float64, cols []int) {
 	}
 }
 
+// setYear turns a copy of a pipe's template in x into its row at the
+// given age and prior failures (see yearSlots), bit for bit the row a
+// fresh encoding gives.
+func (b *Builder) setYear(x []float64, age, prior int) {
+	b.yearSlots(x, b.ageCol, b.historyCol, age, prior)
+	b.standardize(x, b.yearCols)
+}
+
 // TrainSet builds the pipe-year training set for the split, first
 // fitting the standardization statistics (see Fit) unless they are
 // already fitted on the split's training window. History features for an
@@ -529,10 +612,21 @@ func (b *Builder) standardize(x []float64, cols []int) {
 //
 // Rows are year-major — every pipe in service in TrainFrom, then in
 // TrainFrom+1, and so on — in registry order within a year. They are
-// filled pipe by pipe: a pipe's first row is encoded and standardized in
-// full, and its later rows copy it, rewriting only the age and history
-// slots, the only ones that vary with the year.
+// filled pipe by pipe: each row copies the pipe's encoded row for its
+// first year and rewrites only the age and history slots, the only ones
+// that vary with the year.
 func (b *Builder) TrainSet(split dataset.Split) (*Set, error) {
+	return b.trainSet(split, false)
+}
+
+// FactoredTrainSet builds TrainSet's rows, bit for bit, as a factored
+// set (see Set): a template per pipe and a label and a 12-byte key per
+// row, about a ninth of the dense set's memory.
+func (b *Builder) FactoredTrainSet(split dataset.Split) (*Set, error) {
+	return b.trainSet(split, true)
+}
+
+func (b *Builder) trainSet(split dataset.Split, factor bool) (*Set, error) {
 	if !b.fitted || b.fitFrom != split.TrainFrom || b.fitTo != split.TrainTo {
 		if err := b.Fit(split); err != nil {
 			return nil, err
@@ -561,13 +655,14 @@ func (b *Builder) TrainSet(split dataset.Split) (*Set, error) {
 		next[k] = rows
 		rows += inService
 	}
-	s := NewDense(b.Names(), rows, b.Dim())
-	var yearBuf [4]int
-	yearCols := yearBuf[:0]
-	for _, at := range [2]int{b.ageCol, b.historyCol} {
-		if at >= 0 {
-			yearCols = append(yearCols, at, at+1)
-		}
+	d := b.Dim()
+	var s *Set
+	if factor {
+		s = &Set{Names: b.Names(), Label: make([]bool, rows), fac: &factored{
+			b: *b, tmpl: make([]float64, len(laid)*d), keys: make([]rowKey, rows),
+		}}
+	} else {
+		s = NewDense(b.Names(), rows, d)
 	}
 	var p dataset.Pipe
 	for i, l := range laid {
@@ -576,22 +671,29 @@ func (b *Builder) TrainSet(split dataset.Split) (*Set, error) {
 			continue
 		}
 		b.cols.PipeAt(i, &p)
+		// The pipe's template is its row in its first year; a dense set
+		// keeps it in that row.
 		var tmpl []float64
+		if factor {
+			tmpl = s.fac.tmpl[i*d : (i+1)*d]
+		} else {
+			tmpl = s.X[next[first-from]]
+		}
+		b.rowInto(tmpl, i, &p, first, from, first-1)
+		b.standardize(tmpl, b.numeric)
 		for y := first; y <= to; y++ {
 			k := y - from
 			r := next[k]
 			next[k]++
-			x := s.X[r]
-			if tmpl == nil {
-				b.rowInto(x, i, &p, y, from, y-1)
-				b.standardize(x, b.numeric)
-				tmpl = x
-			} else {
-				copy(x, tmpl)
-				b.yearSlots(x, b.ageCol, b.historyCol, i, y-p.LaidYear, from, y-1)
-				b.standardize(x, yearCols)
-			}
 			s.Label[r] = b.cols.FailedInYear(i, y)
+			age, prior := y-int(l), b.cols.FailureCount(i, from, y-1)
+			if factor {
+				s.fac.keys[r] = rowKey{int32(i), int32(age), int32(prior)}
+				continue
+			}
+			x := s.X[r]
+			copy(x, tmpl)
+			b.setYear(x, age, prior)
 			s.Age[r] = p.AgeAt(y)
 			s.LengthM[r] = p.LengthM
 			s.PipeIdx[r] = i

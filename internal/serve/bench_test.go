@@ -15,6 +15,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -162,30 +164,38 @@ func BenchmarkBulkRankCached(b *testing.B) {
 	}
 }
 
-// BenchmarkShardRebuildConcurrent measures one forced dispatch over a
-// two-shard registry with both models published: four retrains, each on
-// its own worker slot, each republishing atomically.
-func BenchmarkShardRebuildConcurrent(b *testing.B) {
+// rebuildBenchServer returns a two-shard registry (regions A and B at
+// scale 0.04, four ES generations) with the default model and
+// Heuristic-Age published on both shards.
+func rebuildBenchServer(tb testing.TB) *Server {
 	netA, err := pipefail.GenerateRegion("A", 7, 0.04)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	netB, err := pipefail.GenerateRegion("B", 8, 0.04)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s, err := NewMulti([]*pipefail.Network{netA, netB}, log.New(io.Discard, "", 0), pipefail.WithESGenerations(4))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ctx := context.Background()
 	for _, sh := range s.shards {
 		for _, name := range []string{string(s.defaultModel), "Heuristic-Age"} {
 			if _, err := s.getShard(ctx, sh, name); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
+	return s
+}
+
+// BenchmarkShardRebuildConcurrent measures one forced dispatch over a
+// two-shard registry with both models published: four retrains, each on
+// its own worker slot, each republishing atomically.
+func BenchmarkShardRebuildConcurrent(b *testing.B) {
+	s := rebuildBenchServer(b)
 	targets := forcedTargets(s)
 	s.rebuildSlots = newRebuildSlots(len(targets))
 	b.ReportAllocs()
@@ -196,6 +206,47 @@ func BenchmarkShardRebuildConcurrent(b *testing.B) {
 		if len(deferred) > 0 {
 			b.Fatalf("%d targets deferred with a slot per target", len(deferred))
 		}
+	}
+}
+
+// rebuildSerialAllocs is the exact allocation count of the four
+// retrains TestShardRebuildSerialAllocs runs.
+const rebuildSerialAllocs = 714
+
+// TestShardRebuildSerialAllocs is BenchmarkShardRebuildConcurrent's
+// allocation gate with the scheduling taken out: the same four retrains,
+// in a fixed order, one at a time on one rebuild slot, with
+// AllocsPerRun's GOMAXPROCS of 1 sizing every fit's worker pool, and
+// garbage collection pinned to the start of each run. The concurrent
+// benchmark's count moves with GOMAXPROCS, goroutine timing and when
+// collections land; this one must equal rebuildSerialAllocs exactly.
+func TestShardRebuildSerialAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := rebuildBenchServer(t)
+	var targets []rebuildTarget
+	for _, sh := range s.shards {
+		for _, name := range []string{string(s.defaultModel), "Heuristic-Age"} {
+			targets = append(targets, rebuildTarget{sh: sh, name: name})
+		}
+	}
+	s.rebuildSlots = newRebuildSlots(1)
+	// A collection empties every sync.Pool on the path, which then
+	// allocates afresh, so collections run only at the top of each run.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := testing.AllocsPerRun(5, func() {
+		runtime.GC()
+		for _, tg := range targets {
+			deferred, wait := s.dispatch([]rebuildTarget{tg})
+			wait()
+			if len(deferred) > 0 {
+				t.Fatalf("%s/%s deferred on a free slot", tg.sh.region, tg.name)
+			}
+		}
+	})
+	if got != rebuildSerialAllocs {
+		t.Fatalf("%v allocs per four serial retrains, want exactly %d", got, rebuildSerialAllocs)
 	}
 }
 
