@@ -25,7 +25,8 @@ loc:
 # harness (Dot, MatVec and the AUC kernel bitwise vs naive oracles),
 # the allocation-regression gates on the AUC kernel (below and above
 # its radix-sort cutoff), the ES's
-# per-generation negative resample, the serve
+# per-generation negative resample, the exact allocation count of one
+# serial ES fit with its set build, the serve
 # ranking/plan/bulk-rank/bulk-plan repeat paths and the request-body
 # memo hit, the flat per-event ingest allocation count, the exact
 # allocation count of four serial shard retrains
@@ -38,7 +39,7 @@ verify:
 	$(GO) test -race ./internal/dataset/... ./internal/feature/... ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/experiments/... ./internal/wal/...
 	$(GO) test ./internal/kerneltest -count=1
 	$(GO) test ./internal/eval -run='^(TestAUCKernelZeroAlloc|TestAUCKernelRadixPathZeroAlloc)$$' -count=1
-	$(GO) test ./internal/core -run='^TestFitnessBatchResampleZeroAlloc$$' -count=1
+	$(GO) test ./internal/core -run='^(TestFitnessBatchResampleZeroAlloc|TestDirectAUCFitSerialAllocs)$$' -count=1
 	$(GO) test ./internal/serve -run='^(TestRankingCacheHitZeroAlloc|TestPlanCacheHitZeroAlloc|TestBodyMemoHitZeroAlloc|TestBulkRankCacheHitZeroAlloc|TestBulkPlanCacheHitZeroAlloc|TestEventsAllocsFlatWithHistory|TestShardRebuildSerialAllocs)$$' -count=1
 	$(GO) test ./internal/colfmt -run='^(TestReadAllocsRowIndependent|TestIngestAllocsRowIndependent)$$' -count=1
 	$(MAKE) chaos

@@ -352,14 +352,15 @@ func BenchmarkAblationLabels(b *testing.B) {
 	}
 	// Cumulative variant: relabel an instance positive when the pipe fails
 	// in the instance year OR any earlier training year (a noisier, more
-	// abundant positive set).
-	cumTrain := &feature.Set{Names: train.Names, X: train.X, Age: train.Age,
-		LengthM: train.LengthM, PipeIdx: train.PipeIdx, Year: train.Year}
+	// abundant positive set). The twin shares the rows; an instance's year
+	// is its pipe's laid year plus its age.
+	cumTrain := *train
 	cumTrain.Label = make([]bool, train.Len())
-	for i := range cumTrain.Label {
-		cumTrain.Label[i] = net.FailureCount(train.PipeIdx[i], split.TrainFrom, train.Year[i]) > 0
+	for i, p := range train.PipeIdx {
+		year := int(net.Registry.LaidYear[p]) + int(train.Age[i])
+		cumTrain.Label[i] = net.FailureCount(p, split.TrainFrom, year) > 0
 	}
-	cases := map[string]*feature.Set{"next-year": train, "cumulative": cumTrain}
+	cases := map[string]*feature.Set{"next-year": train, "cumulative": &cumTrain}
 	for name, tr := range cases {
 		b.Run(name, func(b *testing.B) {
 			var auc float64

@@ -117,19 +117,18 @@ func TestLogisticBeatsRandomAndIsCalibratedEnough(t *testing.T) {
 func TestLogisticSeparableSanity(t *testing.T) {
 	// One informative feature; logistic must find it.
 	rng := stats.NewRNG(5)
-	s := &feature.Set{Names: []string{"f"}}
-	for i := 0; i < 600; i++ {
+	s := feature.NewDense([]string{"f"}, 600, 1)
+	for i := range s.Label {
 		pos := rng.Bernoulli(0.3)
 		v := rng.Norm()
 		if pos {
 			v += 3
 		}
-		s.X = append(s.X, []float64{v})
-		s.Label = append(s.Label, pos)
-		s.Age = append(s.Age, 1)
-		s.LengthM = append(s.LengthM, 1)
-		s.PipeIdx = append(s.PipeIdx, i)
-		s.Year = append(s.Year, 2000)
+		s.Row(i, nil)[0] = v
+		s.Label[i] = pos
+		s.Age[i] = 1
+		s.LengthM[i] = 1
+		s.PipeIdx[i] = i
 	}
 	m := NewLogistic(LogisticConfig{})
 	if err := m.Fit(s); err != nil {
@@ -159,7 +158,7 @@ func TestLogisticErrors(t *testing.T) {
 	if err := m.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	bad := &feature.Set{X: [][]float64{{1}}, Label: []bool{true}, Age: []float64{1}, LengthM: []float64{1}, PipeIdx: []int{0}, Year: []int{0}, Names: []string{"x"}}
+	bad := feature.NewDense([]string{"x"}, 1, 1)
 	if _, err := m.Scores(bad); err == nil {
 		t.Fatal("dim mismatch must error")
 	}
@@ -180,8 +179,10 @@ func TestCoxBeatsAgeHeuristic(t *testing.T) {
 func TestCoxRecovefsCovariateSign(t *testing.T) {
 	// Build survival-ish data where feature 0 doubles the hazard.
 	rng := stats.NewRNG(9)
-	s := &feature.Set{Names: []string{"bad"}}
-	row := 0
+	var xs []float64
+	var labels []bool
+	var ages []float64
+	var pipes []int
 	for pipe := 0; pipe < 400; pipe++ {
 		bad := rng.Bernoulli(0.5)
 		x := 0.0
@@ -196,15 +197,18 @@ func TestCoxRecovefsCovariateSign(t *testing.T) {
 				p = 0.08
 			}
 			failed = rng.Bernoulli(p)
-			s.X = append(s.X, []float64{x})
-			s.Label = append(s.Label, failed)
-			s.Age = append(s.Age, age)
-			s.LengthM = append(s.LengthM, 100)
-			s.PipeIdx = append(s.PipeIdx, pipe)
-			s.Year = append(s.Year, 2000+year)
-			row++
+			xs = append(xs, x)
+			labels = append(labels, failed)
+			ages = append(ages, age)
+			pipes = append(pipes, pipe)
 		}
 	}
+	s := feature.NewDense([]string{"bad"}, len(xs), 1)
+	flat, _ := s.Flat()
+	copy(flat, xs)
+	copy(s.Label, labels)
+	copy(s.Age, ages)
+	copy(s.PipeIdx, pipes)
 	m := NewCox(CoxConfig{})
 	if err := m.Fit(s); err != nil {
 		t.Fatal(err)
@@ -223,14 +227,12 @@ func TestCoxErrors(t *testing.T) {
 		t.Fatal("unfitted Scores must error")
 	}
 	// No events.
-	s := &feature.Set{Names: []string{"x"}}
-	for i := 0; i < 10; i++ {
-		s.X = append(s.X, []float64{1})
-		s.Label = append(s.Label, false)
-		s.Age = append(s.Age, float64(i))
-		s.LengthM = append(s.LengthM, 1)
-		s.PipeIdx = append(s.PipeIdx, i)
-		s.Year = append(s.Year, 2000)
+	s := feature.NewDense([]string{"x"}, 10, 1)
+	for i := range s.Label {
+		s.Row(i, nil)[0] = 1
+		s.Age[i] = float64(i)
+		s.LengthM[i] = 1
+		s.PipeIdx[i] = i
 	}
 	if err := m.Fit(s); err == nil {
 		t.Fatal("no-event train must error")

@@ -76,7 +76,8 @@ type coxRecord struct {
 	x     []float64
 }
 
-// buildRecords collapses pipe-year instances into survival records.
+// buildRecords collapses pipe-year instances into survival records. Sets
+// with Age are dense, so each record keeps a view of its row.
 func buildRecords(train *feature.Set) []coxRecord {
 	type acc struct {
 		minAge, maxAge float64
@@ -86,17 +87,17 @@ func buildRecords(train *feature.Set) []coxRecord {
 	}
 	byPipe := make(map[int]*acc)
 	order := make([]int, 0, 64)
-	for i := range train.X {
+	for i := range train.Label {
 		pid := train.PipeIdx[i]
 		a, ok := byPipe[pid]
 		if !ok {
-			a = &acc{minAge: train.Age[i], maxAge: train.Age[i], x: train.X[i]}
+			a = &acc{minAge: train.Age[i], maxAge: train.Age[i], x: train.Row(i, nil)}
 			byPipe[pid] = a
 			order = append(order, pid)
 		}
 		if train.Age[i] < a.minAge {
 			a.minAge = train.Age[i]
-			a.x = train.X[i] // covariates as of first exposure year
+			a.x = train.Row(i, nil) // covariates as of first exposure year
 		}
 		if train.Age[i] > a.maxAge {
 			a.maxAge = train.Age[i]
@@ -349,8 +350,8 @@ func (m *Cox) Scores(test *feature.Set) ([]float64, error) {
 		return nil, fmt.Errorf("%s: test dim %d != model dim %d", m.Name(), test.Dim(), len(m.Beta))
 	}
 	out := make([]float64, test.Len())
-	for i, row := range test.X {
-		eta := linalg.Dot(row, m.Beta)
+	for i := range out {
+		eta := linalg.Dot(test.Row(i, nil), m.Beta)
 		if eta > 50 {
 			eta = 50
 		}

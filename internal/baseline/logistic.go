@@ -76,8 +76,9 @@ func (m *Logistic) Fit(train *feature.Set) error {
 	n, d := train.Len(), train.Dim()
 	// Design with intercept column appended.
 	x := linalg.NewMatrix(n, d+1)
-	for i, row := range train.X {
-		copy(x.Row(i), row)
+	buf := make([]float64, d)
+	for i := 0; i < n; i++ {
+		copy(x.Row(i), train.Row(i, buf))
 		x.Set(i, d, 1)
 	}
 	y := make([]float64, n)
@@ -134,8 +135,9 @@ func (m *Logistic) Scores(test *feature.Set) ([]float64, error) {
 		return nil, fmt.Errorf("%s: test dim %d != model dim %d", m.Name(), test.Dim(), len(m.W))
 	}
 	out := make([]float64, test.Len())
-	for i, row := range test.X {
-		out[i] = stats.Logistic(linalg.Dot(row, m.W) + m.Intercept)
+	buf := make([]float64, test.Dim())
+	for i := range out {
+		out[i] = stats.Logistic(linalg.Dot(test.Row(i, buf), m.W) + m.Intercept)
 	}
 	return out, nil
 }

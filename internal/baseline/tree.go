@@ -76,17 +76,18 @@ func (t *cartTree) grow(train *feature.Set, rows []int, depth int, rng *stats.RN
 	bestFeat, bestThresh, bestGain := -1, 0.0, 0.0
 	parentGini := giniOf(p)
 
-	features := t.candidateFeatures(train.Dim(), rng)
+	flat, d := train.Flat()
+	features := t.candidateFeatures(d, rng)
 	vals := make([]float64, len(rows))
 	for _, j := range features {
 		for k, r := range rows {
-			vals[k] = train.X[r][j]
+			vals[k] = flat[r*d+j]
 		}
 		cuts := quantileThresholds(vals, t.cfg.Thresholds)
 		for _, c := range cuts {
 			var nL, nR, posL, posR float64
 			for _, r := range rows {
-				if train.X[r][j] <= c {
+				if flat[r*d+j] <= c {
 					nL++
 					if train.Label[r] {
 						posL++
@@ -114,7 +115,7 @@ func (t *cartTree) grow(train *feature.Set, rows []int, depth int, rng *stats.RN
 
 	var left, right []int
 	for _, r := range rows {
-		if train.X[r][bestFeat] <= bestThresh {
+		if flat[r*d+bestFeat] <= bestThresh {
 			left = append(left, r)
 		} else {
 			right = append(right, r)
@@ -312,8 +313,8 @@ func (m *RandomForest) Scores(test *feature.Set) ([]float64, error) {
 		return nil, fmt.Errorf("%s: test dim %d != model dim %d", m.Name(), test.Dim(), m.dim)
 	}
 	out := make([]float64, test.Len())
-	for i, row := range test.X {
-		s := 0.0
+	for i := range out {
+		row, s := test.Row(i, nil), 0.0
 		for _, t := range m.trees {
 			s += t.predict(row)
 		}

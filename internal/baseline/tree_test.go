@@ -12,7 +12,7 @@ import (
 // separate but a depth-2 tree can.
 func xorSet(seed int64, n int) *feature.Set {
 	rng := stats.NewRNG(seed)
-	s := &feature.Set{Names: []string{"a", "b"}}
+	s := feature.NewDense([]string{"a", "b"}, n, 2)
 	for i := 0; i < n; i++ {
 		a, b := rng.Norm(), rng.Norm()
 		pos := (a > 0) != (b > 0)
@@ -20,12 +20,11 @@ func xorSet(seed int64, n int) *feature.Set {
 		if rng.Bernoulli(0.1) {
 			pos = !pos
 		}
-		s.X = append(s.X, []float64{a, b})
-		s.Label = append(s.Label, pos)
-		s.Age = append(s.Age, 1)
-		s.LengthM = append(s.LengthM, 1)
-		s.PipeIdx = append(s.PipeIdx, i)
-		s.Year = append(s.Year, 2000)
+		copy(s.Row(i, nil), []float64{a, b})
+		s.Label[i] = pos
+		s.Age[i] = 1
+		s.LengthM[i] = 1
+		s.PipeIdx[i] = i
 	}
 	return s
 }
@@ -43,8 +42,8 @@ func TestCartTreeLearnsXOR(t *testing.T) {
 	test := xorSet(2, 800)
 	tree := fitTree(train, allRows(train), TreeConfig{MaxDepth: 4, MinLeaf: 10}, nil)
 	scores := make([]float64, test.Len())
-	for i, row := range test.X {
-		scores[i] = tree.predict(row)
+	for i := range scores {
+		scores[i] = tree.predict(test.Row(i, nil))
 	}
 	if a := testAUC(scores, test.Label); a < 0.85 {
 		t.Fatalf("tree XOR AUC = %v", a)
@@ -74,14 +73,13 @@ func TestCartTreeRespectsLimits(t *testing.T) {
 }
 
 func TestCartTreePureLeafStopsEarly(t *testing.T) {
-	s := &feature.Set{Names: []string{"x"}}
-	for i := 0; i < 100; i++ {
-		s.X = append(s.X, []float64{float64(i)})
-		s.Label = append(s.Label, true) // single class
-		s.Age = append(s.Age, 1)
-		s.LengthM = append(s.LengthM, 1)
-		s.PipeIdx = append(s.PipeIdx, i)
-		s.Year = append(s.Year, 2000)
+	s := feature.NewDense([]string{"x"}, 100, 1)
+	for i := range s.Label {
+		s.Row(i, nil)[0] = float64(i)
+		s.Label[i] = true // single class
+		s.Age[i] = 1
+		s.LengthM[i] = 1
+		s.PipeIdx[i] = i
 	}
 	tree := fitTree(s, allRows(s), TreeConfig{MaxDepth: 5, MinLeaf: 5}, nil)
 	if tree.depth() != 0 {
@@ -174,7 +172,8 @@ func TestRandomForestScoresChecksDim(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range [][]float64{{0.5}, {0.5, -0.5, 1}} {
-		s := &feature.Set{X: [][]float64{x}, Label: []bool{true}, Age: []float64{1}, LengthM: []float64{1}, PipeIdx: []int{0}, Year: []int{0}}
+		s := feature.NewDense(nil, 1, len(x))
+		copy(s.Row(0, nil), x)
 		_, err := m.Scores(s)
 		if err == nil || !strings.Contains(err.Error(), "test dim") {
 			t.Fatalf("dim %d: err = %v", len(x), err)

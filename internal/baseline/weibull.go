@@ -114,7 +114,8 @@ func (m *WeibullNHPP) Fit(train *feature.Set) error {
 			basis[u][0], basis[u][1] = ageBasis(a, beta)
 		}
 		for i := 0; i < n; i++ {
-			eta := linalg.Dot(theta, train.X[i])
+			x := train.Row(i, nil)
+			eta := linalg.Dot(theta, x)
 			if eta > 30 {
 				eta = 30
 			}
@@ -128,7 +129,7 @@ func (m *WeibullNHPP) Fit(train *feature.Set) error {
 			if g > 0 {
 				gB += r * (dgdb / g) * beta
 			}
-			linalg.Axpy(r, train.X[i], gTheta)
+			linalg.Axpy(r, x, gTheta)
 		}
 		for j := range gTheta {
 			gTheta[j] -= m.cfg.Ridge * float64(n) * theta[j]
@@ -186,8 +187,8 @@ func (m *WeibullNHPP) Forecast(test *feature.Set, horizon int) ([][]float64, err
 		return nil, fmt.Errorf("%s: test dim %d != model dim %d", m.Name(), test.Dim(), len(m.Theta))
 	}
 	out := make([][]float64, test.Len())
-	for i, row := range test.X {
-		eta := linalg.Dot(m.Theta, row)
+	for i := range out {
+		eta := linalg.Dot(m.Theta, test.Row(i, nil))
 		if eta > 30 {
 			eta = 30
 		}
@@ -211,8 +212,8 @@ func (m *WeibullNHPP) Scores(test *feature.Set) ([]float64, error) {
 		return nil, fmt.Errorf("%s: test dim %d != model dim %d", m.Name(), test.Dim(), len(m.Theta))
 	}
 	out := make([]float64, test.Len())
-	for i, row := range test.X {
-		eta := linalg.Dot(m.Theta, row)
+	for i := range out {
+		eta := linalg.Dot(m.Theta, test.Row(i, nil))
 		if eta > 30 {
 			eta = 30
 		}

@@ -33,7 +33,7 @@ func perInstanceWeibull(train *feature.Set, cfg WeibullConfig) (alpha, beta floa
 			gTheta[j] = 0
 		}
 		for i := 0; i < n; i++ {
-			eta := linalg.Dot(theta, train.X[i])
+			eta := linalg.Dot(theta, train.Row(i, nil))
 			if eta > 30 {
 				eta = 30
 			}
@@ -47,7 +47,7 @@ func perInstanceWeibull(train *feature.Set, cfg WeibullConfig) (alpha, beta floa
 			if g > 0 {
 				gB += r * (dgdb / g) * beta
 			}
-			linalg.Axpy(r, train.X[i], gTheta)
+			linalg.Axpy(r, train.Row(i, nil), gTheta)
 		}
 		for j := range gTheta {
 			gTheta[j] -= cfg.Ridge * float64(n) * theta[j]
@@ -78,7 +78,7 @@ func ageSet(seed int64, n, dim int, posRate float64, ageOf func(i int, rng *stat
 	s := feature.NewDense(names, n, dim)
 	for i := 0; i < n; i++ {
 		age := ageOf(i, rng)
-		row := s.X[i]
+		row := s.Row(i, nil)
 		for j := range row {
 			row[j] = rng.Norm()
 		}
@@ -86,7 +86,6 @@ func ageSet(seed int64, n, dim int, posRate float64, ageOf func(i int, rng *stat
 		s.Age[i] = age
 		s.LengthM[i] = 100
 		s.PipeIdx[i] = i
-		s.Year[i] = 2000
 	}
 	return s
 }

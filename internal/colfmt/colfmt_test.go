@@ -198,8 +198,7 @@ func TestColumnarBuilderBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(ns.Label, cs.Label) ||
 				!reflect.DeepEqual(ns.Age, cs.Age) ||
 				!reflect.DeepEqual(ns.LengthM, cs.LengthM) ||
-				!reflect.DeepEqual(ns.PipeIdx, cs.PipeIdx) ||
-				!reflect.DeepEqual(ns.Year, cs.Year) {
+				!reflect.DeepEqual(ns.PipeIdx, cs.PipeIdx) {
 				t.Fatalf("standardize=%v %s: set metadata differs", std, phase)
 			}
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/dataset"
@@ -55,35 +57,85 @@ func benchFitnessEval(b *testing.B, set *feature.Set) {
 // configuration (120 generations, RankSVM warm start, exact final pass)
 // on every CPU.
 func BenchmarkDirectAUCFit(b *testing.B) {
-	cfg, err := synthetic.Preset("A", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cols, _, err := synthetic.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	split, err := dataset.PaperSplit(cols)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fb, err := feature.NewBuilder(cols, feature.Options{Standardize: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := fb.Fit(split); err != nil {
-		b.Fatal(err)
-	}
+	fit := directAUCFit(b, 1, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		fit()
+	}
+}
+
+// directAUCFit returns one whole DirectAUC-ES fit of region A (seed 1,
+// paper split) at the given scale with the default configuration on the
+// given worker count: a set build from the fitted builder and the fit.
+func directAUCFit(tb testing.TB, scale float64, workers int) func() {
+	fb, split := regionABuilder(tb, scale)
+	esCfg := DefaultDirectAUCConfig(1)
+	esCfg.Workers = workers
+	return func() {
 		train, err := fb.FactoredTrainSet(split)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if err := NewDirectAUC(DefaultDirectAUCConfig(1)).Fit(train); err != nil {
-			b.Fatal(err)
+		if err := NewDirectAUC(esCfg).Fit(train); err != nil {
+			tb.Fatal(err)
 		}
+	}
+}
+
+// regionABuilder returns a standardizing builder over generated region A
+// (seed 1) at the given scale, fitted on its paper split.
+func regionABuilder(tb testing.TB, scale float64) (*feature.Builder, dataset.Split) {
+	cfg, err := synthetic.Preset("A", 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if cfg, err = cfg.Scaled(scale); err != nil {
+		tb.Fatal(err)
+	}
+	cols, _, err := synthetic.Generate(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	split, err := dataset.PaperSplit(cols)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fb, err := feature.NewBuilder(cols, feature.Options{Standardize: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := fb.Fit(split); err != nil {
+		tb.Fatal(err)
+	}
+	return fb, split
+}
+
+// directAUCFitSerialAllocs is the exact allocation count of the fit
+// TestDirectAUCFitSerialAllocs runs.
+const directAUCFitSerialAllocs = 3692
+
+// TestDirectAUCFitSerialAllocs is BenchmarkDirectAUCFit's allocation
+// gate with the scheduling taken out: the same set build and default fit
+// of region A, at scale 0.1, on one worker, with garbage collection
+// pinned to the start of each run. The benchmark's count moves with
+// goroutine timing across the ES's pool fan-outs and with when
+// collections land; this one must equal directAUCFitSerialAllocs exactly
+// at any -cpu.
+func TestDirectAUCFitSerialAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	fit := directAUCFit(t, 0.1, 1)
+	// A collection empties every sync.Pool on the path, which then
+	// allocates afresh, so collections run only at the top of each run.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := testing.AllocsPerRun(2, func() {
+		runtime.GC()
+		fit()
+	})
+	if got != directAUCFitSerialAllocs {
+		t.Fatalf("%v allocs per serial fit, want exactly %d", got, directAUCFitSerialAllocs)
 	}
 }
 

@@ -27,7 +27,7 @@ func gaussianSet(seed int64, n int, posFrac, sep float64, dim int) *feature.Set 
 	s := feature.NewDense(names, n, dim)
 	for i := 0; i < n; i++ {
 		pos := rng.Bernoulli(posFrac)
-		row := s.X[i]
+		row := s.Row(i, nil)
 		for j := range row {
 			row[j] = rng.Norm()
 		}
@@ -41,27 +41,23 @@ func gaussianSet(seed int64, n int, posFrac, sep float64, dim int) *feature.Set 
 		s.Age[i] = 10
 		s.LengthM[i] = 100
 		s.PipeIdx[i] = i
-		s.Year[i] = 2000
 	}
 	return s
 }
 
-// viewCopy rebuilds a set as plain row views with no flat backing, to
-// exercise the fallback paths of flat-aware kernels.
-func viewCopy(s *feature.Set) *feature.Set {
-	v := &feature.Set{
-		Names:   s.Names,
-		Label:   s.Label,
-		Age:     s.Age,
-		LengthM: s.LengthM,
-		PipeIdx: s.PipeIdx,
-		Year:    s.Year,
+// regionSets returns the standardized paper-split training set of region
+// A at scale 0.05 (seed 1) in both forms, dense and factored.
+func regionSets(t testing.TB) (dense, factored *feature.Set) {
+	t.Helper()
+	b, split := regionABuilder(t, 0.05)
+	dense, err := b.TrainSet(split)
+	if err != nil {
+		t.Fatal(err)
 	}
-	v.X = make([][]float64, len(s.X))
-	for i, row := range s.X {
-		v.X[i] = append([]float64(nil), row...)
+	if factored, err = b.FactoredTrainSet(split); err != nil {
+		t.Fatal(err)
 	}
-	return v
+	return dense, factored
 }
 
 func TestExactAUCKnownValues(t *testing.T) {
@@ -252,15 +248,18 @@ func TestFitnessBatchResampleZeroAlloc(t *testing.T) {
 }
 
 // TestFlatAndViewSetsScoreIdentically pins the memory-layout contract:
-// the flat MatVec fast path and the row-view fallback must produce
-// bit-identical scores and, through them, bit-identical fitted models.
+// the flat MatVec fast path over a dense set and the per-row path over
+// the rows a factored set rebuilds must produce bit-identical scores
+// and, through them, bit-identical fitted models.
 func TestFlatAndViewSetsScoreIdentically(t *testing.T) {
-	dense := gaussianSet(21, 400, 0.2, 2, 5)
-	view := viewCopy(dense)
+	dense, view := regionSets(t)
 	if flat, _ := view.Flat(); flat != nil {
-		t.Fatal("viewCopy must not have a flat backing")
+		t.Fatal("a factored set must not have a flat backing")
 	}
-	w := []float64{0.5, -1.25, 2, 0.125, -3}
+	w := make([]float64, dense.Dim())
+	for j := range w {
+		w[j] = float64(j%7)/2 - 1.25
+	}
 	pool := parallel.New(2)
 	sd := scoreAllPar(dense, w, pool)
 	sv := scoreAllPar(view, w, pool)
@@ -269,8 +268,8 @@ func TestFlatAndViewSetsScoreIdentically(t *testing.T) {
 			t.Fatalf("row %d: flat path %v != view path %v", i, sd[i], sv[i])
 		}
 	}
-	md := NewDirectAUC(DirectAUCConfig{Seed: 9, Generations: 15})
-	mv := NewDirectAUC(DirectAUCConfig{Seed: 9, Generations: 15})
+	md := NewDirectAUC(DirectAUCConfig{Seed: 9, Generations: 5})
+	mv := NewDirectAUC(DirectAUCConfig{Seed: 9, Generations: 5})
 	if err := md.Fit(dense); err != nil {
 		t.Fatal(err)
 	}
@@ -354,19 +353,15 @@ func TestRankBoostLearnsSeparableData(t *testing.T) {
 func TestRankBoostHandlesNonMonotoneDirection(t *testing.T) {
 	// Positives have LOWER feature values: stumps must invert.
 	rng := stats.NewRNG(41)
-	s := &feature.Set{Names: []string{"f0"}}
-	for i := 0; i < 400; i++ {
+	s := feature.NewDense([]string{"f0"}, 400, 1)
+	for i := range s.Label {
 		pos := rng.Bernoulli(0.3)
 		v := rng.Norm()
 		if pos {
 			v -= 3
 		}
-		s.X = append(s.X, []float64{v})
-		s.Label = append(s.Label, pos)
-		s.Age = append(s.Age, 1)
-		s.LengthM = append(s.LengthM, 1)
-		s.PipeIdx = append(s.PipeIdx, i)
-		s.Year = append(s.Year, 2000)
+		s.Row(i, nil)[0] = v
+		s.Label[i] = pos
 	}
 	m := NewRankBoost(RankBoostConfig{Rounds: 20})
 	if err := m.Fit(s); err != nil {

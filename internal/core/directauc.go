@@ -310,8 +310,8 @@ func scoreAllPar(s *feature.Set, w []float64, pool parallel.Pool) []float64 {
 // scoreInto writes the score of every row of s into out, fanned out
 // across the pool; each row writes only its own slot, so any worker
 // count gives the same result. Dense sets take the contiguous MatVec
-// path, factored and view sets per-row dots: the same bits, since
-// MatVec is defined as Dot per row.
+// path, factored sets per-row dots: the same bits, since MatVec is
+// defined as Dot per row.
 func scoreInto(out []float64, s *feature.Set, w []float64, pool parallel.Pool) {
 	flat, stride := s.Flat()
 	var bufs []float64 // Row scratch, one row per worker

@@ -131,7 +131,7 @@ func TestDirectAUCFactoredBitsPinned(t *testing.T) {
 	for _, c := range esBitsCases {
 		t.Run(c.region, func(t *testing.T) {
 			train := esTrainSetWith(t, c.region, (*feature.Builder).FactoredTrainSet)
-			if train.X != nil {
+			if flat, _ := train.Flat(); flat != nil {
 				t.Fatal("set is not factored")
 			}
 			var wg sync.WaitGroup

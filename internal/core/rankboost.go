@@ -111,16 +111,10 @@ func (m *RankBoost) FitContext(ctx context.Context, train *feature.Set) error {
 	// allocates only the cut slices themselves.
 	cuts := make([][]float64, dim)
 	vals := make([]float64, train.Len())
-	flat, stride := train.Flat()
+	flat, _ := train.Flat()
 	for j := 0; j < dim; j++ {
-		if flat != nil {
-			for i := range vals {
-				vals[i] = flat[i*stride+j]
-			}
-		} else {
-			for i, row := range train.X {
-				vals[i] = row[j]
-			}
+		for i := range vals {
+			vals[i] = flat[i*dim+j]
 		}
 		c := quantileCuts(vals, m.cfg.Thresholds)
 		// The sort puts NaN first, so NaN cuts lead the list. No value
@@ -220,10 +214,10 @@ func (m *RankBoost) FitContext(ctx context.Context, train *feature.Set) error {
 
 		// Update potentials: vPos *= exp(−α h(x)), vNeg *= exp(+α h(x)).
 		for k, i := range pos {
-			vPos[k] *= math.Exp(-best.Alpha * best.eval(train.X[i]))
+			vPos[k] *= math.Exp(-best.Alpha * best.eval(train.Row(i, nil)))
 		}
 		for k, i := range neg {
-			vNeg[k] *= math.Exp(best.Alpha * best.eval(train.X[i]))
+			vNeg[k] *= math.Exp(best.Alpha * best.eval(train.Row(i, nil)))
 		}
 		normalize(vPos)
 		normalize(vNeg)
@@ -243,7 +237,7 @@ func cutBins(train *feature.Set, rows []int, cuts [][]float64) []uint8 {
 	n := len(rows)
 	bins := make([]uint8, len(cuts)*n)
 	for k, i := range rows {
-		row := train.X[i]
+		row := train.Row(i, nil)
 		for j, cj := range cuts {
 			b := 0
 			for b < len(cj) && row[j] > cj[b] {
@@ -266,9 +260,9 @@ func (m *RankBoost) Scores(test *feature.Set) ([]float64, error) {
 	out := make([]float64, test.Len())
 	parallel.New(m.cfg.Workers).Run(test.Len(), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			s := 0.0
+			x, s := test.Row(i, nil), 0.0
 			for _, st := range m.stumps {
-				s += st.Alpha * st.eval(test.X[i])
+				s += st.Alpha * st.eval(x)
 			}
 			out[i] = s
 		}

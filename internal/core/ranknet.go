@@ -136,6 +136,7 @@ func (m *RankNet) FitContext(ctx context.Context, train *feature.Set) error {
 	}
 
 	t := 0
+	bufI, bufJ := make([]float64, dim), make([]float64, dim)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
 			m.w1, m.b1, m.w2 = nil, nil, nil // cancelled fits stay unfitted
@@ -143,8 +144,8 @@ func (m *RankNet) FitContext(ctx context.Context, train *feature.Set) error {
 		}
 		for p := 0; p < cfg.PairsPerEpoch; p++ {
 			t++
-			xi := train.X[pos[rng.Intn(len(pos))]]
-			xj := train.X[neg[rng.Intn(len(neg))]]
+			xi := train.Row(pos[rng.Intn(len(pos))], bufI)
+			xj := train.Row(neg[rng.Intn(len(neg))], bufJ)
 			si, hi := m.forward(xi)
 			sj, hj := m.forward(xj)
 			// dL/d(si−sj) = −sigma(−(si−sj)).
@@ -179,8 +180,9 @@ func (m *RankNet) Scores(test *feature.Set) ([]float64, error) {
 	}
 	out := make([]float64, test.Len())
 	parallel.New(m.cfg.Workers).Run(test.Len(), func(_, lo, hi int) {
+		buf := make([]float64, test.Dim())
 		for i := lo; i < hi; i++ {
-			out[i] = m.score(test.X[i])
+			out[i] = m.score(test.Row(i, buf))
 		}
 	})
 	return out, nil

@@ -22,16 +22,11 @@ func TestRankNetLearnsSeparableData(t *testing.T) {
 // scorer cannot solve but a hidden layer can.
 func circleSet(seed int64, n int) *feature.Set {
 	rng := stats.NewRNG(seed)
-	s := &feature.Set{Names: []string{"a", "b"}}
+	s := feature.NewDense([]string{"a", "b"}, n, 2)
 	for i := 0; i < n; i++ {
 		a, b := rng.Normal(0, 1.5), rng.Normal(0, 1.5)
-		pos := a*a+b*b < 1.5
-		s.X = append(s.X, []float64{a, b})
-		s.Label = append(s.Label, pos)
-		s.Age = append(s.Age, 1)
-		s.LengthM = append(s.LengthM, 1)
-		s.PipeIdx = append(s.PipeIdx, i)
-		s.Year = append(s.Year, 2000)
+		copy(s.Row(i, nil), []float64{a, b})
+		s.Label[i] = a*a+b*b < 1.5
 	}
 	return s
 }

@@ -112,9 +112,8 @@ func featureSets(t *testing.T, c *dataset.Columns) (train, test *feature.Set) {
 func sameSet(t *testing.T, what string, got, want *feature.Set) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Names, want.Names) || !reflect.DeepEqual(got.Label, want.Label) ||
-		!reflect.DeepEqual(got.PipeIdx, want.PipeIdx) || !reflect.DeepEqual(got.Year, want.Year) ||
-		len(got.X) != len(want.X) {
-		t.Fatalf("%s set: names, labels, rows or years differ", what)
+		!reflect.DeepEqual(got.PipeIdx, want.PipeIdx) || got.Len() != want.Len() || got.Dim() != want.Dim() {
+		t.Fatalf("%s set: names, labels, shapes or pipes differ", what)
 	}
 	bits := func(a, b []float64) bool {
 		if len(a) != len(b) {
@@ -130,8 +129,8 @@ func sameSet(t *testing.T, what string, got, want *feature.Set) {
 	if !bits(got.Age, want.Age) || !bits(got.LengthM, want.LengthM) {
 		t.Fatalf("%s set: ages or lengths differ", what)
 	}
-	for r := range got.X {
-		if !bits(got.X[r], want.X[r]) {
+	for r := range got.Label {
+		if !bits(got.Row(r, nil), want.Row(r, nil)) {
 			t.Fatalf("%s set: row %d differs", what, r)
 		}
 	}

@@ -31,7 +31,7 @@ func T8Sensitivity(opts Options, region string, k int) (*eval.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	train, err := b.TrainSet(split)
+	train, err := b.FactoredTrainSet(split)
 	if err != nil {
 		return nil, err
 	}

@@ -87,14 +87,14 @@ func TestFactoredRowsMatchTrainSet(t *testing.T) {
 
 func checkFactored(t *testing.T, name string, opts Options, dense, fac *Set) {
 	t.Helper()
-	if fac.X != nil || fac.PipeIdx != nil || fac.Year != nil || fac.Age != nil || fac.LengthM != nil {
+	if fac.PipeIdx != nil || fac.Age != nil || fac.LengthM != nil {
 		t.Fatalf("%s %+v: factored set has per-row columns besides Label", name, opts)
 	}
 	if fac.Len() != dense.Len() || fac.Dim() != dense.Dim() || fac.Positives() != dense.Positives() {
 		t.Fatalf("%s %+v: factored %dx%d (%d positive), dense %dx%d (%d)", name, opts,
 			fac.Len(), fac.Dim(), fac.Positives(), dense.Len(), dense.Dim(), dense.Positives())
 	}
-	if flat, stride := fac.Flat(); flat != nil || stride != 0 {
+	if flat, _ := fac.Flat(); flat != nil {
 		t.Fatalf("%s %+v: factored set reports a flat backing", name, opts)
 	}
 	d := dense.Dim()
@@ -115,11 +115,11 @@ func checkFactored(t *testing.T, name string, opts Options, dense, fac *Set) {
 			t.Fatalf("%s %+v: row %d label differs", name, opts, r)
 		}
 		row := fac.Row(r, buf)
-		for j, want := range dense.X[r] {
+		for j, want := range dense.Row(r, nil) {
 			for _, got := range []float64{row[j], gathered[i*d+j], denseGathered[i*d+j]} {
 				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s %+v: row %d (pipe %d, year %d) col %s: %v, dense %v",
-						name, opts, r, dense.PipeIdx[r], dense.Year[r], dense.Names[j], got, want)
+					t.Fatalf("%s %+v: row %d (pipe %d, age %v) col %s: %v, dense %v",
+						name, opts, r, dense.PipeIdx[r], dense.Age[r], dense.Names[j], got, want)
 				}
 			}
 		}
@@ -198,4 +198,51 @@ func TestFactoredSetAllocatesPerPipe(t *testing.T) {
 		t.Fatalf("dense set allocated %d bytes, under its %d-value matrix", dense, rows*d)
 	}
 	t.Logf("%d pipes, %d rows x %d: factored %d bytes, dense %d", pipes, rows, d, got, dense)
+}
+
+// TestSubsetMatchesParent: Subset of a dense set and of its factored
+// twin returns the listed rows, in order and with repeats, bit for bit
+// the dense parent's: features, label, age, length and registry row.
+func TestSubsetMatchesParent(t *testing.T) {
+	cases := factoredCases(t)
+	for _, name := range []string{"A", "A+live"} {
+		cols := cases[name]
+		split := mustSplit(t, cols)
+		b, err := NewBuilder(cols, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, err := b.TrainSet(split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fac, err := b.FactoredTrainSet(split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []int
+		for r := dense.Len() - 1; r >= 0; r -= 3 {
+			rows = append(rows, r, r/2)
+		}
+		for form, parent := range map[string]*Set{"dense": dense, "factored": fac} {
+			sub := parent.Subset(rows)
+			if flat, _ := sub.Flat(); flat == nil || sub.Len() != len(rows) || sub.Dim() != dense.Dim() {
+				t.Fatalf("%s %s: subset is not a dense %dx%d set", name, form, len(rows), dense.Dim())
+			}
+			for i, r := range rows {
+				if sub.Label[i] != dense.Label[r] || sub.PipeIdx[i] != dense.PipeIdx[r] ||
+					math.Float64bits(sub.Age[i]) != math.Float64bits(dense.Age[r]) ||
+					math.Float64bits(sub.LengthM[i]) != math.Float64bits(dense.LengthM[r]) {
+					t.Fatalf("%s %s: subset row %d (parent row %d) metadata differs", name, form, i, r)
+				}
+				want := dense.Row(r, nil)
+				for j, got := range sub.Row(i, nil) {
+					if math.Float64bits(got) != math.Float64bits(want[j]) {
+						t.Fatalf("%s %s: subset row %d (parent row %d) col %s: %v, want %v",
+							name, form, i, r, dense.Names[j], got, want[j])
+					}
+				}
+			}
+		}
+	}
 }

@@ -19,7 +19,6 @@ import (
 	"slices"
 
 	"repro/internal/dataset"
-	"repro/internal/linalg"
 )
 
 // Groups selects which feature groups enter the design matrix. The zero
@@ -82,42 +81,37 @@ type Options struct {
 }
 
 // Set is a design matrix plus the metadata models need alongside it.
-// Rows align across all fields.
+// Rows align across all fields. Learners read rows through Row, Gather
+// or Flat.
 //
-// Sets built by a Builder are dense: X's rows are views into one
-// contiguous row-major backing array exposed by Flat, so scoring kernels
-// can stream the whole matrix without per-row pointer chasing. Sets
-// assembled by hand (or row-subset views such as the CV fold splitter's)
-// may populate X alone; Flat then reports no backing and callers fall
-// back to the row views.
+// A dense set (NewDense, Builder.TrainSet and TestSet, Subset) keeps
+// its rows in one contiguous row-major backing array exposed by Flat, so
+// scoring kernels can stream the whole matrix without per-row pointer
+// chasing.
 //
 // A factored set (Builder.FactoredTrainSet) keeps Label and, in place of
-// X and the other per-row columns, a template row per pipe and a key per
-// row; only fitters that read rows through Row or Gather accept it.
+// the backing and the other per-row columns, a template row per pipe and
+// a key per row; Flat reports no backing. Only fitters that read rows
+// through Row or Gather and need no other column accept it, and Subset
+// turns any of its rows into a dense set.
 type Set struct {
-	// Names are the expanded column names of X.
+	// Names are the expanded column names of the rows.
 	Names []string
-	// X holds one feature vector per instance. When the set is dense,
-	// each row is a view into the flat backing array — mutating a row
-	// mutates the backing and vice versa.
-	X [][]float64
 	// Label is the instance label: pipe failed in the instance year.
 	Label []bool
 	// Age is the pipe age at the instance year (survival baselines use it
-	// directly, independent of whether the age group is enabled in X).
+	// directly, independent of whether the age group is enabled).
 	Age []float64
 	// LengthM is the pipe length (for length-weighted evaluation).
 	LengthM []float64
 	// PipeIdx is the pipe's registry row.
 	PipeIdx []int
-	// Year is the instance year.
-	Year []int
 
-	// flat is the contiguous row-major backing (len == len(X)*stride)
-	// when the set is dense, nil otherwise.
+	// flat is a dense set's row-major backing, len(Label)*stride long;
+	// nil for a factored set. stride is the row length.
 	flat   []float64
 	stride int
-	// fac holds a factored set's templates, nil for every other set.
+	// fac holds a factored set's templates, nil for a dense set.
 	fac *factored
 }
 
@@ -134,10 +128,9 @@ type factored struct {
 // age in the row's year and its failures in the window before that year.
 type rowKey struct{ pipe, age, prior int32 }
 
-// NewDense returns a Set with rows x dim dense storage: a single
-// contiguous backing array with X's rows as capacity-clamped views into
-// it, and the metadata slices preallocated to rows. dim must be positive;
-// rows may be zero.
+// NewDense returns a dense Set of rows x dim zeros with the metadata
+// slices preallocated to rows; its rows are filled through Flat or the
+// views Row(r, nil) returns. dim must be positive; rows may be zero.
 func NewDense(names []string, rows, dim int) *Set {
 	if dim <= 0 {
 		panic(fmt.Sprintf("feature: NewDense dim %d must be positive", dim))
@@ -145,60 +138,40 @@ func NewDense(names []string, rows, dim int) *Set {
 	if rows < 0 {
 		panic(fmt.Sprintf("feature: NewDense rows %d must be non-negative", rows))
 	}
-	flat := make([]float64, rows*dim)
-	x := make([][]float64, rows)
-	for i := range x {
-		x[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
-	}
 	return &Set{
 		Names:   names,
-		X:       x,
 		Label:   make([]bool, rows),
 		Age:     make([]float64, rows),
 		LengthM: make([]float64, rows),
 		PipeIdx: make([]int, rows),
-		Year:    make([]int, rows),
-		flat:    flat,
+		flat:    make([]float64, rows*dim),
 		stride:  dim,
 	}
 }
 
-// Flat returns the contiguous row-major backing array and the row stride
-// (== Dim for dense sets), or (nil, 0) when the set was assembled from
-// shared row views. Row i occupies flat[i*stride : (i+1)*stride]; the
-// storage is shared with X, not a copy.
+// Flat returns a dense set's row-major backing array and the row stride
+// (== Dim); a factored set returns a nil backing. Row i occupies
+// flat[i*stride : (i+1)*stride]; the storage is the set's, not a copy.
 func (s *Set) Flat() ([]float64, int) {
 	return s.flat, s.stride
 }
 
 // Len returns the number of instances.
-func (s *Set) Len() int {
-	if s.fac != nil {
-		return len(s.Label)
-	}
-	return len(s.X)
-}
+func (s *Set) Len() int { return len(s.Label) }
 
-// Dim returns the feature dimensionality (0 for an empty set).
-func (s *Set) Dim() int {
-	if s.fac != nil {
-		return s.fac.b.Dim()
-	}
-	if len(s.X) == 0 {
-		return 0
-	}
-	return len(s.X[0])
-}
+// Dim returns the feature dimensionality.
+func (s *Set) Dim() int { return s.stride }
 
-// Row returns row r. A factored set writes it into buf, whose length
-// must be Dim, and returns buf; any other set returns its row of X, a
-// view that must not be mutated, and leaves buf alone.
+// Row returns row r. A dense set returns a view of its backing, clamped
+// to the row's capacity so an append cannot write the next row, and
+// leaves buf alone; a factored set writes the row into buf, whose length
+// must be Dim, and returns buf.
 func (s *Set) Row(r int, buf []float64) []float64 {
-	f := s.fac
+	f, d := s.fac, s.stride
 	if f == nil {
-		return s.X[r]
+		return s.flat[r*d : (r+1)*d : (r+1)*d]
 	}
-	k, d := f.keys[r], len(buf)
+	k := f.keys[r]
 	copy(buf, f.tmpl[int(k.pipe)*d:][:d])
 	f.b.setYear(buf, int(k.age), int(k.prior))
 	return buf
@@ -209,10 +182,10 @@ func (s *Set) Row(r int, buf []float64) []float64 {
 // templates, year slots) whose loads do not wait on each other, which
 // gathers random rows faster than the dense matrix can.
 func (s *Set) Gather(dst []float64, rows []int) {
-	d, f := s.Dim(), s.fac
+	d, f := s.stride, s.fac
 	if f == nil {
 		for i, r := range rows {
-			copy(dst[i*d:(i+1)*d], s.X[r])
+			copy(dst[i*d:(i+1)*d], s.flat[r*d:(r+1)*d])
 		}
 		return
 	}
@@ -232,6 +205,24 @@ func (s *Set) Gather(dst []float64, rows []int) {
 	}
 }
 
+// Subset returns a dense set of the given rows of s, in that order, with
+// their labels, ages, lengths and registry rows: bit for bit the
+// parent's, whether s is dense or factored. It shares s's Names.
+func (s *Set) Subset(rows []int) *Set {
+	out := NewDense(s.Names, len(rows), s.stride)
+	s.Gather(out.flat, rows)
+	for i, r := range rows {
+		out.Label[i] = s.Label[r]
+		if f := s.fac; f != nil {
+			k := f.keys[r]
+			out.Age[i], out.LengthM[i], out.PipeIdx[i] = float64(k.age), f.b.cols.Registry.LengthM[k.pipe], int(k.pipe)
+		} else {
+			out.Age[i], out.LengthM[i], out.PipeIdx[i] = s.Age[r], s.LengthM[r], s.PipeIdx[r]
+		}
+	}
+	return out
+}
+
 // Positives returns the number of positive labels.
 func (s *Set) Positives() int {
 	c := 0
@@ -241,28 +232,6 @@ func (s *Set) Positives() int {
 		}
 	}
 	return c
-}
-
-// Matrix copies X into a dense linalg.Matrix (for the Newton-step
-// fitters). Dense sets copy their flat backing in one memcpy; view sets
-// fall back to a row-by-row copy.
-func (s *Set) Matrix() *linalg.Matrix {
-	m := linalg.NewMatrix(max(1, s.Len()), max(1, s.Dim()))
-	if s.flat != nil && s.stride == m.Cols {
-		copy(m.Data, s.flat)
-		return m
-	}
-	for i, row := range s.X {
-		copy(m.Row(i), row)
-	}
-	return m
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Builder encodes a registry's pipes into Sets. A Builder reads one
@@ -621,7 +590,7 @@ func (b *Builder) TrainSet(split dataset.Split) (*Set, error) {
 
 // FactoredTrainSet builds TrainSet's rows, bit for bit, as a factored
 // set (see Set): a template per pipe and a label and a 12-byte key per
-// row, about a ninth of the dense set's memory.
+// row, about an eighth of the dense set's memory.
 func (b *Builder) FactoredTrainSet(split dataset.Split) (*Set, error) {
 	return b.trainSet(split, true)
 }
@@ -658,7 +627,7 @@ func (b *Builder) trainSet(split dataset.Split, factor bool) (*Set, error) {
 	d := b.Dim()
 	var s *Set
 	if factor {
-		s = &Set{Names: b.Names(), Label: make([]bool, rows), fac: &factored{
+		s = &Set{Names: b.Names(), Label: make([]bool, rows), stride: d, fac: &factored{
 			b: *b, tmpl: make([]float64, len(laid)*d), keys: make([]rowKey, rows),
 		}}
 	} else {
@@ -677,7 +646,7 @@ func (b *Builder) trainSet(split dataset.Split, factor bool) (*Set, error) {
 		if factor {
 			tmpl = s.fac.tmpl[i*d : (i+1)*d]
 		} else {
-			tmpl = s.X[next[first-from]]
+			tmpl = s.Row(next[first-from], nil)
 		}
 		b.rowInto(tmpl, i, &p, first, from, first-1)
 		b.standardize(tmpl, b.numeric)
@@ -691,13 +660,12 @@ func (b *Builder) trainSet(split dataset.Split, factor bool) (*Set, error) {
 				s.fac.keys[r] = rowKey{int32(i), int32(age), int32(prior)}
 				continue
 			}
-			x := s.X[r]
+			x := s.Row(r, nil)
 			copy(x, tmpl)
 			b.setYear(x, age, prior)
-			s.Age[r] = p.AgeAt(y)
+			s.Age[r] = float64(age)
 			s.LengthM[r] = p.LengthM
 			s.PipeIdx[r] = i
-			s.Year[r] = y
 		}
 	}
 	return s, nil
@@ -729,13 +697,13 @@ func (b *Builder) TestSet(split dataset.Split) (*Set, error) {
 			continue
 		}
 		b.cols.PipeAt(i, &p)
-		b.rowInto(s.X[r], i, &p, y, split.TrainFrom, split.TrainTo)
-		b.standardize(s.X[r], b.numeric)
+		x := s.Row(r, nil)
+		b.rowInto(x, i, &p, y, split.TrainFrom, split.TrainTo)
+		b.standardize(x, b.numeric)
 		s.Label[r] = b.cols.FailedInYear(i, y)
 		s.Age[r] = p.AgeAt(y)
 		s.LengthM[r] = p.LengthM
 		s.PipeIdx[r] = i
-		s.Year[r] = y
 		r++
 	}
 	return s, nil

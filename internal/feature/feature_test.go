@@ -104,10 +104,8 @@ func TestTrainSetShapeAndLaidFilter(t *testing.T) {
 	if got := tr.Positives(); got != 3 {
 		t.Fatalf("train positives = %d, want 3", got)
 	}
-	for i := range tr.X {
-		if len(tr.X[i]) != tr.Dim() {
-			t.Fatal("ragged matrix")
-		}
+	if flat, _ := tr.Flat(); len(flat) != tr.Len()*tr.Dim() {
+		t.Fatalf("backing holds %d values, want %d rows x %d", len(flat), tr.Len(), tr.Dim())
 	}
 }
 
@@ -153,23 +151,25 @@ func TestHistoryFeatureNoLeakage(t *testing.T) {
 	}
 	// Without standardization the raw counts are inspectable.
 	// Locate P2's instance for year 2004: prior failures in [1998, 2003] = 1.
+	// P2 was laid in 1935, so its age names the instance year.
 	var found bool
-	for i := range tr.X {
-		if tr.PipeIdx[i] == 2 && tr.Year[i] == 2004 {
+	for i := range tr.Label {
+		x := tr.Row(i, nil)
+		if tr.PipeIdx[i] == 2 && tr.Age[i] == 2004-1935 {
 			found = true
-			if tr.X[i][0] != 1 {
-				t.Fatalf("P2@2004 prior_failures = %v, want 1 (no leakage of the 2004 event)", tr.X[i][0])
+			if x[0] != 1 {
+				t.Fatalf("P2@2004 prior_failures = %v, want 1 (no leakage of the 2004 event)", x[0])
 			}
-			if tr.X[i][1] != 1 {
-				t.Fatalf("P2@2004 had_failure = %v", tr.X[i][1])
+			if x[1] != 1 {
+				t.Fatalf("P2@2004 had_failure = %v", x[1])
 			}
 			if !tr.Label[i] {
 				t.Fatal("P2@2004 must be labelled positive")
 			}
 		}
-		if tr.PipeIdx[i] == 2 && tr.Year[i] == 1998 {
-			if tr.X[i][0] != 0 {
-				t.Fatalf("P2@1998 prior_failures = %v, want 0", tr.X[i][0])
+		if tr.PipeIdx[i] == 2 && tr.Age[i] == 1998-1935 {
+			if x[0] != 0 {
+				t.Fatalf("P2@1998 prior_failures = %v, want 0", x[0])
 			}
 		}
 	}
@@ -181,8 +181,8 @@ func TestHistoryFeatureNoLeakage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if te.X[2][0] != 2 {
-		t.Fatalf("P2 test prior_failures = %v, want 2", te.X[2][0])
+	if got := te.Row(2, nil)[0]; got != 2 {
+		t.Fatalf("P2 test prior_failures = %v, want 2", got)
 	}
 }
 
@@ -200,12 +200,12 @@ func TestStandardizationTrainStats(t *testing.T) {
 	// Every numeric column must have ~zero mean and ~unit variance on train.
 	for j := 0; j < tr.Dim(); j++ {
 		sum, ss := 0.0, 0.0
-		for _, row := range tr.X {
-			sum += row[j]
+		for r := range tr.Label {
+			sum += tr.Row(r, nil)[j]
 		}
 		mean := sum / float64(tr.Len())
-		for _, row := range tr.X {
-			d := row[j] - mean
+		for r := range tr.Label {
+			d := tr.Row(r, nil)[j] - mean
 			ss += d * d
 		}
 		sd := math.Sqrt(ss / float64(tr.Len()))
@@ -231,7 +231,8 @@ func TestOneHotExactlyOnePerFactor(t *testing.T) {
 	}
 	names := b.Names()
 	prefixes := []string{"material=", "coating=", "soil_corr=", "soil_exp=", "soil_geo=", "soil_map="}
-	for _, row := range tr.X {
+	for r := range tr.Label {
+		row := tr.Row(r, nil)
 		for _, pre := range prefixes {
 			s := 0.0
 			for j, n := range names {
@@ -263,26 +264,6 @@ func TestGroupsWithout(t *testing.T) {
 	var none Groups
 	if none.Any() {
 		t.Fatal("zero Groups must report none")
-	}
-}
-
-func TestSetMatrix(t *testing.T) {
-	net := buildNet()
-	b, err := NewBuilder(net, Options{Groups: Groups{Age: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	split := mustSplit(t, net)
-	tr, err := b.TrainSet(split)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := tr.Matrix()
-	if m.Rows != tr.Len() || m.Cols != tr.Dim() {
-		t.Fatalf("matrix %dx%d, want %dx%d", m.Rows, m.Cols, tr.Len(), tr.Dim())
-	}
-	if m.At(0, 0) != tr.X[0][0] {
-		t.Fatal("matrix content mismatch")
 	}
 }
 

@@ -34,7 +34,9 @@ type Result struct {
 // over the training instances and returns the results sorted best-first.
 // Instances are assigned to folds by row (pipe-years of the same pipe can
 // land in different folds; for hyperparameter selection this optimistic
-// granularity is standard and cheap).
+// granularity is standard and cheap). train may be dense or factored:
+// each fold's training and validation rows are copied into dense sets
+// once, and every candidate fits and scores that pair.
 func SelectByCV(train *feature.Set, cands []Candidate, k int, seed int64) ([]Result, error) {
 	if train == nil || train.Len() == 0 {
 		return nil, fmt.Errorf("tune: empty training set")
@@ -47,16 +49,17 @@ func SelectByCV(train *feature.Set, cands []Candidate, k int, seed int64) ([]Res
 		return nil, fmt.Errorf("tune: %w", err)
 	}
 
-	results := make([]Result, 0, len(cands))
-	for _, cand := range cands {
-		r := Result{Label: cand.Label}
-		for hi := range folds {
-			trIdx, err := eval.TrainIndices(folds, hi)
-			if err != nil {
-				return nil, fmt.Errorf("tune: %w", err)
-			}
-			trSet := subset(train, trIdx)
-			vaSet := subset(train, folds[hi])
+	results := make([]Result, len(cands))
+	for ci, cand := range cands {
+		results[ci] = Result{Label: cand.Label, FoldAUCs: make([]float64, len(folds))}
+	}
+	for hi := range folds {
+		trIdx, err := eval.TrainIndices(folds, hi)
+		if err != nil {
+			return nil, fmt.Errorf("tune: %w", err)
+		}
+		trSet, vaSet := train.Subset(trIdx), train.Subset(folds[hi])
+		for ci, cand := range cands {
 			m := cand.Make()
 			if err := m.Fit(trSet); err != nil {
 				return nil, fmt.Errorf("tune: fit %s fold %d: %w", cand.Label, hi, err)
@@ -65,30 +68,15 @@ func SelectByCV(train *feature.Set, cands []Candidate, k int, seed int64) ([]Res
 			if err != nil {
 				return nil, fmt.Errorf("tune: score %s fold %d: %w", cand.Label, hi, err)
 			}
-			r.FoldAUCs = append(r.FoldAUCs, eval.AUC(scores, vaSet.Label))
+			results[ci].FoldAUCs[hi] = eval.AUC(scores, vaSet.Label)
 		}
-		sum := 0.0
+	}
+	for ci, r := range results {
 		for _, a := range r.FoldAUCs {
-			sum += a
+			results[ci].MeanAUC += a
 		}
-		r.MeanAUC = sum / float64(len(r.FoldAUCs))
-		results = append(results, r)
+		results[ci].MeanAUC /= float64(len(folds))
 	}
 	sort.SliceStable(results, func(i, j int) bool { return results[i].MeanAUC > results[j].MeanAUC })
 	return results, nil
-}
-
-// subset builds a row-subset view of a feature set (copies the index
-// slices, shares the row vectors).
-func subset(s *feature.Set, rows []int) *feature.Set {
-	out := &feature.Set{Names: s.Names}
-	for _, i := range rows {
-		out.X = append(out.X, s.X[i])
-		out.Label = append(out.Label, s.Label[i])
-		out.Age = append(out.Age, s.Age[i])
-		out.LengthM = append(out.LengthM, s.LengthM[i])
-		out.PipeIdx = append(out.PipeIdx, s.PipeIdx[i])
-		out.Year = append(out.Year, s.Year[i])
-	}
-	return out
 }

@@ -13,25 +13,24 @@ import (
 // it suppresses noise) separates candidates measurably.
 func noisySet(seed int64, n, dim int) *feature.Set {
 	rng := stats.NewRNG(seed)
-	s := &feature.Set{}
-	for j := 0; j < dim; j++ {
-		s.Names = append(s.Names, "f")
+	names := make([]string, dim)
+	for j := range names {
+		names[j] = "f"
 	}
+	s := feature.NewDense(names, n, dim)
 	for i := 0; i < n; i++ {
 		pos := rng.Bernoulli(0.25)
-		row := make([]float64, dim)
+		row := s.Row(i, nil)
 		for j := range row {
 			row[j] = rng.Norm()
 		}
 		if pos {
 			row[0] += 1.5
 		}
-		s.X = append(s.X, row)
-		s.Label = append(s.Label, pos)
-		s.Age = append(s.Age, 10)
-		s.LengthM = append(s.LengthM, 100)
-		s.PipeIdx = append(s.PipeIdx, i)
-		s.Year = append(s.Year, 2000)
+		s.Label[i] = pos
+		s.Age[i] = 10
+		s.LengthM[i] = 100
+		s.PipeIdx[i] = i
 	}
 	return s
 }

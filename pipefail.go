@@ -101,7 +101,7 @@ func OpenData(path string) (*Data, error) {
 // set, never the pipe-year training set: every learned fit builds its own
 // set from the builder and drops it when the fit returns, so Train pays
 // that build on every call: for full-scale region A on two vCPUs, 6–10
-// ms and 6 MiB for the factored set DirectAUC-ES gets, 25–35 ms and 54
+// ms and 6 MiB for the factored set DirectAUC-ES gets, 15–35 ms and 49
 // MiB for the dense matrix every other learner gets. Models that learn
 // nothing from data are fitted without it. Concurrent Train calls are
 // safe; each builds its own set.
@@ -313,7 +313,7 @@ func (p *Pipeline) SelectModel(names []string, k int) (best string, meanAUC map[
 			},
 		})
 	}
-	train, err := p.b.TrainSet(p.split)
+	train, err := p.b.FactoredTrainSet(p.split)
 	if err != nil {
 		return "", nil, fmt.Errorf("pipefail: %w", err)
 	}
