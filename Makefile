@@ -29,7 +29,8 @@ loc:
 # serial ES fit with its set build, the serve
 # ranking/plan/bulk-rank/bulk-plan repeat paths and the request-body
 # memo hit, the flat per-event ingest allocation count, the exact
-# allocation count of four serial shard retrains
+# allocation counts of one serial 100-event ingest batch and of four
+# serial shard retrains
 # (run without -race, which inflates allocation counts), the chaos
 # suite, and a short fuzz pass over the CSV parsers, the AUC kernel
 # differential and the serve JSON writers.
@@ -40,7 +41,7 @@ verify:
 	$(GO) test ./internal/kerneltest -count=1
 	$(GO) test ./internal/eval -run='^(TestAUCKernelZeroAlloc|TestAUCKernelRadixPathZeroAlloc)$$' -count=1
 	$(GO) test ./internal/core -run='^(TestFitnessBatchResampleZeroAlloc|TestDirectAUCFitSerialAllocs)$$' -count=1
-	$(GO) test ./internal/serve -run='^(TestRankingCacheHitZeroAlloc|TestPlanCacheHitZeroAlloc|TestBodyMemoHitZeroAlloc|TestBulkRankCacheHitZeroAlloc|TestBulkPlanCacheHitZeroAlloc|TestEventsAllocsFlatWithHistory|TestShardRebuildSerialAllocs)$$' -count=1
+	$(GO) test ./internal/serve -run='^(TestRankingCacheHitZeroAlloc|TestPlanCacheHitZeroAlloc|TestBodyMemoHitZeroAlloc|TestBulkRankCacheHitZeroAlloc|TestBulkPlanCacheHitZeroAlloc|TestEventsAllocsFlatWithHistory|TestEventsIngestBatchSerialAllocs|TestShardRebuildSerialAllocs)$$' -count=1
 	$(GO) test ./internal/colfmt -run='^(TestReadAllocsRowIndependent|TestIngestAllocsRowIndependent)$$' -count=1
 	$(MAKE) chaos
 	$(MAKE) fuzz-smoke
@@ -80,7 +81,7 @@ bench:
 # same commands against those files.
 BENCH_CORE = { $(GO) test -run='^$$' -bench='BenchmarkFitnessEval|BenchmarkScoreAllFlat|BenchmarkRankBoostFit|BenchmarkDirectAUCFit' ./internal/core/; \
 	$(GO) test -run='^$$' -bench='BenchmarkWeibullFit' ./internal/baseline/; \
-	$(GO) test -run='^$$' -bench='BenchmarkAUCKernel|BenchmarkTopK' ./internal/eval/; \
+	$(GO) test -run='^$$' -bench='BenchmarkAUCKernel|BenchmarkTopK|BenchmarkOrder' ./internal/eval/; \
 	$(GO) test -run='^$$' -bench='BenchmarkMatVec|BenchmarkDot' ./internal/linalg/; }
 BENCH_SERVE = { $(GO) test -run='^$$' -bench='BenchmarkRankingHandler|BenchmarkPlanHandler|BenchmarkBulkRank|BenchmarkShardRebuild' ./internal/serve/; }
 BENCH_DATA = { BENCH_FULL=1 $(GO) test -run='^$$' -bench='BenchmarkColRead|BenchmarkColWrite|BenchmarkConvertCSVToCol|BenchmarkIngest|BenchmarkLiveRebuild' -timeout 60m ./internal/colfmt/; \
@@ -92,7 +93,7 @@ BENCH_INGEST = { $(GO) test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALRe
 # fitness kernel, at ~1,000 positives and at the full-scale region-A
 # batch shape, both matched by the BenchmarkFitnessEval prefix; a whole
 # full-scale region-A ES fit with its set build; scoring,
-# the RankBoost and Weibull fits, AUC, top-k and
+# the RankBoost and Weibull fits, AUC, top-k, a full ranking order and
 # the linalg kernels; the serve handlers) as JSON so
 # perf can be diffed commit to commit (BENCH_core.json and
 # BENCH_serve.json are checked in). Each benchmark runs long enough for

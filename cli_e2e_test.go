@@ -444,8 +444,8 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// A top far beyond the pipe count must clamp to the full ranking —
-	// not error, not over-return, not duplicate (pins eval.TopK's clamp
-	// end to end through the serve layer).
+	// not error, not over-return, not duplicate (pins the ranking's top
+	// clamp end to end through the serve layer).
 	status, body = serveRequest(t, "GET", base+"/api/network", "")
 	if status != http.StatusOK {
 		t.Fatalf("network: status %d body %s", status, body)

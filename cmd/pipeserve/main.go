@@ -37,11 +37,14 @@
 // (JSON object) or a batch (NDJSON with Content-Type
 // application/x-ndjson). Events are framed into a crash-safe write-ahead
 // log and acknowledged only once durable under -wal-sync (always fsyncs
-// before the ack — group-committed; interval syncs every
-// -wal-sync-interval; never leaves it to the OS). On boot the log
-// replays, truncating a torn tail and quarantining corrupt interior
-// segments; event IDs deduplicate retries, so every acknowledged event
-// is applied exactly once across crashes. Ingested events mark models
+// before the ack; interval flushes and syncs every -wal-sync-interval;
+// never acknowledges at once, with frames held in the log's 256 KiB
+// user-space buffer until it fills or the log rotates, syncs or closes,
+// so a process crash, not only power loss, can drop acknowledged
+// events). On boot the log replays, truncating a torn tail and
+// quarantining corrupt interior segments; event IDs deduplicate
+// retries, so under -wal-sync always every acknowledged event is
+// applied exactly once across crashes. Ingested events mark models
 // stale for the -rebuild-interval scheduler, which retrains on the
 // event-extended window and republishes atomically; /metrics gains
 // per-region drift gauges (live-window vs train-time AUC, computed when
@@ -122,7 +125,7 @@ func run() int {
 	metrics := flag.Bool("metrics", true, "expose the GET /metrics observability endpoint")
 	stateDir := flag.String("state-dir", "", "persist trained linear models here for warm restarts (empty = off)")
 	walDir := flag.String("wal-dir", "", "durable write-ahead event log root enabling POST /api/events (empty = off)")
-	walSync := flag.String("wal-sync", "always", "event log fsync policy: always (fsync before ack), interval, or never")
+	walSync := flag.String("wal-sync", "always", "event log fsync policy: always (fsync before ack), interval (flush and fsync on a ticker; a crash can drop up to one interval of acks), or never (ack at once; frames sit in a 256 KiB user-space buffer until it fills or the log rotates, syncs or closes, so even a process crash can drop acked events)")
 	walSyncInterval := flag.Duration("wal-sync-interval", 100*time.Millisecond, "fsync period under -wal-sync=interval")
 	walSegmentMB := flag.Int64("wal-segment-mb", 8, "event log segment rotation threshold in MiB")
 	walMaxBacklogMB := flag.Int64("wal-max-backlog-mb", 16, "unsynced event-log backlog before ingest answers 429")

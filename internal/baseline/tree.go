@@ -3,7 +3,6 @@ package baseline
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/feature"
 	"repro/internal/stats"
@@ -83,7 +82,9 @@ func (t *cartTree) grow(train *feature.Set, rows []int, depth int, rng *stats.RN
 		for k, r := range rows {
 			vals[k] = flat[r*d+j]
 		}
-		cuts := quantileThresholds(vals, t.cfg.Thresholds)
+		// vals is this node's gathered copy of feature j, refilled per
+		// feature, so the cut search may sort it in place.
+		cuts := stats.QuantileCuts(vals, t.cfg.Thresholds)
 		for _, c := range cuts {
 			var nL, nR, posL, posR float64
 			for _, r := range rows {
@@ -191,21 +192,6 @@ func posFraction(train *feature.Set, rows []int) float64 {
 }
 
 func giniOf(p float64) float64 { return 2 * p * (1 - p) }
-
-// quantileThresholds returns up to k distinct interior quantiles of xs.
-func quantileThresholds(xs []float64, k int) []float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	var cuts []float64
-	for i := 1; i <= k; i++ {
-		q := float64(i) / float64(k+1)
-		v := s[int(q*float64(len(s)-1))]
-		if len(cuts) == 0 || v != cuts[len(cuts)-1] {
-			cuts = append(cuts, v)
-		}
-	}
-	return cuts
-}
 
 // ForestConfig tunes the RandomForest baseline.
 type ForestConfig struct {

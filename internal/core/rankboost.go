@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/feature"
 	"repro/internal/parallel"
+	"repro/internal/stats"
 )
 
 // RankBoostConfig tunes the bipartite RankBoost learner.
@@ -107,7 +107,7 @@ func (m *RankBoost) FitContext(ctx context.Context, train *feature.Set) error {
 
 	// Candidate thresholds per feature from quantiles of the training
 	// values, computed once per Fit and cached for all rounds. The gather
-	// buffer doubles as quantileCuts' sort scratch, so the extraction
+	// buffer doubles as QuantileCuts' sort scratch, so the extraction
 	// allocates only the cut slices themselves.
 	cuts := make([][]float64, dim)
 	vals := make([]float64, train.Len())
@@ -116,7 +116,7 @@ func (m *RankBoost) FitContext(ctx context.Context, train *feature.Set) error {
 		for i := range vals {
 			vals[i] = flat[i*dim+j]
 		}
-		c := quantileCuts(vals, m.cfg.Thresholds)
+		c := stats.QuantileCuts(vals, m.cfg.Thresholds)
 		// The sort puts NaN first, so NaN cuts lead the list. No value
 		// exceeds a NaN cut, so its ratio would stay 0 and never win the
 		// argmax: dropping it selects the same stumps and leaves the
@@ -281,20 +281,4 @@ func normalize(v []float64) {
 	for i := range v {
 		v[i] /= s
 	}
-}
-
-// quantileCuts returns up to k distinct interior quantile cut points of
-// xs. It sorts xs in place — callers own the buffer and refill it per
-// feature, so no defensive copy is made.
-func quantileCuts(xs []float64, k int) []float64 {
-	sort.Float64s(xs)
-	var cuts []float64
-	for i := 1; i <= k; i++ {
-		q := float64(i) / float64(k+1)
-		v := xs[int(q*float64(len(xs)-1))]
-		if len(cuts) == 0 || v != cuts[len(cuts)-1] {
-			cuts = append(cuts, v)
-		}
-	}
-	return cuts
 }

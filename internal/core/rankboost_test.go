@@ -22,7 +22,7 @@ func perCutRankBoost(train *feature.Set, rounds, thresholds int) []stump {
 		for i := range vals {
 			vals[i] = train.Row(i, nil)[j]
 		}
-		cuts[j] = quantileCuts(vals, thresholds)
+		cuts[j] = stats.QuantileCuts(vals, thresholds)
 	}
 	vPos := make([]float64, len(pos))
 	vNeg := make([]float64, len(neg))

@@ -3,10 +3,10 @@ package eval
 // Ranking kernels shared by the evaluation harness, the serve layer and
 // (via core) the ES training hot path. Two disciplines hold throughout:
 //
-//   - Scratch ownership: kernels with reusable state (AUCKernel, Ranker)
-//     are NOT safe for concurrent use; each worker owns its own instance.
-//     The stateless package functions (AUC, TopK) allocate fresh scratch
-//     per call and are safe anywhere.
+//   - Scratch ownership: the kernel with reusable state (AUCKernel) is
+//     NOT safe for concurrent use; each worker owns its own instance.
+//     The stateless package functions (AUC, Order, TopK) allocate fresh
+//     scratch per call and are safe anywhere.
 //   - Deterministic ties: every sort that yields a permutation orders by
 //     the (score, original index) composite key. The index tiebreak
 //     makes the permutation unique, so the unstable pdqsort behind
@@ -458,113 +458,27 @@ func (k *AUCKernel) computeViaSort(scores []float64, labels []bool) float64 {
 	return (rankSum - nPos*(nPos+1)/2) / (nPos * nNeg)
 }
 
-// Ranker produces descending rank orderings with reusable scratch. The
-// slice returned by Order is owned by the Ranker and valid only until
-// the next call; copy it to retain. Not safe for concurrent use.
-type Ranker struct {
-	buf []scoreIx
-	idx []int
-}
-
-// Order returns indices sorted by score descending, breaking ties by
-// original index for determinism.
-func (r *Ranker) Order(scores []float64) []int {
-	n := len(scores)
-	if cap(r.buf) < n {
-		r.buf = make([]scoreIx, n)
-		r.idx = make([]int, n)
-	}
-	buf := r.buf[:n]
-	idx := r.idx[:n]
+// Order returns indices sorted by score descending, ties by ascending
+// index — the rank order every ranking and inspection list uses. One
+// sort of the (score, index) pairs; the index tiebreak makes the
+// permutation unique.
+func Order(scores []float64) []int {
+	buf := make([]scoreIx, len(scores))
 	for i, s := range scores {
 		buf[i] = scoreIx{s, i}
 	}
 	slices.SortFunc(buf, cmpScoreIxDesc)
+	idx := make([]int, len(buf))
 	for i, p := range buf {
 		idx[i] = p.i
 	}
 	return idx
 }
 
-// topKHeap is a fixed-capacity min-heap over the descending rank order:
-// the root is the *worst* of the kept candidates, so a scan can evict it
-// in O(log k) whenever a better candidate arrives.
-type topKHeap []scoreIx
-
-// worse reports whether a ranks strictly after b in the descending
-// (score, index) order.
-func worse(a, b scoreIx) bool {
-	if a.s != b.s {
-		return a.s < b.s
-	}
-	return a.i > b.i
-}
-
-func (h topKHeap) siftUp(c int) {
-	for c > 0 {
-		p := (c - 1) / 2
-		if !worse(h[c], h[p]) {
-			break
-		}
-		h[c], h[p] = h[p], h[c]
-		c = p
-	}
-}
-
-func (h topKHeap) siftDown(p int) {
-	for {
-		c := 2*p + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && worse(h[c+1], h[c]) {
-			c++
-		}
-		if !worse(h[c], h[p]) {
-			return
-		}
-		h[p], h[c] = h[c], h[p]
-		p = c
-	}
-}
-
 // TopK returns the indices of the k highest-scoring items in rank order
-// (score descending, ties by ascending index). k is clamped to
-// [0, len(scores)]. A single O(n) scan maintains a size-k heap — heap
-// updates cost O(log k) and only fire when a candidate enters the
-// running top k, so unordered inputs cost O(n + k log n) expected rather
-// than the full O(n log n) sort — and the kept set is sorted in
-// O(k log k) at the end. The selection is identical to sorting the whole
-// slice and taking the first k, because the (score, index) key is a
-// total order.
+// (score descending, ties by ascending index): the first k of Order,
+// with k clamped to [0, len(scores)].
 func TopK(scores []float64, k int) []int {
-	if k < 0 {
-		k = 0
-	}
-	if k > len(scores) {
-		k = len(scores)
-	}
-	if k == 0 {
-		return []int{}
-	}
-	h := make(topKHeap, 0, k)
-	for i, s := range scores {
-		c := scoreIx{s, i}
-		if len(h) < k {
-			h = append(h, c)
-			h.siftUp(len(h) - 1)
-			continue
-		}
-		if worse(c, h[0]) {
-			continue
-		}
-		h[0] = c
-		h.siftDown(0)
-	}
-	slices.SortFunc(h, cmpScoreIxDesc)
-	out := make([]int, k)
-	for i, p := range h {
-		out[i] = p.i
-	}
-	return out
+	k = min(max(k, 0), len(scores))
+	return Order(scores)[:k:k]
 }

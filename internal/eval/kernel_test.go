@@ -240,7 +240,6 @@ func referenceRankOrder(scores []float64) []int {
 
 func TestRankerMatchesStableSort(t *testing.T) {
 	rng := stats.NewRNG(11)
-	var r Ranker
 	for trial := 0; trial < 100; trial++ {
 		n := rng.Intn(200)
 		scores := make([]float64, n)
@@ -248,7 +247,7 @@ func TestRankerMatchesStableSort(t *testing.T) {
 			scores[i] = float64(rng.Intn(8)) // ties stress the index tiebreak
 		}
 		want := referenceRankOrder(scores)
-		got := r.Order(scores)
+		got := Order(scores)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: length %d != %d", trial, len(got), len(want))
 		}
@@ -294,13 +293,12 @@ func TestTopKMatchesFullSort(t *testing.T) {
 
 // TestRankerTopKHeavyTiesProperty is the tie-saturation property check:
 // for score vectors dominated by (or consisting entirely of) equal
-// values, Ranker.Order and TopK must agree with the full stable sort at
-// the exact boundary ks — 0, 1, n-1, n and n+1 — where clamping and
-// heap-eviction edge cases live. The levels=1 case makes every score
-// identical, so the entire ordering is decided by the index tiebreak.
+// values, Order and TopK must agree with the full stable sort at the
+// exact boundary ks — 0, 1, n-1, n and n+1 — where clamping edge cases
+// live. The levels=1 case makes every score identical, so the entire
+// ordering is decided by the index tiebreak.
 func TestRankerTopKHeavyTiesProperty(t *testing.T) {
 	rng := stats.NewRNG(29)
-	var r Ranker
 	for trial := 0; trial < 60; trial++ {
 		n := rng.Intn(250)
 		levels := 1 + trial%3 // 1 (all equal), 2, 3 distinct values
@@ -309,7 +307,7 @@ func TestRankerTopKHeavyTiesProperty(t *testing.T) {
 			scores[i] = float64(rng.Intn(levels))
 		}
 		full := referenceRankOrder(scores)
-		order := r.Order(scores)
+		order := Order(scores)
 		for i := range full {
 			if order[i] != full[i] {
 				t.Fatalf("trial %d (n=%d, levels=%d): Order[%d] = %d != stable %d",
@@ -370,6 +368,23 @@ func BenchmarkTopK(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if ids := TopK(scores, 50); len(ids) != 50 {
 			b.Fatal("bad topk")
+		}
+	}
+}
+
+// BenchmarkOrder orders a full ranking at the serve snapshot's shape:
+// the 15,189 ranked pipes of full-scale region A.
+func BenchmarkOrder(b *testing.B) {
+	rng := stats.NewRNG(3)
+	scores := make([]float64, 15189)
+	for i := range scores {
+		scores[i] = rng.Norm()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ids := Order(scores); len(ids) != len(scores) {
+			b.Fatal("bad order")
 		}
 	}
 }

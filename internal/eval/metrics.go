@@ -5,6 +5,9 @@
 // The central industrial metric is the detection curve: rank all pipes by
 // predicted risk, inspect the top x %, and count the fraction of the test
 // year's failures caught. The paper's real-world constraint is x = 1 %.
+// Every ranking here, and every ranking the serve layer and the
+// experiments order, comes from one sort: Order (score descending, ties
+// by ascending index); TopK is its clamped prefix.
 package eval
 
 import (
@@ -32,13 +35,6 @@ type CurvePoint struct {
 	Y float64
 }
 
-// rankOrder returns indices sorted by score descending, breaking ties by
-// original index for determinism (a one-shot Ranker; see kernel.go).
-func rankOrder(scores []float64) []int {
-	var r Ranker
-	return r.Order(scores)
-}
-
 // DetectionCurve returns the cumulative detection curve: after inspecting
 // the top-k ranked pipes (x = k/n), the fraction of failed pipes caught
 // (y). The curve is sub-sampled to at most points+1 points including the
@@ -61,7 +57,7 @@ func DetectionCurve(scores []float64, labels []bool, points int) []CurvePoint {
 			totalPos++
 		}
 	}
-	order := rankOrder(scores)
+	order := Order(scores)
 	out := make([]CurvePoint, 0, points+1)
 	out = append(out, CurvePoint{0, 0})
 	caught := 0
@@ -98,7 +94,7 @@ func DetectionAt(scores []float64, labels []bool, frac float64) float64 {
 		return 0
 	}
 	k := int(math.Ceil(frac * float64(n)))
-	order := rankOrder(scores)
+	order := Order(scores)
 	totalPos, caught := 0, 0
 	for _, v := range labels {
 		if v {
@@ -141,7 +137,7 @@ func DetectionAtLength(scores []float64, labels []bool, lengths []float64, frac 
 	budget := frac * total
 	used := 0.0
 	caught := 0
-	for _, i := range rankOrder(scores) {
+	for _, i := range Order(scores) {
 		if used >= budget {
 			break
 		}
@@ -177,7 +173,7 @@ func PartialDetectionArea(scores []float64, labels []bool, frac float64) float64
 	if totalPos == 0 {
 		return 0
 	}
-	order := rankOrder(scores)
+	order := Order(scores)
 	kMax := frac * float64(n)
 	area := 0.0
 	caught := 0

@@ -53,7 +53,7 @@ func F4RiskMap(opts Options, region string) (*RiskMap, error) {
 	// Deciles from the rank order. The test set has one row per pipe laid
 	// before the test year, aligned with net.Pipes() via PipeIdx — here we
 	// recover that alignment through the rank order of Scores.
-	order := eval.TopK(e.Scores, len(e.Scores))
+	order := eval.Order(e.Scores)
 	decile := make([]int, len(e.Scores))
 	for rank, idx := range order {
 		decile[idx] = rank * 10 / len(order)

@@ -211,7 +211,7 @@ func BenchmarkShardRebuildConcurrent(b *testing.B) {
 
 // rebuildSerialAllocs is the exact allocation count of the four
 // retrains TestShardRebuildSerialAllocs runs.
-const rebuildSerialAllocs = 714
+const rebuildSerialAllocs = 650
 
 // TestShardRebuildSerialAllocs is BenchmarkShardRebuildConcurrent's
 // allocation gate with the scheduling taken out: the same four retrains,
@@ -319,5 +319,50 @@ func BenchmarkEventsIngestBatch(b *testing.B) {
 		req := httptest.NewRequest("POST", "/api/events", &buf)
 		req.Header.Set("Content-Type", "application/x-ndjson")
 		s.handleEvents(w, req)
+	}
+}
+
+// ingestBatchSerialAllocs is the exact allocation count of one
+// 100-event batch in TestEventsIngestBatchSerialAllocs.
+const ingestBatchSerialAllocs = 1138
+
+// TestEventsIngestBatchSerialAllocs is BenchmarkEventsIngestBatch's
+// allocation gate with the noise taken out: one shard, one goroutine,
+// the same 100-line NDJSON batch every run (event IDs differ only in a
+// fixed-width run number, so dedup admits every line), requests built
+// outside the measurement, and garbage collection only at the top of
+// each run. The benchmark's count moves with when collections empty the
+// pools on the path; this one must equal ingestBatchSerialAllocs.
+func TestEventsIngestBatchSerialAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s, _ := newEventServer(t, t.TempDir(), EventLogConfig{Sync: wal.SyncAlways})
+	pipes := s.def.data.Pipes()
+	year := s.def.data.ObservedTo + 1
+	const runs = 20
+	reqs := make([]*http.Request, runs+1) // AllocsPerRun warms up once
+	for i := range reqs {
+		var buf bytes.Buffer
+		for j := 0; j < 100; j++ {
+			fmt.Fprintf(&buf, "{\"id\":\"batch-%02d-%03d\",\"pipe_id\":%q,\"year\":%d,\"day\":%d}\n",
+				i, j, pipes[j%len(pipes)].ID, year, j%366+1)
+		}
+		reqs[i] = httptest.NewRequest("POST", "/api/events", &buf)
+		reqs[i].Header.Set("Content-Type", "application/x-ndjson")
+	}
+	w := &nopWriter{h: make(http.Header)}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		runtime.GC()
+		s.handleEvents(w, reqs[i])
+		i++
+	})
+	if applied := s.def.eventSeqNow(); applied != 100*(runs+1) {
+		t.Fatalf("applied %d events, want %d", applied, 100*(runs+1))
+	}
+	if got != ingestBatchSerialAllocs {
+		t.Fatalf("%v allocs per 100-event batch, want exactly %d", got, ingestBatchSerialAllocs)
 	}
 }

@@ -143,7 +143,7 @@ type serveMetrics struct {
 	handlerPanics        *obs.Counter // handler panics recovered into 500s
 	shedCapacity         *obs.Counter // 503s from the in-flight cap
 	shedDraining         *obs.Counter // 503s issued while draining
-	planPrefixBuilds     *obs.Counter // plan.BuildPrefix runs for non-default cost models
+	planPrefixBuilds     *obs.Counter // plan prefix builds, every cost model
 	stateSaved           *obs.Counter // models persisted to the state dir
 	stateRestored        *obs.Counter // models reloaded on warm restart
 	stateSaveErrs        *obs.Counter // failed persistence attempts

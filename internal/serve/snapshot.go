@@ -1,19 +1,21 @@
 package serve
 
-// Model snapshots: the immutable, fully materialized serving view built
-// once when a training run completes. Everything a read handler needs is
-// precomputed here — the ranked entry list with calibrated probabilities,
-// each registry row's rank, the plan candidate slice, the test-year
-// scores, the encoded ranking body and the content ETag — so the request
-// path is slicing, never recomputation.
+// Model snapshots: the immutable serving view built once when a training
+// run completes. Publish computes what every read shares — the ranked
+// entry list with calibrated probabilities (one Order sort), each
+// registry row's rank, the plan candidate slice, the test-year scores
+// and the content ETag. What only some reads need — the encoded ranking
+// body and each cost model's plan prefix — is built by the first read
+// that asks for it.
 //
 // Invariant: a *modelSnapshot and everything reachable from it is
 // read-only after newModelSnapshot returns — with two internally
 // synchronized exceptions: the ranking body, encoded as far as reads
-// have asked for it, and planMemo, a bounded sync.Map of plan prefixes
-// keyed by cost model, which handlers fill lazily for non-default cost
-// models. Each encoded ranking prefix and each plan prefix is itself
-// immutable once built.
+// have asked for it, and planMemo, a sync.Map of plan prefixes keyed by
+// cost model, which plan reads fill on first use (the default cost
+// model's included; a snapshot nobody plans against builds none). Each
+// encoded ranking prefix and each plan prefix is itself immutable once
+// built.
 // Handlers may share one snapshot across any number of goroutines; the
 // only other mutable state is the shard's per-model slot that points at
 // the published snapshot (see shard.go).
@@ -69,18 +71,11 @@ type modelSnapshot struct {
 	// Present only when the model calibrated.
 	cands []plan.Candidate
 
-	// planDefault is the prefix structure for the default cost model —
-	// the overwhelmingly common case — built once at snapshot time so the
-	// first /api/plan request already binary-searches instead of sorting.
-	// Nil when the model has no calibrator or the candidates fail plan
-	// validation (the per-request path reports the error).
-	planDefault *planPrefix
-
-	// planMemo lazily memoizes prefixes for non-default cost models,
-	// keyed by the plan.CostModel value. Bounded at planMemoMax distinct
-	// cost models per snapshot; past that, extra cost models rebuild per
-	// request (still ~ms, the pre-PR cost) instead of growing memory on
-	// attacker-chosen parameters.
+	// planMemo memoizes plan prefixes keyed by the plan.CostModel value,
+	// each built on the snapshot's first plan read at that cost model.
+	// The default cost model is always admitted; the others are bounded
+	// at planMemoMax per snapshot, and past that rebuild per request
+	// (a few ms) instead of growing memory on client-chosen prices.
 	planMemo  sync.Map
 	planMemoN atomic.Int32
 
@@ -102,7 +97,7 @@ type modelSnapshot struct {
 const planMemoMax = 16
 
 // defaultCostModel is the cost model used when a plan request carries no
-// explicit pricing; its prefix is prebuilt into every snapshot.
+// explicit pricing.
 var defaultCostModel = plan.CostModel{
 	InspectionPerKM: defaultInspectionPerKM,
 	FailureCost:     defaultFailureCost,
@@ -117,9 +112,6 @@ func (tm *modelSnapshot) prefixFor(model string, cm plan.CostModel, builds *obs.
 	if tm.calibrator == nil {
 		return nil, http.StatusConflict, fmt.Errorf("model %q has no calibrator; cannot price a plan", model)
 	}
-	if cm == defaultCostModel && tm.planDefault != nil {
-		return tm.planDefault, 0, nil
-	}
 	if px, ok := tm.planMemo.Load(cm); ok {
 		return px.(*planPrefix), 0, nil
 	}
@@ -128,7 +120,9 @@ func (tm *modelSnapshot) prefixFor(model string, cm plan.CostModel, builds *obs.
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	if tm.planMemoN.Load() < planMemoMax {
+	if cm == defaultCostModel {
+		tm.planMemo.Store(cm, px)
+	} else if tm.planMemoN.Load() < planMemoMax {
 		if _, loaded := tm.planMemo.LoadOrStore(cm, px); !loaded {
 			tm.planMemoN.Add(1)
 		}
@@ -159,18 +153,11 @@ func newModelSnapshot(name string, ranking *pipefail.Ranking, pipes int, calibra
 				LengthM:  ranking.LengthM[i],
 			}
 		}
-		// Pay the density sort once at publish time for the default cost
-		// model. A build error (out-of-range probability, zero length) is
-		// deliberately not fatal: planDefault stays nil and the request
-		// path rebuilds per call, surfacing the same 400 Greedy would.
-		if px, err := newPlanPrefix(tm.cands, defaultCostModel); err == nil {
-			tm.planDefault = px
-		}
 	}
 	tm.etag = rankingETag(name, ranking, probs)
 	tm.etagHdr = []string{tm.etag}
 
-	order := eval.TopK(ranking.Scores, ranking.Len())
+	order := eval.Order(ranking.Scores)
 	tm.entries = make([]rankedPipe, len(order))
 	tm.rankOf = make([]int32, pipes)
 	for i, row := range order {

@@ -502,7 +502,6 @@ func TestFillErrorNeverCached(t *testing.T) {
 		switch name {
 		case "Heuristic-Age": // a zero-length candidate fails plan validation
 			tm.cands[0].LengthM = 0
-			tm.planDefault = nil
 		case "Heuristic-Length":
 			tm.calibrator = nil
 		}
@@ -838,6 +837,59 @@ func TestPlanCachedReplayETagAnd304(t *testing.T) {
 	if resp5.StatusCode != 200 || bytes.Equal(body1, body5) {
 		t.Fatal("different budget served the cached plan")
 	}
+}
+
+// TestPlanPrefixBuiltOnFirstPlan pins when plan prefixes are built:
+// publishing a snapshot and reading its ranking build none, the first
+// default plan builds exactly one that repeats (single and bulk) reuse,
+// and the default prefix is memoized even on a snapshot whose memo
+// bound other cost models have already filled.
+func TestPlanPrefixBuiltOnFirstPlan(t *testing.T) {
+	s, ts := newTestServer(t)
+	builds := s.metrics.planPrefixBuilds
+	base := builds.Value() // the registry is process-wide
+	plan := func(url, body string) {
+		t.Helper()
+		code, resp, err := post(ts.URL+url, body)
+		if err != nil || code != 200 || bytes.Contains(resp, []byte(`"error":`)) {
+			t.Fatalf("%s %s: status %d %s %v", url, body, code, resp, err)
+		}
+	}
+	want := func(n int64, after string) {
+		t.Helper()
+		if got := builds.Value() - base; got != n {
+			t.Fatalf("after %s: %d prefix builds, want %d", after, got, n)
+		}
+	}
+
+	if _, err := s.get(context.Background(), "Heuristic-Age"); err != nil {
+		t.Fatal(err)
+	}
+	getRaw(t, ts.URL+"/api/models/Heuristic-Age/ranking?top=5")
+	want(0, "a publish and a ranking read")
+	for i := 0; i < 3; i++ {
+		plan("/api/plan", `{"model":"Heuristic-Age","budget_km":3}`)
+		plan("/api/bulk/plan", `{"model":"Heuristic-Age","budget_km":2}`)
+	}
+	want(1, "repeated default plans")
+
+	// Heuristic-Length's fresh snapshot first sees planMemoMax priced
+	// plans, then one past the bound, which is rebuilt on every request.
+	priced := func(i int) string {
+		return fmt.Sprintf(`{"model":"Heuristic-Length","budget_km":3,"inspection_per_km":%d}`, 9000+i)
+	}
+	for i := 0; i < planMemoMax; i++ {
+		plan("/api/plan", priced(i))
+		plan("/api/plan", priced(i))
+	}
+	want(1+planMemoMax, "memoized priced plans")
+	plan("/api/plan", priced(planMemoMax))
+	plan("/api/plan", priced(planMemoMax))
+	want(3+planMemoMax, "priced plans past the memo bound")
+	for i := 0; i < 3; i++ {
+		plan("/api/plan", `{"model":"Heuristic-Length","budget_km":3}`)
+	}
+	want(4+planMemoMax, "default plans on a full memo")
 }
 
 // TestPlanCacheHitZeroAlloc is the `make verify` allocation gate for the

@@ -103,6 +103,23 @@ func Quantile(xs []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
+// QuantileCuts returns up to k distinct interior quantile cut points of
+// xs: the order statistics at i/(k+1) of the way through, i = 1..k, with
+// repeats dropped — the candidate split thresholds of the tree and
+// stump learners. It sorts xs in place; callers pass a buffer they own.
+func QuantileCuts(xs []float64, k int) []float64 {
+	sort.Float64s(xs)
+	var cuts []float64
+	for i := 1; i <= k; i++ {
+		q := float64(i) / float64(k+1)
+		v := xs[int(q*float64(len(xs)-1))]
+		if len(cuts) == 0 || v != cuts[len(cuts)-1] {
+			cuts = append(cuts, v)
+		}
+	}
+	return cuts
+}
+
 // Median returns the 0.5-quantile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 

@@ -101,6 +101,19 @@ func TestQuantileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+func TestQuantileCuts(t *testing.T) {
+	// Indices int(i/4 * 8) for i = 1..3 pick s[2], s[4], s[6] of the
+	// sorted values 1 2 3 3 3 5 7 8 9: 3, 3 and 7, the repeat dropped.
+	xs := []float64{9, 3, 1, 3, 7, 3, 5, 2, 8}
+	got := QuantileCuts(xs, 3)
+	if want := []float64{3, 7}; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("QuantileCuts = %v, want %v", got, want)
+	}
+	if !sort.Float64sAreSorted(xs) {
+		t.Fatalf("QuantileCuts left its buffer unsorted: %v", xs)
+	}
+}
+
 func TestQuantilePanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,8 +1,8 @@
 // Package wal is a durable write-ahead event log: the crash-safety
 // substrate of the streaming-ingest path. Callers append opaque payloads
 // and receive a log offset; WaitDurable blocks until that offset is
-// fsynced (policy permitting), so an HTTP acknowledgment is only ever
-// sent for bytes that survive power loss.
+// durable under the configured policy, so under SyncAlways an HTTP
+// acknowledgment is only ever sent for bytes that survive power loss.
 //
 // On-disk layout: rotating segment files wal-NNNNNNNN.seg, each
 //
@@ -18,11 +18,17 @@
 //   - SyncAlways: WaitDurable fsyncs before returning. Concurrent
 //     waiters group-commit — the first one in flushes and fsyncs
 //     everything appended so far, and every waiter at or below the new
-//     watermark returns without issuing its own fsync.
-//   - SyncInterval: a background ticker fsyncs every Interval;
-//     WaitDurable returns immediately (acks may be lost on crash, bounded
-//     by the interval).
-//   - SyncNever: the OS decides; WaitDurable returns immediately.
+//     watermark returns without issuing its own fsync. Only waiters
+//     that do not serialize among themselves share an fsync.
+//   - SyncInterval: a background ticker flushes and fsyncs every
+//     Interval; WaitDurable returns immediately (acks may be lost on
+//     crash, bounded by the interval).
+//   - SyncNever: WaitDurable returns immediately and nothing is flushed
+//     on its account. Frames sit in the log's user-space buffer
+//     (flushThreshold, 256 KiB) until it fills or the log rotates,
+//     syncs or closes; only then does the OS hold them, and the OS
+//     decides when they reach disk. So a process crash, not only power
+//     loss, can drop acknowledged records.
 //
 // Recovery (Open) replays every intact record in log order, truncates a
 // torn tail at the first bad frame of the final segment, and quarantines
